@@ -19,6 +19,17 @@ The inner products are the robust block-diagonal preconditioners built from
 Stokes); their stability constants are mesh-, ``nu``- and ``omega``-
 independent, which is what the experiments verify.
 
+Each builder declares its inner product as a :class:`BlockPreconditioner`:
+a list of real SPD blocks, each placed on one or more slices of the system
+with a scale.  Every sparse block is factored once by SuperLU in symmetric
+mode (minimum degree on ``A^T + A``, no pivoting), the dense Stokes Schur
+complement by Cholesky.  One application makes one real multi-column solve
+per factor: the slices of a factor are gathered into one complex array whose
+real and imaginary parts are solved as interleaved real columns.  The dense
+inner-product matrices of :meth:`ModelProblem.inner_product` are built from
+the same declaration, so the analysed and the applied preconditioner are one
+object.
+
 Right-hand sides use the nodal interpolant of the target multiplied by the
 mass matrix.  The scalar target mirrors the stream-function profile of the
 velocity target so that both vanish on the whole boundary.
@@ -26,8 +37,8 @@ velocity target so that both vanish on the whole boundary.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -40,7 +51,9 @@ from .assembly import assemble_p1, assemble_taylor_hood
 from .mesh import Mesh
 
 __all__ = [
+    "BlockPreconditioner",
     "ModelProblem",
+    "SpdFactor",
     "parabolic_kkt",
     "parabolic_reduced",
     "stokes_system",
@@ -52,6 +65,9 @@ __all__ = [
 
 #: Refuse dense conversion above this system dimension.
 DENSE_LIMIT = 6000
+
+#: Columns of the Stokes Schur complement formed per multi-column solve.
+SCHUR_COLUMNS = 128
 
 
 def stream_profile(z):
@@ -81,16 +97,91 @@ def target_state(x, y):
     return 10.0 * stream_profile(x) * stream_profile(y)
 
 
-class _SpdSolve:
-    """Sparse LU of a real SPD matrix, applied to complex vectors/blocks."""
+class SpdFactor:
+    """A real SPD block, factored once; ``solve`` takes real ``(n, k)``
+    right-hand sides.
 
-    def __init__(self, matrix: scipy.sparse.spmatrix):
-        self._lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(matrix))
+    Sparse blocks go to SuperLU in symmetric mode: an SPD matrix needs no
+    pivoting, and minimum degree on ``A^T + A`` fills far less than the
+    default column ordering.  Dense blocks are Cholesky factored; the
+    factorization checks the matrix once, so solves skip the finiteness scan
+    of the factor.
+    """
 
-    def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(rhs):
-            return self._lu.solve(rhs.real) + 1j * self._lu.solve(rhs.imag)
-        return self._lu.solve(rhs)
+    def __init__(self, matrix):
+        self.matrix = matrix
+        if scipy.sparse.issparse(matrix):
+            self.solve = scipy.sparse.linalg.splu(
+                scipy.sparse.csc_matrix(matrix),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            ).solve
+        else:
+            cho = scipy.linalg.cho_factor(matrix)
+            self.solve = functools.partial(
+                scipy.linalg.cho_solve, cho, check_finite=False
+            )
+
+
+class BlockPreconditioner:
+    """Inverse of a block-diagonal SPD matrix, applied to complex vectors.
+
+    ``blocks`` lists ``(factor, slices, scales)`` with an :class:`SpdFactor`
+    of a block ``A``.  On each of its ``slices`` of the system the
+    preconditioner applies ``scale * A^{-1}``, so the inner-product matrix
+    has the diagonal block ``A / scale`` there.  The slices of all blocks
+    must tile ``range(dim)``.
+
+    An application gathers the slices of each factor into one ``(n, k)``
+    array, views a complex one as a real ``(n, 2k)`` array (real and
+    imaginary parts become interleaved columns, without a copy), solves
+    once, and scatters the scaled result into a preallocated output.  Inputs
+    of shape ``(dim,)`` and ``(dim, k)`` are accepted and never mutated.
+    """
+
+    def __init__(self, dim: int, blocks):
+        self.dim = dim
+        self._blocks = [(f, list(slices), list(scales)) for f, slices, scales in blocks]
+        # The output is allocated uninitialized, so a gap would go unnoticed.
+        cover = np.zeros(dim, dtype=int)
+        for _, slices, _ in self._blocks:
+            for rows in slices:
+                cover[rows] += 1
+        if not np.all(cover == 1):
+            raise ValueError(f"preconditioner slices do not tile range({dim})")
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
+            raise ValueError(
+                f"input has shape {x.shape}, expected ({self.dim},) or ({self.dim}, k)"
+            )
+        cols = x.reshape(self.dim, -1)
+        k = cols.shape[1]
+        dtype = np.result_type(x.dtype, np.float64)
+        out = np.empty(cols.shape, dtype=dtype)
+        for factor, slices, scales in self._blocks:
+            rhs = np.concatenate([cols[rows] for rows in slices], axis=1, dtype=dtype)
+            sol = np.ascontiguousarray(factor.solve(rhs.view(np.float64))).view(dtype)
+            for j, (rows, scale) in enumerate(zip(slices, scales)):
+                np.multiply(sol[:, j * k : (j + 1) * k], scale, out=out[rows])
+        return out.reshape(x.shape)
+
+    def dense(self, rows: slice) -> np.ndarray:
+        """Dense inner-product matrix (the inverse of this preconditioner) on
+        the diagonal range ``rows``, which must not cut a slice."""
+        size = rows.stop - rows.start
+        out = np.zeros((size, size))
+        for factor, slices, scales in self._blocks:
+            block = factor.matrix
+            if scipy.sparse.issparse(block):
+                block = block.toarray()
+            for part, scale in zip(slices, scales):
+                if rows.start <= part.start and part.stop <= rows.stop:
+                    t = slice(part.start - rows.start, part.stop - rows.start)
+                    out[t, t] = block / scale
+        return out
 
 
 @dataclass
@@ -100,7 +191,8 @@ class ModelProblem:
     Blocks are kept sparse so the largest experiments stay matrix-free;
     :meth:`saddle_system` and :meth:`inner_product` densify for the exact
     eigenvalue analyses at desk scale.  ``precond_solve`` applies the
-    inverse of the block-diagonal inner-product matrix.
+    inverse of the block-diagonal inner-product matrix, which
+    :meth:`inner_product` builds densely from the same blocks.
     """
 
     flavor: str
@@ -110,10 +202,8 @@ class ModelProblem:
     a: scipy.sparse.spmatrix
     b: scipy.sparse.spmatrix
     c: scipy.sparse.spmatrix | None
-    ip_p: scipy.sparse.spmatrix
-    ip_r: object  # sparse matrix or dense ndarray
     rhs: np.ndarray
-    precond_solve: Callable[[np.ndarray], np.ndarray]
+    precond_solve: BlockPreconditioner
 
     @property
     def n(self) -> int:
@@ -158,9 +248,10 @@ class ModelProblem:
 
     def inner_product(self) -> InnerProduct:
         self._check_dense()
-        p = self.ip_p.toarray() if scipy.sparse.issparse(self.ip_p) else self.ip_p
-        r = self.ip_r.toarray() if scipy.sparse.issparse(self.ip_r) else self.ip_r
-        return InnerProduct(p=p, r=r)
+        return InnerProduct(
+            p=self.precond_solve.dense(slice(0, self.n)),
+            r=self.precond_solve.dense(slice(self.n, self.dim)),
+        )
 
 
 def _check_parameters(nu: float, omega: float) -> None:
@@ -195,15 +286,13 @@ def parabolic_kkt(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     b = scipy.sparse.hstack(
         [(stiff + 1j * omega * mass), -mass.astype(np.complex128)], format="csr"
     )
-    ip_p = scipy.sparse.block_diag([y_op, nu * mass], format="csr")
-    ip_r = (y_op / nu).tocsr()
-
-    y_solve = _SpdSolve(y_op)
-    m_solve = _SpdSolve(mass)
-
-    def precond_solve(x: np.ndarray) -> np.ndarray:
-        f1, f2, g = x[:n], x[n : 2 * n], x[2 * n :]
-        return np.concatenate([y_solve(f1), m_solve(f2) / nu, nu * y_solve(g)])
+    precond = BlockPreconditioner(
+        3 * n,
+        [
+            (SpdFactor(y_op), [slice(0, n), slice(2 * n, 3 * n)], [1.0, nu]),
+            (SpdFactor(mass), [slice(n, 2 * n)], [1.0 / nu]),
+        ],
+    )
 
     coords = mesh.vertices[fem.interior]
     y_d = target_state(coords[:, 0], coords[:, 1])
@@ -219,10 +308,8 @@ def parabolic_kkt(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
         a=a,
         b=b,
         c=None,
-        ip_p=ip_p,
-        ip_r=ip_r,
         rhs=rhs,
-        precond_solve=precond_solve,
+        precond_solve=precond,
     )
 
 
@@ -244,10 +331,9 @@ def parabolic_reduced(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     b = (np.sqrt(nu) * (stiff + 1j * omega * mass)).tocsr()
     c = mass.astype(np.complex128).tocsr()  # (2,2) block of the matrix is -M
 
-    p_solve = _SpdSolve(p_op)
-
-    def precond_solve(x: np.ndarray) -> np.ndarray:
-        return np.concatenate([p_solve(x[:n]), p_solve(x[n:])])
+    precond = BlockPreconditioner(
+        2 * n, [(SpdFactor(p_op), [slice(0, n), slice(n, 2 * n)], [1.0, 1.0])]
+    )
 
     coords = mesh.vertices[fem.interior]
     y_d = target_state(coords[:, 0], coords[:, 1])
@@ -261,10 +347,8 @@ def parabolic_reduced(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
         a=a,
         b=b,
         c=c,
-        ip_p=p_op,
-        ip_r=p_op,
         rhs=rhs,
-        precond_solve=precond_solve,
+        precond_solve=precond,
     )
 
 
@@ -305,33 +389,31 @@ def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     b = (-sqrt_nu) * scipy.sparse.bmat([[zero_d, div], [div, zero_d]], format="csr")
 
     ps = _shifted_operator(ms, ks, nu, omega)
-    ip_p = scipy.sparse.block_diag([ps, ps, ps, ps], format="csr")
-
-    ps_solve = _SpdSolve(ps)
-    # Exact pressure Schur complement S = D Pv^{-1} D^T, dense mp x mp.
-    dx = div[:, :ns].toarray()
-    dy = div[:, ns:].toarray()
-    schur = dx @ ps_solve(dx.T) + dy @ ps_solve(dy.T)
+    ps_factor = SpdFactor(ps)
+    # Exact pressure Schur complement S = D Pv^{-1} D^T = Dx Ps^{-1} Dx^T +
+    # Dy Ps^{-1} Dy^T, dense mp x mp.  The divergence blocks stay sparse;
+    # multi-column solves take SCHUR_COLUMNS columns of S at a time, so the
+    # dense work arrays stay at ns x 2 SCHUR_COLUMNS.
+    dx, dy = div[:, :ns], div[:, ns:]
+    dxt, dyt = dx.T.tocsc(), dy.T.tocsc()
+    schur = np.empty((mp, mp))
+    for start in range(0, mp, SCHUR_COLUMNS):
+        cols = slice(start, min(start + SCHUR_COLUMNS, mp))
+        rhs_cols = scipy.sparse.hstack([dxt[:, cols], dyt[:, cols]]).toarray()
+        sol = ps_factor.solve(rhs_cols)
+        half = sol.shape[1] // 2
+        schur[:, cols] = dx @ sol[:, :half] + dy @ sol[:, half:]
     schur = 0.5 * (schur + schur.T)
-    ip_r = scipy.linalg.block_diag(nu * schur, nu * schur)
-    schur_cho = scipy.linalg.cho_factor(schur)
 
-    def s_solve(rhs: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(rhs):
-            return (
-                scipy.linalg.cho_solve(schur_cho, rhs.real)
-                + 1j * scipy.linalg.cho_solve(schur_cho, rhs.imag)
-            )
-        return scipy.linalg.cho_solve(schur_cho, rhs)
-
-    def precond_solve(x: np.ndarray) -> np.ndarray:
-        chunks = []
-        for j in range(4):  # four velocity components: (u_x, u_y, w_x, w_y)
-            chunks.append(ps_solve(x[j * ns : (j + 1) * ns]))
-        off = 4 * ns
-        for j in range(2):  # two pressure fields
-            chunks.append(s_solve(x[off + j * mp : off + (j + 1) * mp]) / nu)
-        return np.concatenate(chunks)
+    velocity = [slice(j * ns, (j + 1) * ns) for j in range(4)]  # u_x, u_y, w_x, w_y
+    pressure = [slice(4 * ns + j * mp, 4 * ns + (j + 1) * mp) for j in range(2)]
+    precond = BlockPreconditioner(
+        4 * ns + 2 * mp,
+        [
+            (ps_factor, velocity, [1.0] * 4),
+            (SpdFactor(schur), pressure, [1.0 / nu] * 2),
+        ],
+    )
 
     coords = fem.p2_coordinates[fem.interior]
     u_target, v_target = target_velocity(coords[:, 0], coords[:, 1])
@@ -352,8 +434,6 @@ def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
         a=a,
         b=b,
         c=None,
-        ip_p=ip_p,
-        ip_r=ip_r,
         rhs=rhs,
-        precond_solve=precond_solve,
+        precond_solve=precond,
     )

@@ -126,17 +126,21 @@ class RitzEstimate:
             )
 
 
-def _real_inner(z: np.ndarray, v: np.ndarray, what: str) -> float:
+def _real_inner(
+    z: np.ndarray, v: np.ndarray, what: str, size: float | None = None
+) -> float:
     """Inner product that the Hermitian/SPD contracts force to be real.
 
-    The imaginary part is judged against ``|z| |v|``, the size of the
-    rounding error of the product, not against ``|value|``: a Hermitian
-    operator with a spectrum symmetric around zero gives Lanczos diagonal
-    entries that vanish up to rounding.
+    The imaginary part is judged against ``size = |z| |v|`` (computed here
+    unless the caller already has it), the size of the rounding error of the
+    product, not against ``|value|``: a Hermitian operator with a spectrum
+    symmetric around zero gives Lanczos diagonal entries that vanish up to
+    rounding.
     """
     value = complex(np.vdot(v, z))
-    scale = max(float(np.linalg.norm(z) * np.linalg.norm(v)), 1e-300)
-    if abs(value.imag) > 1e-8 * scale:
+    if size is None:
+        size = float(np.linalg.norm(z) * np.linalg.norm(v))
+    if abs(value.imag) > 1e-8 * max(size, 1e-300):
         raise ValueError(
             f"{what} inner product has imaginary part {value.imag:.3e}; "
             "operator or preconditioner violates Hermitian symmetry"
@@ -147,9 +151,9 @@ def _real_inner(z: np.ndarray, v: np.ndarray, what: str) -> float:
 def _positive_inner(z: np.ndarray, v: np.ndarray) -> float:
     """``<z, v>`` for z = Pc^{-1} v; negative values expose an indefinite
     preconditioner (random probes alone can miss indefiniteness)."""
-    value = _real_inner(z, v, "preconditioner")
-    floor = -1e-12 * float(np.linalg.norm(z) * np.linalg.norm(v))
-    if value < floor:
+    size = float(np.linalg.norm(z) * np.linalg.norm(v))
+    value = _real_inner(z, v, "preconditioner", size)
+    if value < -1e-12 * size:
         raise ValueError(
             f"preconditioner is not positive definite: <Pc^-1 v, v> = {value:.3e}"
         )
@@ -173,7 +177,7 @@ def minres_solve(
     op : operator for the Hermitian system matrix.
     prec : operator applying the *inverse* of the Hermitian positive definite
         preconditioner (identity if None).
-    rhs : right-hand side.
+    rhs : right-hand side (required; ``TypeError`` if missing).
     x0 : initial guess (zero if None).
     eps : relative reduction target for the preconditioned residual norm.
     maxit : iteration cap (default ``2 * dim``).
@@ -187,6 +191,8 @@ def minres_solve(
     means the Krylov space is invariant; the iteration stops there and
     convergence is judged by the residual test.
     """
+    if rhs is None:
+        raise TypeError("minres_solve: rhs is required")
     a = as_operator(op)
     n = a.dim
     rhs = np.asarray(rhs, dtype=np.complex128)

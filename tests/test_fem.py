@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlebounds.bounds import inclusion_set
 from saddlebounds.fem import (
@@ -16,7 +19,12 @@ from saddlebounds.fem import (
     target_velocity,
 )
 from saddlebounds.fem.mesh import Mesh
-from saddlebounds.fem.problems import stream_profile, stream_profile_derivative
+from saddlebounds.fem.problems import (
+    BlockPreconditioner,
+    SpdFactor,
+    stream_profile,
+    stream_profile_derivative,
+)
 from saddlebounds.saddle import BrezziConstants, brezzi_constants, preconditioned_spectrum
 from saddlebounds.spectrum import detect_structure, pairing_check
 
@@ -267,17 +275,105 @@ class TestStokesProblem:
         assert np.any(problem.rhs[:half])
         assert not np.any(problem.rhs[half:])
 
-    def test_preconditioner_is_ip_inverse(self, rng):
-        problem = stokes_system(build_mesh(1), nu=0.5, omega=2.0)
-        ip = problem.inner_product()
-        full = scipy.linalg.block_diag(ip.p, ip.r)
-        x = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
-        assert np.linalg.norm(full @ problem.precond_solve(x) - x) < 1e-8 * np.linalg.norm(x)
-
     def test_dense_guard(self):
         problem = stokes_system(build_mesh(4), nu=1.0, omega=1.0)
         with pytest.raises(ValueError, match="refused"):
             problem.saddle_system()
+
+
+BUILDERS = {
+    "parabolic-kkt": parabolic_kkt,
+    "parabolic-reduced": parabolic_reduced,
+    "stokes": stokes_system,
+}
+
+
+def reference_inner_product(flavor, level, nu, omega):
+    """Dense ``P`` and ``R`` of a flavor, formed here from the assembled
+    mass and stiffness matrices as the builders' docstrings state them,
+    without the builders' own preconditioner declaration."""
+    if flavor == "stokes":
+        fem = assemble_taylor_hood(build_mesh(level))
+        ms, ks = fem.scalar_mass.toarray(), fem.scalar_stiffness.toarray()
+        ps = ms + math.sqrt(nu) * (ks + omega * ms)
+        d = fem.divergence().toarray()
+        schur = d @ np.linalg.solve(scipy.linalg.block_diag(ps, ps), d.T)
+        return (
+            scipy.linalg.block_diag(ps, ps, ps, ps),
+            nu * scipy.linalg.block_diag(schur, schur),
+        )
+    fem = assemble_p1(build_mesh(level))
+    m, k = fem.mass.toarray(), fem.stiffness.toarray()
+    y = m + math.sqrt(nu) * (k + omega * m)
+    if flavor == "parabolic-kkt":
+        return scipy.linalg.block_diag(y, nu * m), y / nu
+    return y, y
+
+
+class TestBlockPreconditioner:
+    @pytest.mark.parametrize("flavor", sorted(BUILDERS))
+    def test_preconditioner_is_ip_inverse(self, flavor, rng):
+        # nu != 1 exercises the nu and 1/nu scales of the KKT blocks.
+        problem = BUILDERS[flavor](build_mesh(1), nu=0.5, omega=2.0)
+        p, r = reference_inner_product(flavor, 1, 0.5, 2.0)
+        ip = problem.inner_product()
+        assert np.max(np.abs(ip.p - p)) <= 1e-12 * np.max(np.abs(p))
+        assert np.max(np.abs(ip.r - r)) <= 1e-12 * np.max(np.abs(r))
+        full = scipy.linalg.block_diag(p, r)
+        x = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
+        assert np.linalg.norm(full @ problem.precond_solve(x) - x) < 1e-8 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("flavor", sorted(BUILDERS))
+    def test_columns_match_single_solves(self, flavor, rng):
+        problem = BUILDERS[flavor](build_mesh(2), nu=1e-2, omega=5.0)
+        shape = (problem.dim, 3)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        block = problem.precond_solve(x)
+        assert block.shape == (problem.dim, 3)
+        for j in range(3):
+            single = problem.precond_solve(x[:, j])
+            assert single.shape == (problem.dim,)
+            assert np.linalg.norm(block[:, j] - single) <= 1e-13 * np.linalg.norm(single)
+
+    @pytest.mark.parametrize("flavor", sorted(BUILDERS))
+    def test_real_input_and_input_unchanged(self, flavor, rng):
+        problem = BUILDERS[flavor](build_mesh(1), nu=3.0, omega=1.0)
+        x = rng.standard_normal(problem.dim)
+        z = x + 1j * rng.standard_normal(problem.dim)
+        x_copy, z_copy = x.copy(), z.copy()
+        real = problem.precond_solve(x)
+        assert np.isrealobj(real)
+        as_complex = problem.precond_solve(x + 0j)
+        assert np.linalg.norm(real - as_complex) <= 1e-14 * np.linalg.norm(real)
+        problem.precond_solve(z)
+        assert np.array_equal(x, x_copy)
+        assert np.array_equal(z, z_copy)
+
+    def test_rejects_wrong_shape(self):
+        problem = parabolic_reduced(build_mesh(0), nu=1.0, omega=1.0)
+        with pytest.raises(ValueError, match="shape"):
+            problem.precond_solve(np.ones(problem.dim + 1))
+
+    @pytest.mark.parametrize("second", [slice(4, 7), slice(2, 5)])
+    def test_slices_must_tile(self, second):
+        factor = SpdFactor(scipy.sparse.identity(3, format="csc"))
+        with pytest.raises(ValueError, match="tile"):
+            BlockPreconditioner(6, [(factor, [slice(0, 3), second], [1.0, 1.0])])
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        flavor=st.sampled_from(sorted(BUILDERS)),
+        level=st.integers(0, 2),
+        log_nu=st.floats(-8.0, 8.0),
+        omega=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    )
+    def test_property_inverts_inner_product(self, flavor, level, log_nu, omega):
+        nu = 10.0**log_nu
+        problem = BUILDERS[flavor](build_mesh(level), nu, omega)
+        p, r = reference_inner_product(flavor, level, nu, omega)
+        full = scipy.linalg.block_diag(p, r)
+        eye = np.eye(problem.dim)
+        assert np.max(np.abs(full @ problem.precond_solve(eye) - eye)) < 1e-8
 
 
 class TestLevel3LanczosBounds:

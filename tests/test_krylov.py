@@ -117,6 +117,13 @@ class TestMinresBasics:
                 a, np.diag([1.0, -1.0, 1.0, 1.0, 1.0]), rhs, check_operators=False
             )
 
+    def test_missing_rhs_rejected_before_work(self):
+        calls = []
+        op = LinearOperator(dim=3, apply=lambda x: calls.append(x) or x)
+        with pytest.raises(TypeError, match="minres_solve: rhs is required"):
+            minres_solve(op, None)
+        assert not calls
+
     def test_maxit_reports_unconverged(self, rng):
         a = random_hermitian(rng, 30)
         rhs = rng.standard_normal(30) + 1j * rng.standard_normal(30)
