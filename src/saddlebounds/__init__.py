@@ -14,8 +14,6 @@ from .densecore import (
     generalized_hermitian_eig,
     hermitian_eig,
     nullspace_basis,
-    solve_factored,
-    sparse_matvec,
 )
 from .saddle import (
     BabuskaConstants,
@@ -73,8 +71,6 @@ __all__ = [
     "generalized_hermitian_eig",
     "hermitian_eig",
     "nullspace_basis",
-    "solve_factored",
-    "sparse_matvec",
     "BabuskaConstants",
     "BlockDecomposition",
     "BrezziConstants",

@@ -86,10 +86,6 @@ class SpectralInclusion:
         pos = (mu >= self.mu3 - slack) & (mu <= self.mu4 + slack)
         return bool(np.all(neg | pos))
 
-    def condition_number(self) -> float:
-        """Interval condition number max(|mu1|, mu4) / min(|mu2|, mu3)."""
-        return max(-self.mu1, self.mu4) / min(-self.mu2, self.mu3)
-
 
 def _bisect_newton(cubic: CubicCoefficients, lo: float, hi: float) -> float:
     """Root of ``cubic`` in [lo, hi] given a sign change between the ends.

@@ -158,20 +158,15 @@ def run_table(config: ExperimentConfig) -> list[TableRow]:
     rows = []
     for name, value, level, nu, omega in sweep:
         problem = build(build_mesh(level), nu, omega)
-        report = minres_solve(
-            problem.operator(),
-            problem.preconditioner(),
-            problem.rhs,
-            eps=config.eps,
-            maxit=config.maxit,
-        )
+        op, pc = problem.operator(), problem.preconditioner()
+        report = minres_solve(op, pc, problem.rhs, eps=config.eps, maxit=config.maxit)
         if not report.converged:
             raise ConvergenceError(
                 f"{config.flavor} level={level} nu={nu:g} omega={omega:g}: MINRES "
                 f"stopped unconverged after {report.iterations} iterations "
                 f"(eps={config.eps:g}, maxit={config.maxit})"
             )
-        estimate = estimate_intervals(problem.operator(), problem.preconditioner())
+        estimate = estimate_intervals(op, pc)
         rows.append(
             TableRow(
                 parameter_name=name,

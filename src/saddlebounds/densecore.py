@@ -3,10 +3,9 @@
 Everything downstream (constant extraction, inclusion-bound verification,
 FEM model problems) reduces to a handful of primitives collected here:
 Hermitian and generalized Hermitian eigendecompositions, Cholesky
-factorization, weighted null-space bases, triangular solves and sparse
-matrix-vector products.  The heavy lifting is delegated to LAPACK via
-numpy/scipy; this module adds the input validation and the accuracy
-contracts the rest of the package relies on.
+factorization and weighted null-space bases.  The heavy lifting is
+delegated to LAPACK via numpy/scipy; this module adds the input validation
+and the accuracy contracts the rest of the package relies on.
 
 Conventions
 -----------
@@ -22,21 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 __all__ = [
     "EigenDecomposition",
     "NotHermitianError",
     "NotPositiveDefiniteError",
     "as_complex_matrix",
-    "hermitian_part_defect",
     "require_hermitian",
     "hermitian_eig",
     "cholesky",
-    "solve_factored",
     "generalized_hermitian_eig",
     "nullspace_basis",
-    "sparse_matvec",
 ]
 
 #: Relative threshold below which singular values count as zero when
@@ -99,11 +94,6 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def hermitian_part_defect(h: np.ndarray) -> float:
-    """Max-norm distance of ``h`` from its Hermitian part."""
-    return float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
-
-
 def require_hermitian(h, tol: float = HERMITIAN_RTOL) -> np.ndarray:
     """Validate Hermitian symmetry and return the symmetrized matrix.
 
@@ -115,7 +105,7 @@ def require_hermitian(h, tol: float = HERMITIAN_RTOL) -> np.ndarray:
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"Hermitian matrix must be square, got {h.shape}")
     scale = float(np.max(np.abs(h))) if h.size else 0.0
-    defect = hermitian_part_defect(h)
+    defect = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
     if defect > tol * max(scale, 1e-300):
         raise NotHermitianError(defect, tol * scale)
     return 0.5 * (h + h.conj().T)
@@ -150,19 +140,6 @@ def cholesky(m, tol: float = HERMITIAN_RTOL) -> np.ndarray:
                 pivot = int(token) - 1
                 break
         raise NotPositiveDefiniteError(pivot) from exc
-
-
-def solve_factored(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``L L* x = rhs`` given the lower Cholesky factor ``L``."""
-    factor = np.asarray(factor)
-    rhs = np.asarray(rhs, dtype=np.result_type(factor.dtype, rhs.dtype, np.float64))
-    if factor.shape[0] != rhs.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: factor is {factor.shape}, rhs has leading "
-            f"dimension {rhs.shape[0]}"
-        )
-    y = scipy.linalg.solve_triangular(factor, rhs, lower=True)
-    return scipy.linalg.solve_triangular(factor.conj().T, y, lower=False)
 
 
 def generalized_hermitian_eig(a, m, tol: float = HERMITIAN_RTOL) -> EigenDecomposition:
@@ -202,10 +179,3 @@ def nullspace_basis(b, p=None, rtol: float = RANK_RTOL) -> np.ndarray:
     l = cholesky(gram)  # noqa: E741
     # Z L^{-*} re-orthonormalizes the basis in the P geometry.
     return scipy.linalg.solve_triangular(l, z.conj().T, lower=True).conj().T
-
-
-def sparse_matvec(a, x: np.ndarray) -> np.ndarray:
-    """Dimension-checked sparse (or dense) matrix-vector product."""
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {a.shape}, vector {x.shape}")
-    return a @ x

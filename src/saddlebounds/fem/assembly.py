@@ -152,8 +152,8 @@ class StokesFem:
     """Taylor-Hood blocks, stored per scalar velocity component.
 
     Velocity dofs are the interior P2 nodes of one component; vector
-    operators are block diagonal in the two components
-    (:meth:`vector_mass`, :meth:`vector_stiffness`).  The divergence couples
+    operators are block diagonal in the two components, with the scalar
+    blocks on the diagonal.  The divergence couples
     all pressure vertices to both components; :meth:`divergence` drops the
     pinned pressure row so the coupling has full rank.
     """
@@ -184,16 +184,6 @@ class StokesFem:
     def kept_pressure(self) -> np.ndarray:
         npv = self.pressure_mass.shape[0]
         return np.setdiff1d(np.arange(npv), [self.pinned_pressure])
-
-    def vector_mass(self) -> scipy.sparse.csr_matrix:
-        return scipy.sparse.block_diag(
-            [self.scalar_mass, self.scalar_mass], format="csr"
-        )
-
-    def vector_stiffness(self) -> scipy.sparse.csr_matrix:
-        return scipy.sparse.block_diag(
-            [self.scalar_stiffness, self.scalar_stiffness], format="csr"
-        )
 
     def divergence(self) -> scipy.sparse.csr_matrix:
         """Pinned-pressure divergence acting on stacked (x, y) components."""

@@ -94,12 +94,6 @@ class Mesh:
         )
         return Mesh(vertices=new_vertices, triangles=children, level=self.level + 1)
 
-    def areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
     def to_text(self) -> str:
         """Plain-text listing: vertex coordinates then triangle index triples."""
         lines = [f"# criss-cross mesh level {self.level}",

@@ -2,8 +2,9 @@
 
 The solver targets ``M x = b`` with M Hermitian (typically indefinite) and a
 Hermitian positive definite block-diagonal preconditioner ``Pc``, supplied
-through its inverse action.  The underlying Lanczos process works on the
-symmetrically preconditioned operator, so
+through its inverse action.  One Lanczos recurrence on the symmetrically
+preconditioned operator serves both the solver and the interval estimator
+(:func:`estimate_intervals`), so
 
 * the recurrence minimizes and reports the residual in the ``Pc^{-1}`` norm,
 * the real scalars ``(alpha_k, beta_k)`` of the Lanczos tridiagonal are the
@@ -20,8 +21,8 @@ its workspace and never mutates its inputs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -34,12 +35,15 @@ __all__ = [
     "RitzEstimate",
     "as_operator",
     "minres_solve",
-    "lanczos_tridiagonal",
     "ritz_intervals",
     "estimate_intervals",
     "stagnation_profile",
-    "residual_history_csv",
 ]
+
+#: Lanczos steps of :func:`estimate_intervals` (fewer if the dimension is
+#: smaller), and the seed of its random probe vector.
+ESTIMATE_STEPS = 220
+PROBE_SEED = 20240915
 
 
 @dataclass(frozen=True)
@@ -51,20 +55,6 @@ class LinearOperator:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
-
-    def check_linearity(self, rng=None, tol: float = 1e-12) -> float:
-        """Spot-check apply(a x + b y) = a apply(x) + b apply(y) on random probes."""
-        rng = np.random.default_rng(rng)
-        x = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        y = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        a, b = 0.7 - 0.2j, -1.3 + 0.4j
-        lhs = self.apply(a * x + b * y)
-        rhs = a * self.apply(x) + b * self.apply(y)
-        scale = max(float(np.max(np.abs(rhs))), 1e-300)
-        defect = float(np.max(np.abs(lhs - rhs))) / scale
-        if defect > tol:
-            raise ValueError(f"operator is not linear: relative defect {defect:.3e}")
-        return defect
 
 
 def as_operator(op) -> LinearOperator:
@@ -160,6 +150,57 @@ def _positive_inner(z: np.ndarray, v: np.ndarray) -> float:
     return max(value, 0.0)
 
 
+def _lanczos(a: LinearOperator, m_inv: LinearOperator, v: np.ndarray):
+    """Preconditioned Lanczos recurrence started at the residual ``v``.
+
+    Yields the ``Pc^{-1}`` norm ``gamma_1`` of ``v`` first, then per step k
+    the normalized preconditioned vector ``z_k``, the diagonal entry
+    ``delta_k`` and the coupling coefficient ``gamma_{k+1}`` of the Lanczos
+    tridiagonal.  It ends after a step whose coupling vanishes (breakdown):
+    the Krylov space is then invariant.  ``v`` is not mutated.
+    """
+    z = m_inv(v)
+    gamma = np.sqrt(_positive_inner(z, v))
+    yield gamma
+    v_old = gamma_prev = None
+    while True:
+        z = z / gamma
+        az = a(z)
+        delta = _real_inner(az, z, "system operator")
+        # Three-term recurrence on the unpreconditioned residuals (v is
+        # normalized lazily, hence the ratios of coupling coefficients).
+        v_new = az - (delta / gamma) * v
+        if v_old is not None:
+            v_new -= (gamma / gamma_prev) * v_old
+        z_new = m_inv(v_new)
+        gamma_new = np.sqrt(_positive_inner(z_new, v_new))
+        yield z, delta, gamma_new
+        if gamma_new <= 1e-14 * max(1.0, abs(delta)):
+            return
+        v_old, v = v, v_new
+        z = z_new
+        gamma_prev, gamma = gamma, gamma_new
+
+
+def _probe_operators(a: LinearOperator, m_inv: LinearOperator) -> None:
+    """Check Hermitian symmetry of ``a`` and positivity of ``m_inv`` on two
+    seeded random vectors (freed on return, before the solve allocates)."""
+    rng = np.random.default_rng(20240915)
+    u = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
+    v = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
+    au, av = a(u), a(v)
+    lhs, rhs_sym = complex(np.vdot(v, au)), complex(np.vdot(u, av))
+    scale = max(abs(lhs), abs(rhs_sym), 1e-300)
+    if abs(lhs - np.conj(rhs_sym)) > 1e-10 * scale:
+        raise ValueError("system operator is not Hermitian on random probes")
+    for w in (u, v):
+        pw = complex(np.vdot(w, m_inv(w)))
+        if pw.real <= 0.0 or abs(pw.imag) > 1e-10 * abs(pw):
+            raise ValueError(
+                "preconditioner is not Hermitian positive definite on probes"
+            )
+
+
 def minres_solve(
     op,
     prec=None,
@@ -167,7 +208,6 @@ def minres_solve(
     x0: np.ndarray | None = None,
     eps: float = 1e-8,
     maxit: int | None = None,
-    check_operators: bool = True,
     true_residual_every: int = 0,
 ) -> MinresReport:
     """Preconditioned MINRES with residual tracking in the ``Pc^{-1}`` norm.
@@ -181,15 +221,14 @@ def minres_solve(
     x0 : initial guess (zero if None).
     eps : relative reduction target for the preconditioned residual norm.
     maxit : iteration cap (default ``2 * dim``).
-    check_operators : probe Hermitian symmetry of ``op`` and positivity of
-        ``prec`` on random vectors before iterating.
     true_residual_every : if positive, record the explicitly recomputed
         preconditioned residual norm every that many steps (for diagnostics;
         each check costs one operator and one preconditioner application).
 
-    Breakdown of the Lanczos recurrence (vanishing coupling coefficient)
-    means the Krylov space is invariant; the iteration stops there and
-    convergence is judged by the residual test.
+    Hermitian symmetry of ``op`` and positivity of ``prec`` are probed on
+    random vectors before iterating.  Breakdown of the Lanczos recurrence
+    (vanishing coupling coefficient) means the Krylov space is invariant;
+    the iteration stops there and convergence is judged by the residual test.
     """
     if rhs is None:
         raise TypeError("minres_solve: rhs is required")
@@ -202,74 +241,29 @@ def minres_solve(
     if maxit is None:
         maxit = 2 * n
 
-    if check_operators:
-        rng = np.random.default_rng(20240915)
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        au, av = a(u), a(v)
-        lhs, rhs_sym = complex(np.vdot(v, au)), complex(np.vdot(u, av))
-        scale = max(abs(lhs), abs(rhs_sym), 1e-300)
-        if abs(lhs - np.conj(rhs_sym)) > 1e-10 * scale:
-            raise ValueError("system operator is not Hermitian on random probes")
-        for w in (u, v):
-            pw = complex(np.vdot(w, m_inv(w)))
-            if pw.real <= 0.0 or abs(pw.imag) > 1e-10 * abs(pw):
-                raise ValueError(
-                    "preconditioner is not Hermitian positive definite on probes"
-                )
+    _probe_operators(a, m_inv)
 
     x = np.zeros(n, dtype=np.complex128) if x0 is None else np.array(
         x0, dtype=np.complex128
     )
-    v_new = rhs - a(x) if np.any(x) else rhs.copy()
-    z_new = m_inv(v_new)
-    gamma_new = np.sqrt(_positive_inner(z_new, v_new))
-
-    history = [gamma_new]
+    lanczos = _lanczos(a, m_inv, rhs - a(x) if np.any(x) else rhs)
+    res0 = res = gamma = next(lanczos)
+    history = [res0]
     alphas: list[float] = []
     betas: list[float] = []
     checks: list[tuple[int, float]] = []
-
-    report = MinresReport(
-        x=x,
-        residual_history=np.array(history),
-        lanczos_alphas=np.array(alphas),
-        lanczos_betas=np.array(betas),
-        iterations=0,
-        converged=False,
-    )
-    res0 = gamma_new
     if res0 == 0.0:
-        report.converged = True
-        report.true_residual = 0.0
-        return report
+        return MinresReport(
+            x, np.array(history), np.array(alphas), np.array(betas), 0, True, 0.0
+        )
 
-    v_old = np.zeros(n, dtype=np.complex128)
-    v = v_new
-    z = z_new
-    gamma = gamma_new
-    w = np.zeros(n, dtype=np.complex128)
-    w_old = np.zeros(n, dtype=np.complex128)
+    w = w_old = np.zeros(n, dtype=np.complex128)
     eta = gamma
     s_old = s = 0.0
     c_old = c = 1.0
-    res = res0
-    converged = False
     k = 0
-
-    while k < maxit:
-        k += 1
-        z = z / gamma
-        az = a(z)
-        delta = _real_inner(az, z, "system operator")
-        # Three-term Lanczos recurrence on the unpreconditioned residuals
-        # (v is normalized lazily, hence the ratios of coupling coefficients).
-        v_new = az - (delta / gamma) * v
-        if k > 1:
-            v_new -= (gamma / gamma_prev) * v_old
-        z_new = m_inv(v_new)
-        gamma_new = np.sqrt(_positive_inner(z_new, v_new))
-
+    # zip draws from range first, so no Lanczos step runs past maxit.
+    for k, (z, delta, gamma_new) in zip(range(1, maxit + 1), lanczos):
         alpha0 = c * delta - c_old * s * gamma
         alpha1 = np.hypot(alpha0, gamma_new)
         alpha2 = s * delta + c_old * c * gamma
@@ -288,32 +282,24 @@ def minres_solve(
 
         if true_residual_every and (k % true_residual_every == 0):
             checks.append((k, _true_residual(a, m_inv, rhs, x)))
-
         if res <= eps * res0:
-            converged = True
-            break
-        if gamma_new <= 1e-14 * max(1.0, abs(delta)):
-            # Invariant Krylov space: the iterate is exact on it.
-            converged = res <= eps * res0
             break
 
-        v_old, v = v, v_new
         w_old, w = w, w_new
-        z = z_new
-        gamma_prev = gamma
         gamma = gamma_new
         c_old, c = c, c_new
         s_old, s = s, s_new
 
-    report.x = x
-    report.residual_history = np.array(history)
-    report.lanczos_alphas = np.array(alphas)
-    report.lanczos_betas = np.array(betas)
-    report.iterations = k
-    report.converged = converged
-    report.true_residual = _true_residual(a, m_inv, rhs, x)
-    report.true_residual_checks = checks
-    return report
+    return MinresReport(
+        x=x,
+        residual_history=np.array(history),
+        lanczos_alphas=np.array(alphas),
+        lanczos_betas=np.array(betas),
+        iterations=k,
+        converged=bool(res <= eps * res0),
+        true_residual=_true_residual(a, m_inv, rhs, x),
+        true_residual_checks=checks,
+    )
 
 
 def _true_residual(a, m_inv, rhs, x) -> float:
@@ -321,23 +307,13 @@ def _true_residual(a, m_inv, rhs, x) -> float:
     return float(np.sqrt(max(_real_inner(m_inv(r), r, "preconditioner"), 0.0)))
 
 
-def lanczos_tridiagonal(report: MinresReport) -> tuple[np.ndarray, float]:
-    """Tridiagonal T_k and the first neglected coupling coefficient."""
-    k = report.iterations
-    if k < 1:
-        raise ValueError("no Lanczos steps recorded")
-    diag = report.lanczos_alphas[:k]
-    off = report.lanczos_betas[: k - 1]
-    t = np.diag(diag)
-    if k > 1:
-        t += np.diag(off, 1) + np.diag(off, -1)
-    return t, float(report.lanczos_betas[k - 1])
-
-
-def ritz_intervals(report: MinresReport) -> RitzEstimate:
+def ritz_intervals(alphas: np.ndarray, betas: np.ndarray) -> RitzEstimate:
     """Interval estimates for both spectrum branches from the Lanczos data.
 
-    Ritz values are the eigenvalues of T_k; harmonic Ritz values solve
+    ``alphas`` are the k diagonal entries of the Lanczos tridiagonal T_k and
+    ``betas`` the k coupling coefficients that follow them (the layout of
+    :class:`MinresReport`), the last being the first neglected one.  Ritz
+    values are the eigenvalues of T_k; harmonic Ritz values solve
     ``(T_k^2 + beta^2 e_k e_k^T) z = theta T_k z`` with ``beta`` the first
     neglected coupling coefficient (equivalently: reciprocals of the Ritz
     values of the inverse on the shifted space).  Outer endpoints come from
@@ -345,9 +321,14 @@ def ritz_intervals(report: MinresReport) -> RitzEstimate:
     arithmetic the result is contained in the minimal enclosing intervals of
     the true spectrum.
     """
-    if report.iterations < 2:
+    k = len(alphas)
+    if k < 2:
         raise ValueError("Ritz intervals need at least 2 Lanczos steps")
-    t, beta = lanczos_tridiagonal(report)
+    if len(betas) != k:
+        raise ValueError(f"need {k} coupling coefficients, got {len(betas)}")
+    off = betas[: k - 1]
+    t = np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1)
+    beta = float(betas[k - 1])
     ritz = np.linalg.eigvalsh(t)
     tt = t @ t
     tt[-1, -1] += beta * beta
@@ -377,35 +358,28 @@ def ritz_intervals(report: MinresReport) -> RitzEstimate:
     )
 
 
-def estimate_intervals(
-    op,
-    prec=None,
-    steps: int | None = None,
-    seed: int = 20240915,
-) -> RitzEstimate:
+def estimate_intervals(op, prec=None) -> RitzEstimate:
     """Spectral interval estimation with a generic probe vector.
 
-    Runs the preconditioned Lanczos process (via MINRES with a disabled
-    convergence test) on a seeded random right-hand side, which excites all
-    eigenvector directions regardless of any symmetry of the model
-    right-hand side, and extracts :func:`ritz_intervals`.  ``steps``
-    defaults to ``min(dim, 220)``, enough for the extreme and near-zero
-    eigenvalues to converge to three digits on the systems in this package.
+    Runs ``min(dim, ESTIMATE_STEPS)`` steps of the preconditioned Lanczos
+    recurrence (fewer on breakdown) on a random probe seeded with
+    ``PROBE_SEED``, which excites all eigenvector directions regardless of
+    any symmetry of the model right-hand side, and extracts
+    :func:`ritz_intervals`.  That many steps let the extreme and near-zero
+    eigenvalues converge to three digits on the systems in this package.
     """
     a = as_operator(op)
-    if steps is None:
-        steps = min(a.dim, 220)
-    rng = np.random.default_rng(seed)
+    m_inv = as_operator(prec) if prec is not None else LinearOperator(a.dim, lambda x: x)
+    rng = np.random.default_rng(PROBE_SEED)
     probe = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
-    report = minres_solve(
-        a,
-        prec,
-        probe,
-        eps=1e-300,
-        maxit=steps,
-        check_operators=False,
-    )
-    return ritz_intervals(report)
+    lanczos = _lanczos(a, m_inv, probe)
+    next(lanczos)
+    alphas: list[float] = []
+    betas: list[float] = []
+    for _, delta, beta in islice(lanczos, min(a.dim, ESTIMATE_STEPS)):
+        alphas.append(float(delta))
+        betas.append(float(beta))
+    return ritz_intervals(np.array(alphas), np.array(betas))
 
 
 def stagnation_profile(
@@ -426,14 +400,3 @@ def stagnation_profile(
     odd = factors[0:last - 1:2]
     flag = odd.size > 0 and bool(np.all(odd >= threshold))
     return factors, flag
-
-
-def residual_history_csv(report: MinresReport, path) -> None:
-    """Write (iteration, residual, reduction factor) rows as CSV."""
-    h = report.residual_history
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual", "reduction_factor"])
-        for k, res in enumerate(h):
-            factor = "" if k == 0 else repr(float(h[k] / max(h[k - 1], 1e-300)))
-            writer.writerow([k, repr(float(res)), factor])

@@ -24,7 +24,7 @@ level,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -187,8 +187,8 @@ class BlockDecomposition:
     """Kernel-based 3x3 view of a system with zero (2,2) block.
 
     ``z0`` spans ker(B) and ``z1`` its P-orthogonal complement, both
-    P-orthonormal, so the projected inner products ``p0``, ``p1`` are
-    identities and the projected blocks live in Euclidean geometry.
+    P-orthonormal, so the projected inner products are identities and the
+    projected blocks live in Euclidean geometry.
     """
 
     z0: np.ndarray
@@ -198,8 +198,6 @@ class BlockDecomposition:
     a10: np.ndarray
     a11: np.ndarray
     b1: np.ndarray
-    p0: np.ndarray = field(repr=False)
-    p1: np.ndarray = field(repr=False)
 
     @property
     def kernel_dim(self) -> int:
@@ -267,8 +265,6 @@ def block_decompose(sys: SaddleSystem, ip: InnerProduct) -> BlockDecomposition:
         a10=z1.conj().T @ a @ z0,
         a11=require_hermitian(z1.conj().T @ a @ z1, tol=1e-8),
         b1=sys.b @ z1,
-        p0=np.eye(z0.shape[1], dtype=np.complex128),
-        p1=np.eye(z1.shape[1], dtype=np.complex128),
     )
 
 

@@ -157,11 +157,6 @@ def linearize_quadratic(sys: SymmetricSpectrumSystem) -> np.ndarray:
     return np.block([[zero, eye], [h, s]])
 
 
-def general_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a general complex matrix (dense QR algorithm)."""
-    return np.linalg.eigvals(as_complex_matrix(m))
-
-
 def skew_pairing_check(h, s, tol: float = 1e-8) -> PairingReport:
     """Check the ``(mu, -mu)`` pairing of ``[[0, I], [H, S]]`` eigenvalues.
 
@@ -184,7 +179,7 @@ def skew_pairing_check(h, s, tol: float = 1e-8) -> PairingReport:
         raise ValueError("H is singular; the pairing statement needs nonsingular H")
     eye = np.eye(n, dtype=np.complex128)
     zero = np.zeros((n, n), dtype=np.complex128)
-    lam = general_eigenvalues(np.block([[zero, eye], [h, s]]))
+    lam = np.linalg.eigvals(np.block([[zero, eye], [h, s]]))
     remaining = list(lam)
     defect = 0.0
     # Match largest-modulus first; its mirror partner is the closest value

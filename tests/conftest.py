@@ -1,42 +1,8 @@
-"""Shared randomized-instance helpers for the test suite."""
+"""The seeded generator shared by the test suite; the random-instance
+helpers live in :mod:`saddlebounds.verify`."""
 
 import numpy as np
 import pytest
-
-from saddlebounds.saddle import InnerProduct, SaddleSystem, block_decompose
-
-
-def random_spd(rng, n, complex_entries=True):
-    g = rng.standard_normal((n, n))
-    if complex_entries:
-        g = g + 1j * rng.standard_normal((n, n))
-    return g @ g.conj().T + n * np.eye(n)
-
-
-def random_hermitian(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (g + g.conj().T)
-
-
-def random_full_rank(rng, m, n):
-    while True:
-        b = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        if np.linalg.matrix_rank(b) == m:
-            return b
-
-
-def random_coercive_system(rng, n, m, kernel_margin=0.5):
-    """System with C = 0, full-rank B, (1,1) block positive definite on ker B."""
-    a = random_hermitian(rng, n)
-    b = random_full_rank(rng, m, n)
-    ip = InnerProduct(p=random_spd(rng, n), r=random_spd(rng, m))
-    sys = SaddleSystem(a=a, b=b)
-    dec = block_decompose(sys, ip)
-    lam0 = np.linalg.eigvalsh(dec.a00)
-    shift = max(0.0, kernel_margin - float(lam0[0]))
-    if shift:
-        sys = SaddleSystem(a=a + shift * ip.p, b=b)
-    return sys, ip
 
 
 @pytest.fixture

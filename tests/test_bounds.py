@@ -22,7 +22,7 @@ from saddlebounds.bounds import (
 )
 from saddlebounds.saddle import BrezziConstants, InnerProduct, brezzi_constants
 from saddlebounds.densecore import generalized_hermitian_eig
-from conftest import random_coercive_system
+from saddlebounds.verify import random_coercive_system
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse
 
 from saddlebounds.densecore import (
     NotHermitianError,
@@ -9,10 +8,8 @@ from saddlebounds.densecore import (
     generalized_hermitian_eig,
     hermitian_eig,
     nullspace_basis,
-    solve_factored,
-    sparse_matvec,
 )
-from conftest import random_hermitian, random_spd
+from saddlebounds.verify import random_hermitian, random_spd
 
 
 class TestHermitianEig:
@@ -78,27 +75,6 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky(np.diag([1.0, -1.0, 2.0]))
         assert err.value.pivot == 1
-
-
-class TestSolveFactored:
-    def test_identity(self):
-        x = solve_factored(np.eye(3), np.arange(3.0))
-        assert np.allclose(x, np.arange(3.0))
-
-    def test_diagonal(self):
-        l = cholesky(np.diag([4.0, 9.0]))
-        assert np.allclose(solve_factored(l, np.array([4.0, 18.0])), [1.0, 2.0])
-
-    def test_multiply_back(self, rng):
-        m = random_spd(rng, 5)
-        l = cholesky(m)
-        rhs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        x = solve_factored(l, rhs)
-        assert np.linalg.norm(m @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_factored(np.eye(3), np.ones(4))
 
 
 class TestGeneralizedEig:
@@ -170,15 +146,3 @@ class TestNullspace:
             b = left @ right
             z = nullspace_basis(b, np.eye(6))
             assert rank + z.shape[1] == 6
-
-
-class TestSparseMatvec:
-    def test_product(self, rng):
-        a = scipy.sparse.random(5, 4, density=0.5, random_state=7)
-        x = rng.standard_normal(4)
-        assert np.allclose(sparse_matvec(a, x), a.toarray() @ x)
-
-    def test_dimension_mismatch(self):
-        a = scipy.sparse.eye(3)
-        with pytest.raises(ValueError):
-            sparse_matvec(a, np.ones(4))

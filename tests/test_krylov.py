@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlebounds.bounds import gamma_opt_general, minres_iteration_bound, witness_general
 from saddlebounds.densecore import generalized_hermitian_eig
 from saddlebounds.fem import build_mesh, parabolic_reduced, stokes_system
 from saddlebounds.krylov import (
+    ESTIMATE_STEPS,
+    PROBE_SEED,
     LinearOperator,
     estimate_intervals,
-    lanczos_tridiagonal,
     minres_solve,
-    residual_history_csv,
     ritz_intervals,
     stagnation_profile,
 )
-from conftest import random_hermitian, random_spd
+from saddlebounds.verify import random_hermitian, random_spd
 from reference_gmres import gmres_pc_norm
 
 
@@ -113,9 +115,7 @@ class TestMinresBasics:
         rhs = np.zeros(5, dtype=complex)
         rhs[1] = 1.0
         with pytest.raises(ValueError, match="positive"):
-            minres_solve(
-                a, np.diag([1.0, -1.0, 1.0, 1.0, 1.0]), rhs, check_operators=False
-            )
+            minres_solve(a, np.diag([1.0, -1.0, 1.0, 1.0, 1.0]), rhs)
 
     def test_missing_rhs_rejected_before_work(self):
         calls = []
@@ -130,11 +130,6 @@ class TestMinresBasics:
         report = minres_solve(a, None, rhs, eps=1e-14, maxit=3)
         assert not report.converged
         assert report.iterations == 3
-
-    def test_operator_linearity_probe(self, rng):
-        op = LinearOperator(dim=4, apply=lambda x: x + 1.0)
-        with pytest.raises(ValueError, match="linear"):
-            op.check_linearity(rng=1)
 
 
 class TestReferenceGmres:
@@ -176,7 +171,7 @@ class TestRitzIntervals:
         a = np.diag([-1.0, 2.0]).astype(complex)
         rhs = np.array([1.0, 1.0], dtype=complex)
         report = minres_solve(a, None, rhs, eps=1e-14, maxit=2)
-        est = ritz_intervals(report)
+        est = ritz_intervals(report.lanczos_alphas, report.lanczos_betas)
         assert est.neg_lo == pytest.approx(-1.0, abs=1e-10)
         assert est.pos_hi == pytest.approx(2.0, abs=1e-10)
 
@@ -184,8 +179,8 @@ class TestRitzIntervals:
         lam = np.concatenate([-np.linspace(0.7, 2.3, 10), np.linspace(0.9, 3.1, 10)])
         a = hermitian_with_spectrum(rng, lam)
         rhs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        report = minres_solve(a, None, rhs, eps=1e-300, maxit=20, check_operators=False)
-        est = ritz_intervals(report)
+        report = minres_solve(a, None, rhs, eps=1e-300, maxit=20)
+        est = ritz_intervals(report.lanczos_alphas, report.lanczos_betas)
         assert est.neg_lo == pytest.approx(-2.3, abs=1e-8)
         assert est.neg_hi == pytest.approx(-0.7, abs=1e-8)
         assert est.pos_lo == pytest.approx(0.9, abs=1e-8)
@@ -196,8 +191,8 @@ class TestRitzIntervals:
         a = hermitian_with_spectrum(rng, lam)
         rhs = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         for steps in (4, 8, 12, 16):
-            report = minres_solve(a, None, rhs, eps=1e-300, maxit=steps, check_operators=False)
-            est = ritz_intervals(report)
+            report = minres_solve(a, None, rhs, eps=1e-300, maxit=steps)
+            est = ritz_intervals(report.lanczos_alphas, report.lanczos_betas)
             assert est.pos_hi <= 1.8 + 1e-8
             assert est.neg_lo >= -2.0 - 1e-8
             assert est.pos_lo >= 0.4 - 1e-8
@@ -206,15 +201,16 @@ class TestRitzIntervals:
     def test_needs_two_steps(self):
         report = minres_solve(np.eye(3, dtype=complex), None, np.ones(3, dtype=complex))
         with pytest.raises(ValueError, match="2 Lanczos steps"):
-            ritz_intervals(report)
+            ritz_intervals(report.lanczos_alphas, report.lanczos_betas)
 
     def test_tridiagonal_shape(self, rng):
         a = random_hermitian(rng, 9)
         rhs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        report = minres_solve(a, None, rhs, eps=1e-300, maxit=5, check_operators=False)
-        t, beta = lanczos_tridiagonal(report)
-        assert t.shape == (5, 5)
-        assert beta >= 0.0
+        report = minres_solve(a, None, rhs, eps=1e-300, maxit=5)
+        assert report.lanczos_alphas.shape == report.lanczos_betas.shape == (5,)
+        assert report.lanczos_betas[-1] >= 0.0
+        with pytest.raises(ValueError, match="coupling coefficients"):
+            ritz_intervals(report.lanczos_alphas, report.lanczos_betas[:-1])
 
     def test_estimation_run_matches_dense(self, rng):
         problem = stokes_system(build_mesh(1), nu=1.0, omega=1.0)
@@ -225,6 +221,53 @@ class TestRitzIntervals:
         pos = spec.eigenvalues[spec.eigenvalues > 0]
         assert est.pos_lo == pytest.approx(pos.min(), abs=2e-4)
         assert est.pos_hi == pytest.approx(pos.max(), abs=2e-4)
+
+    def test_estimate_is_minres_lanczos_data(self):
+        # The estimator and the solver run one recurrence: on the estimator's
+        # own probe, a solve that never meets its target sees the same data.
+        problem = stokes_system(build_mesh(2), nu=1.0, omega=1.0)
+        op, pc = problem.operator(), problem.preconditioner()
+        rng = np.random.default_rng(PROBE_SEED)
+        probe = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        steps = min(op.dim, ESTIMATE_STEPS)
+        report = minres_solve(op, pc, probe, eps=1e-300, maxit=steps)
+        assert report.iterations == steps
+        assert estimate_intervals(op, pc) == ritz_intervals(
+            report.lanczos_alphas, report.lanczos_betas
+        )
+
+
+class TestSharedRecurrenceProperty:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(8, 24),
+        negative_share=st.floats(0.2, 0.8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_solve_and_intervals_against_dense(self, n, negative_share, seed):
+        rng = np.random.default_rng(seed)
+        k = int(round(negative_share * n))
+        magnitudes = rng.uniform(0.5, 2.0, n)
+        a = hermitian_with_spectrum(rng, np.concatenate([-magnitudes[:k], magnitudes[k:]]))
+        p = random_spd(rng, n)
+        p_inv = np.linalg.inv(p)
+        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+        report = minres_solve(a, p_inv, rhs, eps=1e-12)
+        assert report.converged
+        exact = np.linalg.solve(a, rhs)
+        assert np.linalg.norm(report.x - exact) <= 1e-7 * np.linalg.norm(exact)
+
+        lam = generalized_hermitian_eig(a, p).eigenvalues
+        neg, pos = lam[lam < 0.0], lam[lam > 0.0]
+        tol = 1e-8 * np.max(np.abs(lam))
+        for steps in (n // 2, n - 2, n):
+            report = minres_solve(a, p_inv, rhs, eps=1e-300, maxit=steps)
+            est = ritz_intervals(report.lanczos_alphas, report.lanczos_betas)
+            # Ritz values stay inside the hull, harmonic Ritz values out of
+            # the gap around zero.
+            assert est.neg_lo >= neg.min() - tol and est.pos_hi <= pos.max() + tol
+            assert est.neg_hi <= neg.max() + tol and est.pos_lo >= pos.min() - tol
 
 
 class TestIterationBoundConsistency:
@@ -276,13 +319,3 @@ class TestStagnation:
         assert odd.size > 0
         assert np.all(odd >= 0.999)
         assert flag
-
-    def test_csv_export(self, rng, tmp_path):
-        a = random_hermitian(rng, 6)
-        rhs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        report = minres_solve(a, None, rhs, eps=1e-10)
-        path = tmp_path / "history.csv"
-        residual_history_csv(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,residual,reduction_factor"
-        assert len(lines) == len(report.residual_history) + 1

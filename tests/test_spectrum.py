@@ -10,7 +10,7 @@ from saddlebounds.spectrum import (
     pairing_check,
     skew_pairing_check,
 )
-from conftest import random_spd
+from saddlebounds.verify import random_spd
 
 
 def random_complex_symmetric(rng, n, shift=0.0):
