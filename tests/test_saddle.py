@@ -15,12 +15,7 @@ from saddlebounds.saddle import (
     preconditioned_spectrum,
     three_by_three_inverse,
 )
-from saddlebounds.verify import (
-    random_coercive_system,
-    random_full_rank,
-    random_hermitian,
-    random_spd,
-)
+from saddlebounds.verify import random_coercive_system
 
 
 def p_unitary(rng, p):
