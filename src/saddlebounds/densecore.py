@@ -2,7 +2,7 @@
 
 Everything downstream (constant extraction, inclusion-bound verification,
 FEM model problems) reduces to a handful of primitives collected here:
-Hermitian and generalized Hermitian eigendecompositions, Cholesky
+eigenvalues of Hermitian matrices and Hermitian pencils, Cholesky
 factorization and weighted null-space bases.  The heavy lifting is
 delegated to LAPACK via numpy/scipy; this module adds the input validation
 and the accuracy contracts the rest of the package relies on.
@@ -67,15 +67,13 @@ class NotPositiveDefiniteError(ValueError):
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Full spectrum of a Hermitian (pencil) problem.
+    """Eigenvalues of a Hermitian (pencil) problem, real and ascending.
 
-    ``eigenvalues`` are real and ascending; ``eigenvectors[:, k]`` is the
-    vector paired with ``eigenvalues[k]``.  For the generalized problem
-    ``A x = mu M x`` the vectors are M-orthonormal rather than unitary.
+    Every constant of the theory is an extreme eigenvalue, so no
+    eigenvectors are computed.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
     @property
     def min(self) -> float:
@@ -112,14 +110,13 @@ def require_hermitian(h, tol: float = HERMITIAN_RTOL) -> np.ndarray:
 
 
 def hermitian_eig(h, tol: float = HERMITIAN_RTOL) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix.
+    """Eigenvalues of a Hermitian matrix.
 
-    Returns ascending real eigenvalues and a unitary eigenvector matrix
-    satisfying ``||H v_k - lam_k v_k|| <= 1e-10 ||H||`` per pair.
+    Returns the ascending real eigenvalues; each one satisfies
+    ``sigma_min(H - lam I) <= 1e-10 ||H||``.
     """
     h = require_hermitian(h, tol)
-    w, v = np.linalg.eigh(h)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+    return EigenDecomposition(eigenvalues=np.linalg.eigvalsh(h))
 
 
 def cholesky(m, tol: float = HERMITIAN_RTOL) -> np.ndarray:
@@ -145,17 +142,15 @@ def cholesky(m, tol: float = HERMITIAN_RTOL) -> np.ndarray:
 def generalized_hermitian_eig(a, m, tol: float = HERMITIAN_RTOL) -> EigenDecomposition:
     """Eigenvalues of ``A x = mu M x`` with A Hermitian, M Hermitian positive definite.
 
-    Computed by Cholesky reduction ``M = L L*`` followed by a Hermitian
-    eigendecomposition of ``L^{-1} A L^{-*}``; eigenvalues are real and the
-    returned vectors are M-orthonormal.
+    Computed by Cholesky reduction ``M = L L*`` followed by the Hermitian
+    eigenvalues of ``L^{-1} A L^{-*}``; the eigenvalues are real and
+    ascending.
     """
     a = require_hermitian(a, tol)
     l = cholesky(m, tol)  # noqa: E741 - L as in M = L L*
     c = scipy.linalg.solve_triangular(l, a, lower=True)
     c = scipy.linalg.solve_triangular(l, c.conj().T, lower=True)
-    dec = hermitian_eig(c, tol=1e-10)
-    vectors = scipy.linalg.solve_triangular(l.conj().T, dec.eigenvectors, lower=False)
-    return EigenDecomposition(eigenvalues=dec.eigenvalues, eigenvectors=vectors)
+    return hermitian_eig(c, tol=1e-10)
 
 
 def nullspace_basis(b, p=None, rtol: float = RANK_RTOL) -> np.ndarray:

@@ -7,7 +7,9 @@ the values bit-exactly.
 
 A *bundle* is a directory holding one file per block of a saddle-point
 system plus its inner product, tied together by a small JSON manifest with
-the dimensions and the file-to-block mapping.
+the dimensions and the file-to-block mapping.  Bundle blocks are written in
+the coordinate variant, so zero entries (the whole of a vanishing ``C``)
+take no space; bundles written in the array variant load the same way.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def save_bundle(directory, sys: SaddleSystem, ip: InnerProduct) -> None:
     files = {}
     for name, block in blocks.items():
         filename = f"{name}.mtx"
-        save_matrix(directory / filename, block)
+        save_matrix(directory / filename, scipy.sparse.coo_array(block))
         files[name] = filename
     manifest = {
         "format": "saddlebounds-bundle",

@@ -345,7 +345,7 @@ mu3_cubic` via :func:`saddlebounds.bounds.inclusion_set`) presume the
 
 
 def preconditioned_spectrum(sys: SaddleSystem, ip: InnerProduct) -> EigenDecomposition:
-    """Full real spectrum of the generalized problem ``M x = mu Pc x``."""
+    """Eigenvalues (real, ascending) of the generalized problem ``M x = mu Pc x``."""
     return generalized_hermitian_eig(sys.assemble(), ip.assemble())
 
 

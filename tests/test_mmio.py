@@ -5,6 +5,7 @@ import scipy.sparse
 from saddlebounds import mmio
 from saddlebounds.bounds import witness_general
 from saddlebounds.saddle import InnerProduct, SaddleSystem
+from saddlebounds.verify import random_coercive_system
 
 
 class TestMatrixRoundTrip:
@@ -61,6 +62,33 @@ class TestBundle:
         assert np.array_equal(sys2.c, sys.c)
         assert np.array_equal(ip2.p, ip.p)
         assert np.array_equal(ip2.r, ip.r)
+
+    def test_blocks_written_as_coordinates(self, rng, tmp_path):
+        sys, ip = random_coercive_system(rng, 5, 2)
+        mmio.save_bundle(tmp_path / "b", sys, ip)
+        for name in ("A", "B", "C", "P", "R"):
+            header = (tmp_path / "b" / f"{name}.mtx").read_text().splitlines()[0]
+            assert "coordinate" in header, name
+        # the vanishing (2,2) block stores no entries
+        size_line = (tmp_path / "b" / "C.mtx").read_text().splitlines()[-1]
+        assert size_line.split() == ["2", "2", "0"]
+        sys2, ip2 = mmio.load_bundle(tmp_path / "b")
+        for got, want in zip((sys2.a, sys2.b, sys2.c, ip2.p, ip2.r),
+                             (sys.a, sys.b, sys.c, ip.p, ip.r)):
+            assert np.array_equal(got, want)
+
+    def test_array_format_bundle_still_loads(self, rng, tmp_path):
+        # bundles written before the coordinate variant hold dense arrays
+        sys, ip = random_coercive_system(rng, 5, 2)
+        mmio.save_bundle(tmp_path / "b", sys, ip)
+        blocks = {"A": sys.a, "B": sys.b, "C": sys.c, "P": ip.p, "R": ip.r}
+        for name, block in blocks.items():
+            path = tmp_path / "b" / f"{name}.mtx"
+            mmio.save_matrix(path, block)
+            assert "array" in path.read_text().splitlines()[0]
+        sys2, ip2 = mmio.load_bundle(tmp_path / "b")
+        for got, want in zip((sys2.a, sys2.b, sys2.c, ip2.p, ip2.r), blocks.values()):
+            assert np.array_equal(got, want)
 
     def test_manifest_contents(self, tmp_path):
         sys = SaddleSystem(a=np.eye(3), b=np.ones((1, 3)))

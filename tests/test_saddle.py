@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from saddlebounds.bounds import b_norm_upper, gamma_opt_general, witness_general
+from saddlebounds.bounds import (
+    b_norm_upper,
+    gamma_classical,
+    gamma_opt_general,
+    gamma_simple,
+    witness_general,
+)
 from saddlebounds.densecore import generalized_hermitian_eig
 from saddlebounds.saddle import (
     InnerProduct,
@@ -211,6 +219,33 @@ class TestBabuskaConstants:
             bc = brezzi_constants(sys, ip)
             bab = babuska_constants(sys, ip)
             assert bab.b_norm <= b_norm_upper(bc.a_norm, bc.b_norm) + 1e-10
+
+
+class TestDensePathProperty:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(3, 12),
+        kernel_share=st.floats(0.1, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spectrum_and_gamma_ordering(self, n, kernel_share, seed):
+        m = min(n - 1, max(1, int(round((1.0 - kernel_share) * n))))
+        sys, ip = random_coercive_system(np.random.default_rng(seed), n, m)
+
+        mu = preconditioned_spectrum(sys, ip).eigenvalues
+        ref = scipy.linalg.eigh(sys.assemble(), ip.assemble(), eigvals_only=True)
+        assert np.max(np.abs(mu - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+        bc = brezzi_constants(sys, ip)
+        gamma = babuska_constants(sys, ip).gamma
+        chain = [
+            gamma_classical(bc.alpha, bc.beta, bc.a_norm),
+            gamma_simple(bc.alpha, bc.beta, bc.a_norm),
+            gamma_opt_general(bc.alpha, bc.beta, bc.a_norm),
+            gamma,
+        ]
+        for lower, upper in zip(chain, chain[1:]):
+            assert lower <= upper * (1.0 + 1e-10)
 
 
 class TestLemma21Inequalities:
