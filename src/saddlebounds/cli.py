@@ -10,6 +10,9 @@ Subcommands
     problem family: one row per swept parameter (mesh size, frequency, or
     cost parameter) with the measured spectral interval, the theoretical
     interval, the observed iteration count, and the theoretical bound.
+    ``--format json`` writes every field of every row, including the
+    number of Lanczos steps of the interval estimate and whether it was
+    certified; each uncertified row also gets a line on stderr.
 ``verify SUITE``
     Run a named randomized verification suite and print a JSON summary.
 ``export``
@@ -17,8 +20,8 @@ Subcommands
     plain-text mesh listing.
 
 Experiment configuration can come from a JSON file (``--config``); any
-command-line flag overrides the file.  Output is deterministic: intervals
-are printed with three decimals, counts as integers.
+command-line flag overrides the file.  Output is deterministic: CSV and
+Markdown tables print intervals with three decimals, counts as integers.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +75,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TableRow:
-    """One experiment-table row."""
+    """One experiment-table row.
+
+    ``estimate_steps`` and ``estimate_certified`` are the Lanczos steps of
+    the interval estimate and its certificate (see
+    :func:`saddlebounds.krylov.estimate_intervals`).
+    """
 
     parameter_name: str
     parameter_value: float
@@ -82,6 +90,8 @@ class TableRow:
     theory_hi: float
     iterations: int
     iteration_bound: int
+    estimate_steps: int
+    estimate_certified: bool
 
 
 _BUILDERS = {
@@ -121,6 +131,22 @@ def theoretical_interval(flavor: str) -> tuple[float, float]:
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
+def _sweep(config: ExperimentConfig) -> list[tuple]:
+    """``(parameter_name, parameter_value, level, nu, omega)`` of each row."""
+    if len(config.nu) > 1:
+        return [("nu", nu, config.levels[0], nu, config.omega[0]) for nu in config.nu]
+    if len(config.omega) > 1:
+        return [("omega", om, config.levels[0], config.nu[0], om) for om in config.omega]
+    return [
+        ("h", 2.0 ** (-level), level, config.nu[0], config.omega[0])
+        for level in config.levels
+    ]
+
+
+def _row_label(flavor: str, level: int, nu: float, omega: float) -> str:
+    return f"{flavor} level={level} nu={nu:g} omega={omega:g}"
+
+
 def run_table(config: ExperimentConfig) -> list[TableRow]:
     """Compute all rows of an experiment table.
 
@@ -143,26 +169,14 @@ def run_table(config: ExperimentConfig) -> list[TableRow]:
     theory_lo, theory_hi = theoretical_interval(config.flavor)
     k_bound = bnd.minres_iteration_bound(theory_lo, theory_hi, config.eps)
 
-    if len(config.nu) > 1:
-        sweep = [("nu", nu, config.levels[0], nu, config.omega[0]) for nu in config.nu]
-    elif len(config.omega) > 1:
-        sweep = [
-            ("omega", om, config.levels[0], config.nu[0], om) for om in config.omega
-        ]
-    else:
-        sweep = [
-            ("h", 2.0 ** (-level), level, config.nu[0], config.omega[0])
-            for level in config.levels
-        ]
-
     rows = []
-    for name, value, level, nu, omega in sweep:
+    for name, value, level, nu, omega in _sweep(config):
         problem = build(build_mesh(level), nu, omega)
         op, pc = problem.operator(), problem.preconditioner()
         report = minres_solve(op, pc, problem.rhs, eps=config.eps, maxit=config.maxit)
         if not report.converged:
             raise ConvergenceError(
-                f"{config.flavor} level={level} nu={nu:g} omega={omega:g}: MINRES "
+                f"{_row_label(config.flavor, level, nu, omega)}: MINRES "
                 f"stopped unconverged after {report.iterations} iterations "
                 f"(eps={config.eps:g}, maxit={config.maxit})"
             )
@@ -177,12 +191,16 @@ def run_table(config: ExperimentConfig) -> list[TableRow]:
                 theory_hi=theory_hi,
                 iterations=report.iterations,
                 iteration_bound=k_bound,
+                estimate_steps=estimate.steps,
+                estimate_certified=estimate.certified,
             )
         )
     return rows
 
 
 def format_table(rows: list[TableRow], fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps([asdict(row) for row in rows], indent=2) + "\n"
     header = [
         rows[0].parameter_name if rows else "param",
         "computed_lo",
@@ -297,6 +315,13 @@ def cmd_table(args) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for row, (_, _, level, nu, omega) in zip(rows, _sweep(config)):
+        if not row.estimate_certified:
+            print(
+                f"warning: {_row_label(config.flavor, level, nu, omega)}: interval "
+                f"not certified after {row.estimate_steps} Lanczos steps",
+                file=sys.stderr,
+            )
     _emit(format_table(rows, config.fmt), config.out)
     return 0
 
@@ -348,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--omega", help="comma-separated frequencies")
     p_table.add_argument("--eps", type=float)
     p_table.add_argument("--maxit", type=int)
-    p_table.add_argument("--format", choices=("csv", "markdown"))
+    p_table.add_argument("--format", choices=("csv", "markdown", "json"))
     p_table.add_argument("--out")
     p_table.set_defaults(func=cmd_table)
 

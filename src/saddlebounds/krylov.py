@@ -12,6 +12,9 @@ preconditioned operator serves both the solver and the interval estimator
   eigenvalues (Ritz values) and the harmonic Ritz values of the extended
   tridiagonal estimate the extreme and the near-zero ends of the spectrum
   of the preconditioned matrix (:func:`ritz_intervals`),
+* the same coefficients give residual bounds for those estimates, so
+  :func:`estimate_intervals` stops as soon as the two endpoints a table
+  prints are certified to three decimals, with no extra operator work,
 * per-step residual reduction factors expose the even-odd staircase typical
   of spectra that are symmetric around zero (:func:`stagnation_profile`).
 
@@ -21,7 +24,7 @@ its workspace and never mutates its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Callable
 
@@ -40,10 +43,14 @@ __all__ = [
     "stagnation_profile",
 ]
 
-#: Lanczos steps of :func:`estimate_intervals` (fewer if the dimension is
-#: smaller), and the seed of its random probe vector.
+#: Most Lanczos steps of :func:`estimate_intervals` (fewer if the dimension
+#: is smaller), and the seed of its random probe vector.
 ESTIMATE_STEPS = 220
 PROBE_SEED = 20240915
+#: :func:`estimate_intervals` checks its certificate at step ``CHECK_FIRST``,
+#: then every ``CHECK_EVERY`` steps, and at its last step.
+CHECK_FIRST = 20
+CHECK_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -100,13 +107,18 @@ class RitzEstimate:
 
     ``[pos_lo, pos_hi]`` encloses the positive Ritz information (smallest
     positive harmonic Ritz value, largest Ritz value), ``[neg_lo, neg_hi]``
-    mirrors it for the negative side.
+    mirrors it for the negative side.  ``steps`` is the order of the
+    tridiagonal; ``certified`` says whether residual bounds showed that
+    ``pos_lo`` and ``pos_hi`` print the three decimals of the endpoints of
+    the positive spectrum (see :func:`estimate_intervals`).
     """
 
     neg_lo: float
     neg_hi: float
     pos_lo: float
     pos_hi: float
+    steps: int
+    certified: bool
 
     def __post_init__(self):
         if not (self.pos_lo > 0.0 > self.neg_hi):
@@ -355,18 +367,101 @@ def ritz_intervals(alphas: np.ndarray, betas: np.ndarray) -> RitzEstimate:
         neg_hi=float(np.max(neg_h)),
         pos_lo=float(np.min(pos_h)),
         pos_hi=float(np.max(pos_r)),
+        steps=k,
+        certified=False,
     )
+
+
+def _printed(value: float) -> str:
+    """``value`` as the experiment tables print it."""
+    return f"{value:.3f}"
+
+
+def _enclosure(
+    alphas: np.ndarray, off: np.ndarray, beta: float, s: np.ndarray, harmonic: bool
+) -> tuple[float, float]:
+    """Rayleigh quotient ``theta`` of ``y = Q_k s`` and a residual bound ``r``.
+
+    In exact arithmetic ``|(A - theta) y| / |y| = sqrt(|T_k s - theta s|^2 +
+    beta^2 |e_k^T s|^2) / |s| = r``, so an eigenvalue lies within ``r`` of
+    ``theta``.  The plain quotient ``y* A y / y* y`` is at most the largest
+    eigenvalue; the harmonic one ``|A y|^2 / y* A y`` (when ``y* A y > 0``)
+    is at least the smallest positive eigenvalue.  For a Ritz (harmonic
+    Ritz) vector they are its Ritz (harmonic Ritz) value, and then
+    ``r = beta |e_k^T s| / |s|`` for the Ritz pair.
+    """
+    ts = alphas * s
+    ts[:-1] += off * s[1:]
+    ts[1:] += off * s[:-1]
+    tail = beta * s[-1]
+    theta = (ts @ ts + tail * tail) / (s @ ts) if harmonic else (s @ ts) / (s @ s)
+    return theta, float(np.hypot(np.linalg.norm(ts - theta * s), tail) / np.linalg.norm(s))
+
+
+def _certified_estimate(alphas: list, betas: list) -> RitzEstimate | None:
+    """:func:`ritz_intervals` of the data, certified, if the residual
+    enclosures of ``pos_lo`` and ``pos_hi`` each round to the value printed.
+
+    The largest eigenvalue lies in ``[theta, theta + r]`` around the largest
+    Ritz pair and the smallest positive one in ``[theta - r, theta]`` around
+    the smallest positive harmonic Ritz pair (:func:`_enclosure`), provided
+    the eigenvalue within ``r`` of ``theta`` is the extreme one.  Returns
+    None if either enclosure straddles a rounding boundary, or if
+    :func:`ritz_intervals`, which computes the same two values another way,
+    prints them differently.
+    """
+    k = len(alphas)
+    a = np.array(alphas)
+    off = np.array(betas[:-1])
+    beta = betas[-1]
+    _, top = scipy.linalg.eigh_tridiagonal(
+        a, off, select="i", select_range=(k - 1, k - 1), check_finite=False
+    )
+    hi, r = _enclosure(a, off, beta, top[:, 0], harmonic=False)
+    if _printed(hi) != _printed(hi + r):
+        return None
+    # T_k = L D L^T: the pivots count the negative Ritz values, and the last
+    # column of T_k^{-1} is f = L^{-T} e_k / d_k.  Bordered by beta e_k and
+    # beta^2 f_k, T_k becomes congruent to diag(T_k, 0): its eigenvalues are
+    # the harmonic Ritz values and a zero that sits after the negative ones,
+    # and an eigenvector (x, xi) gives the harmonic Ritz vector x + beta xi f.
+    pivots = [alphas[0]]
+    for alpha, coupling in zip(alphas[1:], betas):
+        pivots.append(alpha - coupling * coupling / pivots[-1])
+    d = np.array(pivots)
+    negative = int(np.count_nonzero(d < 0.0))
+    if negative == k:
+        return None
+    f = np.append(np.cumprod(-off[::-1] / d[-2::-1])[::-1], 1.0) / d[-1]
+    _, border = scipy.linalg.eigh_tridiagonal(
+        np.append(a, beta * beta * f[-1]), np.append(off, beta),
+        select="i", select_range=(negative + 1, negative + 1), check_finite=False,
+    )
+    lo, r = _enclosure(a, off, beta, border[:k, 0] + beta * border[k, 0] * f, harmonic=True)
+    if _printed(lo) != _printed(lo - r):
+        return None
+    est = ritz_intervals(a, np.array(betas))
+    if (_printed(est.pos_lo), _printed(est.pos_hi)) != (_printed(lo), _printed(hi)):
+        return None
+    return replace(est, certified=True)
 
 
 def estimate_intervals(op, prec=None) -> RitzEstimate:
     """Spectral interval estimation with a generic probe vector.
 
-    Runs ``min(dim, ESTIMATE_STEPS)`` steps of the preconditioned Lanczos
-    recurrence (fewer on breakdown) on a random probe seeded with
+    Runs the preconditioned Lanczos recurrence on a random probe seeded with
     ``PROBE_SEED``, which excites all eigenvector directions regardless of
     any symmetry of the model right-hand side, and extracts
-    :func:`ritz_intervals`.  That many steps let the extreme and near-zero
-    eigenvalues converge to three digits on the systems in this package.
+    :func:`ritz_intervals`.  At step ``CHECK_FIRST``, every ``CHECK_EVERY``
+    steps after it and at its last step it bounds the residuals of the
+    largest Ritz pair and of the smallest positive harmonic Ritz pair from
+    the tridiagonal alone (:func:`_certified_estimate`), and stops, with
+    ``certified`` set, as soon as both enclosures round to the three
+    decimals that ``pos_lo`` and ``pos_hi`` print.  Otherwise it stops after
+    ``min(dim, ESTIMATE_STEPS)`` steps (or on breakdown) uncertified.
+    The certificate is a statement about exact arithmetic that assumes the
+    probe has reached both ends of the positive spectrum; the README
+    ("Certified interval estimates") says what it does and does not prove.
     """
     a = as_operator(op)
     m_inv = as_operator(prec) if prec is not None else LinearOperator(a.dim, lambda x: x)
@@ -376,10 +471,19 @@ def estimate_intervals(op, prec=None) -> RitzEstimate:
     next(lanczos)
     alphas: list[float] = []
     betas: list[float] = []
+    checked = 0
     for _, delta, beta in islice(lanczos, min(a.dim, ESTIMATE_STEPS)):
         alphas.append(float(delta))
         betas.append(float(beta))
-    return ritz_intervals(np.array(alphas), np.array(betas))
+        k = len(alphas)
+        if k >= CHECK_FIRST and k % CHECK_EVERY == 0:
+            checked = k
+            est = _certified_estimate(alphas, betas)
+            if est is not None:
+                return est
+    # The last step (the cap, the dimension or a breakdown) is checked too.
+    est = _certified_estimate(alphas, betas) if len(alphas) > checked else None
+    return est or ritz_intervals(np.array(alphas), np.array(betas))
 
 
 def stagnation_profile(

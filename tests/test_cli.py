@@ -1,9 +1,11 @@
 import json
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from saddlebounds import mmio
+from saddlebounds import krylov, mmio
 from saddlebounds.bounds import witness_general
 from saddlebounds.cli import (
     ConvergenceError,
@@ -103,6 +105,31 @@ class TestTableCommand:
         assert main(["table", "--flavor", "stokes", "--levels", "0", "--maxit", "3"]) == 1
         assert "unconverged after 3 iterations" in capsys.readouterr().err
 
+    def test_json_format_carries_every_field(self, capsys):
+        args = ["table", "--flavor", "parabolic-reduced", "--levels", "0,1"]
+        assert main(args + ["--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = run_table(ExperimentConfig(flavor="parabolic-reduced", levels=[0, 1]))
+        assert json.loads(captured.out) == [asdict(row) for row in rows]
+        assert all(row.estimate_certified for row in rows)
+
+    def test_uncertified_row_is_reported_on_stderr(self, capsys, monkeypatch):
+        args = ["table", "--flavor", "stokes", "--levels", "2", "--omega", "100"]
+        assert main(args) == 0
+        certified = capsys.readouterr()
+        assert certified.err == ""
+        monkeypatch.setattr(krylov, "ESTIMATE_STEPS", 30)
+        assert main(args) == 0
+        capped = capsys.readouterr()
+        assert capped.err == (
+            "warning: stokes level=2 nu=1 omega=100: interval not certified after 30 "
+            "Lanczos steps\n"
+        )
+        header, row = capped.out.splitlines()
+        assert header == certified.out.splitlines()[0]
+        assert row.split(",")[5] == certified.out.splitlines()[1].split(",")[5]
+
     def test_markdown_format(self):
         config = ExperimentConfig(flavor="parabolic-reduced", levels=[0], fmt="markdown")
         text = format_table(run_table(config), "markdown")
@@ -146,3 +173,33 @@ class TestExportCommand:
         assert (out / "mesh.txt").is_file()
         sys, ip = mmio.load_bundle(out)
         assert sys.n == sys.m  # reduced system is square-blocked
+
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json").read_text()
+)
+SMOKE_ROWS = [
+    (key, want)
+    for workload in ("stokes-tables", "parabolic-l6")
+    for key, want in REFERENCE["smoke"][workload].items()
+]
+
+
+class TestRecordedRows:
+    """Every small table row recorded for the benchmark prints exactly as
+    recorded: both endpoints at three decimals and the iteration count."""
+
+    @pytest.mark.parametrize("key,want", SMOKE_ROWS, ids=[key for key, _ in SMOKE_ROWS])
+    def test_row_prints_as_recorded(self, key, want):
+        flavor, *fields = key.split()
+        values = dict(field.split("=") for field in fields)
+        config = ExperimentConfig(
+            flavor=flavor,
+            levels=[int(values["level"])],
+            nu=[float(values["nu"])],
+            omega=[float(values["omega"])],
+        )
+        (row,) = run_table(config)
+        assert f"{row.computed_lo:.3f}" == want["lo"]
+        assert f"{row.computed_hi:.3f}" == want["hi"]
+        assert row.iterations == want["iterations"]

@@ -1,12 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saddlebounds import krylov
 from saddlebounds.bounds import gamma_opt_general, minres_iteration_bound, witness_general
 from saddlebounds.densecore import generalized_hermitian_eig
-from saddlebounds.fem import build_mesh, parabolic_reduced, stokes_system
+from saddlebounds.fem import build_mesh, parabolic_kkt, parabolic_reduced, stokes_system
 from saddlebounds.krylov import (
+    CHECK_EVERY,
+    CHECK_FIRST,
     ESTIMATE_STEPS,
     PROBE_SEED,
     LinearOperator,
@@ -227,14 +233,114 @@ class TestRitzIntervals:
         # own probe, a solve that never meets its target sees the same data.
         problem = stokes_system(build_mesh(2), nu=1.0, omega=1.0)
         op, pc = problem.operator(), problem.preconditioner()
-        rng = np.random.default_rng(PROBE_SEED)
-        probe = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-        steps = min(op.dim, ESTIMATE_STEPS)
-        report = minres_solve(op, pc, probe, eps=1e-300, maxit=steps)
-        assert report.iterations == steps
-        assert estimate_intervals(op, pc) == ritz_intervals(
-            report.lanczos_alphas, report.lanczos_betas
+        est = estimate_intervals(op, pc)
+        # The certificate ends the estimate before the step cap.
+        assert est.certified and est.steps < ESTIMATE_STEPS
+        report = probe_lanczos(op, pc, est.steps)
+        assert report.iterations == est.steps
+        assert est == replace(
+            ritz_intervals(report.lanczos_alphas, report.lanczos_betas), certified=True
         )
+
+
+def probe_lanczos(op, pc, steps):
+    """A MINRES run on the estimator's probe that never meets its target:
+    its Lanczos data is the estimator's after ``steps`` steps."""
+    rng = np.random.default_rng(PROBE_SEED)
+    probe = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    return minres_solve(op, pc, probe, eps=1e-300, maxit=steps)
+
+
+def printed(value):
+    return f"{value:.3f}"
+
+
+def dense_enclosures(alphas, betas):
+    """Largest Ritz value and smallest positive harmonic Ritz value with the
+    residual bounds of their pairs, from the dense tridiagonal and the dense
+    harmonic pencil ``(T, T^2 + beta^2 e_k e_k^T)``."""
+    beta = betas[-1]
+    t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+    ritz, vectors = np.linalg.eigh(t)
+    r_hi = beta * abs(vectors[-1, -1])
+    tt = t @ t
+    tt[-1, -1] += beta * beta
+    rho, vectors = scipy.linalg.eigh(t, tt)
+    s, theta = vectors[:, -1], 1.0 / rho[-1]
+    r_lo = np.hypot(np.linalg.norm(t @ s - theta * s), beta * s[-1]) / np.linalg.norm(s)
+    return ritz[-1], r_hi, theta, r_lo
+
+
+def enclosures_print_one_value(alphas, betas):
+    hi, r_hi, lo, r_lo = dense_enclosures(alphas, betas)
+    return printed(hi) == printed(hi + r_hi) and printed(lo) == printed(lo - r_lo)
+
+
+def certified_stop(op, pc):
+    """The estimate, checked to stop at the first check step at which both
+    dense enclosures print one value, and those enclosures."""
+    est = estimate_intervals(op, pc)
+    assert est.certified and est.steps < ESTIMATE_STEPS
+    report = probe_lanczos(op, pc, est.steps)
+    alphas, betas = report.lanczos_alphas, report.lanczos_betas
+    for k in range(CHECK_FIRST, est.steps, CHECK_EVERY):
+        assert not enclosures_print_one_value(alphas[:k], betas[:k]), k
+    hi, r_hi, lo, r_lo = dense_enclosures(alphas, betas)
+    assert hi == pytest.approx(est.pos_hi, abs=1e-12)
+    assert lo == pytest.approx(est.pos_lo, abs=1e-12)
+    assert printed(hi) == printed(hi + r_hi) and printed(lo) == printed(lo - r_lo)
+    return est, r_hi, r_lo
+
+
+class TestIntervalCertificate:
+    @pytest.mark.parametrize(
+        "build,level,nu,omega",
+        [
+            (stokes_system, 1, 1.0, 1.0),
+            (stokes_system, 2, 1.0, 100.0),
+            (stokes_system, 2, 1e-8, 1.0),
+            (parabolic_kkt, 2, 1.0, 100.0),
+            (parabolic_reduced, 2, 1.0, 100.0),
+        ],
+        ids=["stokes-l1", "stokes-l2-omega100", "stokes-l2-nu1e-8", "kkt-l2-omega100",
+             "reduced-l2-omega100"],
+    )
+    def test_sound_against_dense_spectrum(self, build, level, nu, omega):
+        problem = build(build_mesh(level), nu, omega)
+        est, r_hi, r_lo = certified_stop(problem.operator(), problem.preconditioner())
+        lam = generalized_hermitian_eig(
+            problem.saddle_system().assemble(), problem.inner_product().assemble()
+        ).eigenvalues
+        lam_max, lam_min_pos = lam.max(), lam[lam > 0.0].min()
+        slack = 1e-10
+        assert est.pos_hi - slack <= lam_max <= est.pos_hi + r_hi + slack
+        assert est.pos_lo - r_lo - slack <= lam_min_pos <= est.pos_lo + slack
+        assert printed(lam_max) == printed(est.pos_hi)
+        assert printed(lam_min_pos) == printed(est.pos_lo)
+
+    def test_slow_top_end_holds_the_stop(self):
+        # The isolated 0.6 certifies within 30 steps; the dense cluster that
+        # ends at 1.6 keeps the largest Ritz pair uncertified until step 90.
+        rng = np.random.default_rng(3)
+        lam = np.concatenate([
+            -rng.uniform(0.5, 1.5, 60), [0.6], rng.uniform(0.9, 1.2, 40),
+            np.linspace(1.2, 1.6, 150),
+        ])
+        a = hermitian_with_spectrum(rng, lam)
+        op = LinearOperator(a.shape[0], lambda x: a @ x)
+        est, r_hi, r_lo = certified_stop(op, None)
+        assert est.steps == 90
+        assert est.pos_hi <= 1.6 <= est.pos_hi + r_hi + 1e-12
+        assert est.pos_lo - r_lo - 1e-12 <= 0.6 <= est.pos_lo
+
+    def test_step_cap_returns_uncertified_lanczos_data(self, monkeypatch):
+        monkeypatch.setattr(krylov, "ESTIMATE_STEPS", 30)
+        problem = stokes_system(build_mesh(2), nu=1.0, omega=100.0)
+        op, pc = problem.operator(), problem.preconditioner()
+        est = estimate_intervals(op, pc)
+        assert est.certified is False and est.steps == 30
+        report = probe_lanczos(op, pc, 30)
+        assert est == ritz_intervals(report.lanczos_alphas, report.lanczos_betas)
 
 
 class TestSharedRecurrenceProperty:
