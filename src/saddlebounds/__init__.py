@@ -13,7 +13,6 @@ from .densecore import (
     cholesky,
     generalized_hermitian_eig,
     hermitian_eig,
-    nullspace_basis,
 )
 from .saddle import (
     BabuskaConstants,
@@ -70,7 +69,6 @@ __all__ = [
     "cholesky",
     "generalized_hermitian_eig",
     "hermitian_eig",
-    "nullspace_basis",
     "BabuskaConstants",
     "BlockDecomposition",
     "BrezziConstants",

@@ -42,6 +42,7 @@ from .krylov import estimate_intervals, minres_solve
 from .saddle import BrezziConstants, babuska_constants, brezzi_constants
 
 FLAVORS = ("parabolic-kkt", "parabolic-reduced", "stokes")
+FORMATS = ("csv", "markdown", "json")
 
 
 @dataclass
@@ -60,6 +61,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}; choose from {FLAVORS}")
+        if self.fmt not in FORMATS:
+            raise ValueError(f"unknown format {self.fmt!r}; choose from {FORMATS}")
         if not (self.levels and self.nu and self.omega):
             raise ValueError("levels, nu and omega must be nonempty")
         if not (0.0 < self.eps < 1.0):
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--omega", help="comma-separated frequencies")
     p_table.add_argument("--eps", type=float)
     p_table.add_argument("--maxit", type=int)
-    p_table.add_argument("--format", choices=("csv", "markdown", "json"))
+    p_table.add_argument("--format", choices=FORMATS)
     p_table.add_argument("--out")
     p_table.set_defaults(func=cmd_table)
 

@@ -3,9 +3,11 @@
 Everything downstream (constant extraction, inclusion-bound verification,
 FEM model problems) reduces to a handful of primitives collected here:
 eigenvalues of Hermitian matrices and Hermitian pencils, Cholesky
-factorization and weighted null-space bases.  The heavy lifting is
-delegated to LAPACK via numpy/scipy; this module adds the input validation
-and the accuracy contracts the rest of the package relies on.
+factorization, and the triangular congruence ``L^{-1} X R^{-*}`` that
+carries a block into the Euclidean geometry of a factored inner product.
+The heavy lifting is delegated to LAPACK via numpy/scipy; this module adds
+the input validation and the accuracy contracts the rest of the package
+relies on.
 
 Conventions
 -----------
@@ -30,13 +32,13 @@ __all__ = [
     "require_hermitian",
     "hermitian_eig",
     "cholesky",
+    "triangular_congruence",
     "generalized_hermitian_eig",
-    "nullspace_basis",
 ]
 
 #: Relative threshold below which singular values count as zero when
-#: determining kernel dimensions.  Matches the eigen-residual tolerances
-#: used throughout the test suite.
+#: determining ranks.  Matches the eigen-residual tolerances used
+#: throughout the test suite.
 RANK_RTOL = 1e-10
 
 #: Relative max-norm tolerance for accepting a matrix as Hermitian.
@@ -75,14 +77,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
 
-    @property
-    def min(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def max(self) -> float:
-        return float(self.eigenvalues[-1])
-
 
 def as_complex_matrix(a) -> np.ndarray:
     """Return ``a`` as a 2-d C-contiguous complex128 array."""
@@ -119,15 +113,14 @@ def hermitian_eig(h, tol: float = HERMITIAN_RTOL) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=np.linalg.eigvalsh(h))
 
 
-def cholesky(m, tol: float = HERMITIAN_RTOL) -> np.ndarray:
+def cholesky(m) -> np.ndarray:
     """Lower-triangular ``L`` with ``L L* = M`` for Hermitian positive definite M.
 
-    Raises :class:`NotPositiveDefiniteError` carrying the failing pivot index
-    when M is not positive definite.
+    Reads the lower triangle only (validate with :func:`require_hermitian`);
+    raises :class:`NotPositiveDefiniteError` with the failing pivot index.
     """
-    m = require_hermitian(m, tol)
     try:
-        return scipy.linalg.cholesky(m, lower=True)
+        return scipy.linalg.cholesky(as_complex_matrix(m), lower=True)
     except scipy.linalg.LinAlgError as exc:
         # LAPACK reports the 1-based order of the failing leading minor.
         msg = str(exc)
@@ -139,6 +132,13 @@ def cholesky(m, tol: float = HERMITIAN_RTOL) -> np.ndarray:
         raise NotPositiveDefiniteError(pivot) from exc
 
 
+def triangular_congruence(l, x, r=None) -> np.ndarray:  # noqa: E741
+    """``L^{-1} X R^{-*}`` for lower-triangular ``L`` and ``R`` (default ``R = L``)."""
+    r = l if r is None else r
+    y = scipy.linalg.solve_triangular(l, x, lower=True)
+    return scipy.linalg.solve_triangular(r, y.conj().T, lower=True).conj().T
+
+
 def generalized_hermitian_eig(a, m, tol: float = HERMITIAN_RTOL) -> EigenDecomposition:
     """Eigenvalues of ``A x = mu M x`` with A Hermitian, M Hermitian positive definite.
 
@@ -147,30 +147,5 @@ def generalized_hermitian_eig(a, m, tol: float = HERMITIAN_RTOL) -> EigenDecompo
     ascending.
     """
     a = require_hermitian(a, tol)
-    l = cholesky(m, tol)  # noqa: E741 - L as in M = L L*
-    c = scipy.linalg.solve_triangular(l, a, lower=True)
-    c = scipy.linalg.solve_triangular(l, c.conj().T, lower=True)
-    return hermitian_eig(c, tol=1e-10)
-
-
-def nullspace_basis(b, p=None, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Columns spanning ker(B), orthonormal in the P inner product.
-
-    Singular values below ``rtol`` times the largest singular value count as
-    zero.  With ``p=None`` the Euclidean inner product is used.  Returns an
-    ``n x dim(ker B)`` matrix Z with ``B Z = 0`` and ``Z* P Z = I``; an empty
-    kernel yields a matrix with zero columns.
-    """
-    b = as_complex_matrix(b)
-    n = b.shape[1]
-    u, s, vh = np.linalg.svd(b)
-    cutoff = rtol * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    z = vh[rank:, :].conj().T  # Euclidean-orthonormal kernel basis
-    if z.shape[1] == 0 or p is None:
-        return z
-    p = require_hermitian(p)
-    gram = z.conj().T @ p @ z
-    l = cholesky(gram)  # noqa: E741
-    # Z L^{-*} re-orthonormalizes the basis in the P geometry.
-    return scipy.linalg.solve_triangular(l, z.conj().T, lower=True).conj().T
+    l = cholesky(require_hermitian(m, tol))  # noqa: E741 - L as in M = L L*
+    return hermitian_eig(triangular_congruence(l, a), tol=1e-10)

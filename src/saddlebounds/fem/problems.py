@@ -224,8 +224,8 @@ class ModelProblem:
         if c_block is None:
             c_block = scipy.sparse.csr_matrix((self.m, self.m), dtype=np.complex128)
         return scipy.sparse.bmat(
-            [[self.a, bh], [self.b, c_block]], format="csr"
-        ).astype(np.complex128)
+            [[self.a, bh], [self.b, c_block]], format="csr", dtype=np.complex128
+        )
 
     def operator(self) -> LinearOperator:
         mat = self.matrix()

@@ -1,44 +1,52 @@
 """Saddle-point system model and exact stability-constant extraction.
 
-A system is the Hermitian block matrix ``[[A, B*], [B, -C]]`` together with a
-block-diagonal inner product ``diag(P, R)`` (both blocks Hermitian positive
-definite).  For vanishing C this module computes, exactly at the discrete
-level,
+A system is the Hermitian block matrix ``M = [[A, B*], [B, -C]]`` together
+with a block-diagonal inner product ``diag(P, R)`` (both blocks Hermitian
+positive definite, factored once as ``P = Lp Lp*`` and ``R = Lr Lr*``).
+Every analysis runs in the reduced geometry, where the norms of
+``diag(P, R)`` become Euclidean norms: the congruence
+``diag(Lp, Lr)^{-1} M diag(Lp, Lr)^{-*} = [[At, G*], [G, -Ct]]`` has the
+blocks ``At = Lp^{-1} A Lp^{-*}``, ``G = Lr^{-1} B Lp^{-*}`` and
+``Ct = Lr^{-1} C Lr^{-*}``.  For vanishing C this module computes, exactly
+at the discrete level,
 
 * the kernel-based block decomposition of the (1,1) block: split the primal
   space into ker(B) and its P-orthogonal complement, project all blocks onto
   the two parts (:func:`block_decompose`), and form the explicit inverse of
   the resulting 3x3 block operator (:func:`three_by_three_inverse`);
-* the constants of the Brezzi-type theory, as extreme generalized
-  eigenvalues (:func:`brezzi_constants`):
+* the constants of the Brezzi-type theory (:func:`brezzi_constants`):
 
   - ``alpha``: smallest eigenvalue of the (1,1) form restricted to ker(B),
-  - ``lambda_min_a``, ``lambda_max_a``: extreme eigenvalues of (A, P),
-  - ``beta^2``/``b_norm^2``: extreme eigenvalues of (B P^{-1} B*, R);
+  - ``lambda_min_a``, ``lambda_max_a``: extreme eigenvalues of ``At``, the
+    range of (A, P),
+  - ``beta``/``b_norm``: extreme singular values of ``G``; one SVD of ``G``
+    also gives the rank test (the discrete inf-sup condition) and ker(B);
 
 * the Babuska constants ``gamma = |mu_min|`` and ``B_norm = |mu_max|`` from
-  the full preconditioned spectrum (:func:`babuska_constants`), valid for
-  any Hermitian system including C != 0.
+  the eigenvalues of the reduced matrix ``[[At, G*], [G, -Ct]]``
+  (:func:`babuska_constants`), valid for any Hermitian system including
+  C != 0.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from . import densecore
 from .densecore import (
+    RANK_RTOL,
     EigenDecomposition,
     as_complex_matrix,
     cholesky,
-    generalized_hermitian_eig,
-    nullspace_basis,
+    hermitian_eig,
     require_hermitian,
+    triangular_congruence,
 )
+# Unused here; benchmarks/tracing.py looks this name up on this module.
+from .densecore import generalized_hermitian_eig  # noqa: F401
 
 __all__ = [
     "SaddleSystem",
@@ -119,19 +127,21 @@ class SaddleSystem:
 
 @dataclass(frozen=True)
 class InnerProduct:
-    """Block-diagonal inner product ``diag(P, R)`` with SPD blocks."""
+    """Block-diagonal inner product ``diag(P, R)`` with SPD blocks and their
+    Cholesky factors ``P = Lp Lp*``, ``R = Lr Lr*`` (factoring checks SPD)."""
 
     p: np.ndarray
     r: np.ndarray
+    lp: np.ndarray = field(init=False, repr=False, compare=False)
+    lr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = require_hermitian(_dense(self.p))
         r = require_hermitian(_dense(self.r))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "r", r)
-        # Both blocks must pass Cholesky; failure raises with the pivot.
-        cholesky(p)
-        cholesky(r)
+        object.__setattr__(self, "lp", cholesky(p))
+        object.__setattr__(self, "lr", cholesky(r))
 
     @classmethod
     def identity(cls, n: int, m: int) -> "InnerProduct":
@@ -217,54 +227,56 @@ class BlockDecomposition:
         )
 
 
-def _require_full_rank(b: np.ndarray, rtol: float = densecore.RANK_RTOL) -> None:
-    m, n = b.shape
-    if m > n:
-        raise ValueError(f"coupling block must be wide, got shape {b.shape}")
-    s = np.linalg.svd(b, compute_uv=False)
-    rank = int(np.sum(s > rtol * s[0])) if s.size else 0
-    if rank < m:
-        raise ValueError(
-            f"coupling block is rank deficient: rank {rank} < m = {m} "
-            f"(sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
-        )
-
-
 def _require_zero_c(sys: SaddleSystem, who: str) -> None:
     if not sys.has_zero_c:
         raise ValueError(f"{who} requires a zero (2,2) block")
 
 
+def _reduce(sys: SaddleSystem, ip: InnerProduct, who: str):
+    """``At`` and the full SVD ``G = U diag(s) Vh`` of a zero-C system.
+
+    Raises unless ``G`` (equivalently B) has full row rank: the inf-sup
+    condition, read off the singular values of ``G`` with ``RANK_RTOL``.
+    """
+    _require_zero_c(sys, who)
+    m, n = sys.b.shape
+    if m > n:
+        raise ValueError(f"coupling block must be wide, got shape {sys.b.shape}")
+    a_t = require_hermitian(triangular_congruence(ip.lp, sys.a), tol=1e-10)
+    u, s, vh = np.linalg.svd(triangular_congruence(ip.lr, sys.b, ip.lp))
+    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
+    if rank < m:
+        raise ValueError(
+            f"coupling block is rank deficient: rank {rank} < m = {m} "
+            f"(sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
+        )
+    return a_t, u, s, vh
+
+
 def block_decompose(sys: SaddleSystem, ip: InnerProduct) -> BlockDecomposition:
     """Split the primal space into ker(B) and its P-orthogonal complement.
 
-    Requires a zero (2,2) block and full-rank B.  The complement basis is
-    obtained by P-orthonormalizing ``P^{-1} B*`` (the P-representers of the
-    coupling functionals), which spans the complement exactly.
+    Requires a zero (2,2) block and full-rank B.  With the SVD
+    ``G = U S V1*`` in the reduced geometry, the remaining right singular
+    vectors ``V0`` span ker(G); the complement basis is ``V1 U*``, the
+    orthonormal polar factor of ``G*``, which does not depend on the SVD's
+    choice of phases.  ``Lp^{-*}`` maps both back to P-orthonormal bases.
     """
-    _require_zero_c(sys, "block_decompose")
-    _require_full_rank(sys.b)
-    p = ip.p
-    z0 = nullspace_basis(sys.b, p)
-    if z0.shape[1] != sys.n - sys.m:
-        raise ValueError(
-            f"kernel dimension {z0.shape[1]} inconsistent with full rank "
-            f"(expected {sys.n - sys.m})"
-        )
-    w = np.linalg.solve(p, sys.b.conj().T)  # P^{-1} B*, spans the complement
-    gram = w.conj().T @ p @ w
-    lw = cholesky(require_hermitian(gram, tol=1e-10))
-    z1 = scipy.linalg.solve_triangular(lw, w.conj().T, lower=True).conj().T
-
-    a = sys.a
+    a_t, u, _, vh = _reduce(sys, ip, "block_decompose")
+    v0 = vh[sys.m:].conj().T
+    v1 = vh[: sys.m].conj().T @ u.conj().T
+    z = scipy.linalg.solve_triangular(
+        ip.lp.conj().T, np.hstack([v0, v1]), lower=False
+    )
+    k = v0.shape[1]
     return BlockDecomposition(
-        z0=z0,
-        z1=z1,
-        a00=require_hermitian(z0.conj().T @ a @ z0, tol=1e-8),
-        a01=z0.conj().T @ a @ z1,
-        a10=z1.conj().T @ a @ z0,
-        a11=require_hermitian(z1.conj().T @ a @ z1, tol=1e-8),
-        b1=sys.b @ z1,
+        z0=z[:, :k],
+        z1=z[:, k:],
+        a00=require_hermitian(v0.conj().T @ a_t @ v0, tol=1e-8),
+        a01=v0.conj().T @ a_t @ v1,
+        a10=v1.conj().T @ a_t @ v0,
+        a11=require_hermitian(v1.conj().T @ a_t @ v1, tol=1e-8),
+        b1=sys.b @ z[:, k:],
     )
 
 
@@ -305,10 +317,12 @@ def brezzi_constants(sys: SaddleSystem, ip: InnerProduct) -> BrezziConstants:
 
     * ``alpha``: inf-sup constant of the (1,1) form on ker(B).  For a
       Hermitian form this is the smallest eigenvalue modulus of the kernel
-      block; when the form is coercive on the kernel it coincides with the
-      smallest eigenvalue itself,
-    * ``lambda_min_a / lambda_max_a``: extreme eigenvalues of (A, P),
-    * ``beta^2 / b_norm^2``: extreme eigenvalues of (B P^{-1} B*, R),
+      block ``V0* At V0``; when the form is coercive on the kernel it
+      coincides with the smallest eigenvalue itself,
+    * ``lambda_min_a / lambda_max_a``: extreme eigenvalues of ``At``, i.e. of
+      the pencil (A, P),
+    * ``beta / b_norm``: extreme singular values of ``G``; their squares are
+      the extreme eigenvalues of (B P^{-1} B*, R),
     * ``a_norm = max(|lambda_min_a|, lambda_max_a)``.
 
     The eigenvalue-range bounds downstream (:func:`saddlebounds.bounds.\
@@ -316,37 +330,37 @@ mu3_cubic` via :func:`saddlebounds.bounds.inclusion_set`) presume the
     coercive representation of ``alpha``; they apply when the kernel block
     is positive definite.
     """
-    _require_zero_c(sys, "brezzi_constants")
-    _require_full_rank(sys.b)
+    a_t, _, s, vh = _reduce(sys, ip, "brezzi_constants")
     if sys.n == sys.m:
         raise ValueError("ker(B) is trivial; the kernel inf-sup is undefined")
-    z0 = nullspace_basis(sys.b, ip.p)
-    a00 = require_hermitian(z0.conj().T @ sys.a @ z0, tol=1e-8)
-    kernel_eigs = np.linalg.eigvalsh(a00)
+    v0 = vh[sys.m:].conj().T
+    kernel_eigs = np.linalg.eigvalsh(v0.conj().T @ a_t @ v0)
     alpha = float(np.min(np.abs(kernel_eigs)))
     if alpha <= 1e-12 * max(float(np.max(np.abs(kernel_eigs))), 1e-300):
         raise ValueError(
             f"(1,1) block is not elliptic on ker(B): inf-sup constant "
             f"{alpha:.6e} vanishes (singular kernel block)"
         )
-    lam = generalized_hermitian_eig(sys.a, ip.p)
-    schur = sys.b @ np.linalg.solve(ip.p, sys.b.conj().T)
-    coupling = generalized_hermitian_eig(require_hermitian(schur, tol=1e-8), ip.r)
-    beta2, b_norm2 = coupling.min, coupling.max
-    lam_min, lam_max = lam.min, lam.max
+    lam = np.linalg.eigvalsh(a_t)
+    lam_min, lam_max = float(lam[0]), float(lam[-1])
     return BrezziConstants(
         alpha=alpha,
-        beta=math.sqrt(max(beta2, 0.0)),
+        beta=float(s[-1]),
         a_norm=max(abs(lam_min), abs(lam_max)),
-        b_norm=math.sqrt(max(b_norm2, 0.0)),
+        b_norm=float(s[0]),
         lambda_min_a=lam_min,
         lambda_max_a=lam_max,
     )
 
 
 def preconditioned_spectrum(sys: SaddleSystem, ip: InnerProduct) -> EigenDecomposition:
-    """Eigenvalues (real, ascending) of the generalized problem ``M x = mu Pc x``."""
-    return generalized_hermitian_eig(sys.assemble(), ip.assemble())
+    """Eigenvalues (real, ascending) of the generalized problem ``M x = mu Pc x``.
+
+    These are the eigenvalues of the reduced matrix ``[[At, G*], [G, -Ct]]``.
+    """
+    g = triangular_congruence(ip.lr, sys.b, ip.lp)
+    at, ct = triangular_congruence(ip.lp, sys.a), triangular_congruence(ip.lr, sys.c)
+    return hermitian_eig(np.block([[at, g.conj().T], [g, -ct]]), tol=1e-10)
 
 
 def babuska_constants(

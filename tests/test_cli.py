@@ -1,11 +1,12 @@
 import json
+import re
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from saddlebounds import krylov, mmio
+from saddlebounds import cli, krylov, mmio
 from saddlebounds.bounds import witness_general
 from saddlebounds.cli import (
     ConvergenceError,
@@ -91,6 +92,19 @@ class TestTableCommand:
         out = tmp_path / "t.md"
         assert main(["table", "--config", str(config), "--out", str(out)]) == 0
         assert out.read_text().startswith("| h |")
+
+    def test_rejects_unknown_format_before_any_row(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "flavor": "parabolic-reduced", "levels": [0], "format": "xml",
+        }))
+
+        def no_rows(config):
+            raise AssertionError("run_table called for a bad configuration")
+
+        monkeypatch.setattr(cli, "run_table", no_rows)
+        assert main(["table", "--config", str(config)]) == 2
+        assert "bad configuration" in capsys.readouterr().err
 
     def test_rejects_double_sweep(self, capsys):
         assert main([
@@ -178,6 +192,7 @@ class TestExportCommand:
 REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json").read_text()
 )
+_NUMBER = re.compile(r"[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?")
 SMOKE_ROWS = [
     (key, want)
     for workload in ("stokes-tables", "parabolic-l6")
@@ -203,3 +218,23 @@ class TestRecordedRows:
         assert f"{row.computed_lo:.3f}" == want["lo"]
         assert f"{row.computed_hi:.3f}" == want["hi"]
         assert row.iterations == want["iterations"]
+
+    def test_bounds_prints_as_recorded(self, tmp_path):
+        # The recorded bundle is the level-2 parabolic KKT export; every line
+        # keeps its words, and each number agrees to 1e-10 relative.
+        bundle, out = tmp_path / "bundle", tmp_path / "bounds.txt"
+        assert main(["export", "--flavor", "parabolic-kkt", "--level", "2",
+                     "--out", str(bundle)]) == 0
+        assert main(["bounds", str(bundle), "--out", str(out)]) == 0
+        want = {
+            key.removeprefix("bounds "): value
+            for key, value in REFERENCE["smoke"]["bounds-bundle"].items()
+            if key.startswith("bounds ")
+        }
+        got = dict(line.split(" = ", 1) for line in out.read_text().splitlines())
+        assert got.keys() == want.keys()
+        for key, value in got.items():
+            assert _NUMBER.sub("#", value) == _NUMBER.sub("#", want[key]), key
+            pairs = zip(_NUMBER.findall(value), _NUMBER.findall(want[key]))
+            for g, w in pairs:
+                assert float(g) == pytest.approx(float(w), rel=1e-10, abs=0.0), key

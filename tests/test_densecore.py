@@ -8,7 +8,6 @@ from saddlebounds.densecore import (
     cholesky,
     generalized_hermitian_eig,
     hermitian_eig,
-    nullspace_basis,
 )
 from saddlebounds.verify import random_hermitian, random_spd
 
@@ -120,35 +119,3 @@ class TestGeneralizedEig:
         with pytest.raises(NotPositiveDefiniteError):
             generalized_hermitian_eig(np.eye(2), np.diag([1.0, -1.0]))
 
-
-class TestNullspace:
-    def test_coordinate_kernel(self):
-        z = nullspace_basis(np.array([[0.0, 2.0]]), np.eye(2))
-        assert z.shape == (2, 1)
-        assert abs(abs(z[0, 0]) - 1.0) < 1e-14 and abs(z[1, 0]) < 1e-14
-
-    def test_nonsingular_empty(self):
-        z = nullspace_basis(np.eye(3), np.eye(3))
-        assert z.shape == (3, 0)
-
-    def test_hand_kernel(self):
-        z = nullspace_basis(np.array([[1.0, 1.0]]), np.eye(2))
-        v = z[:, 0]
-        assert abs(v[0] + v[1]) < 1e-14
-        assert np.linalg.norm(v) == pytest.approx(1.0)
-
-    def test_contracts_with_weight(self, rng):
-        b = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
-        p = random_spd(rng, 7)
-        z = nullspace_basis(b, p)
-        assert z.shape == (7, 4)
-        assert np.max(np.abs(b @ z)) <= 1e-10 * np.linalg.norm(b, 2)
-        assert np.max(np.abs(z.conj().T @ p @ z - np.eye(4))) <= 1e-10
-
-    def test_rank_nullity_with_planted_rank(self, rng):
-        for rank in (1, 2, 3):
-            left = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
-            right = rng.standard_normal((rank, 6)) + 1j * rng.standard_normal((rank, 6))
-            b = left @ right
-            z = nullspace_basis(b, np.eye(6))
-            assert rank + z.shape[1] == 6

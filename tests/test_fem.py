@@ -314,6 +314,22 @@ def reference_inner_product(flavor, level, nu, omega):
     return y, y
 
 
+@pytest.mark.parametrize("flavor", sorted(BUILDERS))
+def test_system_matrix_is_complex_csr(flavor):
+    # The system is assembled straight into complex128, with no second copy;
+    # it equals assembling in the blocks' own dtype and then converting.
+    problem = BUILDERS[flavor](build_mesh(1), nu=0.5, omega=2.0)
+    mat = problem.matrix()
+    assert mat.format == "csr" and mat.dtype == np.complex128
+    c_block = -problem.c if problem.c is not None else None
+    if c_block is None:
+        c_block = scipy.sparse.csr_matrix((problem.m, problem.m), dtype=np.complex128)
+    old = scipy.sparse.bmat(
+        [[problem.a, problem.b.conj().T], [problem.b, c_block]], format="csr"
+    ).astype(np.complex128)
+    assert (mat != old).nnz == 0
+
+
 class TestBlockPreconditioner:
     @pytest.mark.parametrize("flavor", sorted(BUILDERS))
     def test_preconditioner_is_ip_inverse(self, flavor, rng):

@@ -11,6 +11,7 @@ from saddlebounds.bounds import (
     gamma_classical,
     gamma_opt_general,
     gamma_simple,
+    inclusion_set,
     witness_general,
 )
 from saddlebounds.densecore import generalized_hermitian_eig
@@ -23,7 +24,7 @@ from saddlebounds.saddle import (
     preconditioned_spectrum,
     three_by_three_inverse,
 )
-from saddlebounds.verify import random_coercive_system
+from saddlebounds.verify import random_coercive_system, random_hermitian
 
 
 def p_unitary(rng, p):
@@ -56,6 +57,7 @@ class TestBlockDecompose:
     def test_coordinate_split(self):
         sys = SaddleSystem(a=np.eye(2), b=np.array([[0.0, 1.0]]))
         dec = block_decompose(sys, InnerProduct.identity(2, 1))
+        assert np.allclose(np.abs(dec.z0[:, 0]), [1.0, 0.0], atol=1e-14)
         assert np.allclose(dec.a00, [[1.0]])
         assert np.allclose(dec.a01, [[0.0]])
         assert np.allclose(dec.a11, [[1.0]])
@@ -89,6 +91,33 @@ class TestBlockDecompose:
         sys = SaddleSystem(a=np.eye(4), b=b)
         with pytest.raises(ValueError, match="rank deficient"):
             block_decompose(sys, InnerProduct.identity(4, 2))
+
+    def test_planted_rank_rejected(self, rng):
+        for rank in (1, 2, 3):
+            left = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            right = rng.standard_normal((rank, 6)) + 1j * rng.standard_normal((rank, 6))
+            sys = SaddleSystem(a=np.eye(6), b=left @ right)
+            ip = InnerProduct.identity(6, 4)
+            with pytest.raises(ValueError, match=f"rank deficient: rank {rank} < m = 4"):
+                block_decompose(sys, ip)
+            with pytest.raises(ValueError, match=f"rank deficient: rank {rank} < m = 4"):
+                brezzi_constants(sys, ip)
+
+    def test_square_coupling_has_empty_kernel(self):
+        sys = SaddleSystem(a=np.eye(3), b=np.eye(3))
+        dec = block_decompose(sys, InnerProduct.identity(3, 3))
+        assert dec.z0.shape == (3, 0)
+        assert np.allclose(dec.z1.conj().T @ dec.z1, np.eye(3))
+        with pytest.raises(ValueError, match="trivial"):
+            brezzi_constants(sys, InnerProduct.identity(3, 3))
+
+    def test_hand_kernel(self):
+        dec = block_decompose(
+            SaddleSystem(a=np.eye(2), b=np.array([[1.0, 1.0]])), InnerProduct.identity(2, 1)
+        )
+        v = dec.z0[:, 0]
+        assert abs(v[0] + v[1]) < 1e-14
+        assert np.linalg.norm(v) == pytest.approx(1.0)
 
     def test_nonzero_c_rejected(self, rng):
         sys = SaddleSystem(a=np.eye(2), b=np.array([[0.0, 1.0]]), c=np.eye(1))
@@ -230,13 +259,38 @@ class TestDensePathProperty:
     )
     def test_spectrum_and_gamma_ordering(self, n, kernel_share, seed):
         m = min(n - 1, max(1, int(round((1.0 - kernel_share) * n))))
-        sys, ip = random_coercive_system(np.random.default_rng(seed), n, m)
+        rng = np.random.default_rng(seed)
+        sys, ip = random_coercive_system(rng, n, m)
 
         mu = preconditioned_spectrum(sys, ip).eigenvalues
         ref = scipy.linalg.eigh(sys.assemble(), ip.assemble(), eigvals_only=True)
         assert np.max(np.abs(mu - ref)) <= 1e-10 * np.max(np.abs(ref))
 
+        # Each Brezzi constant against scipy's pencil eigenvalues.
+        def close(got, want, scale):
+            assert abs(got - want) <= 1e-10 * scale
+
         bc = brezzi_constants(sys, ip)
+        lam = scipy.linalg.eigh(sys.a, ip.p, eigvals_only=True)
+        close(bc.lambda_min_a, lam[0], np.max(np.abs(lam)))
+        close(bc.lambda_max_a, lam[-1], np.max(np.abs(lam)))
+        schur = sys.b @ scipy.linalg.solve(ip.p, sys.b.conj().T)
+        coupling = scipy.linalg.eigh(schur, ip.r, eigvals_only=True)
+        close(bc.beta**2, coupling[0], coupling[0])
+        close(bc.b_norm**2, coupling[-1], coupling[-1])
+        z = scipy.linalg.null_space(sys.b)
+        kernel = scipy.linalg.eigh(
+            z.conj().T @ sys.a @ z, z.conj().T @ ip.p @ z, eigvals_only=True
+        )
+        close(bc.alpha, kernel[0], kernel[0])
+        assert inclusion_set(bc).contains(mu, slack=1e-8)
+
+        # A nonzero Hermitian (2,2) block goes through the reduced C block.
+        sys_c = SaddleSystem(a=sys.a, b=sys.b, c=random_hermitian(rng, m))
+        mu_c = preconditioned_spectrum(sys_c, ip).eigenvalues
+        ref_c = scipy.linalg.eigh(sys_c.assemble(), ip.assemble(), eigvals_only=True)
+        assert np.max(np.abs(mu_c - ref_c)) <= 1e-10 * np.max(np.abs(ref_c))
+
         gamma = babuska_constants(sys, ip).gamma
         chain = [
             gamma_classical(bc.alpha, bc.beta, bc.a_norm),
