@@ -9,6 +9,7 @@ from saddlebounds.densecore import (
     generalized_hermitian_eig,
     hermitian_eig,
 )
+from saddlebounds.saddle import InnerProduct, SaddleSystem, block_decompose
 from saddlebounds.verify import random_hermitian, random_spd
 
 
@@ -119,3 +120,21 @@ class TestGeneralizedEig:
         with pytest.raises(NotPositiveDefiniteError):
             generalized_hermitian_eig(np.eye(2), np.diag([1.0, -1.0]))
 
+
+class TestNullspace:
+    """The P-orthonormal kernel basis of B, read off :func:`block_decompose`."""
+
+    def test_coordinate_kernel(self):
+        sys = SaddleSystem(a=np.eye(2), b=np.array([[0.0, 2.0]]))
+        z = block_decompose(sys, InnerProduct.identity(2, 1)).z0
+        assert z.shape == (2, 1)
+        assert abs(abs(z[0, 0]) - 1.0) < 1e-14 and abs(z[1, 0]) < 1e-14
+
+    def test_contracts_with_weight(self, rng):
+        b = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+        p = random_spd(rng, 7)
+        sys = SaddleSystem(a=np.eye(7), b=b)
+        z = block_decompose(sys, InnerProduct(p=p, r=np.eye(3))).z0
+        assert z.shape == (7, 4)
+        assert np.max(np.abs(b @ z)) <= 1e-10 * np.linalg.norm(b, 2)
+        assert np.max(np.abs(z.conj().T @ p @ z - np.eye(4))) <= 1e-10
