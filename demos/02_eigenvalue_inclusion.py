@@ -16,6 +16,7 @@ from saddlebounds import (
     brezzi_constants,
     inclusion_set,
     preconditioned_spectrum,
+    reduce_system,
 )
 
 rng = np.random.default_rng(42)
@@ -31,11 +32,11 @@ gr = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
 r = gr @ gr.conj().T + m * np.eye(m)
 
 ip = InnerProduct(p=p, r=r)
-dec = block_decompose(SaddleSystem(a=a, b=b), ip)
+dec = block_decompose(reduce_system(SaddleSystem(a=a, b=b), ip))
 shift = max(0.0, 0.5 - np.linalg.eigvalsh(dec.a00)[0])
-sys = SaddleSystem(a=a + shift * p, b=b)
+red = reduce_system(SaddleSystem(a=a + shift * p, b=b), ip)
 
-constants = brezzi_constants(sys, ip)
+constants = brezzi_constants(red)
 print("extracted constants:")
 for name, value in constants.as_dict().items():
     print(f"  {name:13s} = {value: .6f}")
@@ -43,7 +44,7 @@ for name, value in constants.as_dict().items():
 inc = inclusion_set(constants)
 print(f"\npredicted inclusion: [{inc.mu1:.4f}, {inc.mu2:.4f}] u [{inc.mu3:.4f}, {inc.mu4:.4f}]")
 
-spec = preconditioned_spectrum(sys, ip)
+spec = preconditioned_spectrum(red)
 print("true spectrum:")
 print(np.round(spec.eigenvalues, 4))
 print(f"\nall eigenvalues inside: {inc.contains(spec.eigenvalues, slack=1e-10)}")

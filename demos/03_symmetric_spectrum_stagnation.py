@@ -13,6 +13,7 @@ from saddlebounds import (
     minres_solve,
     pairing_check,
     preconditioned_spectrum,
+    reduce_system,
     stagnation_profile,
 )
 from saddlebounds.fem import build_mesh, parabolic_reduced
@@ -23,7 +24,8 @@ print(f"reduced parabolic system: dim={problem.dim}, nu={problem.nu}, omega={pro
 view = detect_structure(problem.saddle_system())
 print(f"mirror block structure detected: {view is not None}")
 
-spec = preconditioned_spectrum(problem.saddle_system(), problem.inner_product())
+red = reduce_system(problem.saddle_system(), problem.inner_product())
+spec = preconditioned_spectrum(red)
 report = pairing_check(spec.eigenvalues, tol=1e-8)
 print(f"pairing (mu, -mu) defect: {report.defect:.2e}  ({report.pairs} pairs)")
 

@@ -19,12 +19,13 @@ from .saddle import (
     BlockDecomposition,
     BrezziConstants,
     InnerProduct,
+    ReducedSystem,
     SaddleSystem,
     babuska_constants,
     block_decompose,
     brezzi_constants,
     preconditioned_spectrum,
-    three_by_three_inverse,
+    reduce_system,
 )
 from .bounds import (
     CubicCoefficients,
@@ -73,12 +74,13 @@ __all__ = [
     "BlockDecomposition",
     "BrezziConstants",
     "InnerProduct",
+    "ReducedSystem",
     "SaddleSystem",
     "babuska_constants",
     "block_decompose",
     "brezzi_constants",
     "preconditioned_spectrum",
-    "three_by_three_inverse",
+    "reduce_system",
     "CubicCoefficients",
     "SpectralInclusion",
     "b_norm_upper",

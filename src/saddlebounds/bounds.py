@@ -288,11 +288,14 @@ def mu3_simple(
 def inclusion_set(constants) -> SpectralInclusion:
     """Two-interval inclusion from extracted Brezzi-type constants.
 
-    ``constants`` provides ``alpha``, ``beta``, ``b_norm``, ``lambda_min_a``,
-    ``lambda_max_a`` (see :class:`saddlebounds.saddle.BrezziConstants`).
+    ``constants`` is a :class:`saddlebounds.saddle.BrezziConstants`.
     ``mu3`` uses the cubic bound when ``lambda_min_a <= 0`` and
-    ``lambda_min_a`` itself otherwise (the definite case).
+    ``lambda_min_a`` itself otherwise (the definite case).  The cubic
+    presumes a (1,1) block positive definite on ker(B); constants whose
+    ``kernel_coercive`` is false raise ``ValueError``.
     """
+    if not constants.kernel_coercive:
+        raise ValueError("inclusion set needs a (1,1) block positive definite on ker(B)")
     lam_min = constants.lambda_min_a
     lam_max = constants.lambda_max_a
     mu1, mu2, mu4 = hermitian_outer_bounds(

@@ -4,7 +4,9 @@ Subcommands
 -----------
 ``bounds PATH``
     Load a system bundle (Matrix Market blocks plus manifest), print its
-    exact constants, every closed-form bound, and the inclusion set.
+    exact constants, every closed-form bound, and the inclusion set.  The
+    inclusion set presumes a (1,1) block positive definite on ker(B); for
+    any other system one line says it is omitted.
 ``table``
     Reproduce the preconditioned-MINRES experiment tables for a model
     problem family: one row per swept parameter (mesh size, frequency, or
@@ -39,7 +41,7 @@ from . import bounds as bnd
 from . import mmio, verify
 from .fem import build_mesh, parabolic_kkt, parabolic_reduced, stokes_system
 from .krylov import estimate_intervals, minres_solve
-from .saddle import BrezziConstants, babuska_constants, brezzi_constants
+from .saddle import BrezziConstants, babuska_constants, brezzi_constants, reduce_system
 
 FLAVORS = ("parabolic-kkt", "parabolic-reduced", "stokes")
 FORMATS = ("csv", "markdown", "json")
@@ -253,14 +255,15 @@ def cmd_bounds(args) -> int:
         return 2
     lines = []
     try:
-        bab = babuska_constants(sys_, ip)
+        red = reduce_system(sys_, ip)
+        bab = babuska_constants(red)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     lines.append(f"gamma = {bab.gamma:.12g}")
     lines.append(f"B_norm = {bab.b_norm:.12g}")
-    if sys_.has_zero_c and sys_.n > sys_.m:
-        bc = brezzi_constants(sys_, ip)
+    if red.has_zero_c and red.n > red.m:
+        bc = brezzi_constants(red)
         for key, value in bc.as_dict().items():
             lines.append(f"{key} = {value:.12g}")
         gamma_opt = bnd.gamma_opt_general(bc.alpha, bc.beta, bc.a_norm)
@@ -268,13 +271,17 @@ def cmd_bounds(args) -> int:
         lines.append(f"gamma_simple = {bnd.gamma_simple(bc.alpha, bc.beta, bc.a_norm):.12g}")
         lines.append(f"gamma_opt = {gamma_opt:.12g}")
         lines.append(f"B_norm_upper = {bnd.b_norm_upper(bc.a_norm, bc.b_norm):.12g}")
-        inc = bnd.inclusion_set(bc)
-        lines.append(
-            f"inclusion = [{inc.mu1:.12g}, {inc.mu2:.12g}] u [{inc.mu3:.12g}, {inc.mu4:.12g}]"
-        )
-        if bc.lambda_min_a <= 0.0:
+        if bc.kernel_coercive:
+            inc = bnd.inclusion_set(bc)
             lines.append(
-                f"mu3_simple = {bnd.mu3_simple(bc.alpha, bc.beta, bc.lambda_min_a, bc.lambda_max_a):.12g}"
+                f"inclusion = [{inc.mu1:.12g}, {inc.mu2:.12g}] u [{inc.mu3:.12g}, {inc.mu4:.12g}]"
+            )
+            if bc.lambda_min_a <= 0.0:
+                mu3 = bnd.mu3_simple(bc.alpha, bc.beta, bc.lambda_min_a, bc.lambda_max_a)
+                lines.append(f"mu3_simple = {mu3:.12g}")
+        else:
+            lines.append(
+                "inclusion = omitted: the (1,1) block is not positive definite on ker(B)"
             )
         sharp = abs(bab.gamma - gamma_opt) <= 1e-8 * gamma_opt
         lines.append(f"sharpness = {'sharp' if sharp else 'strict'}")

@@ -24,7 +24,7 @@ its workspace and never mutates its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Callable
 
@@ -98,7 +98,6 @@ class MinresReport:
     iterations: int
     converged: bool
     true_residual: float = float("nan")
-    true_residual_checks: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -217,10 +216,8 @@ def minres_solve(
     op,
     prec=None,
     rhs: np.ndarray = None,
-    x0: np.ndarray | None = None,
     eps: float = 1e-8,
     maxit: int | None = None,
-    true_residual_every: int = 0,
 ) -> MinresReport:
     """Preconditioned MINRES with residual tracking in the ``Pc^{-1}`` norm.
 
@@ -230,12 +227,8 @@ def minres_solve(
     prec : operator applying the *inverse* of the Hermitian positive definite
         preconditioner (identity if None).
     rhs : right-hand side (required; ``TypeError`` if missing).
-    x0 : initial guess (zero if None).
     eps : relative reduction target for the preconditioned residual norm.
     maxit : iteration cap (default ``2 * dim``).
-    true_residual_every : if positive, record the explicitly recomputed
-        preconditioned residual norm every that many steps (for diagnostics;
-        each check costs one operator and one preconditioner application).
 
     Hermitian symmetry of ``op`` and positivity of ``prec`` are probed on
     random vectors before iterating.  Breakdown of the Lanczos recurrence
@@ -255,15 +248,12 @@ def minres_solve(
 
     _probe_operators(a, m_inv)
 
-    x = np.zeros(n, dtype=np.complex128) if x0 is None else np.array(
-        x0, dtype=np.complex128
-    )
-    lanczos = _lanczos(a, m_inv, rhs - a(x) if np.any(x) else rhs)
+    x = np.zeros(n, dtype=np.complex128)
+    lanczos = _lanczos(a, m_inv, rhs)
     res0 = res = gamma = next(lanczos)
     history = [res0]
     alphas: list[float] = []
     betas: list[float] = []
-    checks: list[tuple[int, float]] = []
     if res0 == 0.0:
         return MinresReport(
             x, np.array(history), np.array(alphas), np.array(betas), 0, True, 0.0
@@ -292,8 +282,6 @@ def minres_solve(
         res = abs(s_new) * res
         history.append(res)
 
-        if true_residual_every and (k % true_residual_every == 0):
-            checks.append((k, _true_residual(a, m_inv, rhs, x)))
         if res <= eps * res0:
             break
 
@@ -310,7 +298,6 @@ def minres_solve(
         iterations=k,
         converged=bool(res <= eps * res0),
         true_residual=_true_residual(a, m_inv, rhs, x),
-        true_residual_checks=checks,
     )
 
 

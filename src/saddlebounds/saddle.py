@@ -7,20 +7,22 @@ Every analysis runs in the reduced geometry, where the norms of
 ``diag(P, R)`` become Euclidean norms: the congruence
 ``diag(Lp, Lr)^{-1} M diag(Lp, Lr)^{-*} = [[At, G*], [G, -Ct]]`` has the
 blocks ``At = Lp^{-1} A Lp^{-*}``, ``G = Lr^{-1} B Lp^{-*}`` and
-``Ct = Lr^{-1} C Lr^{-*}``.  For vanishing C this module computes, exactly
-at the discrete level,
+``Ct = Lr^{-1} C Lr^{-*}``.  :func:`reduce_system` forms them once, as a
+:class:`ReducedSystem`, and every analysis below takes that object.  For
+vanishing C this module computes, exactly at the discrete level,
 
 * the kernel-based block decomposition of the (1,1) block: split the primal
-  space into ker(B) and its P-orthogonal complement, project all blocks onto
-  the two parts (:func:`block_decompose`), and form the explicit inverse of
-  the resulting 3x3 block operator (:func:`three_by_three_inverse`);
+  space into ker(B) and its P-orthogonal complement and project all blocks
+  onto the two parts (:func:`block_decompose`);
 * the constants of the Brezzi-type theory (:func:`brezzi_constants`):
 
-  - ``alpha``: smallest eigenvalue of the (1,1) form restricted to ker(B),
+  - ``alpha``: smallest eigenvalue modulus of the (1,1) form restricted to
+    ker(B), and whether that restriction is positive definite,
   - ``lambda_min_a``, ``lambda_max_a``: extreme eigenvalues of ``At``, the
     range of (A, P),
-  - ``beta``/``b_norm``: extreme singular values of ``G``; one SVD of ``G``
-    also gives the rank test (the discrete inf-sup condition) and ker(B);
+  - ``beta``/``b_norm``: extreme singular values of ``G``; one SVD of ``G``,
+    cached on the reduced system, also gives the rank test (the discrete
+    inf-sup condition) and ker(B);
 
 * the Babuska constants ``gamma = |mu_min|`` and ``B_norm = |mu_max|`` from
   the eigenvalues of the reduced matrix ``[[At, G*], [G, -Ct]]``
@@ -31,6 +33,7 @@ at the discrete level,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -41,7 +44,6 @@ from .densecore import (
     EigenDecomposition,
     as_complex_matrix,
     cholesky,
-    hermitian_eig,
     require_hermitian,
     triangular_congruence,
 )
@@ -51,11 +53,12 @@ from .densecore import generalized_hermitian_eig  # noqa: F401
 __all__ = [
     "SaddleSystem",
     "InnerProduct",
+    "ReducedSystem",
     "BrezziConstants",
     "BabuskaConstants",
     "BlockDecomposition",
+    "reduce_system",
     "block_decompose",
-    "three_by_three_inverse",
     "brezzi_constants",
     "babuska_constants",
     "preconditioned_spectrum",
@@ -105,10 +108,6 @@ class SaddleSystem:
         return self.b.shape[0]
 
     @property
-    def dim(self) -> int:
-        return self.n + self.m
-
-    @property
     def has_zero_c(self) -> bool:
         return not np.any(self.c)
 
@@ -117,12 +116,6 @@ class SaddleSystem:
         top = np.hstack([self.a, self.b.conj().T])
         bottom = np.hstack([self.b, -self.c])
         return np.vstack([top, bottom])
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        u, p = x[: self.n], x[self.n:]
-        return np.concatenate(
-            [self.a @ u + self.b.conj().T @ p, self.b @ u - self.c @ p]
-        )
 
 
 @dataclass(frozen=True)
@@ -162,9 +155,82 @@ class InnerProduct:
         return full
 
 
+@dataclass(frozen=True, eq=False)
+class ReducedSystem:
+    """A system in the Euclidean geometry of its inner product.
+
+    ``at``, ``g`` and ``ct`` are the reduced blocks ``Lp^{-1} A Lp^{-*}``,
+    ``Lr^{-1} B Lp^{-*}`` and ``Lr^{-1} C Lr^{-*}``; ``lp`` and ``lr`` are
+    the Cholesky factors that map results back.  Build it with
+    :func:`reduce_system`.  Instances compare by identity, since arrays
+    have no single truth value.
+    """
+
+    at: np.ndarray
+    g: np.ndarray
+    ct: np.ndarray
+    lp: np.ndarray
+    lr: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.at.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.g.shape[0]
+
+    @property
+    def has_zero_c(self) -> bool:
+        return not np.any(self.ct)
+
+    @cached_property
+    def _svd(self):
+        return np.linalg.svd(self.g)
+
+    def coupling_svd(self, who: str):
+        """The full SVD ``G = U diag(s) Vh``, computed once per instance.
+
+        Raises unless C vanishes and ``G`` (equivalently B) has full row
+        rank: the inf-sup condition, read off the singular values of ``G``
+        with ``RANK_RTOL``.
+        """
+        if not self.has_zero_c:
+            raise ValueError(f"{who} requires a zero (2,2) block")
+        m, n = self.g.shape
+        if m > n:
+            raise ValueError(f"coupling block must be wide, got shape {self.g.shape}")
+        u, s, vh = self._svd
+        rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
+        if rank < m:
+            raise ValueError(
+                f"coupling block is rank deficient: rank {rank} < m = {m} "
+                f"(sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
+            )
+        return u, s, vh
+
+
+def reduce_system(sys: SaddleSystem, ip: InnerProduct) -> ReducedSystem:
+    """Carry ``sys`` into the geometry of ``ip``; any shape, any C.
+
+    ``At`` and a nonzero ``Ct`` are checked Hermitian to 1e-10.
+    """
+    at = require_hermitian(triangular_congruence(ip.lp, sys.a), tol=1e-10)
+    ct = np.zeros_like(sys.c) if sys.has_zero_c else require_hermitian(
+        triangular_congruence(ip.lr, sys.c), tol=1e-10
+    )
+    g = triangular_congruence(ip.lr, sys.b, ip.lp)
+    return ReducedSystem(at=at, g=g, ct=ct, lp=ip.lp, lr=ip.lr)
+
+
 @dataclass(frozen=True)
 class BrezziConstants:
-    """Constants governing well-posedness for systems with zero (2,2) block."""
+    """Constants governing well-posedness for systems with zero (2,2) block.
+
+    ``kernel_coercive`` says whether the (1,1) form is positive definite on
+    ker(B), the case the eigenvalue-range bounds presume; extracted
+    constants read it off the kernel eigenvalues.
+    """
 
     alpha: float
     beta: float
@@ -172,6 +238,7 @@ class BrezziConstants:
     b_norm: float
     lambda_min_a: float
     lambda_max_a: float
+    kernel_coercive: bool = True
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -209,64 +276,23 @@ class BlockDecomposition:
     a11: np.ndarray
     b1: np.ndarray
 
-    @property
-    def kernel_dim(self) -> int:
-        return self.z0.shape[1]
 
-    def assemble(self) -> np.ndarray:
-        """The 3x3 block operator ``[[A00, A01, 0], [A10, A11, B1*], [0, B1, 0]]``."""
-        k, m = self.kernel_dim, self.b1.shape[0]
-        zk = np.zeros((k, m), dtype=np.complex128)
-        zm = np.zeros((m, m), dtype=np.complex128)
-        return np.block(
-            [
-                [self.a00, self.a01, zk],
-                [self.a10, self.a11, self.b1.conj().T],
-                [zk.conj().T, self.b1, zm],
-            ]
-        )
-
-
-def _require_zero_c(sys: SaddleSystem, who: str) -> None:
-    if not sys.has_zero_c:
-        raise ValueError(f"{who} requires a zero (2,2) block")
-
-
-def _reduce(sys: SaddleSystem, ip: InnerProduct, who: str):
-    """``At`` and the full SVD ``G = U diag(s) Vh`` of a zero-C system.
-
-    Raises unless ``G`` (equivalently B) has full row rank: the inf-sup
-    condition, read off the singular values of ``G`` with ``RANK_RTOL``.
-    """
-    _require_zero_c(sys, who)
-    m, n = sys.b.shape
-    if m > n:
-        raise ValueError(f"coupling block must be wide, got shape {sys.b.shape}")
-    a_t = require_hermitian(triangular_congruence(ip.lp, sys.a), tol=1e-10)
-    u, s, vh = np.linalg.svd(triangular_congruence(ip.lr, sys.b, ip.lp))
-    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
-    if rank < m:
-        raise ValueError(
-            f"coupling block is rank deficient: rank {rank} < m = {m} "
-            f"(sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
-        )
-    return a_t, u, s, vh
-
-
-def block_decompose(sys: SaddleSystem, ip: InnerProduct) -> BlockDecomposition:
+def block_decompose(red: ReducedSystem) -> BlockDecomposition:
     """Split the primal space into ker(B) and its P-orthogonal complement.
 
     Requires a zero (2,2) block and full-rank B.  With the SVD
     ``G = U S V1*`` in the reduced geometry, the remaining right singular
     vectors ``V0`` span ker(G); the complement basis is ``V1 U*``, the
     orthonormal polar factor of ``G*``, which does not depend on the SVD's
-    choice of phases.  ``Lp^{-*}`` maps both back to P-orthonormal bases.
+    choice of phases.  ``Lp^{-*}`` maps both back to P-orthonormal bases,
+    and ``B1 = B Z1 = Lr U S U*``.
     """
-    a_t, u, _, vh = _reduce(sys, ip, "block_decompose")
-    v0 = vh[sys.m:].conj().T
-    v1 = vh[: sys.m].conj().T @ u.conj().T
+    u, s, vh = red.coupling_svd("block_decompose")
+    a_t = red.at
+    v0 = vh[red.m:].conj().T
+    v1 = vh[: red.m].conj().T @ u.conj().T
     z = scipy.linalg.solve_triangular(
-        ip.lp.conj().T, np.hstack([v0, v1]), lower=False
+        red.lp.conj().T, np.hstack([v0, v1]), lower=False
     )
     k = v0.shape[1]
     return BlockDecomposition(
@@ -276,49 +302,18 @@ def block_decompose(sys: SaddleSystem, ip: InnerProduct) -> BlockDecomposition:
         a01=v0.conj().T @ a_t @ v1,
         a10=v1.conj().T @ a_t @ v0,
         a11=require_hermitian(v1.conj().T @ a_t @ v1, tol=1e-8),
-        b1=sys.b @ z[:, k:],
+        b1=red.lr @ (u * s) @ u.conj().T,
     )
 
 
-def three_by_three_inverse(dec: BlockDecomposition) -> np.ndarray:
-    """Explicit inverse of the 3x3 block operator of a decomposition.
-
-    ``[[A00^{-1}, 0, -A00^{-1} A01 B1^{-1}],
-       [0, 0, B1^{-1}],
-       [-B1^{-*} A10 A00^{-1}, B1^{-*},
-        -B1^{-*} (A11 - A10 A00^{-1} A01) B1^{-1}]]``
-
-    Requires nonsingular ``A00`` (positive definiteness on the kernel) and
-    full-rank ``B1``.
-    """
-    a00, a01, a10, a11, b1 = dec.a00, dec.a01, dec.a10, dec.a11, dec.b1
-    k, m = a00.shape[0], b1.shape[0]
-    if k:
-        ev = np.linalg.eigvalsh(a00)
-        if np.min(np.abs(ev)) <= 1e-13 * max(np.max(np.abs(ev)), 1e-300):
-            raise ValueError("A00 is singular: system not coercive on ker(B)")
-    a00_inv = np.linalg.inv(a00) if k else a00.reshape(0, 0)
-    b1_inv = np.linalg.inv(b1)
-    b1_inv_h = b1_inv.conj().T
-    schur = a11 - a10 @ a00_inv @ a01
-    zkm = np.zeros((k, m), dtype=np.complex128)
-    zmm = np.zeros((m, m), dtype=np.complex128)
-    return np.block(
-        [
-            [a00_inv, zkm, -a00_inv @ a01 @ b1_inv],
-            [zkm.conj().T, zmm, b1_inv],
-            [-b1_inv_h @ a10 @ a00_inv, b1_inv_h, -b1_inv_h @ schur @ b1_inv],
-        ]
-    )
-
-
-def brezzi_constants(sys: SaddleSystem, ip: InnerProduct) -> BrezziConstants:
-    """Exact Brezzi-type constants of ``(system, inner product)``.
+def brezzi_constants(red: ReducedSystem) -> BrezziConstants:
+    """Exact Brezzi-type constants of a reduced system.
 
     * ``alpha``: inf-sup constant of the (1,1) form on ker(B).  For a
       Hermitian form this is the smallest eigenvalue modulus of the kernel
       block ``V0* At V0``; when the form is coercive on the kernel it
       coincides with the smallest eigenvalue itself,
+    * ``kernel_coercive``: whether the kernel block is positive definite,
     * ``lambda_min_a / lambda_max_a``: extreme eigenvalues of ``At``, i.e. of
       the pencil (A, P),
     * ``beta / b_norm``: extreme singular values of ``G``; their squares are
@@ -327,21 +322,21 @@ def brezzi_constants(sys: SaddleSystem, ip: InnerProduct) -> BrezziConstants:
 
     The eigenvalue-range bounds downstream (:func:`saddlebounds.bounds.\
 mu3_cubic` via :func:`saddlebounds.bounds.inclusion_set`) presume the
-    coercive representation of ``alpha``; they apply when the kernel block
-    is positive definite.
+    coercive representation of ``alpha``; ``inclusion_set`` refuses
+    constants whose kernel block is not positive definite.
     """
-    a_t, _, s, vh = _reduce(sys, ip, "brezzi_constants")
-    if sys.n == sys.m:
+    _, s, vh = red.coupling_svd("brezzi_constants")
+    if red.n == red.m:
         raise ValueError("ker(B) is trivial; the kernel inf-sup is undefined")
-    v0 = vh[sys.m:].conj().T
-    kernel_eigs = np.linalg.eigvalsh(v0.conj().T @ a_t @ v0)
+    v0 = vh[red.m:].conj().T
+    kernel_eigs = np.linalg.eigvalsh(v0.conj().T @ red.at @ v0)
     alpha = float(np.min(np.abs(kernel_eigs)))
     if alpha <= 1e-12 * max(float(np.max(np.abs(kernel_eigs))), 1e-300):
         raise ValueError(
             f"(1,1) block is not elliptic on ker(B): inf-sup constant "
             f"{alpha:.6e} vanishes (singular kernel block)"
         )
-    lam = np.linalg.eigvalsh(a_t)
+    lam = np.linalg.eigvalsh(red.at)
     lam_min, lam_max = float(lam[0]), float(lam[-1])
     return BrezziConstants(
         alpha=alpha,
@@ -350,28 +345,28 @@ mu3_cubic` via :func:`saddlebounds.bounds.inclusion_set`) presume the
         b_norm=float(s[0]),
         lambda_min_a=lam_min,
         lambda_max_a=lam_max,
+        kernel_coercive=bool(kernel_eigs[0] > 0.0),
     )
 
 
-def preconditioned_spectrum(sys: SaddleSystem, ip: InnerProduct) -> EigenDecomposition:
+def preconditioned_spectrum(red: ReducedSystem) -> EigenDecomposition:
     """Eigenvalues (real, ascending) of the generalized problem ``M x = mu Pc x``.
 
     These are the eigenvalues of the reduced matrix ``[[At, G*], [G, -Ct]]``.
+    It is Hermitian by construction, since :func:`reduce_system` checked and
+    symmetrized ``At`` and ``Ct``, so it is not checked again.
     """
-    g = triangular_congruence(ip.lr, sys.b, ip.lp)
-    at, ct = triangular_congruence(ip.lp, sys.a), triangular_congruence(ip.lr, sys.c)
-    return hermitian_eig(np.block([[at, g.conj().T], [g, -ct]]), tol=1e-10)
+    block = np.block([[red.at, red.g.conj().T], [red.g, -red.ct]])
+    return EigenDecomposition(eigenvalues=np.linalg.eigvalsh(block))
 
 
-def babuska_constants(
-    sys: SaddleSystem, ip: InnerProduct, singular_rtol: float = 1e-12
-) -> BabuskaConstants:
+def babuska_constants(red: ReducedSystem) -> BabuskaConstants:
     """Extreme moduli ``(gamma, B_norm)`` of the preconditioned spectrum."""
-    spec = preconditioned_spectrum(sys, ip)
+    spec = preconditioned_spectrum(red)
     moduli = np.abs(spec.eigenvalues)
     gamma = float(np.min(moduli))
     b_norm = float(np.max(moduli))
-    if gamma <= singular_rtol * max(b_norm, 1e-300):
+    if gamma <= 1e-12 * max(b_norm, 1e-300):
         raise ValueError(
             f"system is singular: smallest eigenvalue modulus {gamma:.3e}"
         )

@@ -26,6 +26,7 @@ from saddlebounds.saddle import (
     BrezziConstants,
     brezzi_constants,
     preconditioned_spectrum,
+    reduce_system,
 )
 from saddlebounds.spectrum import pairing_check
 from reference_gmres import gmres_pc_norm
@@ -125,7 +126,9 @@ def test_criterion_04_parabolic_inclusion_interval():
     mesh = build_mesh(2)
     for nu, om in PARABOLIC_GRID:
         problem = parabolic_kkt(mesh, nu, om)
-        spec = preconditioned_spectrum(problem.saddle_system(), problem.inner_product())
+        spec = preconditioned_spectrum(
+            reduce_system(problem.saddle_system(), problem.inner_product())
+        )
         if not inc.contains(spec.eigenvalues, slack=1e-6):
             failures.append(f"spectrum escapes at nu={nu:g}, omega={om:g}")
     elapsed = time.perf_counter() - start
@@ -142,7 +145,9 @@ def test_criterion_05_parabolic_theorem_constants():
     failures = []
     for nu, om in PARABOLIC_GRID:
         problem = parabolic_kkt(mesh, nu, om)
-        bc = brezzi_constants(problem.saddle_system(), problem.inner_product())
+        bc = brezzi_constants(
+            reduce_system(problem.saddle_system(), problem.inner_product())
+        )
         checks = {
             "alpha": bc.alpha >= 2.0 - SQRT2 - 1e-10,
             "lambda_min": bc.lambda_min_a >= -1e-12,
@@ -164,7 +169,7 @@ def test_criterion_06_symmetric_spectra():
         for nu, om in [(1.0, 1.0), (1e-4, 100.0)]:
             reduced = parabolic_reduced(mesh, nu, om)
             spec = preconditioned_spectrum(
-                reduced.saddle_system(), reduced.inner_product()
+                reduce_system(reduced.saddle_system(), reduced.inner_product())
             )
             pr = pairing_check(spec.eigenvalues, tol=1e-8)
             worst_defect = max(worst_defect, pr.defect)
@@ -175,7 +180,7 @@ def test_criterion_06_symmetric_spectra():
                 failures.append(f"reduced spectrum escapes at l={level}, nu={nu:g}")
             stokes = stokes_system(mesh, nu, om)
             sp2 = preconditioned_spectrum(
-                stokes.saddle_system(), stokes.inner_product()
+                reduce_system(stokes.saddle_system(), stokes.inner_product())
             )
             pr2 = pairing_check(sp2.eigenvalues, tol=1e-8)
             worst_defect = max(worst_defect, pr2.defect)
@@ -330,7 +335,9 @@ def test_criterion_10_iteration_bound_consistency():
         cases.append(parabolic_kkt(build_mesh(level), 1.0, 1.0))
         cases.append(parabolic_reduced(build_mesh(level), 1.0, 1.0))
     for problem in cases:
-        spec = preconditioned_spectrum(problem.saddle_system(), problem.inner_product())
+        spec = preconditioned_spectrum(
+            reduce_system(problem.saddle_system(), problem.inner_product())
+        )
         moduli = np.abs(spec.eigenvalues)
         bound = bnd.minres_iteration_bound(float(moduli.min()), float(moduli.max()), 1e-8)
         run = minres_solve(

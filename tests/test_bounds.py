@@ -20,7 +20,13 @@ from saddlebounds.bounds import (
     witness_general,
     witness_hermitian,
 )
-from saddlebounds.saddle import BrezziConstants, InnerProduct, brezzi_constants
+from saddlebounds.saddle import (
+    BrezziConstants,
+    InnerProduct,
+    SaddleSystem,
+    brezzi_constants,
+    reduce_system,
+)
 from saddlebounds.densecore import generalized_hermitian_eig
 from saddlebounds.verify import random_coercive_system
 
@@ -252,10 +258,18 @@ class TestInclusionSet:
             n = int(rng.integers(3, 9))
             m = int(rng.integers(1, min(n, 5)))
             sys, ip = random_coercive_system(rng, n, m)
-            constants = brezzi_constants(sys, ip)
+            constants = brezzi_constants(reduce_system(sys, ip))
             inc = inclusion_set(constants)
             spec = generalized_hermitian_eig(sys.assemble(), ip.assemble())
             assert inc.contains(spec.eigenvalues, slack=1e-8)
+
+    def test_indefinite_kernel_rejected(self):
+        sys = SaddleSystem(a=np.array([[-2.0, 2.0], [2.0, 1.0]]), b=np.array([[0.0, 1.0]]))
+        constants = brezzi_constants(reduce_system(sys, InnerProduct.identity(2, 1)))
+        assert constants.alpha == pytest.approx(2.0)
+        assert not constants.kernel_coercive
+        with pytest.raises(ValueError, match="positive definite on ker"):
+            inclusion_set(constants)
 
     def test_invalid_ordering_rejected(self):
         with pytest.raises(ValueError):
@@ -278,7 +292,7 @@ class TestWitnesses:
 
     def test_general_constants_recovered(self):
         sys = witness_general(0.5, 1.0, 1.0)
-        bc = brezzi_constants(sys, InnerProduct.identity(2, 1))
+        bc = brezzi_constants(reduce_system(sys, InnerProduct.identity(2, 1)))
         assert bc.alpha == pytest.approx(0.5, abs=1e-12)
         assert bc.beta == pytest.approx(1.0, abs=1e-12)
         assert bc.a_norm == pytest.approx(1.0, abs=1e-12)

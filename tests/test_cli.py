@@ -53,6 +53,22 @@ class TestBoundsCommand:
         assert main(["bounds", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_indefinite_kernel_omits_inclusion(self, tmp_path, capsys):
+        # A is negative definite on ker(B) = span(e1); the eigenvalue -0.278
+        # lies outside the cubic set [-3.30, -0.414] u [0.303, 2.41].
+        sys = SaddleSystem(a=np.array([[-2.0, 2.0], [2.0, 1.0]]), b=np.array([[0.0, 1.0]]))
+        mmio.save_bundle(tmp_path / "indef", sys, InnerProduct.identity(2, 1))
+        assert main(["bounds", str(tmp_path / "indef")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        omitted = [l for l in lines if l.startswith("inclusion")]
+        assert omitted == [
+            "inclusion = omitted: the (1,1) block is not positive definite on ker(B)"
+        ]
+        assert not any(l.startswith("mu3_simple") for l in lines)
+        assert "gamma = 0.277754366237" in lines
+        assert "gamma_opt = 0.200809756473" in lines
+        assert lines[-1] == "sharpness = strict"
+
 
 class TestTableCommand:
     def test_reduced_parabolic_row(self, tmp_path):

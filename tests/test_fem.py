@@ -25,7 +25,12 @@ from saddlebounds.fem.problems import (
     stream_profile,
     stream_profile_derivative,
 )
-from saddlebounds.saddle import BrezziConstants, brezzi_constants, preconditioned_spectrum
+from saddlebounds.saddle import (
+    BrezziConstants,
+    brezzi_constants,
+    preconditioned_spectrum,
+    reduce_system,
+)
 from saddlebounds.spectrum import detect_structure, pairing_check
 
 SQRT2 = math.sqrt(2.0)
@@ -214,7 +219,9 @@ class TestParabolicProblems:
     @pytest.mark.parametrize("omega", (0.0, 1.0, 100.0))
     def test_kkt_theorem_constants(self, nu, omega):
         problem = parabolic_kkt(build_mesh(2), nu, omega)
-        bc = brezzi_constants(problem.saddle_system(), problem.inner_product())
+        bc = brezzi_constants(
+            reduce_system(problem.saddle_system(), problem.inner_product())
+        )
         assert bc.alpha >= 2.0 - SQRT2 - 1e-10
         assert bc.lambda_min_a >= -1e-12
         assert bc.lambda_max_a <= 1.0 + 1e-10
@@ -228,7 +235,9 @@ class TestParabolicProblems:
         )
         inc = inclusion_set(constants)
         problem = parabolic_kkt(build_mesh(2), nu=1.0, omega=1.0)
-        spec = preconditioned_spectrum(problem.saddle_system(), problem.inner_product())
+        spec = preconditioned_spectrum(
+            reduce_system(problem.saddle_system(), problem.inner_product())
+        )
         assert inc.contains(spec.eigenvalues, slack=1e-6)
 
     def test_reduced_structure_detected(self):
@@ -239,7 +248,9 @@ class TestParabolicProblems:
     @pytest.mark.parametrize("omega", (0.0, 1.0, 100.0))
     def test_reduced_spectrum_and_pairing(self, nu, omega):
         problem = parabolic_reduced(build_mesh(2), nu, omega)
-        spec = preconditioned_spectrum(problem.saddle_system(), problem.inner_product())
+        spec = preconditioned_spectrum(
+            reduce_system(problem.saddle_system(), problem.inner_product())
+        )
         moduli = np.abs(spec.eigenvalues)
         assert moduli.min() >= 1.0 / SQRT3 - 1e-6
         assert moduli.max() <= 1.0 + 1e-6
@@ -256,7 +267,9 @@ class TestStokesProblem:
     @pytest.mark.parametrize("nu,omega", [(1.0, 1.0), (1e-4, 100.0), (1e8, 0.0)])
     def test_theorem_constants(self, nu, omega):
         problem = stokes_system(build_mesh(2), nu, omega)
-        bc = brezzi_constants(problem.saddle_system(), problem.inner_product())
+        bc = brezzi_constants(
+            reduce_system(problem.saddle_system(), problem.inner_product())
+        )
         assert bc.beta == pytest.approx(1.0, abs=1e-8)
         assert bc.b_norm == pytest.approx(1.0, abs=1e-8)
         assert bc.alpha >= 1.0 / SQRT3 - 1e-8
@@ -264,7 +277,9 @@ class TestStokesProblem:
 
     def test_spectrum_symmetric(self):
         problem = stokes_system(build_mesh(2), nu=1.0, omega=1.0)
-        spec = preconditioned_spectrum(problem.saddle_system(), problem.inner_product())
+        spec = preconditioned_spectrum(
+            reduce_system(problem.saddle_system(), problem.inner_product())
+        )
         assert pairing_check(spec.eigenvalues, tol=1e-8).passed
 
     def test_hermitian_assembly(self):

@@ -76,13 +76,16 @@ class TestMinresBasics:
         a = random_hermitian(rng, 20)
         p = random_spd(rng, 20)
         rhs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        report = minres_solve(a, np.linalg.inv(p), rhs, eps=1e-9, true_residual_every=5)
-        for step, true_norm in report.true_residual_checks:
-            rec = report.residual_history[step]
-            assert true_norm == pytest.approx(rec, rel=1e-6, abs=1e-12)
-        assert report.true_residual == pytest.approx(
-            report.residual_history[-1], rel=1e-6, abs=1e-12
-        )
+        p_inv = np.linalg.inv(p)
+        # Stop every 5 steps, and at convergence, to compare the two residuals.
+        for maxit in range(5, 45, 5):
+            report = minres_solve(a, p_inv, rhs, eps=1e-9, maxit=maxit)
+            assert report.true_residual == pytest.approx(
+                report.residual_history[-1], rel=1e-6, abs=1e-12
+            )
+            if report.converged:
+                break
+        assert report.converged
 
     def test_lanczos_scalars_real_and_positive_offdiag(self, rng):
         a = random_hermitian(rng, 10)
