@@ -1,4 +1,4 @@
-"""Dense complex linear algebra kernels shared by the whole package.
+"""Dense linear algebra kernels shared by the whole package.
 
 Everything downstream (constant extraction, inclusion-bound verification,
 FEM model problems) reduces to a handful of primitives collected here:
@@ -11,8 +11,10 @@ relies on.
 
 Conventions
 -----------
-* All dense matrices are numpy arrays in C (row-major) order with
-  ``complex128`` entries; real inputs are accepted and promoted.
+* All dense matrices are numpy arrays in C (row-major) order.  Each one
+  keeps the field of its data: real input stays ``float64`` and complex
+  input becomes ``complex128``, so real blocks get real LAPACK.  A result
+  is complex only where a complex operand makes it so.
 * Eigenvalues are returned as real arrays in ascending order.
 * ``M`` always denotes a Hermitian positive definite matrix.
 """
@@ -28,10 +30,11 @@ __all__ = [
     "EigenDecomposition",
     "NotHermitianError",
     "NotPositiveDefiniteError",
-    "as_complex_matrix",
+    "as_matrix",
     "require_hermitian",
     "hermitian_eig",
     "cholesky",
+    "real_columns",
     "triangular_congruence",
     "generalized_hermitian_eig",
 ]
@@ -78,9 +81,12 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Return ``a`` as a 2-d C-contiguous complex128 array."""
-    m = np.ascontiguousarray(a, dtype=np.complex128)
+def as_matrix(a) -> np.ndarray:
+    """Return ``a`` as a 2-d C-contiguous array, complex128 if ``a`` is
+    complex and float64 otherwise."""
+    a = np.asarray(a)
+    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+    m = np.ascontiguousarray(a, dtype=dtype)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
     return m
@@ -93,14 +99,25 @@ def require_hermitian(h, tol: float = HERMITIAN_RTOL) -> np.ndarray:
     asymmetry without hiding genuine violations: those raise
     :class:`NotHermitianError` with the measured defect.
     """
-    h = as_complex_matrix(h)
+    h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"Hermitian matrix must be square, got {h.shape}")
-    scale = float(np.max(np.abs(h))) if h.size else 0.0
-    defect = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
+    scale = float(np.max(np.abs(h), initial=0.0))
+    # h* = Re(h)^T - i Im(h)^T is never formed: each part of the defect
+    # h - h*, and then of the sum h + h*, is written into one buffer.
+    out = np.empty_like(h)
+    parts = [(h.real, out.real, np.subtract, np.add)]
+    if np.iscomplexobj(h):
+        parts.append((h.imag, out.imag, np.add, np.subtract))
+    for part, dest, minus, _ in parts:
+        minus(part, part.T, out=dest)
+    defect = float(np.max(np.abs(out), initial=0.0))
     if defect > tol * max(scale, 1e-300):
         raise NotHermitianError(defect, tol * scale)
-    return 0.5 * (h + h.conj().T)
+    for part, dest, _, plus in parts:
+        plus(part, part.T, out=dest)
+    out *= 0.5
+    return out
 
 
 def hermitian_eig(h, tol: float = HERMITIAN_RTOL) -> EigenDecomposition:
@@ -120,7 +137,7 @@ def cholesky(m) -> np.ndarray:
     raises :class:`NotPositiveDefiniteError` with the failing pivot index.
     """
     try:
-        return scipy.linalg.cholesky(as_complex_matrix(m), lower=True)
+        return scipy.linalg.cholesky(as_matrix(m), lower=True)
     except scipy.linalg.LinAlgError as exc:
         # LAPACK reports the 1-based order of the failing leading minor.
         msg = str(exc)
@@ -132,11 +149,34 @@ def cholesky(m) -> np.ndarray:
         raise NotPositiveDefiniteError(pivot) from exc
 
 
+def real_columns(op, x) -> np.ndarray:
+    """``op(x)`` for a real linear map ``op`` on the columns of a matrix ``x``.
+
+    A complex ``x`` is viewed as a real array with twice the columns (real
+    and imaginary parts interleaved) and the result viewed back, so a real
+    operand is never promoted to complex.  Real ``x`` is passed through.
+    """
+    if not np.iscomplexobj(x):
+        return op(x)
+    y = op(np.ascontiguousarray(x, dtype=np.complex128).view(np.float64))
+    return np.ascontiguousarray(y).view(np.complex128)
+
+
+def _solve_lower(l, x) -> np.ndarray:  # noqa: E741
+    if np.iscomplexobj(l):
+        return scipy.linalg.solve_triangular(l, x, lower=True)
+    return real_columns(lambda y: scipy.linalg.solve_triangular(l, y, lower=True), x)
+
+
 def triangular_congruence(l, x, r=None) -> np.ndarray:  # noqa: E741
-    """``L^{-1} X R^{-*}`` for lower-triangular ``L`` and ``R`` (default ``R = L``)."""
+    """``L^{-1} X R^{-*}`` for lower-triangular ``L`` and ``R`` (default ``R = L``).
+
+    A real factor meets a complex ``X`` in real arithmetic, on the real and
+    imaginary parts as separate columns.
+    """
     r = l if r is None else r
-    y = scipy.linalg.solve_triangular(l, x, lower=True)
-    return scipy.linalg.solve_triangular(r, y.conj().T, lower=True).conj().T
+    y = _solve_lower(l, x)
+    return _solve_lower(r, y.conj().T).conj().T
 
 
 def generalized_hermitian_eig(a, m, tol: float = HERMITIAN_RTOL) -> EigenDecomposition:

@@ -45,6 +45,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from ..densecore import real_columns
 from ..krylov import LinearOperator
 from ..saddle import InnerProduct, SaddleSystem
 from .assembly import assemble_p1, assemble_taylor_hood
@@ -135,8 +136,9 @@ class BlockPreconditioner:
 
     An application gathers the slices of each factor into one ``(n, k)``
     array, views a complex one as a real ``(n, 2k)`` array (real and
-    imaginary parts become interleaved columns, without a copy), solves
-    once, and scatters the scaled result into a preallocated output.  Inputs
+    imaginary parts become interleaved columns, without a copy, by
+    :func:`~saddlebounds.densecore.real_columns`), solves once, and scatters
+    the scaled result into a preallocated output.  Inputs
     of shape ``(dim,)`` and ``(dim, k)`` are accepted and never mutated.
     """
 
@@ -163,7 +165,7 @@ class BlockPreconditioner:
         out = np.empty(cols.shape, dtype=dtype)
         for factor, slices, scales in self._blocks:
             rhs = np.concatenate([cols[rows] for rows in slices], axis=1, dtype=dtype)
-            sol = np.ascontiguousarray(factor.solve(rhs.view(np.float64))).view(dtype)
+            sol = real_columns(factor.solve, rhs)
             for j, (rows, scale) in enumerate(zip(slices, scales)):
                 np.multiply(sol[:, j * k : (j + 1) * k], scale, out=out[rows])
         return out.reshape(x.shape)
@@ -188,7 +190,9 @@ class BlockPreconditioner:
 class ModelProblem:
     """Assembled optimality system, inner product, right-hand side, metadata.
 
-    Blocks are kept sparse so the largest experiments stay matrix-free;
+    Blocks are kept sparse so the largest experiments stay matrix-free, each
+    in the field of its values (only blocks with an ``i omega`` term are
+    complex); :meth:`matrix` assembles the system in complex128, and
     :meth:`saddle_system` and :meth:`inner_product` densify for the exact
     eigenvalue analyses at desk scale.  ``precond_solve`` applies the
     inverse of the block-diagonal inner-product matrix, which
@@ -282,10 +286,8 @@ def parabolic_kkt(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     n = fem.dim
     y_op = _shifted_operator(mass, stiff, nu, omega)
 
-    a = scipy.sparse.block_diag([mass, nu * mass], format="csr").astype(np.complex128)
-    b = scipy.sparse.hstack(
-        [(stiff + 1j * omega * mass), -mass.astype(np.complex128)], format="csr"
-    )
+    a = scipy.sparse.block_diag([mass, nu * mass], format="csr")
+    b = scipy.sparse.hstack([(stiff + 1j * omega * mass), -mass], format="csr")
     precond = BlockPreconditioner(
         3 * n,
         [
@@ -327,9 +329,9 @@ def parabolic_reduced(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     n = fem.dim
     p_op = _shifted_operator(mass, stiff, nu, omega)
 
-    a = mass.astype(np.complex128).tocsr()
+    a = mass
     b = (np.sqrt(nu) * (stiff + 1j * omega * mass)).tocsr()
-    c = mass.astype(np.complex128).tocsr()  # (2,2) block of the matrix is -M
+    c = mass.copy()  # (2,2) block of the matrix is -M
 
     precond = BlockPreconditioner(
         2 * n, [(SpdFactor(p_op), [slice(0, n), slice(n, 2 * n)], [1.0, 1.0])]

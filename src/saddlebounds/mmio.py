@@ -1,9 +1,11 @@
 """Matrix Market import/export and system bundles.
 
 Single matrices go through the standard exchange format (coordinate variant
-for sparse input, array variant for dense; real or complex field as needed)
-with enough decimal digits that reading a file the package wrote reproduces
-the values bit-exactly.
+for sparse input, array variant for dense) with enough decimal digits that
+reading a file the package wrote reproduces the values bit-exactly.  A
+matrix is written in the field of its dtype: real blocks, such as the mass
+and inner-product blocks of the model problems, as real fields, and only
+complex blocks as complex fields.
 
 A *bundle* is a directory holding one file per block of a saddle-point
 system plus its inner product, tied together by a small JSON manifest with

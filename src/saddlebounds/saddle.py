@@ -8,7 +8,10 @@ Every analysis runs in the reduced geometry, where the norms of
 ``diag(Lp, Lr)^{-1} M diag(Lp, Lr)^{-*} = [[At, G*], [G, -Ct]]`` has the
 blocks ``At = Lp^{-1} A Lp^{-*}``, ``G = Lr^{-1} B Lp^{-*}`` and
 ``Ct = Lr^{-1} C Lr^{-*}``.  :func:`reduce_system` forms them once, as a
-:class:`ReducedSystem`, and every analysis below takes that object.  For
+:class:`ReducedSystem`, and every analysis below takes that object.  Every
+block keeps the field of its values, so a real block of a complex system
+(``A``, ``P`` and ``R`` of the parabolic KKT system) is factored, reduced
+and diagonalized in real arithmetic.  For
 vanishing C this module computes, exactly at the discrete level,
 
 * the kernel-based block decomposition of the (1,1) block: split the primal
@@ -42,8 +45,9 @@ import scipy.sparse
 from .densecore import (
     RANK_RTOL,
     EigenDecomposition,
-    as_complex_matrix,
+    as_matrix,
     cholesky,
+    real_columns,
     require_hermitian,
     triangular_congruence,
 )
@@ -66,17 +70,24 @@ __all__ = [
 
 
 def _dense(block) -> np.ndarray:
+    """A block as a dense matrix in the field of its values: a complex block
+    whose imaginary part is exactly zero becomes float64."""
     if scipy.sparse.issparse(block):
         block = block.toarray()
-    return as_complex_matrix(block)
+    block = as_matrix(block)
+    if np.iscomplexobj(block) and not np.any(block.imag):
+        block = np.ascontiguousarray(block.real)
+    return block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaddleSystem:
     """Hermitian block system ``[[A, B*], [B, -C]]``.
 
     ``a`` is n x n Hermitian, ``b`` is m x n, ``c`` is m x m Hermitian
-    (zero by default).  Sparse blocks are accepted and densified.
+    (zero by default, in the dtype of ``a`` and ``b``).  Sparse blocks are
+    accepted and densified; each block is real if its values are.
+    Instances compare by identity.
     """
 
     a: np.ndarray
@@ -91,8 +102,8 @@ class SaddleSystem:
                 f"coupling block is {b.shape}, expected (m, {a.shape[0]})"
             )
         c = self.c
-        c = np.zeros((b.shape[0], b.shape[0]), dtype=np.complex128) if c is None \
-            else require_hermitian(_dense(c))
+        c = np.zeros((b.shape[0], b.shape[0]), dtype=np.result_type(a, b)) \
+            if c is None else require_hermitian(_dense(c))
         if c.shape[0] != b.shape[0]:
             raise ValueError(f"(2,2) block is {c.shape}, expected m = {b.shape[0]}")
         object.__setattr__(self, "a", a)
@@ -118,15 +129,19 @@ class SaddleSystem:
         return np.vstack([top, bottom])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerProduct:
     """Block-diagonal inner product ``diag(P, R)`` with SPD blocks and their
-    Cholesky factors ``P = Lp Lp*``, ``R = Lr Lr*`` (factoring checks SPD)."""
+    Cholesky factors ``P = Lp Lp*``, ``R = Lr Lr*`` (factoring checks SPD).
+
+    Real blocks, and their factors, stay real.  Instances compare by
+    identity.
+    """
 
     p: np.ndarray
     r: np.ndarray
-    lp: np.ndarray = field(init=False, repr=False, compare=False)
-    lr: np.ndarray = field(init=False, repr=False, compare=False)
+    lp: np.ndarray = field(init=False, repr=False)
+    lr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = require_hermitian(_dense(self.p))
@@ -149,7 +164,9 @@ class InnerProduct:
         return self.r.shape[0]
 
     def assemble(self) -> np.ndarray:
-        full = np.zeros((self.n + self.m, self.n + self.m), dtype=np.complex128)
+        full = np.zeros(
+            (self.n + self.m, self.n + self.m), dtype=np.result_type(self.p, self.r)
+        )
         full[: self.n, : self.n] = self.p
         full[self.n:, self.n:] = self.r
         return full
@@ -329,7 +346,10 @@ mu3_cubic` via :func:`saddlebounds.bounds.inclusion_set`) presume the
     if red.n == red.m:
         raise ValueError("ker(B) is trivial; the kernel inf-sup is undefined")
     v0 = vh[red.m:].conj().T
-    kernel_eigs = np.linalg.eigvalsh(v0.conj().T @ red.at @ v0)
+    at_v0 = (
+        red.at @ v0 if np.iscomplexobj(red.at) else real_columns(red.at.__matmul__, v0)
+    )
+    kernel_eigs = np.linalg.eigvalsh(v0.conj().T @ at_v0)
     alpha = float(np.min(np.abs(kernel_eigs)))
     if alpha <= 1e-12 * max(float(np.max(np.abs(kernel_eigs))), 1e-300):
         raise ValueError(

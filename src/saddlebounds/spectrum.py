@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .densecore import as_complex_matrix
+from .densecore import as_matrix
 from .saddle import SaddleSystem
 
 __all__ = [
@@ -141,8 +141,8 @@ def linearize_quadratic(sys: SymmetricSpectrumSystem) -> np.ndarray:
     which is exactly the shape handled by :func:`skew_pairing_check`.
     Requires nonsingular B.
     """
-    a = as_complex_matrix(sys.a)
-    b = as_complex_matrix(sys.b)
+    a = as_matrix(sys.a)
+    b = as_matrix(sys.b)
     n = a.shape[0]
     scale_b = float(np.max(np.abs(b))) if b.size else 0.0
     sv = np.linalg.svd(b, compute_uv=False)
@@ -165,8 +165,8 @@ def skew_pairing_check(h, s, tol: float = 1e-8) -> PairingReport:
     minimal-distance matching of each eigenvalue with the negative of
     another.
     """
-    h = as_complex_matrix(h)
-    s = as_complex_matrix(s)
+    h = as_matrix(h)
+    s = as_matrix(s)
     n = h.shape[0]
     if h.shape != (n, n) or s.shape != (n, n):
         raise ValueError("H and S must be square of equal size")

@@ -5,9 +5,12 @@ import scipy.linalg
 from saddlebounds.densecore import (
     NotHermitianError,
     NotPositiveDefiniteError,
+    as_matrix,
     cholesky,
     generalized_hermitian_eig,
     hermitian_eig,
+    require_hermitian,
+    triangular_congruence,
 )
 from saddlebounds.saddle import (
     InnerProduct,
@@ -54,6 +57,43 @@ class TestHermitianEig:
         with pytest.raises(NotHermitianError) as err:
             hermitian_eig(bad)
         assert err.value.defect == pytest.approx(1.0)
+
+
+class TestFields:
+    """Real input stays real; complex input stays complex."""
+
+    def test_as_matrix_dtypes(self):
+        assert as_matrix(np.eye(2, dtype=int)).dtype == np.float64
+        assert as_matrix(np.eye(2, dtype=np.complex64)).dtype == np.complex128
+        assert as_matrix(np.eye(2, dtype=complex)).dtype == np.complex128
+
+    def test_require_hermitian_symmetrizes_in_field(self, rng):
+        for h in (random_spd(rng, 6, complex_entries=False), random_hermitian(rng, 6)):
+            noisy = h + 1e-14 * rng.standard_normal(h.shape)
+            sym = require_hermitian(noisy)
+            assert sym.dtype == h.dtype
+            assert np.array_equal(sym, 0.5 * (noisy + noisy.conj().T))
+
+    def test_real_cholesky(self, rng):
+        assert cholesky(random_spd(rng, 5, complex_entries=False)).dtype == np.float64
+
+    def test_real_factor_complex_right_hand_side(self, rng):
+        # A complex X against real factors, solved as real columns, matches
+        # the solve with the factors promoted to complex.  X is a
+        # non-contiguous slice.
+        l = cholesky(random_spd(rng, 7, complex_entries=False))
+        r = cholesky(random_spd(rng, 4, complex_entries=False))
+        big = rng.standard_normal((10, 9)) + 1j * rng.standard_normal((10, 9))
+        x = big[:7, 1::2]
+        assert not x.flags.c_contiguous
+        got = triangular_congruence(l, x, r)
+        want = triangular_congruence(l.astype(complex), x, r.astype(complex))
+        assert got.dtype == np.complex128
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        square = big[:7, :7].T
+        got = triangular_congruence(l, square)
+        want = triangular_congruence(l.astype(complex), square)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestCholesky:

@@ -4,7 +4,8 @@ import scipy.sparse
 
 from saddlebounds import mmio
 from saddlebounds.bounds import witness_general
-from saddlebounds.saddle import InnerProduct, SaddleSystem
+from saddlebounds.fem import build_mesh, parabolic_kkt, stokes_system
+from saddlebounds.saddle import InnerProduct, SaddleSystem, reduce_system
 from saddlebounds.verify import random_coercive_system
 
 
@@ -107,3 +108,23 @@ class TestBundle:
         manifest_path.write_text(manifest_path.read_text().replace('"n": 3', '"n": 4'))
         with pytest.raises(ValueError, match="dimensions"):
             mmio.load_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize(
+        "builder, complex_block, complex_reduced",
+        [
+            # only B = [K + i omega M, -M] carries i omega
+            (parabolic_kkt, "B", "g"),
+            # A carries i omega; the divergence coupling is real
+            (stokes_system, "A", "at"),
+        ],
+    )
+    def test_blocks_keep_their_field(self, tmp_path, builder, complex_block, complex_reduced):
+        problem = builder(build_mesh(2), nu=1.0, omega=1.0)
+        mmio.save_bundle(tmp_path / "b", problem.saddle_system(), problem.inner_product())
+        for name in "ABCPR":
+            header = (tmp_path / "b" / f"{name}.mtx").read_text().splitlines()[0]
+            assert header.split()[3] == ("complex" if name == complex_block else "real")
+        red = reduce_system(*mmio.load_bundle(tmp_path / "b"))
+        for name in ("at", "g", "lp", "lr"):
+            want = np.complex128 if name == complex_reduced else np.float64
+            assert getattr(red, name).dtype == want, name

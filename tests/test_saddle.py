@@ -82,6 +82,23 @@ def p_unitary(rng, p):
 
 
 class TestSystemModel:
+    def test_compare_by_identity(self):
+        # Array fields have no single truth value; == must not raise.
+        ip = InnerProduct.identity(2, 1)
+        assert ip == ip and ip != InnerProduct.identity(2, 1)
+        sys = SaddleSystem(a=np.eye(2), b=np.ones((1, 2)))
+        assert sys == sys and sys != SaddleSystem(a=np.eye(2), b=np.ones((1, 2)))
+
+    def test_blocks_keep_their_field(self):
+        # Exactly-real complex input narrows to float64; the zero C and the
+        # assembled inner product take the dtype of their blocks.
+        sys = SaddleSystem(a=np.eye(2, dtype=complex), b=np.ones((1, 2), dtype=complex))
+        assert sys.a.dtype == sys.b.dtype == sys.c.dtype == np.float64
+        mixed = SaddleSystem(a=np.eye(2), b=np.array([[1.0, 1j]]))
+        assert mixed.a.dtype == np.float64 and mixed.c.dtype == np.complex128
+        ip = InnerProduct(p=np.eye(2, dtype=complex), r=np.eye(1))
+        assert ip.lp.dtype == ip.assemble().dtype == np.float64
+
     def test_assemble_hermitian(self, rng):
         sys, _ = random_coercive_system(rng, 5, 2)
         full = sys.assemble()
@@ -300,6 +317,35 @@ class TestBabuskaConstants:
             assert bab.b_norm <= b_norm_upper(bc.a_norm, bc.b_norm) + 1e-10
 
 
+def assert_matches_pencils(sys, ip, red):
+    """Every dense constant of ``red`` against scipy's pencil eigenvalues of
+    the unreduced blocks, to 1e-10 relative; returns the constants."""
+
+    def close(got, want, scale):
+        assert abs(got - want) <= 1e-10 * scale
+
+    mu = preconditioned_spectrum(red).eigenvalues
+    ref = scipy.linalg.eigh(sys.assemble(), ip.assemble(), eigvals_only=True)
+    assert np.max(np.abs(mu - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    bc = brezzi_constants(red)
+    lam = scipy.linalg.eigh(sys.a, ip.p, eigvals_only=True)
+    close(bc.lambda_min_a, lam[0], np.max(np.abs(lam)))
+    close(bc.lambda_max_a, lam[-1], np.max(np.abs(lam)))
+    schur = sys.b @ scipy.linalg.solve(ip.p, sys.b.conj().T)
+    coupling = scipy.linalg.eigh(schur, ip.r, eigvals_only=True)
+    close(bc.beta**2, coupling[0], coupling[0])
+    close(bc.b_norm**2, coupling[-1], coupling[-1])
+    z = scipy.linalg.null_space(sys.b)
+    kernel = scipy.linalg.eigh(
+        z.conj().T @ sys.a @ z, z.conj().T @ ip.p @ z, eigvals_only=True
+    )
+    alpha = np.min(np.abs(kernel))
+    close(bc.alpha, alpha, alpha)
+    assert bc.kernel_coercive == bool(kernel[0] > 0.0)
+    return mu, bc
+
+
 class TestDensePathProperty:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
@@ -313,28 +359,7 @@ class TestDensePathProperty:
         sys, ip = random_coercive_system(rng, n, m)
         # One reduction feeds all four analyses.
         red = reduce_system(sys, ip)
-
-        mu = preconditioned_spectrum(red).eigenvalues
-        ref = scipy.linalg.eigh(sys.assemble(), ip.assemble(), eigvals_only=True)
-        assert np.max(np.abs(mu - ref)) <= 1e-10 * np.max(np.abs(ref))
-
-        # Each Brezzi constant against scipy's pencil eigenvalues.
-        def close(got, want, scale):
-            assert abs(got - want) <= 1e-10 * scale
-
-        bc = brezzi_constants(red)
-        lam = scipy.linalg.eigh(sys.a, ip.p, eigvals_only=True)
-        close(bc.lambda_min_a, lam[0], np.max(np.abs(lam)))
-        close(bc.lambda_max_a, lam[-1], np.max(np.abs(lam)))
-        schur = sys.b @ scipy.linalg.solve(ip.p, sys.b.conj().T)
-        coupling = scipy.linalg.eigh(schur, ip.r, eigvals_only=True)
-        close(bc.beta**2, coupling[0], coupling[0])
-        close(bc.b_norm**2, coupling[-1], coupling[-1])
-        z = scipy.linalg.null_space(sys.b)
-        kernel = scipy.linalg.eigh(
-            z.conj().T @ sys.a @ z, z.conj().T @ ip.p @ z, eigvals_only=True
-        )
-        close(bc.alpha, kernel[0], kernel[0])
+        mu, bc = assert_matches_pencils(sys, ip, red)
         assert inclusion_set(bc).contains(mu, slack=1e-8)
 
         # A nonzero Hermitian (2,2) block goes through the reduced C block.
@@ -362,6 +387,34 @@ class TestDensePathProperty:
         assert bc == brezzi_constants(fresh)
         b_z1 = sys.b @ dec.z1
         assert np.max(np.abs(dec.b1 - b_z1)) <= 1e-10 * np.max(np.abs(b_z1))
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(3, 12),
+        kernel_share=st.floats(0.1, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+        real_coupling=st.booleans(),
+    )
+    def test_mixed_fields(self, n, kernel_share, seed, real_coupling):
+        # Real A, P, R with a complex B (the parabolic KKT shape), or the
+        # reverse: the real blocks stay real and every constant still matches.
+        m = min(n - 1, max(1, int(round((1.0 - kernel_share) * n))))
+        rng = np.random.default_rng(seed)
+        sys, ip = random_coercive_system(rng, n, m)
+        if real_coupling:
+            sys = SaddleSystem(a=sys.a, b=sys.b.real)
+        else:
+            sys = SaddleSystem(a=sys.a.real, b=sys.b)
+            ip = InnerProduct(p=ip.p.real, r=ip.r.real)
+        red = reduce_system(sys, ip)
+        real_blocks = (red.at.dtype, red.lp.dtype, red.lr.dtype)
+        if real_coupling:
+            assert sys.b.dtype == np.float64
+            assert real_blocks == (np.complex128,) * 3
+        else:
+            assert real_blocks == (np.float64,) * 3
+        assert red.g.dtype == np.complex128
+        assert_matches_pencils(sys, ip, red)
 
 
 class TestLemma21Inequalities:
