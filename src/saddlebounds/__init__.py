@@ -12,7 +12,6 @@ from .densecore import (
     EigenDecomposition,
     cholesky,
     generalized_hermitian_eig,
-    hermitian_eig,
 )
 from .saddle import (
     BabuskaConstants,
@@ -57,7 +56,6 @@ from .krylov import (
     MinresReport,
     RitzEstimate,
     minres_solve,
-    ritz_intervals,
     stagnation_profile,
 )
 from . import fem  # noqa: F401
@@ -69,7 +67,6 @@ __all__ = [
     "EigenDecomposition",
     "cholesky",
     "generalized_hermitian_eig",
-    "hermitian_eig",
     "BabuskaConstants",
     "BlockDecomposition",
     "BrezziConstants",
@@ -106,6 +103,5 @@ __all__ = [
     "MinresReport",
     "RitzEstimate",
     "minres_solve",
-    "ritz_intervals",
     "stagnation_profile",
 ]

@@ -32,9 +32,9 @@ __all__ = [
     "NotPositiveDefiniteError",
     "as_matrix",
     "require_hermitian",
-    "hermitian_eig",
     "cholesky",
     "real_columns",
+    "apply_in_field",
     "triangular_congruence",
     "generalized_hermitian_eig",
 ]
@@ -120,16 +120,6 @@ def require_hermitian(h, tol: float = HERMITIAN_RTOL) -> np.ndarray:
     return out
 
 
-def hermitian_eig(h, tol: float = HERMITIAN_RTOL) -> EigenDecomposition:
-    """Eigenvalues of a Hermitian matrix.
-
-    Returns the ascending real eigenvalues; each one satisfies
-    ``sigma_min(H - lam I) <= 1e-10 ||H||``.
-    """
-    h = require_hermitian(h, tol)
-    return EigenDecomposition(eigenvalues=np.linalg.eigvalsh(h))
-
-
 def cholesky(m) -> np.ndarray:
     """Lower-triangular ``L`` with ``L L* = M`` for Hermitian positive definite M.
 
@@ -162,10 +152,16 @@ def real_columns(op, x) -> np.ndarray:
     return np.ascontiguousarray(y).view(np.complex128)
 
 
+def apply_in_field(matrix, op, x) -> np.ndarray:
+    """``op(x)`` for a linear map ``op`` given by ``matrix``, in the field of
+    ``matrix``: a complex ``matrix`` is applied to ``x`` directly, and a real
+    one meets a complex ``x`` through :func:`real_columns`, so it is never
+    promoted to complex."""
+    return op(x) if np.iscomplexobj(matrix) else real_columns(op, x)
+
+
 def _solve_lower(l, x) -> np.ndarray:  # noqa: E741
-    if np.iscomplexobj(l):
-        return scipy.linalg.solve_triangular(l, x, lower=True)
-    return real_columns(lambda y: scipy.linalg.solve_triangular(l, y, lower=True), x)
+    return apply_in_field(l, lambda y: scipy.linalg.solve_triangular(l, y, lower=True), x)
 
 
 def triangular_congruence(l, x, r=None) -> np.ndarray:  # noqa: E741
@@ -183,9 +179,11 @@ def generalized_hermitian_eig(a, m, tol: float = HERMITIAN_RTOL) -> EigenDecompo
     """Eigenvalues of ``A x = mu M x`` with A Hermitian, M Hermitian positive definite.
 
     Computed by Cholesky reduction ``M = L L*`` followed by the Hermitian
-    eigenvalues of ``L^{-1} A L^{-*}``; the eigenvalues are real and
-    ascending.
+    eigenvalues of ``L^{-1} A L^{-*}``, which is checked Hermitian to 1e-10;
+    the eigenvalues are real and ascending, and each one satisfies
+    ``sigma_min(A - mu M) <= 1e-10 ||A||`` for ``M = I``.
     """
     a = require_hermitian(a, tol)
     l = cholesky(require_hermitian(m, tol))  # noqa: E741 - L as in M = L L*
-    return hermitian_eig(triangular_congruence(l, a), tol=1e-10)
+    reduced = require_hermitian(triangular_congruence(l, a), tol=1e-10)
+    return EigenDecomposition(eigenvalues=np.linalg.eigvalsh(reduced))

@@ -11,7 +11,8 @@ preconditioned operator serves both the solver and the interval estimator
   projection of the preconditioned operator onto the Krylov space; its
   eigenvalues (Ritz values) and the harmonic Ritz values of the extended
   tridiagonal estimate the extreme and the near-zero ends of the spectrum
-  of the preconditioned matrix (:func:`ritz_intervals`),
+  of the preconditioned matrix, all read off the tridiagonal by one
+  extraction,
 * the same coefficients give residual bounds for those estimates, so
   :func:`estimate_intervals` stops as soon as the two endpoints a table
   prints are certified to three decimals, with no extra operator work,
@@ -24,7 +25,7 @@ its workspace and never mutates its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
@@ -38,7 +39,6 @@ __all__ = [
     "RitzEstimate",
     "as_operator",
     "minres_solve",
-    "ritz_intervals",
     "estimate_intervals",
     "stagnation_profile",
 ]
@@ -85,16 +85,11 @@ class MinresReport:
 
     ``residual_history[k]`` is the recurrence estimate of the residual norm
     in the ``Pc^{-1}`` inner product after k iterations (entry 0 is the
-    initial residual).  The Lanczos data spans the performed steps:
-    ``lanczos_alphas[j]`` is the j-th diagonal entry, ``lanczos_betas[j]``
-    couples steps j and j+1, with the last entry being the first neglected
-    coupling coefficient (used by the harmonic Ritz extraction).
+    initial residual).
     """
 
     x: np.ndarray
     residual_history: np.ndarray
-    lanczos_alphas: np.ndarray
-    lanczos_betas: np.ndarray
     iterations: int
     converged: bool
     true_residual: float = float("nan")
@@ -104,12 +99,14 @@ class MinresReport:
 class RitzEstimate:
     """Spectral interval estimates from a Lanczos tridiagonal.
 
-    ``[pos_lo, pos_hi]`` encloses the positive Ritz information (smallest
+    ``[pos_lo, pos_hi]`` spans the positive Ritz information (smallest
     positive harmonic Ritz value, largest Ritz value), ``[neg_lo, neg_hi]``
-    mirrors it for the negative side.  ``steps`` is the order of the
-    tridiagonal; ``certified`` says whether residual bounds showed that
-    ``pos_lo`` and ``pos_hi`` print the three decimals of the endpoints of
-    the positive spectrum (see :func:`estimate_intervals`).
+    mirrors it for the negative side (smallest Ritz value, largest negative
+    harmonic Ritz value).  ``pos_lo`` and ``pos_hi`` are the Rayleigh
+    quotients whose residual enclosures the certificate checks.  ``steps``
+    is the order of the tridiagonal; ``certified`` says whether residual
+    bounds showed that ``pos_lo`` and ``pos_hi`` print the three decimals of
+    the endpoints of the positive spectrum (see :func:`estimate_intervals`).
     """
 
     neg_lo: float
@@ -252,12 +249,8 @@ def minres_solve(
     lanczos = _lanczos(a, m_inv, rhs)
     res0 = res = gamma = next(lanczos)
     history = [res0]
-    alphas: list[float] = []
-    betas: list[float] = []
     if res0 == 0.0:
-        return MinresReport(
-            x, np.array(history), np.array(alphas), np.array(betas), 0, True, 0.0
-        )
+        return MinresReport(x, np.array(history), 0, True, 0.0)
 
     w = w_old = np.zeros(n, dtype=np.complex128)
     eta = gamma
@@ -277,8 +270,6 @@ def minres_solve(
         x = x + (c_new * eta) * w_new
         eta = -s_new * eta
 
-        alphas.append(float(delta))
-        betas.append(float(gamma_new))
         res = abs(s_new) * res
         history.append(res)
 
@@ -293,8 +284,6 @@ def minres_solve(
     return MinresReport(
         x=x,
         residual_history=np.array(history),
-        lanczos_alphas=np.array(alphas),
-        lanczos_betas=np.array(betas),
         iterations=k,
         converged=bool(res <= eps * res0),
         true_residual=_true_residual(a, m_inv, rhs, x),
@@ -304,59 +293,6 @@ def minres_solve(
 def _true_residual(a, m_inv, rhs, x) -> float:
     r = rhs - a(x)
     return float(np.sqrt(max(_real_inner(m_inv(r), r, "preconditioner"), 0.0)))
-
-
-def ritz_intervals(alphas: np.ndarray, betas: np.ndarray) -> RitzEstimate:
-    """Interval estimates for both spectrum branches from the Lanczos data.
-
-    ``alphas`` are the k diagonal entries of the Lanczos tridiagonal T_k and
-    ``betas`` the k coupling coefficients that follow them (the layout of
-    :class:`MinresReport`), the last being the first neglected one.  Ritz
-    values are the eigenvalues of T_k; harmonic Ritz values solve
-    ``(T_k^2 + beta^2 e_k e_k^T) z = theta T_k z`` with ``beta`` the first
-    neglected coupling coefficient (equivalently: reciprocals of the Ritz
-    values of the inverse on the shifted space).  Outer endpoints come from
-    the Ritz values, inner endpoints from the harmonic Ritz values; in exact
-    arithmetic the result is contained in the minimal enclosing intervals of
-    the true spectrum.
-    """
-    k = len(alphas)
-    if k < 2:
-        raise ValueError("Ritz intervals need at least 2 Lanczos steps")
-    if len(betas) != k:
-        raise ValueError(f"need {k} coupling coefficients, got {len(betas)}")
-    off = betas[: k - 1]
-    t = np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1)
-    beta = float(betas[k - 1])
-    ritz = np.linalg.eigvalsh(t)
-    tt = t @ t
-    tt[-1, -1] += beta * beta
-    try:
-        # (T, T^2 + beta^2 e e^T) is a Hermitian-definite pencil; its
-        # eigenvalues are the reciprocals of the harmonic Ritz values.
-        rho = scipy.linalg.eigh(t, tt, eigvals_only=True)
-        rho = rho[np.abs(rho) > 1e-300]
-        harm = 1.0 / rho
-    except scipy.linalg.LinAlgError:
-        raw, _ = scipy.linalg.eig(tt, t)
-        raw = raw[np.isfinite(raw)]
-        harm = np.real(raw[np.abs(raw.imag) <= 1e-8 * np.maximum(np.abs(raw), 1.0)])
-    pos_h = harm[harm > 0.0]
-    neg_h = harm[harm < 0.0]
-    pos_r = ritz[ritz > 0.0]
-    neg_r = ritz[ritz < 0.0]
-    if pos_h.size == 0 or neg_h.size == 0 or pos_r.size == 0 or neg_r.size == 0:
-        raise ValueError(
-            "spectrum estimates do not straddle zero; system looks definite"
-        )
-    return RitzEstimate(
-        neg_lo=float(np.min(neg_r)),
-        neg_hi=float(np.max(neg_h)),
-        pos_lo=float(np.min(pos_h)),
-        pos_hi=float(np.max(pos_r)),
-        steps=k,
-        certified=False,
-    )
 
 
 def _printed(value: float) -> str:
@@ -382,55 +318,94 @@ def _enclosure(
     ts[1:] += off * s[:-1]
     tail = beta * s[-1]
     theta = (ts @ ts + tail * tail) / (s @ ts) if harmonic else (s @ ts) / (s @ s)
-    return theta, float(np.hypot(np.linalg.norm(ts - theta * s), tail) / np.linalg.norm(s))
+    return float(theta), float(np.hypot(np.linalg.norm(ts - theta * s), tail) / np.linalg.norm(s))
 
 
-def _certified_estimate(alphas: list, betas: list) -> RitzEstimate | None:
-    """:func:`ritz_intervals` of the data, certified, if the residual
-    enclosures of ``pos_lo`` and ``pos_hi`` each round to the value printed.
+def _ritz_estimate(alphas: list, betas: list) -> RitzEstimate:
+    """Interval estimates for both spectrum branches from the Lanczos data.
 
-    The largest eigenvalue lies in ``[theta, theta + r]`` around the largest
-    Ritz pair and the smallest positive one in ``[theta - r, theta]`` around
-    the smallest positive harmonic Ritz pair (:func:`_enclosure`), provided
-    the eigenvalue within ``r`` of ``theta`` is the extreme one.  Returns
-    None if either enclosure straddles a rounding boundary, or if
-    :func:`ritz_intervals`, which computes the same two values another way,
-    prints them differently.
+    ``alphas`` are the k diagonal entries of the Lanczos tridiagonal T_k and
+    ``betas`` the k coupling coefficients that follow them, the last being
+    the first neglected one, ``beta``.  Ritz values are the eigenvalues of
+    T_k; harmonic Ritz values solve ``(T_k^2 + beta^2 e_k e_k^T) s = theta
+    T_k s``.  Outer endpoints come from the Ritz values, inner endpoints
+    from the harmonic Ritz values; in exact arithmetic the result is
+    contained in the minimal enclosing intervals of the true spectrum.
+
+    The largest eigenvalue lies in ``[pos_hi, pos_hi + r]`` around the
+    largest Ritz pair and the smallest positive one in ``[pos_lo - r,
+    pos_lo]`` around the smallest positive harmonic Ritz pair
+    (:func:`_enclosure`), provided the eigenvalue within ``r`` of the
+    quotient is the extreme one.  The estimate is ``certified`` if both
+    enclosures round to the value printed.  Raises ``ValueError`` if the
+    Ritz values do not straddle zero or T_k is singular.
     """
     k = len(alphas)
     a = np.array(alphas)
     off = np.array(betas[:-1])
     beta = betas[-1]
+    ritz = scipy.linalg.eigvalsh_tridiagonal(a, off, check_finite=False)
+    negative = int(np.count_nonzero(ritz < 0.0))
+    if negative in (0, k):
+        raise ValueError(
+            f"spectrum estimates do not straddle zero at Lanczos step {k}; "
+            "system looks definite"
+        )
     _, top = scipy.linalg.eigh_tridiagonal(
         a, off, select="i", select_range=(k - 1, k - 1), check_finite=False
     )
-    hi, r = _enclosure(a, off, beta, top[:, 0], harmonic=False)
-    if _printed(hi) != _printed(hi + r):
-        return None
-    # T_k = L D L^T: the pivots count the negative Ritz values, and the last
-    # column of T_k^{-1} is f = L^{-T} e_k / d_k.  Bordered by beta e_k and
-    # beta^2 f_k, T_k becomes congruent to diag(T_k, 0): its eigenvalues are
-    # the harmonic Ritz values and a zero that sits after the negative ones,
+    hi, r_hi = _enclosure(a, off, beta, top[:, 0], harmonic=False)
+    # f = T_k^{-1} e_k by pivoted LU.  Bordered by beta e_k and beta^2 f_k,
+    # T_k becomes congruent to diag(T_k, 0): its eigenvalues are the
+    # harmonic Ritz values and a zero that sits after the negative ones,
     # and an eigenvector (x, xi) gives the harmonic Ritz vector x + beta xi f.
-    pivots = [alphas[0]]
-    for alpha, coupling in zip(alphas[1:], betas):
-        pivots.append(alpha - coupling * coupling / pivots[-1])
-    d = np.array(pivots)
-    negative = int(np.count_nonzero(d < 0.0))
-    if negative == k:
-        return None
-    f = np.append(np.cumprod(-off[::-1] / d[-2::-1])[::-1], 1.0) / d[-1]
-    _, border = scipy.linalg.eigh_tridiagonal(
+    bands = np.zeros((3, k))
+    bands[0, 1:] = bands[2, :-1] = off
+    bands[1] = a
+    e_k = np.zeros(k)
+    e_k[-1] = 1.0
+    try:
+        f = scipy.linalg.solve_banded((1, 1), bands, e_k, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"Lanczos tridiagonal is singular at step {k}") from None
+    harmonic, border = scipy.linalg.eigh_tridiagonal(
         np.append(a, beta * beta * f[-1]), np.append(off, beta),
-        select="i", select_range=(negative + 1, negative + 1), check_finite=False,
+        select="i", select_range=(negative - 1, negative + 1), check_finite=False,
     )
-    lo, r = _enclosure(a, off, beta, border[:k, 0] + beta * border[k, 0] * f, harmonic=True)
-    if _printed(lo) != _printed(lo - r):
-        return None
-    est = ritz_intervals(a, np.array(betas))
-    if (_printed(est.pos_lo), _printed(est.pos_hi)) != (_printed(lo), _printed(hi)):
-        return None
-    return replace(est, certified=True)
+    lo, r_lo = _enclosure(a, off, beta, border[:k, 2] + beta * border[k, 2] * f, harmonic=True)
+    return RitzEstimate(
+        neg_lo=float(ritz[0]),
+        neg_hi=float(harmonic[0]),
+        pos_lo=lo,
+        pos_hi=hi,
+        steps=k,
+        certified=_printed(hi) == _printed(hi + r_hi) and _printed(lo) == _printed(lo - r_lo),
+    )
+
+
+def _first_certified(steps) -> RitzEstimate:
+    """:func:`_ritz_estimate` at the first certified check of the Lanczos
+    coefficients ``steps`` (pairs ``(delta_k, gamma_{k+1})``), else at the
+    last step, uncertified.
+
+    The checks fall at step ``CHECK_FIRST``, every ``CHECK_EVERY`` steps
+    after it and at the last step.  A check whose tridiagonal gives no
+    estimate is passed over; at the last step that ``ValueError`` is raised.
+    """
+    alphas: list[float] = []
+    betas: list[float] = []
+    for delta, beta in steps:
+        alphas.append(float(delta))
+        betas.append(float(beta))
+        k = len(alphas)
+        if k >= CHECK_FIRST and k % CHECK_EVERY == 0:
+            try:
+                est = _ritz_estimate(alphas, betas)
+            except ValueError:
+                continue
+            if est.certified:
+                return est
+    return _ritz_estimate(alphas, betas)
 
 
 def estimate_intervals(op, prec=None) -> RitzEstimate:
@@ -438,14 +413,16 @@ def estimate_intervals(op, prec=None) -> RitzEstimate:
 
     Runs the preconditioned Lanczos recurrence on a random probe seeded with
     ``PROBE_SEED``, which excites all eigenvector directions regardless of
-    any symmetry of the model right-hand side, and extracts
-    :func:`ritz_intervals`.  At step ``CHECK_FIRST``, every ``CHECK_EVERY``
-    steps after it and at its last step it bounds the residuals of the
-    largest Ritz pair and of the smallest positive harmonic Ritz pair from
-    the tridiagonal alone (:func:`_certified_estimate`), and stops, with
-    ``certified`` set, as soon as both enclosures round to the three
-    decimals that ``pos_lo`` and ``pos_hi`` print.  Otherwise it stops after
-    ``min(dim, ESTIMATE_STEPS)`` steps (or on breakdown) uncertified.
+    any symmetry of the model right-hand side.  At step ``CHECK_FIRST``,
+    every ``CHECK_EVERY`` steps after it and at its last step it reads the
+    Ritz and harmonic Ritz estimates off the tridiagonal, with residual
+    bounds for the largest Ritz pair and the smallest positive harmonic
+    Ritz pair (:func:`_ritz_estimate`), and stops, with ``certified`` set,
+    as soon as both enclosures round to the three decimals that ``pos_lo``
+    and ``pos_hi`` print.  Otherwise it stops after ``min(dim,
+    ESTIMATE_STEPS)`` steps (or on breakdown) and returns the estimate of
+    that step uncertified; ``ValueError`` if that tridiagonal is singular or
+    its Ritz values do not straddle zero.
     The certificate is a statement about exact arithmetic that assumes the
     probe has reached both ends of the positive spectrum; the README
     ("Certified interval estimates") says what it does and does not prove.
@@ -456,21 +433,8 @@ def estimate_intervals(op, prec=None) -> RitzEstimate:
     probe = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
     lanczos = _lanczos(a, m_inv, probe)
     next(lanczos)
-    alphas: list[float] = []
-    betas: list[float] = []
-    checked = 0
-    for _, delta, beta in islice(lanczos, min(a.dim, ESTIMATE_STEPS)):
-        alphas.append(float(delta))
-        betas.append(float(beta))
-        k = len(alphas)
-        if k >= CHECK_FIRST and k % CHECK_EVERY == 0:
-            checked = k
-            est = _certified_estimate(alphas, betas)
-            if est is not None:
-                return est
-    # The last step (the cap, the dimension or a breakdown) is checked too.
-    est = _certified_estimate(alphas, betas) if len(alphas) > checked else None
-    return est or ritz_intervals(np.array(alphas), np.array(betas))
+    steps = islice(lanczos, min(a.dim, ESTIMATE_STEPS))
+    return _first_certified((delta, beta) for _, delta, beta in steps)
 
 
 def stagnation_profile(

@@ -45,9 +45,9 @@ import scipy.sparse
 from .densecore import (
     RANK_RTOL,
     EigenDecomposition,
+    apply_in_field,
     as_matrix,
     cholesky,
-    real_columns,
     require_hermitian,
     triangular_congruence,
 )
@@ -305,21 +305,24 @@ def block_decompose(red: ReducedSystem) -> BlockDecomposition:
     and ``B1 = B Z1 = Lr U S U*``.
     """
     u, s, vh = red.coupling_svd("block_decompose")
-    a_t = red.at
-    v0 = vh[red.m:].conj().T
-    v1 = vh[: red.m].conj().T @ u.conj().T
-    z = scipy.linalg.solve_triangular(
-        red.lp.conj().T, np.hstack([v0, v1]), lower=False
+    k = red.n - red.m
+    v = np.hstack([vh[red.m:].conj().T, vh[: red.m].conj().T @ u.conj().T])
+    z = apply_in_field(
+        red.lp,
+        lambda y: scipy.linalg.solve_triangular(red.lp, y, lower=True, trans="C"),
+        v,
     )
-    k = v0.shape[1]
+    # The blocks V_i* At V_j of V* (At V), with the real or complex At
+    # applied in its own field.
+    w = v.conj().T @ apply_in_field(red.at, red.at.__matmul__, v)
     return BlockDecomposition(
         z0=z[:, :k],
         z1=z[:, k:],
-        a00=require_hermitian(v0.conj().T @ a_t @ v0, tol=1e-8),
-        a01=v0.conj().T @ a_t @ v1,
-        a10=v1.conj().T @ a_t @ v0,
-        a11=require_hermitian(v1.conj().T @ a_t @ v1, tol=1e-8),
-        b1=red.lr @ (u * s) @ u.conj().T,
+        a00=require_hermitian(w[:k, :k], tol=1e-8),
+        a01=w[:k, k:],
+        a10=w[k:, :k],
+        a11=require_hermitian(w[k:, k:], tol=1e-8),
+        b1=apply_in_field(red.lr, red.lr.__matmul__, (u * s) @ u.conj().T),
     )
 
 
@@ -346,9 +349,7 @@ mu3_cubic` via :func:`saddlebounds.bounds.inclusion_set`) presume the
     if red.n == red.m:
         raise ValueError("ker(B) is trivial; the kernel inf-sup is undefined")
     v0 = vh[red.m:].conj().T
-    at_v0 = (
-        red.at @ v0 if np.iscomplexobj(red.at) else real_columns(red.at.__matmul__, v0)
-    )
+    at_v0 = apply_in_field(red.at, red.at.__matmul__, v0)
     kernel_eigs = np.linalg.eigvalsh(v0.conj().T @ at_v0)
     alpha = float(np.min(np.abs(kernel_eigs)))
     if alpha <= 1e-12 * max(float(np.max(np.abs(kernel_eigs))), 1e-300):

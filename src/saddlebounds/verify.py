@@ -70,8 +70,9 @@ def random_coercive_system(rng, n: int, m: int):
     return sys, ip
 
 
-def suite_sharpness(trials: int = 25, seed: int = 1) -> dict:
+def suite_sharpness(seed: int = 1) -> dict:
     rng = np.random.default_rng(seed)
+    trials = 25
     worst_general = 0.0
     worst_range = 0.0
     for _ in range(trials):
@@ -103,8 +104,9 @@ def suite_sharpness(trials: int = 25, seed: int = 1) -> dict:
     }
 
 
-def suite_pairing(trials: int = 100, seed: int = 2) -> dict:
+def suite_pairing(seed: int = 2) -> dict:
     rng = np.random.default_rng(seed)
+    trials = 100
     worst_pair = 0.0
     worst_multiset = 0.0
     worst_skew = 0.0
@@ -152,8 +154,9 @@ def suite_pairing(trials: int = 100, seed: int = 2) -> dict:
     }
 
 
-def suite_appendix(tuples: int = 20, samples: int = 10_000, seed: int = 3) -> dict:
+def suite_appendix(seed: int = 3) -> dict:
     rng = np.random.default_rng(seed)
+    tuples, samples = 20, 10_000
     worst = -math.inf
     for _ in range(tuples):
         lam_max = float(rng.uniform(0.3, 3.0))
@@ -183,8 +186,9 @@ def suite_appendix(tuples: int = 20, samples: int = 10_000, seed: int = 3) -> di
     }
 
 
-def suite_lemma21(trials: int = 50, seed: int = 4) -> dict:
+def suite_lemma21(seed: int = 4) -> dict:
     rng = np.random.default_rng(seed)
+    trials = 50
     worst = -math.inf
     for _ in range(trials):
         n = int(rng.integers(3, 9))

@@ -8,7 +8,6 @@ from saddlebounds.densecore import (
     as_matrix,
     cholesky,
     generalized_hermitian_eig,
-    hermitian_eig,
     require_hermitian,
     triangular_congruence,
 )
@@ -19,6 +18,11 @@ from saddlebounds.saddle import (
     reduce_system,
 )
 from saddlebounds.verify import random_hermitian, random_spd
+
+
+def hermitian_eig(h):
+    """Eigenvalues of ``h`` as the pencil ``(h, I)``."""
+    return generalized_hermitian_eig(h, np.eye(len(h)))
 
 
 class TestHermitianEig:

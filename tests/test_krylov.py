@@ -1,4 +1,4 @@
-from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -16,9 +16,10 @@ from saddlebounds.krylov import (
     ESTIMATE_STEPS,
     PROBE_SEED,
     LinearOperator,
+    RitzEstimate,
+    as_operator,
     estimate_intervals,
     minres_solve,
-    ritz_intervals,
     stagnation_profile,
 )
 from saddlebounds.verify import random_hermitian, random_spd
@@ -29,6 +30,47 @@ def hermitian_with_spectrum(rng, eigenvalues):
     n = len(eigenvalues)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q @ np.diag(np.asarray(eigenvalues, dtype=float)) @ q.conj().T
+
+
+def lanczos_data(op, pc, start, steps):
+    """Diagonal entries and the coupling coefficients that follow them (the
+    last is the first neglected one) of ``steps`` preconditioned Lanczos
+    steps from ``start``, fewer on breakdown."""
+    a = as_operator(op)
+    m_inv = as_operator(pc) if pc is not None else LinearOperator(a.dim, lambda x: x)
+    lanczos = krylov._lanczos(a, m_inv, np.asarray(start, dtype=complex))
+    next(lanczos)
+    alphas, betas = zip(*((delta, beta) for _, delta, beta in islice(lanczos, steps)))
+    return np.array(alphas), np.array(betas)
+
+
+def ritz_intervals(alphas, betas):
+    """Reference extraction from the dense tridiagonal ``T`` and the dense
+    harmonic pencil ``(T, T^2 + beta^2 e_k e_k^T)``, whose eigenvalues are
+    the reciprocals of the harmonic Ritz values."""
+    t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+    tt = t @ t
+    tt[-1, -1] += betas[-1] ** 2
+    ritz = np.linalg.eigvalsh(t)
+    harm = 1.0 / scipy.linalg.eigh(t, tt, eigvals_only=True)
+    return RitzEstimate(
+        neg_lo=float(ritz.min()),
+        neg_hi=float(harm[harm < 0.0].max()),
+        pos_lo=float(harm[harm > 0.0].min()),
+        pos_hi=float(ritz.max()),
+        steps=len(alphas),
+        certified=False,
+    )
+
+
+def checked_extraction(alphas, betas):
+    """The extraction of the estimator, checked against :func:`ritz_intervals`."""
+    est = krylov._ritz_estimate(list(alphas), list(betas))
+    ref = ritz_intervals(alphas, betas)
+    for name in ("neg_lo", "neg_hi", "pos_lo", "pos_hi"):
+        assert getattr(est, name) == pytest.approx(getattr(ref, name), rel=1e-12), name
+    assert est.steps == len(alphas)
+    return est
 
 
 class TestMinresBasics:
@@ -90,9 +132,9 @@ class TestMinresBasics:
     def test_lanczos_scalars_real_and_positive_offdiag(self, rng):
         a = random_hermitian(rng, 10)
         rhs = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        report = minres_solve(a, None, rhs, eps=1e-10)
-        assert np.isrealobj(report.lanczos_alphas)
-        assert np.all(report.lanczos_betas[:-1] > 0.0)
+        alphas, betas = lanczos_data(a, None, rhs, 10)
+        assert np.isrealobj(alphas) and np.isrealobj(betas)
+        assert np.all(betas[:-1] > 0.0)
 
     def test_non_hermitian_rejected(self, rng):
         bad = rng.standard_normal((5, 5))
@@ -109,9 +151,11 @@ class TestMinresBasics:
         half = problem.n // 2
         rhs = problem.rhs.copy()
         rhs[half : 2 * half] = 1j * rhs[:half]
-        report = minres_solve(problem.operator(), problem.preconditioner(), rhs)
+        op, pc = problem.operator(), problem.preconditioner()
+        report = minres_solve(op, pc, rhs)
         assert report.converged
-        assert np.max(np.abs(report.lanczos_alphas)) < 1e-10
+        alphas, _ = lanczos_data(op, pc, rhs, report.iterations)
+        assert np.max(np.abs(alphas)) < 1e-10
 
     def test_negative_preconditioner_rejected_by_probe(self, rng):
         a = random_hermitian(rng, 5)
@@ -178,9 +222,7 @@ class TestReferenceGmres:
 class TestRitzIntervals:
     def test_two_by_two_exact(self):
         a = np.diag([-1.0, 2.0]).astype(complex)
-        rhs = np.array([1.0, 1.0], dtype=complex)
-        report = minres_solve(a, None, rhs, eps=1e-14, maxit=2)
-        est = ritz_intervals(report.lanczos_alphas, report.lanczos_betas)
+        est = checked_extraction(*lanczos_data(a, None, [1.0, 1.0], 2))
         assert est.neg_lo == pytest.approx(-1.0, abs=1e-10)
         assert est.pos_hi == pytest.approx(2.0, abs=1e-10)
 
@@ -188,8 +230,7 @@ class TestRitzIntervals:
         lam = np.concatenate([-np.linspace(0.7, 2.3, 10), np.linspace(0.9, 3.1, 10)])
         a = hermitian_with_spectrum(rng, lam)
         rhs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        report = minres_solve(a, None, rhs, eps=1e-300, maxit=20)
-        est = ritz_intervals(report.lanczos_alphas, report.lanczos_betas)
+        est = checked_extraction(*lanczos_data(a, None, rhs, 20))
         assert est.neg_lo == pytest.approx(-2.3, abs=1e-8)
         assert est.neg_hi == pytest.approx(-0.7, abs=1e-8)
         assert est.pos_lo == pytest.approx(0.9, abs=1e-8)
@@ -199,27 +240,27 @@ class TestRitzIntervals:
         lam = np.concatenate([-np.linspace(0.5, 2.0, 8), np.linspace(0.4, 1.8, 8)])
         a = hermitian_with_spectrum(rng, lam)
         rhs = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        alphas, betas = lanczos_data(a, None, rhs, 16)
         for steps in (4, 8, 12, 16):
-            report = minres_solve(a, None, rhs, eps=1e-300, maxit=steps)
-            est = ritz_intervals(report.lanczos_alphas, report.lanczos_betas)
+            est = checked_extraction(alphas[:steps], betas[:steps])
             assert est.pos_hi <= 1.8 + 1e-8
             assert est.neg_lo >= -2.0 - 1e-8
             assert est.pos_lo >= 0.4 - 1e-8
             assert est.neg_hi <= -0.5 + 1e-8
 
     def test_needs_two_steps(self):
-        report = minres_solve(np.eye(3, dtype=complex), None, np.ones(3, dtype=complex))
-        with pytest.raises(ValueError, match="2 Lanczos steps"):
-            ritz_intervals(report.lanczos_alphas, report.lanczos_betas)
+        # The recurrence breaks down after one step: one Ritz value cannot
+        # straddle zero.
+        with pytest.raises(ValueError, match="at Lanczos step 1; system looks definite"):
+            estimate_intervals(np.eye(3, dtype=complex))
 
     def test_tridiagonal_shape(self, rng):
         a = random_hermitian(rng, 9)
         rhs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        report = minres_solve(a, None, rhs, eps=1e-300, maxit=5)
-        assert report.lanczos_alphas.shape == report.lanczos_betas.shape == (5,)
-        assert report.lanczos_betas[-1] >= 0.0
-        with pytest.raises(ValueError, match="coupling coefficients"):
-            ritz_intervals(report.lanczos_alphas, report.lanczos_betas[:-1])
+        alphas, betas = lanczos_data(a, None, rhs, 5)
+        assert alphas.shape == betas.shape == (5,)
+        assert betas[-1] >= 0.0
+        assert checked_extraction(alphas, betas).steps == 5
 
     def test_estimation_run_matches_dense(self, rng):
         problem = stokes_system(build_mesh(1), nu=1.0, omega=1.0)
@@ -233,25 +274,37 @@ class TestRitzIntervals:
 
     def test_estimate_is_minres_lanczos_data(self):
         # The estimator and the solver run one recurrence: on the estimator's
-        # own probe, a solve that never meets its target sees the same data.
+        # own probe, a solve that never meets its target has, at every step,
+        # the least-squares residual of the estimator's tridiagonal.
         problem = stokes_system(build_mesh(2), nu=1.0, omega=1.0)
         op, pc = problem.operator(), problem.preconditioner()
         est = estimate_intervals(op, pc)
         # The certificate ends the estimate before the step cap.
         assert est.certified and est.steps < ESTIMATE_STEPS
-        report = probe_lanczos(op, pc, est.steps)
-        assert report.iterations == est.steps
-        assert est == replace(
-            ritz_intervals(report.lanczos_alphas, report.lanczos_betas), certified=True
-        )
+        alphas, betas = lanczos_data(op, pc, probe(op.dim), est.steps)
+        assert est == krylov._ritz_estimate(list(alphas), list(betas))
+        history = probe_minres(op, pc, est.steps).residual_history
+        assert history.size == est.steps + 1
+        for k in range(1, est.steps + 1):
+            off = betas[: k - 1]
+            t = np.zeros((k + 1, k))
+            t[:k] = np.diag(alphas[:k]) + np.diag(off, 1) + np.diag(off, -1)
+            t[k, k - 1] = betas[k - 1]
+            rhs = np.eye(k + 1)[0] * history[0]
+            y = np.linalg.lstsq(t, rhs, rcond=None)[0]
+            if history[k] > 1e-6 * history[0]:
+                assert np.linalg.norm(rhs - t @ y) == pytest.approx(history[k], rel=1e-8)
 
 
-def probe_lanczos(op, pc, steps):
-    """A MINRES run on the estimator's probe that never meets its target:
-    its Lanczos data is the estimator's after ``steps`` steps."""
+def probe(dim):
+    """The estimator's random probe vector."""
     rng = np.random.default_rng(PROBE_SEED)
-    probe = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    return minres_solve(op, pc, probe, eps=1e-300, maxit=steps)
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+def probe_minres(op, pc, steps):
+    """A MINRES run on the estimator's probe that never meets its target."""
+    return minres_solve(op, pc, probe(op.dim), eps=1e-300, maxit=steps)
 
 
 def printed(value):
@@ -284,10 +337,11 @@ def certified_stop(op, pc):
     dense enclosures print one value, and those enclosures."""
     est = estimate_intervals(op, pc)
     assert est.certified and est.steps < ESTIMATE_STEPS
-    report = probe_lanczos(op, pc, est.steps)
-    alphas, betas = report.lanczos_alphas, report.lanczos_betas
+    alphas, betas = lanczos_data(op, pc, probe(op.dim), est.steps)
     for k in range(CHECK_FIRST, est.steps, CHECK_EVERY):
         assert not enclosures_print_one_value(alphas[:k], betas[:k]), k
+        assert not checked_extraction(alphas[:k], betas[:k]).certified, k
+    assert est == checked_extraction(alphas, betas)
     hi, r_hi, lo, r_lo = dense_enclosures(alphas, betas)
     assert hi == pytest.approx(est.pos_hi, abs=1e-12)
     assert lo == pytest.approx(est.pos_lo, abs=1e-12)
@@ -342,8 +396,36 @@ class TestIntervalCertificate:
         op, pc = problem.operator(), problem.preconditioner()
         est = estimate_intervals(op, pc)
         assert est.certified is False and est.steps == 30
-        report = probe_lanczos(op, pc, 30)
-        assert est == ritz_intervals(report.lanczos_alphas, report.lanczos_betas)
+        assert est == checked_extraction(*lanczos_data(op, pc, probe(op.dim), 30))
+
+    def test_zero_diagonal_two_by_two(self):
+        # T = [[0, 1], [1, 0]]: the first LDL^T pivot is exactly zero.
+        est = krylov._first_certified([(0.0, 1.0), (0.0, 1e-12)])
+        assert (est.neg_lo, est.neg_hi, est.pos_lo, est.pos_hi) == pytest.approx(
+            (-1.0, -1.0, 1.0, 1.0), abs=1e-12
+        )
+        assert est.certified and est.steps == 2
+
+    def test_zero_diagonal_four_by_four(self):
+        # Couplings (1, 2, 1): eigenvalues +-(sqrt(2) -+ 1), zero pivots.
+        est = krylov._first_certified([(0.0, 1.0), (0.0, 2.0), (0.0, 1.0), (0.0, 1e-12)])
+        r = np.sqrt(2.0)
+        assert (est.neg_lo, est.neg_hi, est.pos_lo, est.pos_hi) == pytest.approx(
+            (-r - 1.0, 1.0 - r, r - 1.0, r + 1.0), abs=1e-12
+        )
+        assert est.certified and est.steps == 4
+
+    def test_singular_tridiagonal(self, monkeypatch):
+        # T_3 with diagonal (0, 0.5, 0) and couplings (1, 2) has the Ritz
+        # value 0: no harmonic Ritz values at that step.
+        monkeypatch.setattr(krylov, "CHECK_FIRST", 3)
+        monkeypatch.setattr(krylov, "CHECK_EVERY", 1)
+        steps = [(0.0, 1.0), (0.5, 2.0), (0.0, 1.0)]
+        with pytest.raises(ValueError, match="singular at step 3"):
+            krylov._first_certified(steps)
+        # At a check the step is passed over, and the next one decides.
+        est = krylov._first_certified(steps + [(1.0, 1e-12)])
+        assert est.steps == 4
 
 
 class TestSharedRecurrenceProperty:
@@ -370,9 +452,9 @@ class TestSharedRecurrenceProperty:
         lam = generalized_hermitian_eig(a, p).eigenvalues
         neg, pos = lam[lam < 0.0], lam[lam > 0.0]
         tol = 1e-8 * np.max(np.abs(lam))
+        alphas, betas = lanczos_data(a, p_inv, rhs, n)
         for steps in (n // 2, n - 2, n):
-            report = minres_solve(a, p_inv, rhs, eps=1e-300, maxit=steps)
-            est = ritz_intervals(report.lanczos_alphas, report.lanczos_betas)
+            est = checked_extraction(alphas[:steps], betas[:steps])
             # Ritz values stay inside the hull, harmonic Ritz values out of
             # the gap around zero.
             assert est.neg_lo >= neg.min() - tol and est.pos_hi <= pos.max() + tol

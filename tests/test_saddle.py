@@ -15,8 +15,10 @@ from saddlebounds.bounds import (
     witness_general,
 )
 from saddlebounds.densecore import generalized_hermitian_eig
+from saddlebounds.fem import build_mesh, parabolic_kkt
 from saddlebounds.saddle import (
     InnerProduct,
+    ReducedSystem,
     SaddleSystem,
     babuska_constants,
     block_decompose,
@@ -111,7 +113,47 @@ class TestSystemModel:
             InnerProduct(p=np.eye(2), r=np.diag([1.0, -1.0]))
 
 
+class RealOnly(np.ndarray):
+    """A real array that fails every ufunc, matmul included, that would
+    promote it to complex."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if any(np.iscomplexobj(x) for x in inputs):
+            raise AssertionError(f"real factor promoted to complex by {ufunc.__name__}")
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, RealOnly) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 class TestBlockDecompose:
+    def test_real_factors_stay_real(self, monkeypatch):
+        # Level-2 KKT: At, Lp and Lr are real and only G is complex.
+        problem = parabolic_kkt(build_mesh(2), 1.0, 100.0)
+        red = reduce_system(problem.saddle_system(), problem.inner_product())
+        assert not any(np.iscomplexobj(x) for x in (red.at, red.lp, red.lr))
+        assert np.iscomplexobj(red.g)
+        promoted = block_decompose(ReducedSystem(
+            at=red.at.astype(complex), g=red.g, ct=red.ct,
+            lp=red.lp.astype(complex), lr=red.lr.astype(complex),
+        ))
+        solve = scipy.linalg.solve_triangular
+
+        def real_solve(a, b, **kwargs):
+            assert np.iscomplexobj(a) or not np.iscomplexobj(b), "real factor promoted"
+            return solve(a, b, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", real_solve)
+        guarded = ReducedSystem(
+            at=red.at.view(RealOnly), g=red.g, ct=red.ct,
+            lp=red.lp.view(RealOnly), lr=red.lr.view(RealOnly),
+        )
+        dec = block_decompose(guarded)
+        for name in ("z0", "z1", "a00", "a01", "a10", "a11", "b1"):
+            got, want = getattr(dec, name), getattr(promoted, name)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+        assert brezzi_constants(guarded).alpha == pytest.approx(
+            brezzi_constants(red).alpha, rel=1e-12
+        )
+
     def test_coordinate_split(self):
         sys = SaddleSystem(a=np.eye(2), b=np.array([[0.0, 1.0]]))
         dec = block_decompose(reduce_system(sys, InnerProduct.identity(2, 1)))
