@@ -256,6 +256,9 @@ def cmd_bounds(args) -> int:
     lines = []
     try:
         red = reduce_system(sys_, ip)
+        # The reduced system keeps the factors it needs; the loaded blocks
+        # need not stay alive through the eigensolves.
+        del sys_, ip
         bab = babuska_constants(red)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -297,6 +300,8 @@ def cmd_table(args) -> int:
     values: dict = {}
     if args.config:
         values.update(json.loads(Path(args.config).read_text()))
+        if "format" in values:  # config files may use the flag spelling
+            values["fmt"] = values.pop("format")
     if args.flavor:
         values["flavor"] = args.flavor
     if args.levels:
@@ -313,8 +318,6 @@ def cmd_table(args) -> int:
         values["fmt"] = args.format
     if args.out:
         values["out"] = args.out
-    if "format" in values:  # config files may use the flag spelling
-        values["fmt"] = values.pop("format")
     try:
         config = ExperimentConfig(**values)
     except (TypeError, ValueError) as exc:

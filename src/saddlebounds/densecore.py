@@ -9,9 +9,16 @@ The heavy lifting is delegated to LAPACK via numpy/scipy; this module adds
 the input validation and the accuracy contracts the rest of the package
 relies on.
 
+Every dense Hermitian eigensolve goes through
+:func:`hermitian_eigenvalues`, which calls LAPACK's two-stage divide and
+conquer driver (``?syevd_2stage``/``?heevd_2stage``: a BLAS-3 band
+reduction, then bulge chasing) through ``ctypes`` when the library scipy's
+LAPACK is loaded from exports it, and ``scipy.linalg.eigh`` otherwise.
+
 Conventions
 -----------
-* All dense matrices are numpy arrays in C (row-major) order.  Each one
+* All dense matrices are numpy arrays in C (row-major) order, except the
+  Fortran-ordered buffers handed to :func:`hermitian_eigenvalues`.  Each one
   keeps the field of its data: real input stays ``float64`` and complex
   input becomes ``complex128``, so real blocks get real LAPACK.  A result
   is complex only where a complex operand makes it so.
@@ -21,6 +28,8 @@ Conventions
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +40,7 @@ __all__ = [
     "NotHermitianError",
     "NotPositiveDefiniteError",
     "as_matrix",
+    "hermitian_eigenvalues",
     "require_hermitian",
     "cholesky",
     "real_columns",
@@ -90,6 +100,87 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
     return m
+
+
+#: LAPACKE's layout code for column-major storage.
+_COL_MAJOR = 102
+
+
+@functools.cache
+def _two_stage_drivers() -> dict | None:
+    """LAPACKE's ``dsyevd_2stage`` and ``zheevd_2stage`` by dtype, or None.
+
+    The symbols are looked up, once, through scipy's own LAPACK extension
+    module, so they come from the library that module is linked against
+    (scipy-openblas prefixes its exports with ``scipy_``).  That extension
+    uses 32-bit LAPACK integers.
+    """
+    try:
+        from scipy.linalg import _flapack
+
+        lib = ctypes.CDLL(_flapack.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for prefix in ("scipy_", ""):
+        try:
+            drivers = {
+                np.dtype(np.float64): getattr(lib, prefix + "LAPACKE_dsyevd_2stage"),
+                np.dtype(np.complex128): getattr(lib, prefix + "LAPACKE_zheevd_2stage"),
+            }
+        except AttributeError:
+            continue
+        for fn in drivers.values():
+            # (layout, jobz, uplo, n, a, lda, w) -> info
+            fn.argtypes = [
+                ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int,
+                ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p,
+            ]
+            fn.restype = ctypes.c_int
+        return drivers
+    return None
+
+
+def hermitian_eigenvalues(h, overwrite: bool = False) -> np.ndarray:
+    """Eigenvalues, real and ascending, of the Hermitian matrix whose lower
+    triangle is that of ``h``; the strict upper triangle is not read.
+
+    ``h`` is diagonalized in its own field: float64 for real input,
+    complex128 for complex input.  With ``overwrite=True`` a Fortran-ordered
+    ``h`` of that dtype is handed to LAPACK as is and destroyed; any other
+    input is first copied into a Fortran-ordered buffer.  Raises
+    :class:`numpy.linalg.LinAlgError` when the lower triangle holds a NaN,
+    when an eigenvalue comes out non-finite, or when the driver fails.
+    """
+    h = np.asarray(h)
+    dtype = np.complex128 if np.iscomplexobj(h) else np.float64
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"Hermitian matrix must be square, got shape {h.shape}")
+    n = h.shape[0]
+    if n == 0:
+        return np.empty(0)
+    if not (overwrite and h.dtype == dtype and h.flags.f_contiguous):
+        h = np.array(h, dtype=dtype, order="F")
+    drivers = _two_stage_drivers()
+    info = 0
+    if drivers is None:
+        # scipy raises LinAlgError itself when the driver fails.
+        w = scipy.linalg.eigh(
+            h, eigvals_only=True, driver="evd", overwrite_a=True, check_finite=False
+        )
+    else:
+        w = np.empty(n)
+        info = drivers[h.dtype](
+            _COL_MAJOR, b"N", b"L", n, h.ctypes.data, n, w.ctypes.data
+        )
+    # LAPACKE reports a NaN in the matrix (argument 5) as info = -5; plain
+    # LAPACK lets NaN and infinity through as non-finite eigenvalues.
+    if info == -5 or (info == 0 and not np.isfinite(w).all()):
+        raise np.linalg.LinAlgError("Hermitian eigensolve: the input is not finite")
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"Hermitian eigensolve failed (LAPACK info = {info})"
+        )
+    return w
 
 
 def require_hermitian(h, tol: float = HERMITIAN_RTOL) -> np.ndarray:
@@ -186,4 +277,4 @@ def generalized_hermitian_eig(a, m, tol: float = HERMITIAN_RTOL) -> EigenDecompo
     a = require_hermitian(a, tol)
     l = cholesky(require_hermitian(m, tol))  # noqa: E741 - L as in M = L L*
     reduced = require_hermitian(triangular_congruence(l, a), tol=1e-10)
-    return EigenDecomposition(eigenvalues=np.linalg.eigvalsh(reduced))
+    return EigenDecomposition(eigenvalues=hermitian_eigenvalues(reduced))

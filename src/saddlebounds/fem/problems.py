@@ -172,7 +172,8 @@ class BlockPreconditioner:
 
     def dense(self, rows: slice) -> np.ndarray:
         """Dense inner-product matrix (the inverse of this preconditioner) on
-        the diagonal range ``rows``, which must not cut a slice."""
+        the diagonal range ``rows``; raises ``ValueError`` if ``rows`` cuts a
+        slice."""
         size = rows.stop - rows.start
         out = np.zeros((size, size))
         for factor, slices, scales in self._blocks:
@@ -180,7 +181,13 @@ class BlockPreconditioner:
             if scipy.sparse.issparse(block):
                 block = block.toarray()
             for part, scale in zip(slices, scales):
-                if rows.start <= part.start and part.stop <= rows.stop:
+                inside = rows.start <= part.start and part.stop <= rows.stop
+                if not inside and part.start < rows.stop and rows.start < part.stop:
+                    raise ValueError(
+                        f"rows {rows.start}:{rows.stop} cut the preconditioner "
+                        f"slice {part.start}:{part.stop}"
+                    )
+                if inside:
                     t = slice(part.start - rows.start, part.stop - rows.start)
                     out[t, t] = block / scale
         return out

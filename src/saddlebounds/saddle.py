@@ -48,6 +48,7 @@ from .densecore import (
     apply_in_field,
     as_matrix,
     cholesky,
+    hermitian_eigenvalues,
     require_hermitian,
     triangular_congruence,
 )
@@ -350,14 +351,14 @@ mu3_cubic` via :func:`saddlebounds.bounds.inclusion_set`) presume the
         raise ValueError("ker(B) is trivial; the kernel inf-sup is undefined")
     v0 = vh[red.m:].conj().T
     at_v0 = apply_in_field(red.at, red.at.__matmul__, v0)
-    kernel_eigs = np.linalg.eigvalsh(v0.conj().T @ at_v0)
+    kernel_eigs = hermitian_eigenvalues(v0.conj().T @ at_v0)
     alpha = float(np.min(np.abs(kernel_eigs)))
     if alpha <= 1e-12 * max(float(np.max(np.abs(kernel_eigs))), 1e-300):
         raise ValueError(
             f"(1,1) block is not elliptic on ker(B): inf-sup constant "
             f"{alpha:.6e} vanishes (singular kernel block)"
         )
-    lam = np.linalg.eigvalsh(red.at)
+    lam = hermitian_eigenvalues(red.at)
     lam_min, lam_max = float(lam[0]), float(lam[-1])
     return BrezziConstants(
         alpha=alpha,
@@ -375,10 +376,19 @@ def preconditioned_spectrum(red: ReducedSystem) -> EigenDecomposition:
 
     These are the eigenvalues of the reduced matrix ``[[At, G*], [G, -Ct]]``.
     It is Hermitian by construction, since :func:`reduce_system` checked and
-    symmetrized ``At`` and ``Ct``, so it is not checked again.
+    symmetrized ``At`` and ``Ct``, so it is not checked again.  Only its
+    lower triangle is read: ``At``, ``G`` and ``-Ct`` are written into one
+    Fortran-ordered buffer, which the eigensolver then overwrites, and the
+    ``G*`` block is never formed.
     """
-    block = np.block([[red.at, red.g.conj().T], [red.g, -red.ct]])
-    return EigenDecomposition(eigenvalues=np.linalg.eigvalsh(block))
+    n = red.n
+    block = np.empty(
+        (n + red.m, n + red.m), dtype=np.result_type(red.at, red.g, red.ct), order="F"
+    )
+    block[:n, :n] = red.at
+    block[n:, :n] = red.g
+    np.negative(red.ct, out=block[n:, n:])
+    return EigenDecomposition(eigenvalues=hermitian_eigenvalues(block, overwrite=True))
 
 
 def babuska_constants(red: ReducedSystem) -> BabuskaConstants:

@@ -109,6 +109,17 @@ class TestTableCommand:
         assert main(["table", "--config", str(config), "--out", str(out)]) == 0
         assert out.read_text().startswith("| h |")
 
+    def test_format_flag_overrides_config_file(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "flavor": "parabolic-reduced", "levels": [0], "format": "json",
+        }))
+        out = tmp_path / "t.csv"
+        assert main([
+            "table", "--config", str(config), "--format", "csv", "--out", str(out),
+        ]) == 0
+        assert out.read_text().startswith("h,computed_lo,")
+
     def test_rejects_unknown_format_before_any_row(self, tmp_path, capsys, monkeypatch):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
@@ -254,3 +265,11 @@ class TestRecordedRows:
             pairs = zip(_NUMBER.findall(value), _NUMBER.findall(want[key]))
             for g, w in pairs:
                 assert float(g) == pytest.approx(float(w), rel=1e-10, abs=0.0), key
+
+
+@pytest.mark.usefixtures("lapack_fallback")
+class TestRecordedBoundsFallback:
+    """The recorded ``bounds`` lines again, with every eigensolve on the
+    fallback driver."""
+
+    test_bounds_prints_as_recorded = TestRecordedRows.test_bounds_prints_as_recorded

@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg
 
+from saddlebounds import densecore
 from saddlebounds.densecore import (
     NotHermitianError,
     NotPositiveDefiniteError,
     as_matrix,
     cholesky,
     generalized_hermitian_eig,
+    hermitian_eigenvalues,
     require_hermitian,
     triangular_congruence,
 )
@@ -61,6 +66,97 @@ class TestHermitianEig:
         with pytest.raises(NotHermitianError) as err:
             hermitian_eig(bad)
         assert err.value.defect == pytest.approx(1.0)
+
+
+def random_symmetric(rng, n: int, complex_entries: bool) -> np.ndarray:
+    g = rng.standard_normal((n, n))
+    if complex_entries:
+        g = g + 1j * rng.standard_normal((n, n))
+    return 0.5 * (g + g.conj().T)
+
+
+@pytest.fixture(params=["two-stage", "fallback"])
+def driver(request):
+    """Each test that uses this runs once per driver."""
+    if request.param == "fallback":
+        request.getfixturevalue("lapack_fallback")
+
+
+@pytest.mark.usefixtures("driver")
+class TestHermitianEigenvalues:
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_matches_eigvalsh(self, rng, complex_entries):
+        for n in [*range(13), 64, 300]:
+            h = random_symmetric(rng, n, complex_entries)
+            lam = hermitian_eigenvalues(h)
+            ref = np.linalg.eigvalsh(h)
+            assert lam.dtype == np.float64 and lam.shape == (n,)
+            assert np.all(np.diff(lam) >= 0.0)
+            norm = np.linalg.norm(h, 2) if n else 0.0
+            assert np.max(np.abs(lam - ref), initial=0.0) <= 1e-12 * norm
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_clustered_spectrum(self, rng, complex_entries):
+        h = np.eye(40) + 1e-13 * random_symmetric(rng, 40, complex_entries)
+        lam = hermitian_eigenvalues(h)
+        assert np.all(np.diff(lam) >= 0.0)
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(h))) <= 1e-12
+        # Weyl: every eigenvalue is within ||H - I|| of 1.
+        assert np.max(np.abs(lam - 1.0)) <= np.linalg.norm(h - np.eye(40), 2) + 1e-14
+
+    def test_reads_the_lower_triangle_only(self, rng):
+        h = random_symmetric(rng, 9, complex_entries=True)
+        garbage = h.copy()
+        garbage[np.triu_indices(9, 1)] = np.nan
+        assert np.array_equal(hermitian_eigenvalues(garbage), hermitian_eigenvalues(h))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_non_finite_raises(self, complex_entries, bad):
+        # LAPACKE checks for NaN; plain LAPACK either returns non-finite
+        # eigenvalues, reported the same way, or fails to converge.
+        h = np.eye(5, dtype=complex if complex_entries else float)
+        h[3, 1] = bad
+        match = "not finite" if np.isnan(bad) and densecore._two_stage_drivers() else None
+        with pytest.raises(np.linalg.LinAlgError, match=match):
+            hermitian_eigenvalues(h)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eigenvalues(np.ones((2, 3)))
+
+    def test_overwrite_makes_no_copy(self, rng):
+        h = np.asfortranarray(random_symmetric(rng, 200, complex_entries=True))
+        ref = np.linalg.eigvalsh(h)
+        kept = h.copy(order="F")
+        hermitian_eigenvalues(kept)
+        assert np.array_equal(h, kept)  # overwrite=False leaves the input alone
+        tracemalloc.start()
+        try:
+            lam = hermitian_eigenvalues(h, overwrite=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < h.nbytes // 2
+        assert np.max(np.abs(lam - ref)) <= 1e-12 * np.linalg.norm(kept, 2)
+
+
+class TestEigenvalueDrivers:
+    def test_fallback_gives_the_same_eigenvalues(self, rng, monkeypatch):
+        mats = [random_symmetric(rng, n, c) for n in (1, 7, 120) for c in (False, True)]
+        two_stage = [hermitian_eigenvalues(h) for h in mats]
+        monkeypatch.setattr(densecore, "_two_stage_drivers", lambda: None)
+        for h, lam in zip(mats, two_stage):
+            fallback = hermitian_eigenvalues(h)
+            assert np.max(np.abs(fallback - lam)) <= 1e-12 * np.linalg.norm(h, 2)
+
+    def test_scipy_openblas_exports_the_two_stage_drivers(self):
+        # Every scipy-openblas build carries LAPACK's two-stage drivers; any
+        # other LAPACK may or may not, and then the fallback is used.
+        lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        drivers = densecore._two_stage_drivers()
+        if lapack["name"] == "scipy-openblas":
+            assert set(drivers) == {np.dtype(np.float64), np.dtype(np.complex128)}
 
 
 class TestFields:

@@ -395,6 +395,13 @@ class TestBlockPreconditioner:
         with pytest.raises(ValueError, match="tile"):
             BlockPreconditioner(6, [(factor, [slice(0, 3), second], [1.0, 1.0])])
 
+    def test_dense_rejects_a_cut_slice(self):
+        factor = SpdFactor(scipy.sparse.identity(3, format="csc"))
+        precond = BlockPreconditioner(6, [(factor, [slice(0, 3), slice(3, 6)], [1.0, 2.0])])
+        assert np.array_equal(precond.dense(slice(3, 6)), 0.5 * np.eye(3))
+        with pytest.raises(ValueError, match="slice 3:6"):
+            precond.dense(slice(0, 4))
+
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
         flavor=st.sampled_from(sorted(BUILDERS)),

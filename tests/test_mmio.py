@@ -128,3 +128,8 @@ class TestBundle:
         for name in ("at", "g", "lp", "lr"):
             want = np.complex128 if name == complex_reduced else np.float64
             assert getattr(red, name).dtype == want, name
+
+
+@pytest.mark.usefixtures("lapack_fallback")
+class TestBundleFallback(TestBundle):
+    """The bundle tests again, with every eigensolve on the fallback driver."""

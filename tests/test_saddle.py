@@ -459,6 +459,35 @@ class TestDensePathProperty:
         assert_matches_pencils(sys, ip, red)
 
 
+@pytest.mark.usefixtures("lapack_fallback")
+class TestDensePathFallback:
+    """The dense-path properties again, with every eigensolve on the fallback
+    driver.
+
+    Hypothesis refuses to run one ``@given`` test from two classes, so the
+    properties are given their undecorated bodies with the same strategies
+    and settings; ``derandomize`` then draws the same examples.
+    """
+
+    test_gamma_lower_bound_property = TestBabuskaConstants.test_gamma_lower_bound_property
+    test_norm_upper_bound_property = TestBabuskaConstants.test_norm_upper_bound_property
+    test_spectrum_and_gamma_ordering = settings(
+        max_examples=25, deadline=None, derandomize=True, database=None
+    )(given(
+        n=st.integers(3, 12),
+        kernel_share=st.floats(0.1, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )(TestDensePathProperty.test_spectrum_and_gamma_ordering.hypothesis.inner_test))
+    test_mixed_fields = settings(
+        max_examples=20, deadline=None, derandomize=True, database=None
+    )(given(
+        n=st.integers(3, 12),
+        kernel_share=st.floats(0.1, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+        real_coupling=st.booleans(),
+    )(TestDensePathProperty.test_mixed_fields.hypothesis.inner_test))
+
+
 class TestLemma21Inequalities:
     def test_operator_norm_bounds(self, rng):
         for _ in range(30):
