@@ -10,31 +10,19 @@ intervals with the true spectrum.
 import numpy as np
 
 from saddlebounds import (
-    InnerProduct,
-    SaddleSystem,
-    block_decompose,
     brezzi_constants,
     inclusion_set,
     preconditioned_spectrum,
     reduce_system,
 )
+from saddlebounds.verify import random_coercive_system
 
 rng = np.random.default_rng(42)
 n, m = 8, 3
 
-# random Hermitian (1,1) block, made coercive on the coupling kernel
-g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-a = 0.5 * (g + g.conj().T)
-b = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-gp = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-p = gp @ gp.conj().T + n * np.eye(n)
-gr = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-r = gr @ gr.conj().T + m * np.eye(m)
-
-ip = InnerProduct(p=p, r=r)
-dec = block_decompose(reduce_system(SaddleSystem(a=a, b=b), ip))
-shift = max(0.0, 0.5 - np.linalg.eigvalsh(dec.a00)[0])
-red = reduce_system(SaddleSystem(a=a + shift * p, b=b), ip)
+# random Hermitian (1,1) block, shifted to be coercive on the coupling kernel
+sys, ip = random_coercive_system(rng, n, m)
+red = reduce_system(sys, ip)
 
 constants = brezzi_constants(red)
 print("extracted constants:")

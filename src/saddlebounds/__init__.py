@@ -27,7 +27,6 @@ from .saddle import (
     reduce_system,
 )
 from .bounds import (
-    CubicCoefficients,
     SpectralInclusion,
     b_norm_upper,
     gamma_classical,
@@ -39,7 +38,6 @@ from .bounds import (
     mu3_cubic,
     mu3_simple,
     phi_max_appendix,
-    smallest_positive_root,
     witness_general,
     witness_hermitian,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "brezzi_constants",
     "preconditioned_spectrum",
     "reduce_system",
-    "CubicCoefficients",
     "SpectralInclusion",
     "b_norm_upper",
     "gamma_classical",
@@ -90,7 +87,6 @@ __all__ = [
     "mu3_cubic",
     "mu3_simple",
     "phi_max_appendix",
-    "smallest_positive_root",
     "witness_general",
     "witness_hermitian",
     "PairingReport",

@@ -19,8 +19,13 @@ and on the eigenvalue inclusion intervals of the preconditioned matrix:
 * the textbook MINRES iteration bound for a two-interval spectrum
   symmetrized to ``[-mu4,-mu3] u [mu3,mu4]`` (:func:`minres_iteration_bound`).
 
-All cubics are solved by bracketed bisection plus a Newton polish; the
-relevant brackets are certified by sign evaluations, never assumed.
+Both cubic bounds are the smallest positive root of a monic cubic ``q``
+with ``q(0) = alpha beta^2 > 0`` and linear coefficient
+``lambda_min lambda_max - beta^2 < 0`` (``lambda_min = -a_norm`` and
+``lambda_max = a_norm`` for :func:`gamma_opt_general`).  Such a ``q`` has
+exactly one positive critical point ``mu*`` and decreases on ``[0, mu*]``,
+so the root is its only zero there; one bisection on that bracket
+computes it.
 """
 
 from __future__ import annotations
@@ -31,9 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CubicCoefficients",
     "SpectralInclusion",
-    "smallest_positive_root",
     "gamma_opt_general",
     "gamma_simple",
     "gamma_classical",
@@ -47,21 +50,6 @@ __all__ = [
     "phi_max_appendix",
     "minres_iteration_bound",
 ]
-
-
-@dataclass(frozen=True)
-class CubicCoefficients:
-    """Monic real cubic ``mu^3 + c2 mu^2 + c1 mu + c0``."""
-
-    c2: float
-    c1: float
-    c0: float
-
-    def __call__(self, mu: float) -> float:
-        return ((mu + self.c2) * mu + self.c1) * mu + self.c0
-
-    def derivative(self, mu: float) -> float:
-        return (3.0 * mu + 2.0 * self.c2) * mu + self.c1
 
 
 @dataclass(frozen=True)
@@ -87,74 +75,36 @@ class SpectralInclusion:
         return bool(np.all(neg | pos))
 
 
-def _bisect_newton(cubic: CubicCoefficients, lo: float, hi: float) -> float:
-    """Root of ``cubic`` in [lo, hi] given a sign change between the ends.
+def _smallest_positive_root(c2: float, c1: float, c0: float) -> float:
+    """Smallest positive root of ``q(mu) = mu^3 + c2 mu^2 + c1 mu + c0``.
 
-    Bisection narrows the certified bracket, then Newton polishes inside it;
-    steps leaving the bracket fall back to bisection.
+    Precondition ``c0 > 0 > c1``: then ``q'`` has exactly one positive zero
+    ``mu*`` and ``q`` decreases on ``[0, mu*]`` from ``q(0) = c0 > 0``, so the
+    wanted root is the only zero of ``q`` there.  A zero at ``mu*`` itself
+    is a double root and returned as is; otherwise bisection halves the
+    bracket until the midpoint equals an endpoint and returns the endpoint
+    where ``q <= 0``.
     """
-    flo, fhi = cubic(lo), cubic(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError("bracket does not enclose a sign change")
-    for _ in range(80):
+
+    def q(mu: float) -> float:
+        return ((mu + c2) * mu + c1) * mu + c0
+
+    disc = c2 * c2 - 3.0 * c1
+    mu_star = (-c2 + math.sqrt(disc)) / 3.0 if disc > 0.0 else 0.0
+    q_star = q(mu_star)
+    if not (mu_star > 0.0 and q_star <= 0.0):
+        raise ValueError("cubic has no positive real root")
+    if q_star == 0.0:
+        return mu_star
+    lo, hi = 0.0, mu_star
+    while True:
         mid = 0.5 * (lo + hi)
-        fmid = cubic(mid)
-        if fmid == 0.0:
-            return mid
-        if fmid * flo > 0.0:
+        if mid == lo or mid == hi:
+            return hi
+        if q(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(8):
-        fx = cubic(x)
-        dfx = cubic.derivative(x)
-        if dfx == 0.0:
-            break
-        x_new = x - fx / dfx
-        if not (lo <= x_new <= hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-16 * max(1.0, abs(x)):
-            x = x_new
-            break
-        x = x_new
-    return x
-
-
-def smallest_positive_root(cubic: CubicCoefficients) -> float:
-    """Smallest positive real root of a monic cubic, to ~1e-14 relative.
-
-    The positive axis is partitioned at the critical points of the cubic so
-    each subinterval is monotone; every sign change yields a certified
-    bracket.  Raises ``ValueError`` when no positive root exists.
-    """
-    bound = 1.0 + max(abs(cubic.c2), abs(cubic.c1), abs(cubic.c0))
-    # Critical points: roots of 3 mu^2 + 2 c2 mu + c1.
-    crit = []
-    disc = cubic.c2 * cubic.c2 - 3.0 * cubic.c1
-    if disc > 0.0:
-        sq = math.sqrt(disc)
-        crit = [(-cubic.c2 - sq) / 3.0, (-cubic.c2 + sq) / 3.0]
-    knots = [0.0] + sorted(c for c in crit if 0.0 < c < bound) + [bound]
-    roots = []
-    for a, b in zip(knots[:-1], knots[1:]):
-        fa, fb = cubic(a), cubic(b)
-        if fa == 0.0 and a > 0.0:
-            roots.append(a)
-        if fb == 0.0:
-            roots.append(b)
-        if fa * fb < 0.0:
-            roots.append(_bisect_newton(cubic, a, b))
-    roots = [r for r in roots if r > 0.0]
-    if not roots:
-        raise ValueError("cubic has no positive real root")
-    return min(roots)
 
 
 def _check_brezzi_params(alpha: float, beta: float, a_norm: float) -> None:
@@ -173,8 +123,7 @@ def gamma_opt_general(alpha: float, beta: float, a_norm: float) -> float:
     :func:`witness_general`.
     """
     _check_brezzi_params(alpha, beta, a_norm)
-    cubic = CubicCoefficients(0.0, -(a_norm * a_norm + beta * beta), alpha * beta * beta)
-    return smallest_positive_root(cubic)
+    return _smallest_positive_root(0.0, -(a_norm * a_norm + beta * beta), alpha * beta * beta)
 
 
 def gamma_simple(alpha: float, beta: float, a_norm: float) -> float:
@@ -258,14 +207,13 @@ def mu3_cubic(
     the one solved by :func:`gamma_opt_general`.
     """
     _check_eigenrange_params(alpha, beta, lambda_min, lambda_max)
-    cubic = CubicCoefficients(
+    # q(0) = alpha beta^2 > 0 and q(alpha) = alpha (alpha - lambda_min)
+    # (alpha - lambda_max) <= 0, so the root lies in (0, alpha].
+    return _smallest_positive_root(
         -(lambda_min + lambda_max),
         lambda_min * lambda_max - beta * beta,
         alpha * beta * beta,
     )
-    # q(0) = alpha beta^2 > 0 and q(alpha) = alpha (alpha - lambda_min)
-    # (alpha - lambda_max) <= 0, so (0, alpha] certifiably brackets the root.
-    return smallest_positive_root(cubic)
 
 
 def mu3_simple(
@@ -311,18 +259,14 @@ def inclusion_set(constants) -> SpectralInclusion:
 def witness_general(alpha: float, beta: float, a_norm: float):
     """3x3 system (identity inner product) attaining :func:`gamma_opt_general`.
 
-    The (1,1) block is ``[[alpha, -g], [-g, -alpha]]`` with
-    ``g = sqrt(a_norm^2 - alpha^2)`` and the coupling row is ``[0, beta]``;
-    its constants are exactly (alpha, beta, a_norm) and its smallest
-    eigenvalue modulus equals the cubic root.
+    This is :func:`witness_hermitian` on the eigenvalue range
+    ``[-a_norm, a_norm]``: the (1,1) block is ``[[alpha, -g], [-g, -alpha]]``
+    with ``g = sqrt(a_norm^2 - alpha^2)`` and the coupling row is
+    ``[0, beta]``; its constants are exactly (alpha, beta, a_norm) and its
+    smallest eigenvalue modulus equals the cubic root.
     """
-    from .saddle import SaddleSystem
-
     _check_brezzi_params(alpha, beta, a_norm)
-    g = math.sqrt(max(a_norm * a_norm - alpha * alpha, 0.0))
-    a = np.array([[alpha, -g], [-g, -alpha]], dtype=np.complex128)
-    b = np.array([[0.0, beta]], dtype=np.complex128)
-    return SaddleSystem(a=a, b=b)
+    return witness_hermitian(alpha, beta, -a_norm, a_norm)
 
 
 def witness_hermitian(

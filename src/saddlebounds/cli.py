@@ -40,7 +40,7 @@ import numpy as np
 from . import bounds as bnd
 from . import mmio, verify
 from .fem import build_mesh, parabolic_kkt, parabolic_reduced, stokes_system
-from .krylov import estimate_intervals, minres_solve
+from .krylov import estimate_intervals, minres_solve, printed_endpoint
 from .saddle import BrezziConstants, babuska_constants, brezzi_constants, reduce_system
 
 FLAVORS = ("parabolic-kkt", "parabolic-reduced", "stokes")
@@ -218,10 +218,10 @@ def format_table(rows: list[TableRow], fmt: str) -> str:
     body = [
         [
             f"{row.parameter_value:g}",
-            f"{row.computed_lo:.3f}",
-            f"{row.computed_hi:.3f}",
-            f"{row.theory_lo:.3f}",
-            f"{row.theory_hi:.3f}",
+            printed_endpoint(row.computed_lo),
+            printed_endpoint(row.computed_hi),
+            printed_endpoint(row.theory_lo),
+            printed_endpoint(row.theory_hi),
             str(row.iterations),
             str(row.iteration_bound),
         ]

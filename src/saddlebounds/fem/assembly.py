@@ -23,6 +23,9 @@ from .mesh import Mesh
 
 __all__ = ["ScalarFem", "StokesFem", "assemble_p1", "assemble_taylor_hood"]
 
+#: Pressure vertex whose dof is removed to fix the constant pressure mode.
+PINNED_PRESSURE = 0
+
 # Degree-5, 7-point rule on the reference triangle in barycentric
 # coordinates; weights sum to one (integral = area * weighted sum).
 _W1 = (155.0 - np.sqrt(15.0)) / 1200.0
@@ -112,7 +115,6 @@ class ScalarFem:
     full_mass: scipy.sparse.csr_matrix
     full_stiffness: scipy.sparse.csr_matrix
     interior: np.ndarray
-    boundary: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -135,7 +137,6 @@ def assemble_p1(mesh: Mesh) -> ScalarFem:
     full_mass = _accumulate([rows], [cols], [me.ravel()], (nv, nv))
     full_stiff = _accumulate([rows], [cols], [ke.ravel()], (nv, nv))
 
-    boundary = np.flatnonzero(mesh.boundary_vertex_mask)
     interior = np.flatnonzero(~mesh.boundary_vertex_mask)
     return ScalarFem(
         mass=full_mass[np.ix_(interior, interior)].tocsr(),
@@ -143,7 +144,6 @@ def assemble_p1(mesh: Mesh) -> ScalarFem:
         full_mass=full_mass,
         full_stiffness=full_stiff,
         interior=interior,
-        boundary=boundary,
     )
 
 
@@ -167,9 +167,7 @@ class StokesFem:
     full_div_y: scipy.sparse.csr_matrix
     pressure_mass: scipy.sparse.csr_matrix
     interior: np.ndarray
-    boundary: np.ndarray
     p2_coordinates: np.ndarray
-    pinned_pressure: int
 
     @property
     def velocity_component_dim(self) -> int:
@@ -183,7 +181,7 @@ class StokesFem:
     @property
     def kept_pressure(self) -> np.ndarray:
         npv = self.pressure_mass.shape[0]
-        return np.setdiff1d(np.arange(npv), [self.pinned_pressure])
+        return np.setdiff1d(np.arange(npv), [PINNED_PRESSURE])
 
     def divergence(self) -> scipy.sparse.csr_matrix:
         """Pinned-pressure divergence acting on stacked (x, y) components."""
@@ -193,13 +191,13 @@ class StokesFem:
         )
 
 
-def assemble_taylor_hood(mesh: Mesh, pinned_pressure: int = 0) -> StokesFem:
+def assemble_taylor_hood(mesh: Mesh) -> StokesFem:
     """Taylor-Hood assembly: P2 velocity components, P1 pressure.
 
     P2 nodes are the mesh vertices followed by the edge midpoints; Dirichlet
     elimination keeps interior nodes (coordinate test, exact for dyadic
-    meshes).  ``pinned_pressure`` selects the pressure vertex removed to fix
-    the constant mode.
+    meshes).  The pressure vertex ``PINNED_PRESSURE`` is removed to fix the
+    constant mode.
     """
     grads, areas = _barycentric_gradients(mesh)
     t = mesh.triangles
@@ -229,7 +227,6 @@ def assemble_taylor_hood(mesh: Mesh, pinned_pressure: int = 0) -> StokesFem:
         [mesh.boundary_vertex_mask, mesh.boundary_edge_midpoint_mask]
     )
     interior = np.flatnonzero(~on_boundary)
-    boundary = np.flatnonzero(on_boundary)
 
     p1 = assemble_p1(mesh)
     return StokesFem(
@@ -242,7 +239,5 @@ def assemble_taylor_hood(mesh: Mesh, pinned_pressure: int = 0) -> StokesFem:
         full_div_y=full_div_y,
         pressure_mass=p1.full_mass,
         interior=interior,
-        boundary=boundary,
         p2_coordinates=p2_coords,
-        pinned_pressure=pinned_pressure,
     )

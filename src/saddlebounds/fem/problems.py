@@ -254,8 +254,7 @@ class ModelProblem:
 
     def saddle_system(self) -> SaddleSystem:
         self._check_dense()
-        c = self.c.toarray() if self.c is not None else None
-        return SaddleSystem(a=self.a.toarray(), b=self.b.toarray(), c=c)
+        return SaddleSystem(a=self.a, b=self.b, c=self.c)
 
     def inner_product(self) -> InnerProduct:
         self._check_dense()

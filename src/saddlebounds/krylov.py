@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: Most Lanczos steps of :func:`estimate_intervals` (fewer if the dimension
-#: is smaller), and the seed of its random probe vector.
+#: is smaller), and the seed of every random probe vector.
 ESTIMATE_STEPS = 220
 PROBE_SEED = 20240915
 #: :func:`estimate_intervals` checks its certificate at step ``CHECK_FIRST``,
@@ -193,7 +193,7 @@ def _lanczos(a: LinearOperator, m_inv: LinearOperator, v: np.ndarray):
 def _probe_operators(a: LinearOperator, m_inv: LinearOperator) -> None:
     """Check Hermitian symmetry of ``a`` and positivity of ``m_inv`` on two
     seeded random vectors (freed on return, before the solve allocates)."""
-    rng = np.random.default_rng(20240915)
+    rng = np.random.default_rng(PROBE_SEED)
     u = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
     v = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
     au, av = a(u), a(v)
@@ -295,8 +295,9 @@ def _true_residual(a, m_inv, rhs, x) -> float:
     return float(np.sqrt(max(_real_inner(m_inv(r), r, "preconditioner"), 0.0)))
 
 
-def _printed(value: float) -> str:
-    """``value`` as the experiment tables print it."""
+def printed_endpoint(value: float) -> str:
+    """An interval endpoint as the experiment tables print it; the estimate
+    certifies exactly this rounding."""
     return f"{value:.3f}"
 
 
@@ -379,7 +380,8 @@ def _ritz_estimate(alphas: list, betas: list) -> RitzEstimate:
         pos_lo=lo,
         pos_hi=hi,
         steps=k,
-        certified=_printed(hi) == _printed(hi + r_hi) and _printed(lo) == _printed(lo - r_lo),
+        certified=printed_endpoint(hi) == printed_endpoint(hi + r_hi)
+        and printed_endpoint(lo) == printed_endpoint(lo - r_lo),
     )
 
 

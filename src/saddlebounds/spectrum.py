@@ -69,33 +69,31 @@ def _symmetry_defect(b: np.ndarray) -> float:
     return float(np.max(np.abs(b - b.T))) if b.size else 0.0
 
 
-def detect_structure(
-    sys: SaddleSystem, rtol: float = STRUCTURE_RTOL
-) -> SymmetricSpectrumSystem | None:
+def detect_structure(sys: SaddleSystem) -> SymmetricSpectrumSystem | None:
     """Return the symmetric-spectrum view of ``sys`` if it has one.
 
     Requires n = m, the (2,2) block of the assembled matrix equal to -A
     (i.e. the stored C equals A), A real symmetric positive definite and B
-    complex symmetric, all within ``rtol`` relative tolerances.  Returns
-    ``None`` when any hypothesis fails.
+    complex symmetric, all within the relative tolerance ``STRUCTURE_RTOL``.
+    Returns ``None`` when any hypothesis fails.
     """
     if sys.n != sys.m:
         return None
     a, b, c = sys.a, sys.b, sys.c
     scale_a = max(float(np.max(np.abs(a))), 1e-300)
-    if float(np.max(np.abs(c - a))) > rtol * scale_a:
+    if float(np.max(np.abs(c - a))) > STRUCTURE_RTOL * scale_a:
         return None
-    if float(np.max(np.abs(a.imag))) > rtol * scale_a:
+    if float(np.max(np.abs(a.imag))) > STRUCTURE_RTOL * scale_a:
         return None
     a_real = a.real
-    if _symmetry_defect(a_real) > rtol * scale_a:
+    if _symmetry_defect(a_real) > STRUCTURE_RTOL * scale_a:
         return None
     try:
         scipy.linalg.cholesky(a_real, lower=True)
     except scipy.linalg.LinAlgError:
         return None
     scale_b = max(float(np.max(np.abs(b))), 1e-300)
-    if _symmetry_defect(b) > rtol * scale_b:
+    if _symmetry_defect(b) > STRUCTURE_RTOL * scale_b:
         return None
     return SymmetricSpectrumSystem(a=a_real, b=b)
 

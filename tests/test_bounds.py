@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from saddlebounds.bounds import (
-    CubicCoefficients,
     SpectralInclusion,
+    _smallest_positive_root,
     b_norm_upper,
     gamma_classical,
     gamma_opt_general,
@@ -16,7 +18,6 @@ from saddlebounds.bounds import (
     mu3_cubic,
     mu3_simple,
     phi_max_appendix,
-    smallest_positive_root,
     witness_general,
     witness_hermitian,
 )
@@ -46,33 +47,84 @@ def bisect_root(coeffs, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+def simple_smallest_root(c2, c1, c0):
+    """Smallest positive root of a bound cubic by numpy's companion matrix.
+
+    With ``c0 > 0`` the cubic has one negative root and two positive ones
+    (a complex pair at a rounded double root).  A double root is conditioned
+    at sqrt(eps), where numpy.roots itself is off by about 5e-9, so only
+    examples with two well separated positive roots are compared.
+    """
+    roots = np.roots([1.0, c2, c1, c0])
+    small, large = np.sort(roots.real[roots.real > 0.0])
+    assume(large - small > 1e-6 * large)
+    return small
+
+
 class TestSmallestPositiveRoot:
+    """Each case is the public bound that builds the named cubic."""
+
     def test_factorable_cubic(self):
         # mu^3 - 2 mu + 1 = (mu - 1)(mu^2 + mu - 1)
-        root = smallest_positive_root(CubicCoefficients(0.0, -2.0, 1.0))
+        root = gamma_opt_general(1.0, 1.0, 1.0)
         assert root == pytest.approx(GOLDEN, rel=1e-14)
 
     def test_sqrt3_cubic_vs_bisection(self):
         coeffs = (0.0, -2.0, 1.0 / math.sqrt(3.0))
         oracle = bisect_root(coeffs, 0.0, 0.5)
-        root = smallest_positive_root(CubicCoefficients(*coeffs))
+        root = gamma_opt_general(1.0 / math.sqrt(3.0), 1.0, 1.0)
         assert root == pytest.approx(oracle, rel=1e-13)
         assert root == pytest.approx(0.30252, abs=5e-6)
 
     def test_parabolic_cubic(self):
-        root = smallest_positive_root(
-            CubicCoefficients(-1.0, -0.5, 1.0 - math.sqrt(2.0) / 2.0)
-        )
+        # mu^3 - mu^2 - 0.5 mu + (1 - sqrt(2)/2)
+        root = mu3_cubic(2.0 - math.sqrt(2.0), math.sqrt(2.0) / 2.0, 0.0, 1.0)
         assert round(root, 3) == 0.396
 
     def test_no_positive_root(self):
-        with pytest.raises(ValueError):
-            smallest_positive_root(CubicCoefficients(3.0, 3.0, 1.0))  # (mu+1)^3
+        with pytest.raises(ValueError, match="no positive real root"):
+            _smallest_positive_root(3.0, 3.0, 1.0)  # (mu+1)^3
+
+    def test_double_root(self):
+        # alpha = lambda_max = 1, lambda_min = 0, beta = 1: (mu - 1)^2 (mu + 1)
+        assert mu3_cubic(1.0, 1.0, 0.0, 1.0) == 1.0
 
     def test_root_at_alpha_branch(self):
         # alpha = a_norm = 1, beta = 2: roots are 1 and (-1 + sqrt(17))/2 > 1
-        root = smallest_positive_root(CubicCoefficients(0.0, -5.0, 4.0))
+        root = gamma_opt_general(1.0, 2.0, 1.0)
         assert root == pytest.approx(1.0, rel=1e-14)
+
+
+class TestCubicBoundsProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha_share=st.floats(0.01, 1.0),
+        beta=st.floats(0.05, 5.0),
+        lambda_min=st.floats(-5.0, 0.0),
+        lambda_max=st.floats(0.05, 5.0),
+    )
+    def test_mu3_is_smallest_positive_root(self, alpha_share, beta, lambda_min, lambda_max):
+        alpha = alpha_share * lambda_max
+        root = mu3_cubic(alpha, beta, lambda_min, lambda_max)
+        # one ulp of evaluation noise in q(alpha) may place the root past alpha
+        assert 0.0 < root <= alpha * (1.0 + 1e-12)
+        oracle = simple_smallest_root(
+            -(lambda_min + lambda_max), lambda_min * lambda_max - beta * beta, alpha * beta * beta
+        )
+        assert root == pytest.approx(oracle, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha_share=st.floats(0.01, 1.0),
+        beta=st.floats(0.05, 5.0),
+        a_norm=st.floats(0.05, 5.0),
+    )
+    def test_gamma_opt_is_smallest_positive_root(self, alpha_share, beta, a_norm):
+        alpha = alpha_share * a_norm
+        root = gamma_opt_general(alpha, beta, a_norm)
+        assert 0.0 < root <= alpha * (1.0 + 1e-12)
+        oracle = simple_smallest_root(0.0, -(a_norm * a_norm + beta * beta), alpha * beta * beta)
+        assert root == pytest.approx(oracle, rel=1e-12)
 
 
 class TestGammaBounds:

@@ -1,6 +1,8 @@
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,6 +24,18 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [key for key in getattr(module, "__all__", ()) if not hasattr(module, key)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    """Every command pays its imports; scipy.optimize alone costs about
+    0.25 s, and no module of the package needs it."""
+    src = str(Path(saddlebounds.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, saddlebounds.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
