@@ -21,8 +21,7 @@ from saddlebounds.fem import build_mesh, parabolic_reduced
 problem = parabolic_reduced(build_mesh(2), nu=1.0, omega=100.0)
 print(f"reduced parabolic system: dim={problem.dim}, nu={problem.nu}, omega={problem.omega}")
 
-view = detect_structure(problem.saddle_system())
-print(f"mirror block structure detected: {view is not None}")
+print(f"mirror block structure detected: {detect_structure(problem.saddle_system())}")
 
 red = reduce_system(problem.saddle_system(), problem.inner_product())
 spec = preconditioned_spectrum(red)

@@ -43,7 +43,6 @@ from .bounds import (
 )
 from .spectrum import (
     PairingReport,
-    SymmetricSpectrumSystem,
     detect_structure,
     linearize_quadratic,
     pairing_check,
@@ -90,7 +89,6 @@ __all__ = [
     "witness_general",
     "witness_hermitian",
     "PairingReport",
-    "SymmetricSpectrumSystem",
     "detect_structure",
     "linearize_quadratic",
     "pairing_check",

@@ -24,8 +24,9 @@ with ``q(0) = alpha beta^2 > 0`` and linear coefficient
 ``lambda_min lambda_max - beta^2 < 0`` (``lambda_min = -a_norm`` and
 ``lambda_max = a_norm`` for :func:`gamma_opt_general`).  Such a ``q`` has
 exactly one positive critical point ``mu*`` and decreases on ``[0, mu*]``,
-so the root is its only zero there; one bisection on that bracket
-computes it.
+so the root is its only zero there.  The root is at most ``alpha``, so one
+bisection on ``[0, min(mu*, alpha)]`` computes it and never returns more
+than ``alpha``.
 """
 
 from __future__ import annotations
@@ -75,15 +76,18 @@ class SpectralInclusion:
         return bool(np.all(neg | pos))
 
 
-def _smallest_positive_root(c2: float, c1: float, c0: float) -> float:
+def _smallest_positive_root(c2: float, c1: float, c0: float, alpha: float) -> float:
     """Smallest positive root of ``q(mu) = mu^3 + c2 mu^2 + c1 mu + c0``.
 
     Precondition ``c0 > 0 > c1``: then ``q'`` has exactly one positive zero
     ``mu*`` and ``q`` decreases on ``[0, mu*]`` from ``q(0) = c0 > 0``, so the
-    wanted root is the only zero of ``q`` there.  A zero at ``mu*`` itself
-    is a double root and returned as is; otherwise bisection halves the
-    bracket until the midpoint equals an endpoint and returns the endpoint
-    where ``q <= 0``.
+    wanted root is the only zero of ``q`` there.  The caller's theory puts
+    that root in ``(0, alpha]``, so the bracket is ``[0, min(mu*, alpha)]``
+    and rounding in ``q`` can never move the result past ``alpha``.  A zero
+    at ``mu*`` itself is a double root and returned as is (at most
+    ``alpha``); otherwise bisection halves the bracket until the midpoint
+    equals an endpoint and returns the upper one, where ``q <= 0`` unless
+    it is ``alpha``.
     """
 
     def q(mu: float) -> float:
@@ -94,9 +98,10 @@ def _smallest_positive_root(c2: float, c1: float, c0: float) -> float:
     q_star = q(mu_star)
     if not (mu_star > 0.0 and q_star <= 0.0):
         raise ValueError("cubic has no positive real root")
+    hi = min(mu_star, float(alpha))
     if q_star == 0.0:
-        return mu_star
-    lo, hi = 0.0, mu_star
+        return hi
+    lo = 0.0
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -123,7 +128,9 @@ def gamma_opt_general(alpha: float, beta: float, a_norm: float) -> float:
     :func:`witness_general`.
     """
     _check_brezzi_params(alpha, beta, a_norm)
-    return _smallest_positive_root(0.0, -(a_norm * a_norm + beta * beta), alpha * beta * beta)
+    return _smallest_positive_root(
+        0.0, -(a_norm * a_norm + beta * beta), alpha * beta * beta, alpha
+    )
 
 
 def gamma_simple(alpha: float, beta: float, a_norm: float) -> float:
@@ -213,6 +220,7 @@ def mu3_cubic(
         -(lambda_min + lambda_max),
         lambda_min * lambda_max - beta * beta,
         alpha * beta * beta,
+        alpha,
     )
 
 

@@ -43,7 +43,12 @@ from .fem import build_mesh, parabolic_kkt, parabolic_reduced, stokes_system
 from .krylov import estimate_intervals, minres_solve, printed_endpoint
 from .saddle import BrezziConstants, babuska_constants, brezzi_constants, reduce_system
 
-FLAVORS = ("parabolic-kkt", "parabolic-reduced", "stokes")
+_BUILDERS = {
+    "parabolic-kkt": parabolic_kkt,
+    "parabolic-reduced": parabolic_reduced,
+    "stokes": stokes_system,
+}
+FLAVORS = tuple(_BUILDERS)
 FORMATS = ("csv", "markdown", "json")
 
 
@@ -97,13 +102,6 @@ class TableRow:
     iteration_bound: int
     estimate_steps: int
     estimate_certified: bool
-
-
-_BUILDERS = {
-    "parabolic-kkt": parabolic_kkt,
-    "parabolic-reduced": parabolic_reduced,
-    "stokes": stokes_system,
-}
 
 
 def theoretical_interval(flavor: str) -> tuple[float, float]:
@@ -296,28 +294,30 @@ def _parse_list(text: str, cast) -> list:
     return [cast(tok) for tok in text.split(",") if tok.strip()]
 
 
+#: ``(flag, field, parse)`` of each ``table`` flag: a flag that is given
+#: sets the configuration field to ``parse(value)``, over the config file.
+_TABLE_FLAGS = (
+    ("flavor", "flavor", str),
+    ("levels", "levels", lambda text: _parse_list(text, int)),
+    ("nu", "nu", lambda text: _parse_list(text, float)),
+    ("omega", "omega", lambda text: _parse_list(text, float)),
+    ("eps", "eps", float),
+    ("maxit", "maxit", int),
+    ("format", "fmt", str),
+    ("out", "out", str),
+)
+
+
 def cmd_table(args) -> int:
     values: dict = {}
     if args.config:
         values.update(json.loads(Path(args.config).read_text()))
         if "format" in values:  # config files may use the flag spelling
             values["fmt"] = values.pop("format")
-    if args.flavor:
-        values["flavor"] = args.flavor
-    if args.levels:
-        values["levels"] = _parse_list(args.levels, int)
-    if args.nu:
-        values["nu"] = _parse_list(args.nu, float)
-    if args.omega:
-        values["omega"] = _parse_list(args.omega, float)
-    if args.eps is not None:
-        values["eps"] = args.eps
-    if args.maxit is not None:
-        values["maxit"] = args.maxit
-    if args.format:
-        values["fmt"] = args.format
-    if args.out:
-        values["out"] = args.out
+    for flag, name, parse in _TABLE_FLAGS:
+        value = getattr(args, flag)
+        if value is not None:
+            values[name] = parse(value)
     try:
         config = ExperimentConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -351,9 +351,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    if args.flavor not in _BUILDERS:
-        print(f"error: unknown flavor {args.flavor!r}", file=sys.stderr)
-        return 2
     mesh = build_mesh(args.level)
     problem = _BUILDERS[args.flavor](mesh, args.nu, args.omega)
     out = Path(args.out)

@@ -214,20 +214,22 @@ def require_hermitian(h, tol: float = HERMITIAN_RTOL) -> np.ndarray:
 def cholesky(m) -> np.ndarray:
     """Lower-triangular ``L`` with ``L L* = M`` for Hermitian positive definite M.
 
-    Reads the lower triangle only (validate with :func:`require_hermitian`);
-    raises :class:`NotPositiveDefiniteError` with the failing pivot index.
+    Reads the lower triangle only (validate with :func:`require_hermitian`)
+    and zeroes the upper one; raises ``ValueError`` on non-square or
+    non-finite input and :class:`NotPositiveDefiniteError` with the
+    zero-based index of the failing pivot.
     """
-    try:
-        return scipy.linalg.cholesky(as_matrix(m), lower=True)
-    except scipy.linalg.LinAlgError as exc:
+    m = np.asarray_chkfinite(as_matrix(m))
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"Cholesky factorization needs a square matrix, got {m.shape}")
+    (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (m,))
+    factor, info = potrf(m, lower=True, clean=True)
+    if info > 0:
         # LAPACK reports the 1-based order of the failing leading minor.
-        msg = str(exc)
-        pivot = -1
-        for token in msg.replace("-", " ").split():
-            if token.isdigit():
-                pivot = int(token) - 1
-                break
-        raise NotPositiveDefiniteError(pivot) from exc
+        raise NotPositiveDefiniteError(info - 1)
+    if info < 0:
+        raise ValueError(f"potrf: illegal value in argument {-info}")
+    return factor
 
 
 def real_columns(op, x) -> np.ndarray:

@@ -2,15 +2,18 @@
 
 For block matrices ``[[A, B*], [B, -A]]`` with A real symmetric positive
 definite and B complex symmetric, the spectrum is real and symmetric around
-zero: eigenvalues come in pairs ``(mu, -mu)``.  This module provides
+zero: eigenvalues come in pairs ``(mu, -mu)``.  Such a system is a
+:class:`~saddlebounds.saddle.SaddleSystem` whose stored C equals A.  This
+module provides
 
-* :func:`detect_structure` -- recognize that block shape inside a general
-  saddle system (the (2,2) block of the assembled matrix must equal -A),
+* :func:`detect_structure` -- whether a saddle system has that block shape
+  (the (2,2) block of the assembled matrix must equal -A),
 * :func:`pairing_check` -- verify the mirror pairing of a computed spectrum,
 * :func:`linearize_quadratic` -- the companion-type linearization whose
-  spectrum reproduces the system's spectrum, built from a principal square
-  root of B; the linearization has the form ``[[0, I], [H, S]]`` with H
-  complex symmetric and S complex skew-symmetric,
+  spectrum reproduces the spectrum of a system of that shape, built from a
+  principal square root of B; the linearization has the form
+  ``[[0, I], [H, S]]`` with H complex symmetric and S complex
+  skew-symmetric,
 * :func:`skew_pairing_check` -- the underlying pairing statement for
   ``[[0, I], [H, S]]`` with arbitrary complex-symmetric nonsingular H.
 
@@ -25,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .densecore import as_matrix
+from .densecore import NotPositiveDefiniteError, as_matrix, cholesky
 from .saddle import SaddleSystem
 
 __all__ = [
-    "SymmetricSpectrumSystem",
     "PairingReport",
     "detect_structure",
     "pairing_check",
@@ -38,21 +40,6 @@ __all__ = [
 ]
 
 STRUCTURE_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SymmetricSpectrumSystem:
-    """Validated view ``[[A, B*], [B, -A]]``: A real SPD, B complex symmetric."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    def assemble(self) -> np.ndarray:
-        return np.block([[self.a, self.b.conj().T], [self.b, -self.a]])
 
 
 @dataclass(frozen=True)
@@ -69,33 +56,28 @@ def _symmetry_defect(b: np.ndarray) -> float:
     return float(np.max(np.abs(b - b.T))) if b.size else 0.0
 
 
-def detect_structure(sys: SaddleSystem) -> SymmetricSpectrumSystem | None:
-    """Return the symmetric-spectrum view of ``sys`` if it has one.
+def detect_structure(sys: SaddleSystem) -> bool:
+    """Whether ``sys`` has the mirror block shape ``[[A, B*], [B, -A]]``.
 
     Requires n = m, the (2,2) block of the assembled matrix equal to -A
     (i.e. the stored C equals A), A real symmetric positive definite and B
     complex symmetric, all within the relative tolerance ``STRUCTURE_RTOL``.
-    Returns ``None`` when any hypothesis fails.
+    ``SaddleSystem`` stores A exactly Hermitian, so a real A is symmetric.
     """
     if sys.n != sys.m:
-        return None
+        return False
     a, b, c = sys.a, sys.b, sys.c
     scale_a = max(float(np.max(np.abs(a))), 1e-300)
     if float(np.max(np.abs(c - a))) > STRUCTURE_RTOL * scale_a:
-        return None
+        return False
     if float(np.max(np.abs(a.imag))) > STRUCTURE_RTOL * scale_a:
-        return None
-    a_real = a.real
-    if _symmetry_defect(a_real) > STRUCTURE_RTOL * scale_a:
-        return None
+        return False
     try:
-        scipy.linalg.cholesky(a_real, lower=True)
-    except scipy.linalg.LinAlgError:
-        return None
+        cholesky(a.real)
+    except NotPositiveDefiniteError:
+        return False
     scale_b = max(float(np.max(np.abs(b))), 1e-300)
-    if _symmetry_defect(b) > STRUCTURE_RTOL * scale_b:
-        return None
-    return SymmetricSpectrumSystem(a=a_real, b=b)
+    return _symmetry_defect(b) <= STRUCTURE_RTOL * scale_b
 
 
 def pairing_check(eigenvalues, tol: float = 1e-8) -> PairingReport:
@@ -126,7 +108,15 @@ def _principal_sqrt(b: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     return root
 
 
-def linearize_quadratic(sys: SymmetricSpectrumSystem) -> np.ndarray:
+def _companion(h: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The companion-type block matrix ``[[0, I], [H, S]]``."""
+    n = h.shape[0]
+    eye = np.eye(n, dtype=np.complex128)
+    zero = np.zeros((n, n), dtype=np.complex128)
+    return np.block([[zero, eye], [h, s]])
+
+
+def linearize_quadratic(sys: SaddleSystem) -> np.ndarray:
     """Companion-type linearization with the same spectrum as the system.
 
     Eliminating the first block row of the eigenproblem leads to a quadratic
@@ -137,22 +127,23 @@ def linearize_quadratic(sys: SymmetricSpectrumSystem) -> np.ndarray:
 
     The (2,1) block is complex symmetric and the (2,2) block skew-symmetric,
     which is exactly the shape handled by :func:`skew_pairing_check`.
-    Requires nonsingular B.
+    Requires the block shape :func:`detect_structure` recognizes and
+    nonsingular B; raises ``ValueError`` otherwise.
     """
-    a = as_matrix(sys.a)
-    b = as_matrix(sys.b)
-    n = a.shape[0]
-    scale_b = float(np.max(np.abs(b))) if b.size else 0.0
+    if not detect_structure(sys):
+        raise ValueError(
+            "linearization needs the block shape [[A, B*], [B, -A]] with A real "
+            "symmetric positive definite and B complex symmetric"
+        )
+    a = sys.a.real
+    b = sys.b
     sv = np.linalg.svd(b, compute_uv=False)
     if sv.size == 0 or sv[-1] <= 1e-12 * max(sv[0], 1e-300):
         raise ValueError("coupling block B is singular; linearization undefined")
     root = _principal_sqrt(b)
     g = root @ np.linalg.solve(root.T, a.T).T  # B^{1/2} A B^{-1/2}
     h = g @ g.T + root @ b.conj() @ root
-    s = g - g.T
-    eye = np.eye(n, dtype=np.complex128)
-    zero = np.zeros((n, n), dtype=np.complex128)
-    return np.block([[zero, eye], [h, s]])
+    return _companion(h, g - g.T)
 
 
 def skew_pairing_check(h, s, tol: float = 1e-8) -> PairingReport:
@@ -175,9 +166,7 @@ def skew_pairing_check(h, s, tol: float = 1e-8) -> PairingReport:
     sv = np.linalg.svd(h, compute_uv=False)
     if sv[-1] <= 1e-12 * max(sv[0], 1e-300):
         raise ValueError("H is singular; the pairing statement needs nonsingular H")
-    eye = np.eye(n, dtype=np.complex128)
-    zero = np.zeros((n, n), dtype=np.complex128)
-    lam = np.linalg.eigvals(np.block([[zero, eye], [h, s]]))
+    lam = np.linalg.eigvals(_companion(h, s))
     remaining = list(lam)
     defect = 0.0
     # Match largest-modulus first; its mirror partner is the closest value

@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 
 from saddlebounds import bounds as bnd
+from saddlebounds import cli
 from saddlebounds.cli import ExperimentConfig, run_table
 from saddlebounds.densecore import generalized_hermitian_eig
 from saddlebounds.fem import (
@@ -211,9 +212,21 @@ TABLE1_PRINTED = {
 TABLE1_VERIFIED = {0: 10, 1: 22, 2: 24, 3: 26, 4: 26}
 
 
-def reference_iterations(level: int, nu: float, omega: float, eps: float):
-    """Step count of the reference GMRES on the same Stokes problem."""
-    problem = stokes_system(build_mesh(level), nu, omega)
+def record_stokes_builds(monkeypatch) -> list:
+    """Route ``run_table``'s Stokes builds through a recorder; the returned
+    list receives each built problem, in row order."""
+    built = []
+
+    def build(mesh, nu, omega):
+        built.append(stokes_system(mesh, nu, omega))
+        return built[-1]
+
+    monkeypatch.setitem(cli._BUILDERS, "stokes", build)
+    return built
+
+
+def reference_iterations(problem, eps: float):
+    """Step count of the reference GMRES on a problem ``run_table`` solved."""
     k, _, _ = gmres_pc_norm(
         problem.operator(), problem.preconditioner(), problem.rhs, eps=eps
     )
@@ -229,22 +242,24 @@ def check_iterations(label, measured, reference, verified, printed, counts, fail
         )
 
 
-def test_criterion_07_table1_reproduction():
+def test_criterion_07_table1_reproduction(monkeypatch):
     start = time.perf_counter()
     config = ExperimentConfig(
         flavor="stokes", levels=[0, 1, 2, 3, 4], nu=[1.0], omega=[1.0], eps=1e-8
     )
+    built = record_stokes_builds(monkeypatch)
     rows = run_table(config)
+    assert [problem.level for problem in built] == config.levels
     failures = []
     counts = []
-    for row, level in zip(rows, config.levels):
+    for row, level, problem in zip(rows, config.levels, built):
         lo, hi, khat = TABLE1_PRINTED[level]
         if abs(row.computed_lo - lo) > 0.005 or abs(row.computed_hi - hi) > 0.005:
             failures.append(
                 f"l={level}: interval [{row.computed_lo:.4f}, {row.computed_hi:.4f}] "
                 f"vs printed [{lo}, {hi}]"
             )
-        reference = reference_iterations(level, 1.0, 1.0, config.eps)
+        reference = reference_iterations(problem, config.eps)
         check_iterations(
             f"l={level}", row.iterations, reference, TABLE1_VERIFIED[level], khat,
             counts, failures,
@@ -281,7 +296,7 @@ TABLE23_VERIFIED = {
 }
 
 
-def test_criterion_08_table23_spot_rows():
+def test_criterion_08_table23_spot_rows(monkeypatch):
     start = time.perf_counter()
     failures = []
     counts = []
@@ -292,7 +307,9 @@ def test_criterion_08_table23_spot_rows():
         flavor="stokes", levels=[4], nu=[1e-8, 1e-2, 1e8], omega=[1.0], eps=1e-8
     )
     for config, kind in ((config_omega, "omega"), (config_nu, "nu")):
-        for row in run_table(config):
+        built = record_stokes_builds(monkeypatch)
+        rows = run_table(config)
+        for row, problem in zip(rows, built, strict=True):
             key = (kind, row.parameter_value)
             lo, hi, khat = TABLE23_PRINTED[key]
             if abs(row.computed_lo - lo) > 0.005 or abs(row.computed_hi - hi) > 0.005:
@@ -302,7 +319,8 @@ def test_criterion_08_table23_spot_rows():
                 )
             nu = row.parameter_value if kind == "nu" else config.nu[0]
             omega = row.parameter_value if kind == "omega" else config.omega[0]
-            reference = reference_iterations(4, nu, omega, config.eps)
+            assert (problem.level, problem.nu, problem.omega) == (4, nu, omega)
+            reference = reference_iterations(problem, config.eps)
             check_iterations(
                 f"{kind}={row.parameter_value:g}", row.iterations, reference,
                 TABLE23_VERIFIED[key], khat, counts, failures,

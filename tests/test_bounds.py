@@ -83,11 +83,17 @@ class TestSmallestPositiveRoot:
 
     def test_no_positive_root(self):
         with pytest.raises(ValueError, match="no positive real root"):
-            _smallest_positive_root(3.0, 3.0, 1.0)  # (mu+1)^3
+            _smallest_positive_root(3.0, 3.0, 1.0, 1.0)  # (mu+1)^3
 
     def test_double_root(self):
         # alpha = lambda_max = 1, lambda_min = 0, beta = 1: (mu - 1)^2 (mu + 1)
         assert mu3_cubic(1.0, 1.0, 0.0, 1.0) == 1.0
+
+    def test_never_above_alpha(self):
+        # The exact root lies 1.1e-16 below alpha, where q rounds to a
+        # positive value; a bracket wider than alpha returned 1.0.
+        alpha = 0.9999999999999999
+        assert mu3_cubic(alpha, 3.3590324150830253, 0.0, 1.0) <= alpha
 
     def test_root_at_alpha_branch(self):
         # alpha = a_norm = 1, beta = 2: roots are 1 and (-1 + sqrt(17))/2 > 1
@@ -106,8 +112,7 @@ class TestCubicBoundsProperty:
     def test_mu3_is_smallest_positive_root(self, alpha_share, beta, lambda_min, lambda_max):
         alpha = alpha_share * lambda_max
         root = mu3_cubic(alpha, beta, lambda_min, lambda_max)
-        # one ulp of evaluation noise in q(alpha) may place the root past alpha
-        assert 0.0 < root <= alpha * (1.0 + 1e-12)
+        assert 0.0 < root <= alpha
         oracle = simple_smallest_root(
             -(lambda_min + lambda_max), lambda_min * lambda_max - beta * beta, alpha * beta * beta
         )
@@ -122,7 +127,7 @@ class TestCubicBoundsProperty:
     def test_gamma_opt_is_smallest_positive_root(self, alpha_share, beta, a_norm):
         alpha = alpha_share * a_norm
         root = gamma_opt_general(alpha, beta, a_norm)
-        assert 0.0 < root <= alpha * (1.0 + 1e-12)
+        assert 0.0 < root <= alpha
         oracle = simple_smallest_root(0.0, -(a_norm * a_norm + beta * beta), alpha * beta * beta)
         assert root == pytest.approx(oracle, rel=1e-12)
 

@@ -211,11 +211,23 @@ class TestCholesky:
         m = random_spd(rng, 6)
         l = cholesky(m)
         assert np.max(np.abs(l @ l.conj().T - m)) <= 1e-12 * np.max(np.abs(m))
+        assert not np.any(np.triu(l, 1))
 
     def test_not_spd_reports_pivot(self):
         with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky(np.diag([1.0, -1.0, 2.0]))
         assert err.value.pivot == 1
+
+    def test_not_spd_reports_two_digit_pivot(self):
+        d = np.ones(14)
+        d[11] = -1.0
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(np.diag(d))
+        assert err.value.pivot == 11
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 class TestGeneralizedEig:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -17,6 +18,10 @@ MODULES = ["saddlebounds"] + [
 ]
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+
+SOURCES = sorted(Path(saddlebounds.__file__).resolve().parent.rglob("*.py"))
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -66,3 +71,66 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
         assert old.keys() == new.keys()
         changed = [key for key in old if old[key] is not new[key]]
         assert not changed, f"not restored: {changed}"
+
+
+def _own_scope(func):
+    """The nodes of ``func``'s own scope, without nested functions and classes."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _names(nodes, ctx) -> set:
+    return {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ctx)}
+
+
+def test_no_unread_local_names():
+    """No function in the package assigns a local name it never reads
+    (nested functions count as readers); names starting with ``_`` are
+    exempt."""
+    unread = []
+    for path in SOURCES:
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            own = list(_own_scope(func))
+            declared = {
+                name
+                for node in own
+                if isinstance(node, (ast.Global, ast.Nonlocal))
+                for name in node.names
+            }
+            stored = _names(own, ast.Store) - declared - _names(ast.walk(func), ast.Load)
+            unread += [f"{path.name}:{func.name}:{name}" for name in stored if name[0] != "_"]
+    assert not unread, f"local names assigned and never read: {sorted(unread)}"
+
+
+def test_no_unused_imports():
+    """Every import in the package is read, listed in ``__all__`` or marked
+    ``# noqa: F401``."""
+    unused = []
+    for path in SOURCES:
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        loaded = _names(ast.walk(tree), ast.Load)
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                marked = "# noqa: F401" in lines[alias.lineno - 1]
+                if name not in loaded | exported and not marked:
+                    unused.append(f"{path.name}:{alias.lineno}:{name}")
+    assert not unused, f"unused imports: {unused}"

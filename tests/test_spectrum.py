@@ -9,7 +9,6 @@ from saddlebounds.saddle import (
     reduce_system,
 )
 from saddlebounds.spectrum import (
-    SymmetricSpectrumSystem,
     detect_structure,
     linearize_quadratic,
     pairing_check,
@@ -26,27 +25,24 @@ def random_complex_symmetric(rng, n, shift=0.0):
 class TestDetectStructure:
     def test_simple_positive(self):
         sys = SaddleSystem(a=np.eye(2), b=1j * np.eye(2), c=np.eye(2))
-        view = detect_structure(sys)
-        assert view is not None
-        assert np.allclose(view.a, np.eye(2))
+        assert detect_structure(sys) is True
 
     def test_zero_c_not_detected(self):
         sys = SaddleSystem(a=np.eye(2), b=1j * np.eye(2))
-        assert detect_structure(sys) is None
+        assert detect_structure(sys) is False
 
     def test_rectangular_not_detected(self):
         sys = SaddleSystem(a=np.eye(2), b=np.array([[0.0, 1.0]]))
-        assert detect_structure(sys) is None
+        assert detect_structure(sys) is False
 
     def test_indefinite_block_not_detected(self):
         sys = SaddleSystem(a=np.diag([1.0, -1.0]), b=1j * np.eye(2), c=np.diag([1.0, -1.0]))
-        assert detect_structure(sys) is None
+        assert detect_structure(sys) is False
 
     def test_reduced_parabolic_detected(self):
         problem = parabolic_reduced(build_mesh(1), nu=1.0, omega=1.0)
         sys = problem.saddle_system()
-        view = detect_structure(sys)
-        assert view is not None
+        assert detect_structure(sys) is True
         # the (2,2) block of the assembled matrix is minus the (1,1) block
         full = sys.assemble()
         n = sys.n
@@ -88,39 +84,60 @@ class TestPairingCheck:
 
 class TestLinearizeQuadratic:
     def test_identity_blocks(self):
-        view = SymmetricSpectrumSystem(a=np.eye(2), b=np.eye(2, dtype=complex))
-        lin = linearize_quadratic(view)
+        sys = SaddleSystem(a=np.eye(2), b=np.eye(2, dtype=complex), c=np.eye(2))
+        lin = linearize_quadratic(sys)
         lam = np.sort(np.linalg.eigvals(lin).real)
         assert np.allclose(lam, [-np.sqrt(2)] * 2 + [np.sqrt(2)] * 2, atol=1e-10)
-        full = np.sort(np.linalg.eigvalsh(view.assemble()))
+        full = np.sort(np.linalg.eigvalsh(sys.assemble()))
         assert np.allclose(lam, full, atol=1e-10)
 
     def test_diagonal_with_imaginary_coupling(self):
-        view = SymmetricSpectrumSystem(a=np.diag([1.0, 2.0]), b=1j * np.eye(2))
-        lin = linearize_quadratic(view)
+        a = np.diag([1.0, 2.0])
+        sys = SaddleSystem(a=a, b=1j * np.eye(2), c=a)
+        lin = linearize_quadratic(sys)
         lam = np.sort(np.linalg.eigvals(lin).real)
-        full = np.sort(np.linalg.eigvalsh(view.assemble()))
+        full = np.sort(np.linalg.eigvalsh(sys.assemble()))
         assert np.max(np.abs(lam - full)) < 1e-8
 
     def test_random_multiset_match(self, rng):
         for _ in range(10):
             a = random_spd(rng, 4, complex_entries=False)
             b = random_complex_symmetric(rng, 4, shift=0.8)
-            view = SymmetricSpectrumSystem(a=a, b=b)
-            lam = np.sort(np.linalg.eigvals(linearize_quadratic(view)).real)
-            full = np.sort(np.linalg.eigvalsh(view.assemble()))
+            sys = SaddleSystem(a=a, b=b, c=a)
+            lam = np.sort(np.linalg.eigvals(linearize_quadratic(sys)).real)
+            full = np.sort(np.linalg.eigvalsh(sys.assemble()))
             scale = max(np.max(np.abs(full)), 1.0)
             assert np.max(np.abs(lam - full)) <= 1e-7 * scale
 
     def test_singular_coupling_rejected(self):
-        view = SymmetricSpectrumSystem(a=np.eye(2), b=np.zeros((2, 2), dtype=complex))
+        sys = SaddleSystem(a=np.eye(2), b=np.zeros((2, 2), dtype=complex), c=np.eye(2))
         with pytest.raises(ValueError, match="singular"):
-            linearize_quadratic(view)
+            linearize_quadratic(sys)
+
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            # C = 0: the eigenvalues are -0.618, -0.414, 1.618, 2.414, not a
+            # mirror-symmetric set
+            SaddleSystem(a=np.diag([1.0, 2.0]), b=1j * np.eye(2)),
+            # A Hermitian but not real
+            SaddleSystem(
+                a=np.array([[2.0, 1j], [-1j, 2.0]]),
+                b=np.eye(2, dtype=complex),
+                c=np.array([[2.0, 1j], [-1j, 2.0]]),
+            ),
+        ],
+        ids=["zero_c", "complex_a"],
+    )
+    def test_unstructured_system_rejected(self, sys):
+        assert detect_structure(sys) is False
+        with pytest.raises(ValueError, match="block shape"):
+            linearize_quadratic(sys)
 
     def test_linearization_shape(self, rng):
         a = random_spd(rng, 3, complex_entries=False)
         b = random_complex_symmetric(rng, 3, shift=0.8)
-        lin = linearize_quadratic(SymmetricSpectrumSystem(a=a, b=b))
+        lin = linearize_quadratic(SaddleSystem(a=a, b=b, c=a))
         n = 3
         h = lin[n:, :n]
         s = lin[n:, n:]
