@@ -6,8 +6,6 @@ Its preconditioned spectrum is symmetric around zero, so MINRES makes
 essentially no progress on odd steps: the residual history is a staircase.
 """
 
-import numpy as np
-
 from saddlebounds import (
     detect_structure,
     minres_solve,

@@ -40,6 +40,8 @@ import numpy as np
 from . import bounds as bnd
 from . import mmio, verify
 from .fem import build_mesh, parabolic_kkt, parabolic_reduced, stokes_system
+from .fem.mesh import check_level
+from .fem.problems import check_parameters
 from .krylov import estimate_intervals, minres_solve, printed_endpoint
 from .saddle import BrezziConstants, babuska_constants, brezzi_constants, reduce_system
 
@@ -77,6 +79,9 @@ class ExperimentConfig:
         sweeps = [len(self.levels) > 1, len(self.nu) > 1, len(self.omega) > 1]
         if sum(sweeps) > 1:
             raise ValueError("exactly one of levels/nu/omega may be swept per table")
+        for _, _, level, nu, omega in _sweep(self):
+            check_level(level)
+            check_parameters(nu, omega)
 
 
 class ConvergenceError(RuntimeError):
@@ -308,19 +313,24 @@ _TABLE_FLAGS = (
 )
 
 
+def _read_config(path: str) -> dict:
+    values = json.loads(Path(path).read_text())
+    if not isinstance(values, dict):
+        raise ValueError(f"{path} must hold a JSON object, not a {type(values).__name__}")
+    if "format" in values:  # config files may use the flag spelling
+        values["fmt"] = values.pop("format")
+    return values
+
+
 def cmd_table(args) -> int:
-    values: dict = {}
-    if args.config:
-        values.update(json.loads(Path(args.config).read_text()))
-        if "format" in values:  # config files may use the flag spelling
-            values["fmt"] = values.pop("format")
-    for flag, name, parse in _TABLE_FLAGS:
-        value = getattr(args, flag)
-        if value is not None:
-            values[name] = parse(value)
     try:
+        values = _read_config(args.config) if args.config else {}
+        for flag, name, parse in _TABLE_FLAGS:
+            value = getattr(args, flag)
+            if value is not None:
+                values[name] = parse(value)
         config = ExperimentConfig(**values)
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return 2
     try:
@@ -351,6 +361,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
+    try:
+        check_level(args.level)
+        check_parameters(args.nu, args.omega)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     mesh = build_mesh(args.level)
     problem = _BUILDERS[args.flavor](mesh, args.nu, args.omega)
     out = Path(args.out)

@@ -9,7 +9,7 @@ Homogeneous Dirichlet conditions on the velocity/state spaces are imposed by
 symmetric elimination: matrices are assembled over all nodes and then
 restricted to interior rows and columns, which keeps them exactly symmetric
 positive definite.  Pressure carries no boundary condition; the constant
-mode is handled at the system level by pinning one pressure dof.
+mode is fixed by pinning one pressure dof, ``PINNED_PRESSURE``.
 """
 
 from __future__ import annotations
@@ -103,17 +103,10 @@ def _accumulate(rows, cols, vals, shape) -> scipy.sparse.csr_matrix:
 
 @dataclass(frozen=True)
 class ScalarFem:
-    """P1 mass and stiffness with interior-dof restriction.
-
-    ``mass``/``stiffness`` act on interior vertices; the ``full_*`` versions
-    keep boundary rows and columns (used to verify the discrete kernel of
-    the stiffness before elimination).
-    """
+    """P1 mass and stiffness on the interior vertices ``interior``."""
 
     mass: scipy.sparse.csr_matrix
     stiffness: scipy.sparse.csr_matrix
-    full_mass: scipy.sparse.csr_matrix
-    full_stiffness: scipy.sparse.csr_matrix
     interior: np.ndarray
 
     @property
@@ -121,8 +114,8 @@ class ScalarFem:
         return self.interior.size
 
 
-def assemble_p1(mesh: Mesh) -> ScalarFem:
-    """Exact P1 mass and stiffness on a mesh, Dirichlet dofs eliminated."""
+def _p1_matrices(mesh: Mesh) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+    """Exact P1 mass and stiffness over all vertices, boundary included."""
     grads, areas = _barycentric_gradients(mesh)
     t = mesh.triangles
     nv = mesh.num_vertices
@@ -134,15 +127,18 @@ def assemble_p1(mesh: Mesh) -> ScalarFem:
 
     rows = t[:, :, None].repeat(3, axis=2).ravel()
     cols = t[:, None, :].repeat(3, axis=1).ravel()
-    full_mass = _accumulate([rows], [cols], [me.ravel()], (nv, nv))
-    full_stiff = _accumulate([rows], [cols], [ke.ravel()], (nv, nv))
+    mass = _accumulate([rows], [cols], [me.ravel()], (nv, nv))
+    stiffness = _accumulate([rows], [cols], [ke.ravel()], (nv, nv))
+    return mass, stiffness
 
+
+def assemble_p1(mesh: Mesh) -> ScalarFem:
+    """Exact P1 mass and stiffness on a mesh, Dirichlet dofs eliminated."""
+    mass, stiffness = _p1_matrices(mesh)
     interior = np.flatnonzero(~mesh.boundary_vertex_mask)
     return ScalarFem(
-        mass=full_mass[np.ix_(interior, interior)].tocsr(),
-        stiffness=full_stiff[np.ix_(interior, interior)].tocsr(),
-        full_mass=full_mass,
-        full_stiffness=full_stiff,
+        mass=mass[np.ix_(interior, interior)].tocsr(),
+        stiffness=stiffness[np.ix_(interior, interior)].tocsr(),
         interior=interior,
     )
 
@@ -151,21 +147,18 @@ def assemble_p1(mesh: Mesh) -> ScalarFem:
 class StokesFem:
     """Taylor-Hood blocks, stored per scalar velocity component.
 
-    Velocity dofs are the interior P2 nodes of one component; vector
-    operators are block diagonal in the two components, with the scalar
-    blocks on the diagonal.  The divergence couples
-    all pressure vertices to both components; :meth:`divergence` drops the
-    pinned pressure row so the coupling has full rank.
+    Velocity dofs are the interior P2 nodes ``interior`` of one component
+    (coordinates ``p2_coordinates[interior]``); vector operators are block
+    diagonal in the two components, with the scalar blocks on the diagonal.
+    ``div_x`` and ``div_y`` couple the pressure vertices other than
+    ``PINNED_PRESSURE`` to the two components, so the divergence
+    ``[div_x, div_y]`` has full rank.
     """
 
     scalar_mass: scipy.sparse.csr_matrix
     scalar_stiffness: scipy.sparse.csr_matrix
     div_x: scipy.sparse.csr_matrix
     div_y: scipy.sparse.csr_matrix
-    full_scalar_mass: scipy.sparse.csr_matrix
-    full_div_x: scipy.sparse.csr_matrix
-    full_div_y: scipy.sparse.csr_matrix
-    pressure_mass: scipy.sparse.csr_matrix
     interior: np.ndarray
     p2_coordinates: np.ndarray
 
@@ -176,29 +169,13 @@ class StokesFem:
     @property
     def pressure_dim(self) -> int:
         """Pressure dofs after pinning the constant mode."""
-        return self.pressure_mass.shape[0] - 1
-
-    @property
-    def kept_pressure(self) -> np.ndarray:
-        npv = self.pressure_mass.shape[0]
-        return np.setdiff1d(np.arange(npv), [PINNED_PRESSURE])
-
-    def divergence(self) -> scipy.sparse.csr_matrix:
-        """Pinned-pressure divergence acting on stacked (x, y) components."""
-        keep = self.kept_pressure
-        return scipy.sparse.hstack(
-            [self.div_x[keep, :], self.div_y[keep, :]], format="csr"
-        )
+        return self.div_x.shape[0]
 
 
-def assemble_taylor_hood(mesh: Mesh) -> StokesFem:
-    """Taylor-Hood assembly: P2 velocity components, P1 pressure.
-
-    P2 nodes are the mesh vertices followed by the edge midpoints; Dirichlet
-    elimination keeps interior nodes (coordinate test, exact for dyadic
-    meshes).  The pressure vertex ``PINNED_PRESSURE`` is removed to fix the
-    constant mode.
-    """
+def _taylor_hood_matrices(mesh: Mesh) -> tuple[scipy.sparse.csr_matrix, ...]:
+    """P2 scalar mass and stiffness over all P2 nodes (the mesh vertices
+    followed by the edge midpoints), and the divergence components from all
+    P2 nodes to all P1 pressure vertices."""
     grads, areas = _barycentric_gradients(mesh)
     t = mesh.triangles
     nv = mesh.num_vertices
@@ -214,30 +191,34 @@ def assemble_taylor_hood(mesh: Mesh) -> StokesFem:
 
     rows6 = p2_nodes[:, :, None].repeat(6, axis=2).ravel()
     cols6 = p2_nodes[:, None, :].repeat(6, axis=1).ravel()
-    full_mass = _accumulate([rows6], [cols6], [me.ravel()], (n_p2, n_p2))
-    full_stiff = _accumulate([rows6], [cols6], [ke.ravel()], (n_p2, n_p2))
+    mass = _accumulate([rows6], [cols6], [me.ravel()], (n_p2, n_p2))
+    stiffness = _accumulate([rows6], [cols6], [ke.ravel()], (n_p2, n_p2))
 
     rows_d = t[:, :, None].repeat(6, axis=2).ravel()
     cols_d = p2_nodes[:, None, :].repeat(3, axis=1).ravel()
-    full_div_x = _accumulate([rows_d], [cols_d], [de_x.ravel()], (nv, n_p2))
-    full_div_y = _accumulate([rows_d], [cols_d], [de_y.ravel()], (nv, n_p2))
+    div_x = _accumulate([rows_d], [cols_d], [de_x.ravel()], (nv, n_p2))
+    div_y = _accumulate([rows_d], [cols_d], [de_y.ravel()], (nv, n_p2))
+    return mass, stiffness, div_x, div_y
 
-    p2_coords = np.vstack([mesh.vertices, mesh.edge_midpoints])
+
+def assemble_taylor_hood(mesh: Mesh) -> StokesFem:
+    """Taylor-Hood assembly: P2 velocity components, P1 pressure.
+
+    Dirichlet elimination keeps the interior P2 nodes (coordinate test,
+    exact for dyadic meshes).  The pressure vertex ``PINNED_PRESSURE`` is
+    removed to fix the constant mode.
+    """
+    mass, stiffness, div_x, div_y = _taylor_hood_matrices(mesh)
     on_boundary = np.concatenate(
         [mesh.boundary_vertex_mask, mesh.boundary_edge_midpoint_mask]
     )
     interior = np.flatnonzero(~on_boundary)
-
-    p1 = assemble_p1(mesh)
+    kept = np.delete(np.arange(mesh.num_vertices), PINNED_PRESSURE)
     return StokesFem(
-        scalar_mass=full_mass[np.ix_(interior, interior)].tocsr(),
-        scalar_stiffness=full_stiff[np.ix_(interior, interior)].tocsr(),
-        div_x=full_div_x[:, interior].tocsr(),
-        div_y=full_div_y[:, interior].tocsr(),
-        full_scalar_mass=full_mass,
-        full_div_x=full_div_x,
-        full_div_y=full_div_y,
-        pressure_mass=p1.full_mass,
+        scalar_mass=mass[np.ix_(interior, interior)].tocsr(),
+        scalar_stiffness=stiffness[np.ix_(interior, interior)].tocsr(),
+        div_x=div_x[np.ix_(kept, interior)].tocsr(),
+        div_y=div_y[np.ix_(kept, interior)].tocsr(),
         interior=interior,
-        p2_coordinates=p2_coords,
+        p2_coordinates=np.vstack([mesh.vertices, mesh.edge_midpoints]),
     )

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Mesh", "build_mesh", "MAX_LEVEL"]
+__all__ = ["Mesh", "build_mesh", "check_level", "MAX_LEVEL"]
 
 #: Levels above this are rejected: dense verification and the experiments
 #: in this package are desk scale by design.
@@ -109,14 +109,19 @@ def _on_boundary(points: np.ndarray) -> np.ndarray:
     return (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
 
 
-def build_mesh(level: int) -> Mesh:
-    """Criss-cross mesh of the unit square after ``level`` uniform refinements."""
+def check_level(level: int) -> None:
+    """Raise ``ValueError`` unless ``0 <= level <= MAX_LEVEL``."""
     if level < 0:
         raise ValueError("level must be nonnegative")
     if level > MAX_LEVEL:
         raise ValueError(
             f"level {level} exceeds the desk-scale guard ({MAX_LEVEL})"
         )
+
+
+def build_mesh(level: int) -> Mesh:
+    """Criss-cross mesh of the unit square after ``level`` uniform refinements."""
+    check_level(level)
     vertices = np.array(
         [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]]
     )

@@ -55,6 +55,7 @@ __all__ = [
     "BlockPreconditioner",
     "ModelProblem",
     "SpdFactor",
+    "check_parameters",
     "parabolic_kkt",
     "parabolic_reduced",
     "stokes_system",
@@ -264,12 +265,13 @@ class ModelProblem:
         )
 
 
-def _check_parameters(nu: float, omega: float) -> None:
-    if nu <= 0.0:
-        raise ValueError(f"cost parameter nu must be positive, got {nu}")
-    if omega < 0.0:
+def check_parameters(nu: float, omega: float) -> None:
+    """Raise ``ValueError`` unless the builders accept ``nu`` and ``omega``."""
+    if not 0.0 < nu < np.inf:
+        raise ValueError(f"cost parameter nu must be positive and finite, got {nu}")
+    if not 0.0 <= omega < np.inf:
         raise ValueError(
-            f"frequency omega must be nonnegative, got {omega} "
+            f"frequency omega must be nonnegative and finite, got {omega} "
             "(the inner product uses omega itself, not |omega|)"
         )
 
@@ -286,7 +288,7 @@ def parabolic_kkt(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     inner product uses ``P = diag(Y, nu M)`` and ``R = Y / nu`` with
     ``Y = M + sqrt(nu) (K + omega M)``.
     """
-    _check_parameters(nu, omega)
+    check_parameters(nu, omega)
     fem = assemble_p1(mesh)
     mass, stiff = fem.mass, fem.stiffness
     n = fem.dim
@@ -329,7 +331,7 @@ def parabolic_reduced(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     (2,2) block equals minus the (1,1) block, so the preconditioned spectrum
     is symmetric around zero.
     """
-    _check_parameters(nu, omega)
+    check_parameters(nu, omega)
     fem = assemble_p1(mesh)
     mass, stiff = fem.mass, fem.stiffness
     n = fem.dim
@@ -367,7 +369,8 @@ def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     components each) and pressure-like ``p, r`` (P1, one dof pinned each):
 
     * ``A = [[Mv, sqrt(nu)(Kv - i omega Mv)], [sqrt(nu)(Kv + i omega Mv), -Mv]]``
-    * ``B = -sqrt(nu) [[0, D], [D, 0]]`` with D the pinned divergence
+    * ``B = -sqrt(nu) [[0, D], [D, 0]]`` with ``D = [Dx, Dy]`` the pinned
+      divergence
     * ``P = diag(Pv, Pv)`` with ``Pv = Mv + sqrt(nu)(Kv + omega Mv)``
     * ``R = nu diag(S, S)`` with ``S = D Pv^{-1} D^T`` formed densely via the
       factorization of the scalar component block.
@@ -375,7 +378,7 @@ def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     R is the exact Schur complement of the coupling in the P geometry, which
     forces the coupling inf-sup constant and norm to equal one.
     """
-    _check_parameters(nu, omega)
+    check_parameters(nu, omega)
     fem = assemble_taylor_hood(mesh)
     ms, ks = fem.scalar_mass, fem.scalar_stiffness
     ns = fem.velocity_component_dim
@@ -384,7 +387,7 @@ def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
 
     mv = scipy.sparse.block_diag([ms, ms], format="csr")
     kv = scipy.sparse.block_diag([ks, ks], format="csr")
-    div = fem.divergence()  # (mp, 2 ns)
+    dx, dy = fem.div_x, fem.div_y  # D = [Dx, Dy], (mp, 2 ns)
 
     a = scipy.sparse.bmat(
         [
@@ -393,8 +396,9 @@ def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
         ],
         format="csr",
     )
-    zero_d = scipy.sparse.csr_matrix((mp, 2 * ns))
-    b = (-sqrt_nu) * scipy.sparse.bmat([[zero_d, div], [div, zero_d]], format="csr")
+    b = (-sqrt_nu) * scipy.sparse.bmat(
+        [[None, None, dx, dy], [dx, dy, None, None]], format="csr"
+    )
 
     ps = _shifted_operator(ms, ks, nu, omega)
     ps_factor = SpdFactor(ps)
@@ -402,7 +406,6 @@ def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     # Dy Ps^{-1} Dy^T, dense mp x mp.  The divergence blocks stay sparse;
     # multi-column solves take SCHUR_COLUMNS columns of S at a time, so the
     # dense work arrays stay at ns x 2 SCHUR_COLUMNS.
-    dx, dy = div[:, :ns], div[:, ns:]
     dxt, dyt = dx.T.tocsc(), dy.T.tocsc()
     schur = np.empty((mp, mp))
     for start in range(0, mp, SCHUR_COLUMNS):

@@ -19,8 +19,9 @@ preconditioned operator serves both the solver and the interval estimator
 * per-step residual reduction factors expose the even-odd staircase typical
   of spectra that are symmetric around zero (:func:`stagnation_profile`).
 
-Operators may be dense arrays, sparse matrices or callables; a solve owns
-its workspace and never mutates its inputs.
+The system operator and the preconditioner are both :class:`LinearOperator`
+objects (a dimension and an apply callable); a solve owns its workspace and
+never mutates its inputs.
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 __all__ = [
     "LinearOperator",
     "MinresReport",
     "RitzEstimate",
-    "as_operator",
     "minres_solve",
     "estimate_intervals",
     "stagnation_profile",
@@ -62,21 +61,6 @@ class LinearOperator:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
-
-
-def as_operator(op) -> LinearOperator:
-    """Wrap an array, sparse matrix or callable-with-dim as a LinearOperator."""
-    if isinstance(op, LinearOperator):
-        return op
-    if scipy.sparse.issparse(op) or isinstance(op, np.ndarray):
-        if op.shape[0] != op.shape[1]:
-            raise ValueError(f"operator must be square, got {op.shape}")
-        mat = op
-        return LinearOperator(dim=op.shape[0], apply=lambda x: mat @ x)
-    raise TypeError(
-        "operator must be a LinearOperator, ndarray or sparse matrix; "
-        "wrap callables as LinearOperator(dim, apply)"
-    )
 
 
 @dataclass
@@ -210,9 +194,9 @@ def _probe_operators(a: LinearOperator, m_inv: LinearOperator) -> None:
 
 
 def minres_solve(
-    op,
-    prec=None,
-    rhs: np.ndarray = None,
+    op: LinearOperator,
+    prec: LinearOperator,
+    rhs: np.ndarray,
     eps: float = 1e-8,
     maxit: int | None = None,
 ) -> MinresReport:
@@ -222,8 +206,8 @@ def minres_solve(
     ----------
     op : operator for the Hermitian system matrix.
     prec : operator applying the *inverse* of the Hermitian positive definite
-        preconditioner (identity if None).
-    rhs : right-hand side (required; ``TypeError`` if missing).
+        preconditioner.
+    rhs : right-hand side.
     eps : relative reduction target for the preconditioned residual norm.
     maxit : iteration cap (default ``2 * dim``).
 
@@ -232,21 +216,17 @@ def minres_solve(
     (vanishing coupling coefficient) means the Krylov space is invariant;
     the iteration stops there and convergence is judged by the residual test.
     """
-    if rhs is None:
-        raise TypeError("minres_solve: rhs is required")
-    a = as_operator(op)
-    n = a.dim
+    n = op.dim
     rhs = np.asarray(rhs, dtype=np.complex128)
     if rhs.shape != (n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
-    m_inv = as_operator(prec) if prec is not None else LinearOperator(n, lambda x: x)
     if maxit is None:
         maxit = 2 * n
 
-    _probe_operators(a, m_inv)
+    _probe_operators(op, prec)
 
     x = np.zeros(n, dtype=np.complex128)
-    lanczos = _lanczos(a, m_inv, rhs)
+    lanczos = _lanczos(op, prec, rhs)
     res0 = res = gamma = next(lanczos)
     history = [res0]
     if res0 == 0.0:
@@ -286,7 +266,7 @@ def minres_solve(
         residual_history=np.array(history),
         iterations=k,
         converged=bool(res <= eps * res0),
-        true_residual=_true_residual(a, m_inv, rhs, x),
+        true_residual=_true_residual(op, prec, rhs, x),
     )
 
 
@@ -410,7 +390,7 @@ def _first_certified(steps) -> RitzEstimate:
     return _ritz_estimate(alphas, betas)
 
 
-def estimate_intervals(op, prec=None) -> RitzEstimate:
+def estimate_intervals(op: LinearOperator, prec: LinearOperator) -> RitzEstimate:
     """Spectral interval estimation with a generic probe vector.
 
     Runs the preconditioned Lanczos recurrence on a random probe seeded with
@@ -429,13 +409,11 @@ def estimate_intervals(op, prec=None) -> RitzEstimate:
     probe has reached both ends of the positive spectrum; the README
     ("Certified interval estimates") says what it does and does not prove.
     """
-    a = as_operator(op)
-    m_inv = as_operator(prec) if prec is not None else LinearOperator(a.dim, lambda x: x)
     rng = np.random.default_rng(PROBE_SEED)
-    probe = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
-    lanczos = _lanczos(a, m_inv, probe)
+    probe = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    lanczos = _lanczos(op, prec, probe)
     next(lanczos)
-    steps = islice(lanczos, min(a.dim, ESTIMATE_STEPS))
+    steps = islice(lanczos, min(op.dim, ESTIMATE_STEPS))
     return _first_certified((delta, beta) for _, delta, beta in steps)
 
 

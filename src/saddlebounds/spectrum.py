@@ -63,20 +63,21 @@ def detect_structure(sys: SaddleSystem) -> bool:
     (i.e. the stored C equals A), A real symmetric positive definite and B
     complex symmetric, all within the relative tolerance ``STRUCTURE_RTOL``.
     ``SaddleSystem`` stores A exactly Hermitian, so a real A is symmetric.
+    An empty system (n = m = 0) meets every condition.
     """
     if sys.n != sys.m:
         return False
     a, b, c = sys.a, sys.b, sys.c
-    scale_a = max(float(np.max(np.abs(a))), 1e-300)
-    if float(np.max(np.abs(c - a))) > STRUCTURE_RTOL * scale_a:
+    scale_a = float(np.max(np.abs(a), initial=1e-300))
+    if float(np.max(np.abs(c - a), initial=0.0)) > STRUCTURE_RTOL * scale_a:
         return False
-    if float(np.max(np.abs(a.imag))) > STRUCTURE_RTOL * scale_a:
+    if float(np.max(np.abs(a.imag), initial=0.0)) > STRUCTURE_RTOL * scale_a:
         return False
     try:
         cholesky(a.real)
     except NotPositiveDefiniteError:
         return False
-    scale_b = max(float(np.max(np.abs(b))), 1e-300)
+    scale_b = float(np.max(np.abs(b), initial=1e-300))
     return _symmetry_defect(b) <= STRUCTURE_RTOL * scale_b
 
 

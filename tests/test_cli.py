@@ -187,6 +187,39 @@ class TestTableCommand:
         assert (lo, hi) == pytest.approx((1 / np.sqrt(3.0), 1.0))
 
 
+class TestInputErrors:
+    """Bad input from outside the program exits with code 2 and one
+    ``error:`` line, before any mesh is built or any file is written."""
+
+    CASES = {
+        "table-config-missing": ["table", "--config", "{tmp}/missing.json"],
+        "table-config-malformed": ["table", "--config", "{tmp}/malformed.json"],
+        "table-config-list": ["table", "--config", "{tmp}/list.json"],
+        "table-level-7": ["table", "--levels", "7"],
+        "table-nu-negative": ["table", "--nu", "-1"],
+        "table-omega-nan": ["table", "--omega", "nan"],
+        "export-level-9": ["export", "--flavor", "stokes", "--level", "9", "--out", "{tmp}/out"],
+        "export-nu-zero": ["export", "--flavor", "stokes", "--nu", "0", "--out", "{tmp}/out"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_code_two_and_one_error_line(self, case, tmp_path, capsys, monkeypatch):
+        (tmp_path / "malformed.json").write_text('{"levels": [')
+        (tmp_path / "list.json").write_text('["stokes"]')
+
+        def no_mesh(level):
+            raise AssertionError("a mesh was built for bad input")
+
+        monkeypatch.setattr(cli, "build_mesh", no_mesh)
+        args = [arg.format(tmp=tmp_path) for arg in self.CASES[case]]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+
 class TestVerifyCommand:
     def test_known_suite_passes(self, capsys):
         assert main(["verify", "sharpness"]) == 0

@@ -17,9 +17,13 @@ MODULES = ["saddlebounds"] + [
     info.name for info in pkgutil.walk_packages(saddlebounds.__path__, "saddlebounds.")
 ]
 
-TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "benchmarks" / "tracing.py"
 
-SOURCES = sorted(Path(saddlebounds.__file__).resolve().parent.rglob("*.py"))
+#: The files the lint tests read: the package and the demos.
+SOURCES = sorted(Path(saddlebounds.__file__).resolve().parent.rglob("*.py")) + sorted(
+    (ROOT / "demos").glob("*.py")
+)
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
@@ -88,9 +92,9 @@ def _names(nodes, ctx) -> set:
 
 
 def test_no_unread_local_names():
-    """No function in the package assigns a local name it never reads
-    (nested functions count as readers); names starting with ``_`` are
-    exempt."""
+    """No function in the package or the demos assigns a local name it
+    never reads (nested functions count as readers); names starting with
+    ``_`` are exempt."""
     unread = []
     for path in SOURCES:
         for func in ast.walk(ast.parse(path.read_text())):
@@ -109,8 +113,8 @@ def test_no_unread_local_names():
 
 
 def test_no_unused_imports():
-    """Every import in the package is read, listed in ``__all__`` or marked
-    ``# noqa: F401``."""
+    """Every import in the package and the demos is read, listed in
+    ``__all__`` or marked ``# noqa: F401``."""
     unused = []
     for path in SOURCES:
         text = path.read_text()

@@ -18,6 +18,7 @@ from saddlebounds.fem import (
     target_state,
     target_velocity,
 )
+from saddlebounds.fem.assembly import PINNED_PRESSURE, _p1_matrices, _taylor_hood_matrices
 from saddlebounds.fem.mesh import Mesh
 from saddlebounds.fem.problems import (
     BlockPreconditioner,
@@ -35,6 +36,12 @@ from saddlebounds.spectrum import detect_structure, pairing_check
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
+
+
+def divergence(fem):
+    """The pinned divergence ``D = [div_x, div_y]`` on stacked (x, y)
+    velocity components, dense."""
+    return scipy.sparse.hstack([fem.div_x, fem.div_y]).toarray()
 
 
 class TestMesh:
@@ -89,17 +96,17 @@ class TestScalarAssembly:
             triangles=np.array([[0, 1, 2]]),
             level=0,
         )
-        fem = assemble_p1(tri)
-        assert fem.full_mass.sum() == pytest.approx(0.5, rel=1e-14)
+        mass, _ = _p1_matrices(tri)
+        assert mass.sum() == pytest.approx(0.5, rel=1e-14)
 
     def test_constants_in_stiffness_kernel(self):
-        fem = assemble_p1(build_mesh(2))
-        ones = np.ones(fem.full_stiffness.shape[0])
-        assert np.max(np.abs(fem.full_stiffness @ ones)) < 1e-12
+        _, stiffness = _p1_matrices(build_mesh(2))
+        ones = np.ones(stiffness.shape[0])
+        assert np.max(np.abs(stiffness @ ones)) < 1e-12
 
     def test_mass_total(self):
-        fem = assemble_p1(build_mesh(2))
-        assert fem.full_mass.sum() == pytest.approx(1.0, rel=1e-12)
+        mass, _ = _p1_matrices(build_mesh(2))
+        assert mass.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_symmetry_and_spd(self):
         fem = assemble_p1(build_mesh(2))
@@ -120,14 +127,14 @@ class TestScalarAssembly:
 class TestTaylorHood:
     def test_divergence_of_linear_solenoidal_field(self):
         mesh = build_mesh(1)
-        fem = assemble_taylor_hood(mesh)
-        coords = fem.p2_coordinates
-        d = fem.full_div_x @ coords[:, 0] + fem.full_div_y @ (-coords[:, 1])
+        _, _, div_x, div_y = _taylor_hood_matrices(mesh)
+        coords = assemble_taylor_hood(mesh).p2_coordinates
+        d = div_x @ coords[:, 0] + div_y @ (-coords[:, 1])
         assert np.max(np.abs(d)) < 1e-14
 
     def test_vector_mass_total(self):
-        fem = assemble_taylor_hood(build_mesh(1))
-        total = 2.0 * fem.full_scalar_mass.sum()
+        mass, _, _, _ = _taylor_hood_matrices(build_mesh(1))
+        total = 2.0 * mass.sum()
         assert total == pytest.approx(2.0, rel=1e-12)
 
     def test_unknown_count_level4(self):
@@ -136,22 +143,43 @@ class TestTaylorHood:
         assert complex_unknowns == 9028
         assert 2 * complex_unknowns == 18056
 
+    @pytest.mark.parametrize("level", range(5))
+    def test_pressure_dim_pins_one_vertex(self, level):
+        mesh = build_mesh(level)
+        fem = assemble_taylor_hood(mesh)
+        assert fem.pressure_dim == mesh.num_vertices - 1
+        assert fem.div_x.shape == fem.div_y.shape == (
+            fem.pressure_dim, fem.velocity_component_dim
+        )
+
+    def test_pinned_divergence_restricts_the_full_one(self):
+        mesh = build_mesh(2)
+        fem = assemble_taylor_hood(mesh)
+        _, _, div_x, div_y = _taylor_hood_matrices(mesh)
+        kept = np.delete(np.arange(mesh.num_vertices), PINNED_PRESSURE)
+        for pinned, full in ((fem.div_x, div_x), (fem.div_y, div_y)):
+            assert np.array_equal(
+                pinned.toarray(), full.toarray()[np.ix_(kept, fem.interior)]
+            )
+
     @pytest.mark.parametrize("level", (1, 2, 3))
     def test_velocity_pressure_infsup(self, level):
-        fem = assemble_taylor_hood(build_mesh(level))
-        keep = fem.kept_pressure
-        div = fem.divergence().toarray()
+        mesh = build_mesh(level)
+        fem = assemble_taylor_hood(mesh)
+        keep = np.delete(np.arange(mesh.num_vertices), PINNED_PRESSURE)
+        div = divergence(fem)
         mass = scipy.linalg.block_diag(
             fem.scalar_mass.toarray(), fem.scalar_mass.toarray()
         )
         schur = div @ np.linalg.solve(mass, div.T)
-        mp = fem.pressure_mass[np.ix_(keep, keep)].toarray()
+        pressure_mass, _ = _p1_matrices(mesh)
+        mp = pressure_mass[np.ix_(keep, keep)].toarray()
         lam = scipy.linalg.eigh(schur, mp, eigvals_only=True)
         assert math.sqrt(lam[0]) >= 0.2
 
     def test_full_rank_divergence(self):
         fem = assemble_taylor_hood(build_mesh(1))
-        div = fem.divergence().toarray()
+        div = divergence(fem)
         s = np.linalg.svd(div, compute_uv=False)
         assert s[-1] > 1e-10 * s[0]
 
@@ -261,6 +289,10 @@ class TestParabolicProblems:
             parabolic_kkt(build_mesh(1), nu=0.0, omega=1.0)
         with pytest.raises(ValueError):
             parabolic_reduced(build_mesh(1), nu=1.0, omega=-2.0)
+        # NaN fails every comparison; infinities give no usable blocks.
+        for nu, omega in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                stokes_system(build_mesh(0), nu=nu, omega=omega)
 
 
 class TestStokesProblem:
@@ -287,6 +319,15 @@ class TestStokesProblem:
         full = problem.matrix()
         dense = full.toarray()
         assert np.max(np.abs(dense - dense.conj().T)) < 1e-12
+
+    @pytest.mark.parametrize("level,nu", [(1, 1.0), (2, 1e-2)])
+    def test_coupling_from_pinned_divergence(self, level, nu):
+        mesh = build_mesh(level)
+        problem = stokes_system(mesh, nu=nu, omega=1.0)
+        d = divergence(assemble_taylor_hood(mesh))
+        zero = np.zeros_like(d)
+        expected = -math.sqrt(nu) * np.block([[zero, d], [d, zero]])
+        assert np.array_equal(problem.b.toarray(), expected)
 
     def test_rhs_layout(self):
         problem = stokes_system(build_mesh(1), nu=1.0, omega=1.0)
@@ -315,7 +356,7 @@ def reference_inner_product(flavor, level, nu, omega):
         fem = assemble_taylor_hood(build_mesh(level))
         ms, ks = fem.scalar_mass.toarray(), fem.scalar_stiffness.toarray()
         ps = ms + math.sqrt(nu) * (ks + omega * ms)
-        d = fem.divergence().toarray()
+        d = divergence(fem)
         schur = d @ np.linalg.solve(scipy.linalg.block_diag(ps, ps), d.T)
         return (
             scipy.linalg.block_diag(ps, ps, ps, ps),
