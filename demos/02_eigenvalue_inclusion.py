@@ -32,7 +32,7 @@ for name, value in constants.as_dict().items():
 inc = inclusion_set(constants)
 print(f"\npredicted inclusion: [{inc.mu1:.4f}, {inc.mu2:.4f}] u [{inc.mu3:.4f}, {inc.mu4:.4f}]")
 
-spec = preconditioned_spectrum(red)
+mu = preconditioned_spectrum(red)
 print("true spectrum:")
-print(np.round(spec.eigenvalues, 4))
-print(f"\nall eigenvalues inside: {inc.contains(spec.eigenvalues, slack=1e-10)}")
+print(np.round(mu, 4))
+print(f"\nall eigenvalues inside: {inc.contains(mu, slack=1e-10)}")

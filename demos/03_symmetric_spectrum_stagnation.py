@@ -22,8 +22,7 @@ print(f"reduced parabolic system: dim={problem.dim}, nu={problem.nu}, omega={pro
 print(f"mirror block structure detected: {detect_structure(problem.saddle_system())}")
 
 red = reduce_system(problem.saddle_system(), problem.inner_product())
-spec = preconditioned_spectrum(red)
-report = pairing_check(spec.eigenvalues, tol=1e-8)
+report = pairing_check(preconditioned_spectrum(red), tol=1e-8)
 print(f"pairing (mu, -mu) defect: {report.defect:.2e}  ({report.pairs} pairs)")
 
 run = minres_solve(problem.operator(), problem.preconditioner(), problem.rhs, eps=1e-8)

@@ -243,11 +243,17 @@ def format_table(rows: list[TableRow], fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+def _emit(text: str, out: str | None) -> int:
+    """Write ``text`` to the file ``out``, or to stdout; the exit code."""
+    if not out:
         sys.stdout.write(text)
+        return 0
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_bounds(args) -> int:
@@ -259,8 +265,8 @@ def cmd_bounds(args) -> int:
     lines = []
     try:
         red = reduce_system(sys_, ip)
-        # The reduced system keeps the factors it needs; the loaded blocks
-        # need not stay alive through the eigensolves.
+        # The reduced blocks are all the analyses read; the loaded blocks
+        # and their factors need not stay alive through the eigensolves.
         del sys_, ip
         bab = babuska_constants(red)
     except ValueError as exc:
@@ -291,8 +297,7 @@ def cmd_bounds(args) -> int:
             )
         sharp = abs(bab.gamma - gamma_opt) <= 1e-8 * gamma_opt
         lines.append(f"sharpness = {'sharp' if sharp else 'strict'}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 def _parse_list(text: str, cast) -> list:
@@ -345,8 +350,7 @@ def cmd_table(args) -> int:
                 f"not certified after {row.estimate_steps} Lanczos steps",
                 file=sys.stderr,
             )
-    _emit(format_table(rows, config.fmt), config.out)
-    return 0
+    return _emit(format_table(rows, config.fmt), config.out)
 
 
 def cmd_verify(args) -> int:
@@ -356,24 +360,25 @@ def cmd_verify(args) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     text = json.dumps(results, indent=2, default=float) + "\n"
-    _emit(text, args.out)
-    return 0 if all(r["passed"] for r in results) else 1
+    return _emit(text, args.out) or (0 if all(r["passed"] for r in results) else 1)
 
 
 def cmd_export(args) -> int:
     try:
         check_level(args.level)
         check_parameters(args.nu, args.omega)
-    except ValueError as exc:
+        mesh = build_mesh(args.level)
+        problem = _BUILDERS[args.flavor](mesh, args.nu, args.omega)
+        # Refused above DENSE_LIMIT, before any directory is made.
+        sys_, ip = problem.saddle_system(), problem.inner_product()
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        mmio.save_bundle(out, sys_, ip)
+        np.save(out / "rhs.npy", problem.rhs)
+        (out / "mesh.txt").write_text(mesh.to_text())
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    mesh = build_mesh(args.level)
-    problem = _BUILDERS[args.flavor](mesh, args.nu, args.omega)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    mmio.save_bundle(out, problem.saddle_system(), problem.inner_product())
-    np.save(out / "rhs.npy", problem.rhs)
-    (out / "mesh.txt").write_text(mesh.to_text())
     print(f"wrote bundle to {out}")
     return 0
 

@@ -14,9 +14,10 @@ block keeps the field of its values, so a real block of a complex system
 and diagonalized in real arithmetic.  For
 vanishing C this module computes, exactly at the discrete level,
 
-* the kernel-based block decomposition of the (1,1) block: split the primal
-  space into ker(B) and its P-orthogonal complement and project all blocks
-  onto the two parts (:func:`block_decompose`);
+* the kernel-based block decomposition of the (1,1) block: split the
+  reduced primal space into ker(G) and its orthogonal complement, which
+  ``Lp^{-*}`` maps to ker(B) and its P-orthogonal complement, and project
+  all blocks onto the two parts (:func:`block_decompose`);
 * the constants of the Brezzi-type theory (:func:`brezzi_constants`):
 
   - ``alpha``: smallest eigenvalue modulus of the (1,1) form restricted to
@@ -25,7 +26,7 @@ vanishing C this module computes, exactly at the discrete level,
     range of (A, P),
   - ``beta``/``b_norm``: extreme singular values of ``G``; one SVD of ``G``,
     cached on the reduced system, also gives the rank test (the discrete
-    inf-sup condition) and ker(B);
+    inf-sup condition) and ker(G);
 
 * the Babuska constants ``gamma = |mu_min|`` and ``B_norm = |mu_max|`` from
   the eigenvalues of the reduced matrix ``[[At, G*], [G, -Ct]]``
@@ -39,12 +40,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .densecore import (
     RANK_RTOL,
-    EigenDecomposition,
     apply_in_field,
     as_matrix,
     cholesky,
@@ -178,17 +177,15 @@ class ReducedSystem:
     """A system in the Euclidean geometry of its inner product.
 
     ``at``, ``g`` and ``ct`` are the reduced blocks ``Lp^{-1} A Lp^{-*}``,
-    ``Lr^{-1} B Lp^{-*}`` and ``Lr^{-1} C Lr^{-*}``; ``lp`` and ``lr`` are
-    the Cholesky factors that map results back.  Build it with
-    :func:`reduce_system`.  Instances compare by identity, since arrays
-    have no single truth value.
+    ``Lr^{-1} B Lp^{-*}`` and ``Lr^{-1} C Lr^{-*}``; every analysis reads
+    these alone, so the inner product and its factors need not outlive the
+    reduction.  Build it with :func:`reduce_system`.  Instances compare by
+    identity, since arrays have no single truth value.
     """
 
     at: np.ndarray
     g: np.ndarray
     ct: np.ndarray
-    lp: np.ndarray
-    lr: np.ndarray
 
     @property
     def n(self) -> int:
@@ -238,7 +235,7 @@ def reduce_system(sys: SaddleSystem, ip: InnerProduct) -> ReducedSystem:
         triangular_congruence(ip.lr, sys.c), tol=1e-10
     )
     g = triangular_congruence(ip.lr, sys.b, ip.lp)
-    return ReducedSystem(at=at, g=g, ct=ct, lp=ip.lp, lr=ip.lr)
+    return ReducedSystem(at=at, g=g, ct=ct)
 
 
 @dataclass(frozen=True)
@@ -281,13 +278,13 @@ class BabuskaConstants:
 class BlockDecomposition:
     """Kernel-based 3x3 view of a system with zero (2,2) block.
 
-    ``z0`` spans ker(B) and ``z1`` its P-orthogonal complement, both
-    P-orthonormal, so the projected inner products are identities and the
-    projected blocks live in Euclidean geometry.
+    ``v0`` and ``v1`` are orthonormal bases of ker(G) and its complement
+    (``Lp^{-*}`` maps them to P-orthonormal bases of ker(B) and its
+    P-orthogonal complement); ``Aij = Vi* At Vj`` and ``B1 = G V1``.
     """
 
-    z0: np.ndarray
-    z1: np.ndarray
+    v0: np.ndarray
+    v1: np.ndarray
     a00: np.ndarray
     a01: np.ndarray
     a10: np.ndarray
@@ -296,34 +293,28 @@ class BlockDecomposition:
 
 
 def block_decompose(red: ReducedSystem) -> BlockDecomposition:
-    """Split the primal space into ker(B) and its P-orthogonal complement.
+    """Split the reduced primal space into ker(G) and its complement.
 
     Requires a zero (2,2) block and full-rank B.  With the SVD
-    ``G = U S V1*`` in the reduced geometry, the remaining right singular
-    vectors ``V0`` span ker(G); the complement basis is ``V1 U*``, the
-    orthonormal polar factor of ``G*``, which does not depend on the SVD's
-    choice of phases.  ``Lp^{-*}`` maps both back to P-orthonormal bases,
-    and ``B1 = B Z1 = Lr U S U*``.
+    ``G = U S W1*``, the remaining right singular vectors ``W0`` form
+    ``v0``; ``v1 = W1 U*`` is the orthonormal polar factor of ``G*``, which
+    does not depend on the SVD's choice of phases, and ``B1 = G v1 =
+    U S U*``.
     """
     u, s, vh = red.coupling_svd("block_decompose")
     k = red.n - red.m
     v = np.hstack([vh[red.m:].conj().T, vh[: red.m].conj().T @ u.conj().T])
-    z = apply_in_field(
-        red.lp,
-        lambda y: scipy.linalg.solve_triangular(red.lp, y, lower=True, trans="C"),
-        v,
-    )
     # The blocks V_i* At V_j of V* (At V), with the real or complex At
     # applied in its own field.
     w = v.conj().T @ apply_in_field(red.at, red.at.__matmul__, v)
     return BlockDecomposition(
-        z0=z[:, :k],
-        z1=z[:, k:],
+        v0=v[:, :k],
+        v1=v[:, k:],
         a00=require_hermitian(w[:k, :k], tol=1e-8),
         a01=w[:k, k:],
         a10=w[k:, :k],
         a11=require_hermitian(w[k:, k:], tol=1e-8),
-        b1=apply_in_field(red.lr, red.lr.__matmul__, (u * s) @ u.conj().T),
+        b1=(u * s) @ u.conj().T,
     )
 
 
@@ -371,7 +362,7 @@ mu3_cubic` via :func:`saddlebounds.bounds.inclusion_set`) presume the
     )
 
 
-def preconditioned_spectrum(red: ReducedSystem) -> EigenDecomposition:
+def preconditioned_spectrum(red: ReducedSystem) -> np.ndarray:
     """Eigenvalues (real, ascending) of the generalized problem ``M x = mu Pc x``.
 
     These are the eigenvalues of the reduced matrix ``[[At, G*], [G, -Ct]]``.
@@ -388,13 +379,12 @@ def preconditioned_spectrum(red: ReducedSystem) -> EigenDecomposition:
     block[:n, :n] = red.at
     block[n:, :n] = red.g
     np.negative(red.ct, out=block[n:, n:])
-    return EigenDecomposition(eigenvalues=hermitian_eigenvalues(block, overwrite=True))
+    return hermitian_eigenvalues(block, overwrite=True)
 
 
 def babuska_constants(red: ReducedSystem) -> BabuskaConstants:
     """Extreme moduli ``(gamma, B_norm)`` of the preconditioned spectrum."""
-    spec = preconditioned_spectrum(red)
-    moduli = np.abs(spec.eigenvalues)
+    moduli = np.abs(preconditioned_spectrum(red))
     gamma = float(np.min(moduli))
     b_norm = float(np.max(moduli))
     if gamma <= 1e-12 * max(b_norm, 1e-300):

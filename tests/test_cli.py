@@ -220,6 +220,38 @@ class TestInputErrors:
         assert not (tmp_path / "out").exists()
 
 
+class TestOutputErrors:
+    """An output that cannot be written, and an export above
+    ``DENSE_LIMIT``, exit with code 2 and one ``error:`` line; no bundle
+    directory is left behind."""
+
+    CASES = {
+        "bounds-missing-dir": ["bounds", "{tmp}/w", "--out", "{tmp}/missing/x"],
+        "table-missing-dir": ["table", "--levels", "0", "--out", "{tmp}/missing/t.csv"],
+        "verify-missing-dir": ["verify", "appendix", "--out", "{tmp}/missing/v.json"],
+        "export-onto-file": ["export", "--flavor", "stokes", "--level", "0", "--out", "{tmp}/file"],
+        "export-kkt-level-6": ["export", "--flavor", "parabolic-kkt", "--level", "6",
+                               "--out", "{tmp}/out"],
+        "export-stokes-level-4": ["export", "--flavor", "stokes", "--level", "4",
+                                  "--out", "{tmp}/out"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_code_two_and_one_error_line(self, case, tmp_path, capsys):
+        mmio.save_bundle(tmp_path / "w", witness_general(0.5, 1.0, 1.0),
+                         InnerProduct.identity(2, 1))
+        (tmp_path / "file").write_text("")
+        args = [arg.format(tmp=tmp_path) for arg in self.CASES[case]]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "missing").exists()
+        assert not (tmp_path / "out").exists()
+        assert (tmp_path / "file").read_text() == ""
+
+
 class TestVerifyCommand:
     def test_known_suite_passes(self, capsys):
         assert main(["verify", "sharpness"]) == 0

@@ -279,19 +279,20 @@ class TestGeneralizedEig:
 
 
 class TestNullspace:
-    """The P-orthonormal kernel basis of B, read off :func:`block_decompose`."""
+    """The orthonormal kernel basis of G, read off :func:`block_decompose`."""
 
     def test_coordinate_kernel(self):
         sys = SaddleSystem(a=np.eye(2), b=np.array([[0.0, 2.0]]))
-        z = block_decompose(reduce_system(sys, InnerProduct.identity(2, 1))).z0
-        assert z.shape == (2, 1)
-        assert abs(abs(z[0, 0]) - 1.0) < 1e-14 and abs(z[1, 0]) < 1e-14
+        v = block_decompose(reduce_system(sys, InnerProduct.identity(2, 1))).v0
+        assert v.shape == (2, 1)
+        assert abs(abs(v[0, 0]) - 1.0) < 1e-14 and abs(v[1, 0]) < 1e-14
 
     def test_contracts_with_weight(self, rng):
         b = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
         p = random_spd(rng, 7)
         sys = SaddleSystem(a=np.eye(7), b=b)
-        z = block_decompose(reduce_system(sys, InnerProduct(p=p, r=np.eye(3)))).z0
-        assert z.shape == (7, 4)
-        assert np.max(np.abs(b @ z)) <= 1e-10 * np.linalg.norm(b, 2)
-        assert np.max(np.abs(z.conj().T @ p @ z - np.eye(4))) <= 1e-10
+        red = reduce_system(sys, InnerProduct(p=p, r=np.eye(3)))
+        v = block_decompose(red).v0
+        assert v.shape == (7, 4)
+        assert np.max(np.abs(red.g @ v)) <= 1e-10 * np.linalg.norm(red.g, 2)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-10

@@ -24,6 +24,8 @@ TRACING = ROOT / "benchmarks" / "tracing.py"
 SOURCES = sorted(Path(saddlebounds.__file__).resolve().parent.rglob("*.py")) + sorted(
     (ROOT / "demos").glob("*.py")
 )
+#: The import lint also reads the tests.
+IMPORT_SOURCES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
@@ -113,10 +115,10 @@ def test_no_unread_local_names():
 
 
 def test_no_unused_imports():
-    """Every import in the package and the demos is read, listed in
-    ``__all__`` or marked ``# noqa: F401``."""
+    """Every import in the package, the demos and the tests is read, listed
+    in ``__all__`` or marked ``# noqa: F401``."""
     unused = []
-    for path in SOURCES:
+    for path in IMPORT_SOURCES:
         text = path.read_text()
         lines = text.splitlines()
         tree = ast.parse(text)

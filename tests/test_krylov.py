@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saddlebounds import krylov
-from saddlebounds.bounds import gamma_opt_general, minres_iteration_bound, witness_general
+from saddlebounds.bounds import minres_iteration_bound, witness_general
 from saddlebounds.densecore import generalized_hermitian_eig
 from saddlebounds.fem import build_mesh, parabolic_kkt, parabolic_reduced, stokes_system
 from saddlebounds.krylov import (

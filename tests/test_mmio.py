@@ -124,10 +124,12 @@ class TestBundle:
         for name in "ABCPR":
             header = (tmp_path / "b" / f"{name}.mtx").read_text().splitlines()[0]
             assert header.split()[3] == ("complex" if name == complex_block else "real")
-        red = reduce_system(*mmio.load_bundle(tmp_path / "b"))
-        for name in ("at", "g", "lp", "lr"):
+        sys, ip = mmio.load_bundle(tmp_path / "b")
+        red = reduce_system(sys, ip)
+        blocks = {"at": red.at, "g": red.g, "lp": ip.lp, "lr": ip.lr}
+        for name, block in blocks.items():
             want = np.complex128 if name == complex_reduced else np.float64
-            assert getattr(red, name).dtype == want, name
+            assert block.dtype == want, name
 
 
 @pytest.mark.usefixtures("lapack_fallback")

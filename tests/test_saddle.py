@@ -1,4 +1,7 @@
+import gc
 import math
+import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from saddlebounds.bounds import (
     inclusion_set,
     witness_general,
 )
-from saddlebounds.densecore import generalized_hermitian_eig
 from saddlebounds.fem import build_mesh, parabolic_kkt
 from saddlebounds.saddle import (
     InnerProduct,
@@ -31,7 +33,7 @@ from saddlebounds.verify import random_coercive_system, random_hermitian
 
 def assemble_decomposition(dec):
     """The 3x3 block operator ``[[A00, A01, 0], [A10, A11, B1*], [0, B1, 0]]``."""
-    k, m = dec.z0.shape[1], dec.b1.shape[0]
+    k, m = dec.v0.shape[1], dec.b1.shape[0]
     zk = np.zeros((k, m), dtype=np.complex128)
     zm = np.zeros((m, m), dtype=np.complex128)
     return np.block(
@@ -125,29 +127,19 @@ class RealOnly(np.ndarray):
 
 
 class TestBlockDecompose:
-    def test_real_factors_stay_real(self, monkeypatch):
+    def test_real_factors_stay_real(self):
         # Level-2 KKT: At, Lp and Lr are real and only G is complex.
         problem = parabolic_kkt(build_mesh(2), 1.0, 100.0)
-        red = reduce_system(problem.saddle_system(), problem.inner_product())
-        assert not any(np.iscomplexobj(x) for x in (red.at, red.lp, red.lr))
+        ip = problem.inner_product()
+        red = reduce_system(problem.saddle_system(), ip)
+        assert not any(np.iscomplexobj(x) for x in (red.at, ip.lp, ip.lr))
         assert np.iscomplexobj(red.g)
-        promoted = block_decompose(ReducedSystem(
-            at=red.at.astype(complex), g=red.g, ct=red.ct,
-            lp=red.lp.astype(complex), lr=red.lr.astype(complex),
-        ))
-        solve = scipy.linalg.solve_triangular
-
-        def real_solve(a, b, **kwargs):
-            assert np.iscomplexobj(a) or not np.iscomplexobj(b), "real factor promoted"
-            return solve(a, b, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "solve_triangular", real_solve)
-        guarded = ReducedSystem(
-            at=red.at.view(RealOnly), g=red.g, ct=red.ct,
-            lp=red.lp.view(RealOnly), lr=red.lr.view(RealOnly),
+        promoted = block_decompose(
+            ReducedSystem(at=red.at.astype(complex), g=red.g, ct=red.ct)
         )
+        guarded = ReducedSystem(at=red.at.view(RealOnly), g=red.g, ct=red.ct)
         dec = block_decompose(guarded)
-        for name in ("z0", "z1", "a00", "a01", "a10", "a11", "b1"):
+        for name in ("v0", "v1", "a00", "a01", "a10", "a11", "b1"):
             got, want = getattr(dec, name), getattr(promoted, name)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
         assert brezzi_constants(guarded).alpha == pytest.approx(
@@ -157,7 +149,7 @@ class TestBlockDecompose:
     def test_coordinate_split(self):
         sys = SaddleSystem(a=np.eye(2), b=np.array([[0.0, 1.0]]))
         dec = block_decompose(reduce_system(sys, InnerProduct.identity(2, 1)))
-        assert np.allclose(np.abs(dec.z0[:, 0]), [1.0, 0.0], atol=1e-14)
+        assert np.allclose(np.abs(dec.v0[:, 0]), [1.0, 0.0], atol=1e-14)
         assert np.allclose(dec.a00, [[1.0]])
         assert np.allclose(dec.a01, [[0.0]])
         assert np.allclose(dec.a11, [[1.0]])
@@ -171,22 +163,49 @@ class TestBlockDecompose:
         assert np.allclose(np.abs(dec.b1), [[1.0]])
 
     def test_reconstruction_oracle(self, rng):
+        # The 3x3 view is diag(V, I)* [[At, G*], [G, 0]] diag(V, I).
         sys, ip = random_coercive_system(rng, 6, 2)
-        dec = block_decompose(reduce_system(sys, ip))
-        z = np.hstack([dec.z0, dec.z1])
-        big = scipy.linalg.block_diag(z, np.eye(sys.m))
-        rebuilt = big.conj().T @ sys.assemble() @ big
+        red = reduce_system(sys, ip)
+        dec = block_decompose(red)
+        v = np.hstack([dec.v0, dec.v1])
+        big = scipy.linalg.block_diag(v, np.eye(red.m))
+        reduced = np.block([[red.at, red.g.conj().T], [red.g, np.zeros((red.m, red.m))]])
+        rebuilt = big.conj().T @ reduced @ big
         assert np.max(np.abs(rebuilt - assemble_decomposition(dec))) <= 1e-10 * np.max(
-            np.abs(sys.assemble())
+            np.abs(reduced)
         )
 
     def test_basis_contracts(self, rng):
         sys, ip = random_coercive_system(rng, 7, 3)
-        dec = block_decompose(reduce_system(sys, ip))
-        z = np.hstack([dec.z0, dec.z1])
-        assert np.max(np.abs(z.conj().T @ ip.p @ z - np.eye(7))) < 1e-10
-        assert np.max(np.abs(sys.b @ dec.z0)) < 1e-10 * np.linalg.norm(sys.b, 2)
+        red = reduce_system(sys, ip)
+        dec = block_decompose(red)
+        v = np.hstack([dec.v0, dec.v1])
+        assert np.max(np.abs(v.conj().T @ v - np.eye(7))) < 1e-10
+        assert np.max(np.abs(red.g @ dec.v0)) < 1e-10 * np.linalg.norm(red.g, 2)
         assert np.max(np.abs(dec.a01 - dec.a10.conj().T)) < 1e-10
+        # B1 = G V1 is Hermitian, with the singular values of G as eigenvalues.
+        g_v1 = red.g @ dec.v1
+        assert np.max(np.abs(dec.b1 - g_v1)) <= 1e-10 * np.max(np.abs(g_v1))
+        assert np.max(np.abs(dec.b1 - dec.b1.conj().T)) < 1e-10
+        sigma = np.linalg.svd(red.g, compute_uv=False)
+        assert np.max(np.abs(np.linalg.eigvalsh(dec.b1) - sigma[::-1])) <= 1e-10 * sigma[0]
+
+    def test_original_geometry(self, rng):
+        # Lp^{-*} maps the kernel basis to a P-orthonormal basis of ker(B).
+        sys, ip = random_coercive_system(rng, 7, 3)
+        dec = block_decompose(reduce_system(sys, ip))
+        z0 = scipy.linalg.solve_triangular(ip.lp, dec.v0, lower=True, trans="C")
+        assert np.max(np.abs(sys.b @ z0)) < 1e-10 * np.linalg.norm(sys.b, 2)
+        assert np.max(np.abs(z0.conj().T @ ip.p @ z0 - np.eye(4))) < 1e-10
+
+    def test_reduced_system_drops_the_factors(self, rng):
+        sys, ip = random_coercive_system(rng, 5, 2)
+        factors = weakref.ref(ip.lp), weakref.ref(ip.lr)
+        red = reduce_system(sys, ip)
+        del ip
+        gc.collect()
+        assert [ref() for ref in factors] == [None, None]
+        assert [f.name for f in fields(red)] == ["at", "g", "ct"]
 
     def test_rank_deficient_rejected(self, rng):
         b = np.vstack([np.ones((1, 4)), np.ones((1, 4))])
@@ -209,15 +228,15 @@ class TestBlockDecompose:
         sys = SaddleSystem(a=np.eye(3), b=np.eye(3))
         red = reduce_system(sys, InnerProduct.identity(3, 3))
         dec = block_decompose(red)
-        assert dec.z0.shape == (3, 0)
-        assert np.allclose(dec.z1.conj().T @ dec.z1, np.eye(3))
+        assert dec.v0.shape == (3, 0)
+        assert np.allclose(dec.v1.conj().T @ dec.v1, np.eye(3))
         with pytest.raises(ValueError, match="trivial"):
             brezzi_constants(red)
 
     def test_hand_kernel(self):
         sys = SaddleSystem(a=np.eye(2), b=np.array([[1.0, 1.0]]))
         dec = block_decompose(reduce_system(sys, InnerProduct.identity(2, 1)))
-        v = dec.z0[:, 0]
+        v = dec.v0[:, 0]
         assert abs(v[0] + v[1]) < 1e-14
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
@@ -366,7 +385,7 @@ def assert_matches_pencils(sys, ip, red):
     def close(got, want, scale):
         assert abs(got - want) <= 1e-10 * scale
 
-    mu = preconditioned_spectrum(red).eigenvalues
+    mu = preconditioned_spectrum(red)
     ref = scipy.linalg.eigh(sys.assemble(), ip.assemble(), eigvals_only=True)
     assert np.max(np.abs(mu - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -406,7 +425,7 @@ class TestDensePathProperty:
 
         # A nonzero Hermitian (2,2) block goes through the reduced C block.
         sys_c = SaddleSystem(a=sys.a, b=sys.b, c=random_hermitian(rng, m))
-        mu_c = preconditioned_spectrum(reduce_system(sys_c, ip)).eigenvalues
+        mu_c = preconditioned_spectrum(reduce_system(sys_c, ip))
         ref_c = scipy.linalg.eigh(sys_c.assemble(), ip.assemble(), eigvals_only=True)
         assert np.max(np.abs(mu_c - ref_c)) <= 1e-10 * np.max(np.abs(ref_c))
 
@@ -424,11 +443,11 @@ class TestDensePathProperty:
         dec = block_decompose(red)
         fresh = reduce_system(sys, ip)
         dec_fresh = block_decompose(fresh)
-        for name in ("z0", "z1", "b1"):
+        for name in ("v0", "v1", "b1"):
             assert np.array_equal(getattr(dec, name), getattr(dec_fresh, name))
         assert bc == brezzi_constants(fresh)
-        b_z1 = sys.b @ dec.z1
-        assert np.max(np.abs(dec.b1 - b_z1)) <= 1e-10 * np.max(np.abs(b_z1))
+        g_v1 = red.g @ dec.v1
+        assert np.max(np.abs(dec.b1 - g_v1)) <= 1e-10 * np.max(np.abs(g_v1))
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(
@@ -449,7 +468,7 @@ class TestDensePathProperty:
             sys = SaddleSystem(a=sys.a.real, b=sys.b)
             ip = InnerProduct(p=ip.p.real, r=ip.r.real)
         red = reduce_system(sys, ip)
-        real_blocks = (red.at.dtype, red.lp.dtype, red.lr.dtype)
+        real_blocks = (red.at.dtype, ip.lp.dtype, ip.lr.dtype)
         if real_coupling:
             assert sys.b.dtype == np.float64
             assert real_blocks == (np.complex128,) * 3
