@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise ValueError("levels, nu and omega must be nonempty")
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"eps must be in (0, 1), got {self.eps}")
+        if self.maxit < 1:
+            raise ValueError(f"maxit must be at least 1, got {self.maxit}")
         sweeps = [len(self.levels) > 1, len(self.nu) > 1, len(self.omega) > 1]
         if sum(sweeps) > 1:
             raise ValueError("exactly one of levels/nu/omega may be swept per table")

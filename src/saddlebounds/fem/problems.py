@@ -30,6 +30,24 @@ inner-product matrices of :meth:`ModelProblem.inner_product` are built from
 the same declaration, so the analysed and the applied preconditioner are one
 object.
 
+The dense Stokes Schur complement ``S`` is formed in blocks of ``C`` columns,
+one SuperLU solve each, on one worker per available CPU.  A block's real
+right-hand side of ``ns x 2C`` doubles is held near ``SCHUR_BLOCK_BYTES``
+(1.5 MiB), because the formation was fastest at 1-4 MB at every level.
+Formation time against the block's columns (and MB), two workers on 2 CPUs,
+one BLAS thread, against 128 columns on one thread:
+
+* level 4 (``ns`` = 1,985): 16 (0.5) 0.125 s, 32 (1.0) 0.114 s, 55 (1.7)
+  0.107 s, 128 (4.1) 0.145 s; one thread 0.264 s;
+* level 5 (8,065): 4 (0.5) 2.88 s, 8 (1.0) 2.2 s, 16 (2.1) 2.2 s, 64 (8.3)
+  3.06 s; one thread 7.12 s;
+* level 6 (32,513; 256 of the 8,320 columns): 2 (1.0) 1.83 s, 3 (1.6)
+  1.44 s, 4 (2.1) 1.45 s, 32 (16.6) 1.92 s; one thread 4.11 s.
+
+1.5 MiB is the smallest budget that keeps 3 columns at level 6.  Each worker
+thread's allocator arena keeps about one block's working set after the
+solves, so the peak RSS grows with the budget too.
+
 Right-hand sides use the nodal interpolant of the target multiplied by the
 mass matrix.  The scalar target mirrors the stream-function profile of the
 velocity target so that both vanish on the whole boundary.
@@ -37,7 +55,9 @@ velocity target so that both vanish on the whole boundary.
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +88,11 @@ __all__ = [
 #: Refuse dense conversion above this system dimension.
 DENSE_LIMIT = 6000
 
-#: Columns of the Stokes Schur complement formed per multi-column solve.
-SCHUR_COLUMNS = 128
+#: Bytes of the real right-hand side of one Stokes Schur block (see the
+#: module docstring): a block of ``C`` columns of ``S`` solves ``ns x 2C``
+#: doubles, ``C = SCHUR_BLOCK_BYTES // (16 ns)``, which is 49 columns at
+#: level 4, 12 at level 5 and 3 at level 6.
+SCHUR_BLOCK_BYTES = 3 << 19
 
 
 def stream_profile(z):
@@ -362,6 +385,52 @@ def parabolic_reduced(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     )
 
 
+def _schur_complement(ps_factor: SpdFactor, dx, dy) -> np.ndarray:
+    """Dense exact pressure Schur complement ``S = Dx Ps^{-1} Dx^T + Dy
+    Ps^{-1} Dy^T`` (mp x mp), symmetrized.
+
+    The divergence blocks stay sparse.  Each block of ``C`` columns of ``S``
+    makes one solve with the ``ns x 2C`` real right-hand side ``[Dx^T, Dy^T]``
+    restricted to those columns, sized by :data:`SCHUR_BLOCK_BYTES`.  The
+    blocks run on one worker per available CPU, at most one per block: the
+    calling thread and a pool of the others, which share the one factor
+    (SuperLU releases the GIL during the solve).  Every block writes only its
+    own rows, so ``S`` does not depend on the number of workers.  A failing
+    block raises here once every worker is joined; the workers take no new
+    block after it.
+    """
+    mp, ns = dx.shape
+    width = max(1, SCHUR_BLOCK_BYTES // (16 * ns))
+    dxt, dyt = dx.T.tocsc(), dy.T.tocsc()
+    schur = np.empty((mp, mp))
+    blocks = range(0, mp, width)
+    starts = iter(blocks)
+
+    def drain() -> None:
+        try:
+            for start in starts:
+                cols = slice(start, min(start + width, mp))
+                rhs = scipy.sparse.hstack([dxt[:, cols], dyt[:, cols]]).toarray()
+                sol = ps_factor.solve(rhs)
+                half = sol.shape[1] // 2
+                # Stored as rows, which are contiguous; S is symmetric.
+                schur[cols] = (dx @ sol[:, :half] + dy @ sol[:, half:]).T
+        except BaseException:
+            for _ in starts:  # the other workers stop after their block
+                pass
+            raise
+
+    # The pool starts a thread per submitted task only, so one worker runs
+    # inline; leaving the pool joins the others.
+    workers = min(len(os.sched_getaffinity(0)), len(blocks))
+    with concurrent.futures.ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+    return 0.5 * (schur + schur.T)
+
+
 def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     """Reordered and rescaled Stokes velocity-tracking optimality system.
 
@@ -372,8 +441,8 @@ def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     * ``B = -sqrt(nu) [[0, D], [D, 0]]`` with ``D = [Dx, Dy]`` the pinned
       divergence
     * ``P = diag(Pv, Pv)`` with ``Pv = Mv + sqrt(nu)(Kv + omega Mv)``
-    * ``R = nu diag(S, S)`` with ``S = D Pv^{-1} D^T`` formed densely via the
-      factorization of the scalar component block.
+    * ``R = nu diag(S, S)`` with ``S = D Pv^{-1} D^T`` formed densely in
+      column blocks via the factorization of the scalar component block.
 
     R is the exact Schur complement of the coupling in the P geometry, which
     forces the coupling inf-sup constant and norm to equal one.
@@ -400,21 +469,8 @@ def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
         [[None, None, dx, dy], [dx, dy, None, None]], format="csr"
     )
 
-    ps = _shifted_operator(ms, ks, nu, omega)
-    ps_factor = SpdFactor(ps)
-    # Exact pressure Schur complement S = D Pv^{-1} D^T = Dx Ps^{-1} Dx^T +
-    # Dy Ps^{-1} Dy^T, dense mp x mp.  The divergence blocks stay sparse;
-    # multi-column solves take SCHUR_COLUMNS columns of S at a time, so the
-    # dense work arrays stay at ns x 2 SCHUR_COLUMNS.
-    dxt, dyt = dx.T.tocsc(), dy.T.tocsc()
-    schur = np.empty((mp, mp))
-    for start in range(0, mp, SCHUR_COLUMNS):
-        cols = slice(start, min(start + SCHUR_COLUMNS, mp))
-        rhs_cols = scipy.sparse.hstack([dxt[:, cols], dyt[:, cols]]).toarray()
-        sol = ps_factor.solve(rhs_cols)
-        half = sol.shape[1] // 2
-        schur[:, cols] = dx @ sol[:, :half] + dy @ sol[:, half:]
-    schur = 0.5 * (schur + schur.T)
+    ps_factor = SpdFactor(_shifted_operator(ms, ks, nu, omega))
+    schur = _schur_complement(ps_factor, dx, dy)
 
     velocity = [slice(j * ns, (j + 1) * ns) for j in range(4)]  # u_x, u_y, w_x, w_y
     pressure = [slice(4 * ns + j * mp, 4 * ns + (j + 1) * mp) for j in range(2)]

@@ -198,6 +198,8 @@ class TestInputErrors:
         "table-level-7": ["table", "--levels", "7"],
         "table-nu-negative": ["table", "--nu", "-1"],
         "table-omega-nan": ["table", "--omega", "nan"],
+        "table-maxit-zero": ["table", "--flavor", "stokes", "--maxit", "0"],
+        "table-maxit-negative": ["table", "--maxit", "-5"],
         "export-level-9": ["export", "--flavor", "stokes", "--level", "9", "--out", "{tmp}/out"],
         "export-nu-zero": ["export", "--flavor", "stokes", "--nu", "0", "--out", "{tmp}/out"],
     }

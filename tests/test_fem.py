@@ -1,4 +1,8 @@
+import itertools
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from saddlebounds.fem import (
     target_velocity,
 )
 from saddlebounds.fem.assembly import PINNED_PRESSURE, _p1_matrices, _taylor_hood_matrices
+from saddlebounds.fem import problems
 from saddlebounds.fem.mesh import Mesh
 from saddlebounds.fem.problems import (
     BlockPreconditioner,
@@ -339,6 +344,71 @@ class TestStokesProblem:
         problem = stokes_system(build_mesh(4), nu=1.0, omega=1.0)
         with pytest.raises(ValueError, match="refused"):
             problem.saddle_system()
+
+
+class BlockFailure(RuntimeError):
+    pass
+
+
+class TestStokesSchurBlocks:
+    """``stokes_system`` forms the dense Schur complement ``S`` in column
+    blocks (12 at level 4) on one worker per available CPU: the calling
+    thread and a pool of the others."""
+
+    def build(self, monkeypatch, cpus, fail_at=None):
+        """Level-4 build on ``cpus`` reported CPUs.  Returns the dense
+        matrices it factors and, per sparse solve (one Schur block each), the
+        number of live threads.  With ``fail_at``, that solve raises."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        dense, live, calls = [], [], itertools.count()
+
+        class Recording(SpdFactor):
+            def __init__(self, matrix):
+                super().__init__(matrix)
+                if not scipy.sparse.issparse(matrix):
+                    dense.append(matrix)
+                    return
+                solve = self.solve
+
+                def recorded(rhs):
+                    live.append(threading.active_count())
+                    if next(calls) == fail_at:
+                        raise BlockFailure("block solve failed")
+                    return solve(rhs)
+
+                self.solve = recorded
+
+        monkeypatch.setattr(problems, "SpdFactor", Recording)
+        stokes_system(build_mesh(4), 1e-2, 1.0)
+        return dense, live
+
+    def test_schur_does_not_depend_on_worker_count(self, monkeypatch):
+        before = threading.active_count()
+        (one,), inline = self.build(monkeypatch, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more workers than CPUs, switching often
+        try:
+            (four,), pooled = self.build(monkeypatch, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(inline) == {before}
+        assert min(pooled) > before
+        # Every block is solved once: a skipped block could keep equal stale
+        # values in the reused buffer.
+        assert len(pooled) == len(inline) > 1
+        assert np.array_equal(one, four)
+        assert np.array_equal(four, four.T)
+
+    def test_success_leaves_no_thread(self, monkeypatch):
+        before = threading.active_count()
+        self.build(monkeypatch, 4)
+        assert threading.active_count() == before
+
+    def test_failing_block_raises_and_leaves_no_thread(self, monkeypatch):
+        before = threading.active_count()
+        with pytest.raises(BlockFailure, match="block solve failed"):
+            self.build(monkeypatch, 4, fail_at=2)
+        assert threading.active_count() == before
 
 
 BUILDERS = {
