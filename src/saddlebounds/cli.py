@@ -372,10 +372,11 @@ def cmd_export(args) -> int:
         mesh = build_mesh(args.level)
         problem = _BUILDERS[args.flavor](mesh, args.nu, args.omega)
         # Refused above DENSE_LIMIT, before any directory is made.
-        sys_, ip = problem.saddle_system(), problem.inner_product()
+        problem.check_dense()
+        p, r = problem.inner_product_blocks()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        mmio.save_bundle(out, sys_, ip)
+        mmio.save_bundle(out, problem.a, problem.b, problem.c, p, r)
         np.save(out / "rhs.npy", problem.rhs)
         (out / "mesh.txt").write_text(mesh.to_text())
     except (OSError, ValueError) as exc:

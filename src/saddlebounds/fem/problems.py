@@ -25,10 +25,10 @@ with a scale.  Every sparse block is factored once by SuperLU in symmetric
 mode (minimum degree on ``A^T + A``, no pivoting), the dense Stokes Schur
 complement by Cholesky.  One application makes one real multi-column solve
 per factor: the slices of a factor are gathered into one complex array whose
-real and imaginary parts are solved as interleaved real columns.  The dense
-inner-product matrices of :meth:`ModelProblem.inner_product` are built from
-the same declaration, so the analysed and the applied preconditioner are one
-object.
+real and imaginary parts are solved as interleaved real columns.  The
+sparse inner-product matrix ``diag(P, R)`` of :meth:`ModelProblem.inner_product`
+and of exported bundles is read off the same declaration, so the analysed
+and the applied preconditioner are one object.
 
 The dense Stokes Schur complement ``S`` is formed in blocks of ``C`` columns,
 one SuperLU solve each, on one worker per available CPU.  A block's real
@@ -194,27 +194,18 @@ class BlockPreconditioner:
                 np.multiply(sol[:, j * k : (j + 1) * k], scale, out=out[rows])
         return out.reshape(x.shape)
 
-    def dense(self, rows: slice) -> np.ndarray:
-        """Dense inner-product matrix (the inverse of this preconditioner) on
-        the diagonal range ``rows``; raises ``ValueError`` if ``rows`` cuts a
-        slice."""
-        size = rows.stop - rows.start
-        out = np.zeros((size, size))
+    def matrix(self) -> scipy.sparse.csr_matrix:
+        """The inner-product matrix that this preconditioner inverts, as CSR:
+        each block divided by its scale on each of its slices."""
+        parts = {}
         for factor, slices, scales in self._blocks:
-            block = factor.matrix
-            if scipy.sparse.issparse(block):
-                block = block.toarray()
-            for part, scale in zip(slices, scales):
-                inside = rows.start <= part.start and part.stop <= rows.stop
-                if not inside and part.start < rows.stop and rows.start < part.stop:
-                    raise ValueError(
-                        f"rows {rows.start}:{rows.stop} cut the preconditioner "
-                        f"slice {part.start}:{part.stop}"
-                    )
-                if inside:
-                    t = slice(part.start - rows.start, part.stop - rows.start)
-                    out[t, t] = block / scale
-        return out
+            block = scipy.sparse.coo_matrix(factor.matrix)
+            for rows, scale in zip(slices, scales):
+                # Not block / scale: scipy multiplies by 1 / scale, which rounds.
+                parts[rows.start] = scipy.sparse.coo_matrix(
+                    (block.data / scale, (block.row, block.col)), shape=block.shape
+                )
+        return scipy.sparse.block_diag([parts[k] for k in sorted(parts)], format="csr")
 
 
 @dataclass
@@ -223,11 +214,11 @@ class ModelProblem:
 
     Blocks are kept sparse so the largest experiments stay matrix-free, each
     in the field of its values (only blocks with an ``i omega`` term are
-    complex); :meth:`matrix` assembles the system in complex128, and
-    :meth:`saddle_system` and :meth:`inner_product` densify for the exact
-    eigenvalue analyses at desk scale.  ``precond_solve`` applies the
-    inverse of the block-diagonal inner-product matrix, which
-    :meth:`inner_product` builds densely from the same blocks.
+    complex; a vanishing ``C`` is empty); :meth:`matrix` assembles the system
+    in complex128, and :meth:`saddle_system` and :meth:`inner_product`
+    densify for the exact eigenvalue analyses at desk scale.
+    ``precond_solve`` applies the inverse of the block-diagonal inner-product
+    matrix, whose sparse blocks :meth:`inner_product_blocks` returns.
     """
 
     flavor: str
@@ -236,7 +227,7 @@ class ModelProblem:
     omega: float
     a: scipy.sparse.spmatrix
     b: scipy.sparse.spmatrix
-    c: scipy.sparse.spmatrix | None
+    c: scipy.sparse.spmatrix
     rhs: np.ndarray
     precond_solve: BlockPreconditioner
 
@@ -254,12 +245,8 @@ class ModelProblem:
 
     def matrix(self) -> scipy.sparse.csr_matrix:
         """Sparse assembled system ``[[A, B*], [B, -C]]``."""
-        bh = self.b.conj().T
-        c_block = -self.c if self.c is not None else None
-        if c_block is None:
-            c_block = scipy.sparse.csr_matrix((self.m, self.m), dtype=np.complex128)
         return scipy.sparse.bmat(
-            [[self.a, bh], [self.b, c_block]], format="csr", dtype=np.complex128
+            [[self.a, self.b.conj().T], [self.b, -self.c]], format="csr", dtype=np.complex128
         )
 
     def operator(self) -> LinearOperator:
@@ -269,23 +256,30 @@ class ModelProblem:
     def preconditioner(self) -> LinearOperator:
         return LinearOperator(dim=self.dim, apply=self.precond_solve)
 
-    def _check_dense(self):
+    def check_dense(self) -> None:
         if self.dim > DENSE_LIMIT:
             raise ValueError(
                 f"dense conversion refused at dimension {self.dim} "
                 f"(> {DENSE_LIMIT}); use the operator interface"
             )
 
+    def inner_product_blocks(self) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+        """The sparse blocks ``P`` and ``R`` of the inner-product matrix
+        ``Pc = diag(P, R)``; raises ``ValueError`` if ``Pc`` couples the
+        first ``n`` unknowns to the others."""
+        pc = self.precond_solve.matrix()
+        n = self.n
+        if pc[:n, n:].nnz:
+            raise ValueError(f"the inner product couples unknowns 0:{n} to {n}:{self.dim}")
+        return pc[:n, :n], pc[n:, n:]
+
     def saddle_system(self) -> SaddleSystem:
-        self._check_dense()
+        self.check_dense()
         return SaddleSystem(a=self.a, b=self.b, c=self.c)
 
     def inner_product(self) -> InnerProduct:
-        self._check_dense()
-        return InnerProduct(
-            p=self.precond_solve.dense(slice(0, self.n)),
-            r=self.precond_solve.dense(slice(self.n, self.dim)),
-        )
+        self.check_dense()
+        return InnerProduct(*self.inner_product_blocks())
 
 
 def check_parameters(nu: float, omega: float) -> None:
@@ -340,7 +334,7 @@ def parabolic_kkt(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
         omega=omega,
         a=a,
         b=b,
-        c=None,
+        c=scipy.sparse.csr_matrix((n, n), dtype=np.result_type(a.dtype, b.dtype)),
         rhs=rhs,
         precond_solve=precond,
     )
@@ -500,7 +494,7 @@ def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
         omega=omega,
         a=a,
         b=b,
-        c=None,
+        c=scipy.sparse.csr_matrix((2 * mp, 2 * mp), dtype=np.result_type(a.dtype, b.dtype)),
         rhs=rhs,
         precond_solve=precond,
     )

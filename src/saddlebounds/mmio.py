@@ -9,9 +9,12 @@ complex blocks as complex fields.
 
 A *bundle* is a directory holding one file per block of a saddle-point
 system plus its inner product, tied together by a small JSON manifest with
-the dimensions and the file-to-block mapping.  Bundle blocks are written in
-the coordinate variant, so zero entries (the whole of a vanishing ``C``)
-take no space; bundles written in the array variant load the same way.
+the dimensions and the file-to-block mapping.  Bundle blocks, dense or
+sparse, are written as stored in the coordinate variant: zero entries (the
+whole of a vanishing ``C``) take no space, and a sparse block is never
+densified but keeps its explicit zeros, entry order and dtype.
+:func:`load_bundle` reads every block densely in the field of its values;
+bundles written in the array variant load the same way.
 """
 
 from __future__ import annotations
@@ -54,27 +57,19 @@ def load_matrix(path, dense: bool = True):
     return np.asarray(matrix) if dense else matrix
 
 
-def save_bundle(directory, sys: SaddleSystem, ip: InnerProduct) -> None:
-    """Write system and inner-product blocks plus the manifest."""
+def save_bundle(directory, a, b, c, p, r) -> None:
+    """Write the blocks of the system ``[[A, B*], [B, -C]]`` and of its
+    inner product ``diag(P, R)``, dense or sparse, plus the manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    blocks = {
-        "A": sys.a,
-        "B": sys.b,
-        "C": sys.c,
-        "P": ip.p,
-        "R": ip.r,
-    }
-    files = {}
-    for name, block in blocks.items():
-        filename = f"{name}.mtx"
-        save_matrix(directory / filename, scipy.sparse.coo_array(block))
-        files[name] = filename
+    files = {name: f"{name}.mtx" for name in "ABCPR"}
+    for name, block in zip(files, (a, b, c, p, r)):
+        save_matrix(directory / files[name], scipy.sparse.coo_array(block))
     manifest = {
         "format": "saddlebounds-bundle",
         "version": 1,
-        "n": sys.n,
-        "m": sys.m,
+        "n": a.shape[0],
+        "m": b.shape[0],
         "files": files,
     }
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
@@ -87,13 +82,22 @@ def load_bundle(directory) -> tuple[SaddleSystem, InnerProduct]:
     if not manifest_path.is_file():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
     manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != "saddlebounds-bundle":
-        raise ValueError(f"{manifest_path} is not a saddlebounds bundle manifest")
-    files = manifest["files"]
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not (
+        isinstance(files, dict)
+        and manifest.get("format") == "saddlebounds-bundle"
+        and all(type(manifest.get(key)) is int for key in ("n", "m"))
+        and {"A", "B", "P", "R"} <= files.keys()
+        and all(isinstance(name, str) for name in files.values())
+    ):
+        raise ValueError(
+            f"{manifest_path} is not a saddlebounds bundle manifest: integers 'n' "
+            "and 'm', and 'files' naming the files of A, B, P and R"
+        )
     blocks = {name: load_matrix(directory / fname) for name, fname in files.items()}
     sys = SaddleSystem(a=blocks["A"], b=blocks["B"], c=blocks.get("C"))
     ip = InnerProduct(p=blocks["P"], r=blocks["R"])
-    if sys.n != int(manifest["n"]) or sys.m != int(manifest["m"]):
+    if (sys.n, sys.m) != (manifest["n"], manifest["m"]):
         raise ValueError(
             f"manifest dimensions ({manifest['n']}, {manifest['m']}) do not match "
             f"block dimensions ({sys.n}, {sys.m})"

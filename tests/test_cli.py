@@ -1,10 +1,12 @@
 import json
 import re
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from saddlebounds import cli, krylov, mmio
 from saddlebounds.bounds import witness_general
@@ -17,13 +19,17 @@ from saddlebounds.cli import (
     theoretical_interval,
 )
 from saddlebounds.fem import build_mesh, stokes_system
-from saddlebounds.saddle import InnerProduct, SaddleSystem
+from saddlebounds.saddle import SaddleSystem
+
+
+def save_system(directory, sys):
+    """Write ``sys`` with the identity inner product as a bundle."""
+    mmio.save_bundle(directory, sys.a, sys.b, sys.c, np.eye(sys.n), np.eye(sys.m))
 
 
 class TestBoundsCommand:
     def test_witness_bundle_reports_sharp(self, tmp_path, capsys):
-        mmio.save_bundle(tmp_path / "w", witness_general(0.5, 1.0, 1.0),
-                         InnerProduct.identity(2, 1))
+        save_system(tmp_path / "w", witness_general(0.5, 1.0, 1.0))
         assert main(["bounds", str(tmp_path / "w")]) == 0
         out = capsys.readouterr().out
         assert "sharpness = sharp" in out
@@ -31,7 +37,7 @@ class TestBoundsCommand:
 
     def test_identity_bundle_constants_one(self, tmp_path, capsys):
         sys = SaddleSystem(a=np.eye(2), b=np.array([[0.0, 1.0]]))
-        mmio.save_bundle(tmp_path / "ident", sys, InnerProduct.identity(2, 1))
+        save_system(tmp_path / "ident", sys)
         assert main(["bounds", str(tmp_path / "ident")]) == 0
         out = capsys.readouterr().out
         for name in ("alpha", "beta", "a_norm", "b_norm"):
@@ -41,7 +47,8 @@ class TestBoundsCommand:
 
     def test_stokes_bundle_unit_coupling(self, tmp_path, capsys):
         problem = stokes_system(build_mesh(1), nu=1.0, omega=1.0)
-        mmio.save_bundle(tmp_path / "st", problem.saddle_system(), problem.inner_product())
+        p, r = problem.inner_product_blocks()
+        mmio.save_bundle(tmp_path / "st", problem.a, problem.b, problem.c, p, r)
         assert main(["bounds", str(tmp_path / "st")]) == 0
         out = capsys.readouterr().out
         beta = float(next(l.split("=")[1] for l in out.splitlines() if l.startswith("beta")))
@@ -53,11 +60,37 @@ class TestBoundsCommand:
         assert main(["bounds", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    FILES = {name: f"{name}.mtx" for name in "ABCPR"}
+    MANIFESTS = {
+        "list": [],
+        "string": "saddlebounds-bundle",
+        "files-string": {"files": "x"},
+        "files-list": {"files": ["A.mtx"]},
+        "files-without-P": {"files": {k: v for k, v in FILES.items() if k != "P"}},
+        "file-name-number": {"files": {**FILES, "A": 3}},
+        "n-null": {"n": None},
+        "m-string": {"m": "1"},
+    }
+
+    @pytest.mark.parametrize("case", sorted(MANIFESTS))
+    def test_malformed_manifest_exit_two(self, case, tmp_path, capsys):
+        save_system(tmp_path / "w", witness_general(0.5, 1.0, 1.0))
+        path = tmp_path / "w" / "manifest.json"
+        manifest = self.MANIFESTS[case]
+        if isinstance(manifest, dict):
+            manifest = {**json.loads(path.read_text()), **manifest}
+        path.write_text(json.dumps(manifest))
+        assert main(["bounds", str(tmp_path / "w")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot load bundle: ")
+
     def test_indefinite_kernel_omits_inclusion(self, tmp_path, capsys):
         # A is negative definite on ker(B) = span(e1); the eigenvalue -0.278
         # lies outside the cubic set [-3.30, -0.414] u [0.303, 2.41].
         sys = SaddleSystem(a=np.array([[-2.0, 2.0], [2.0, 1.0]]), b=np.array([[0.0, 1.0]]))
-        mmio.save_bundle(tmp_path / "indef", sys, InnerProduct.identity(2, 1))
+        save_system(tmp_path / "indef", sys)
         assert main(["bounds", str(tmp_path / "indef")]) == 0
         lines = capsys.readouterr().out.splitlines()
         omitted = [l for l in lines if l.startswith("inclusion")]
@@ -240,8 +273,7 @@ class TestOutputErrors:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exit_code_two_and_one_error_line(self, case, tmp_path, capsys):
-        mmio.save_bundle(tmp_path / "w", witness_general(0.5, 1.0, 1.0),
-                         InnerProduct.identity(2, 1))
+        save_system(tmp_path / "w", witness_general(0.5, 1.0, 1.0))
         (tmp_path / "file").write_text("")
         args = [arg.format(tmp=tmp_path) for arg in self.CASES[case]]
         assert main(args) == 2
@@ -270,6 +302,40 @@ class TestVerifyCommand:
 
 
 class TestExportCommand:
+    @pytest.mark.parametrize("flavor", cli.FLAVORS)
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("omega", [0.0, 1.0])
+    def test_export_equals_dense_conversion(self, flavor, level, omega, tmp_path, capsys):
+        # The bundle is written from the model's sparse blocks; read back, it
+        # holds what the dense conversion gives, bit for bit and dtype for
+        # dtype.  nu = 1e-2 puts scales other than one on the blocks.
+        out = tmp_path / "b"
+        assert main(["export", "--flavor", flavor, "--level", str(level), "--nu", "1e-2",
+                     "--omega", str(omega), "--out", str(out)]) == 0
+        loaded_sys, loaded_ip = mmio.load_bundle(out)
+        problem = cli._BUILDERS[flavor](build_mesh(level), 1e-2, omega)
+        sys_, ip = problem.saddle_system(), problem.inner_product()
+        pairs = [(loaded_sys.a, sys_.a), (loaded_sys.b, sys_.b), (loaded_sys.c, sys_.c),
+                 (loaded_ip.p, ip.p), (loaded_ip.r, ip.r)]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # P and R are the diagonal blocks of the preconditioner's matrix,
+        # symmetrized as every inner product is.
+        pc = problem.precond_solve.matrix().toarray()
+        assert np.array_equal(scipy.linalg.block_diag(ip.p, ip.r), (pc + pc.T) / 2)
+
+    def test_export_makes_no_dense_block(self, tmp_path, capsys):
+        # One dense float64 array of the system's order (1,443 at level 4)
+        # is 16.7 MB; the export stays below it, build included.
+        tracemalloc.start()
+        try:
+            assert main(["export", "--flavor", "parabolic-kkt", "--level", "4",
+                         "--out", str(tmp_path / "b")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1443**2
+
     def test_export_bundle(self, tmp_path, capsys):
         out = tmp_path / "exported"
         code = main([

@@ -447,11 +447,8 @@ def test_system_matrix_is_complex_csr(flavor):
     problem = BUILDERS[flavor](build_mesh(1), nu=0.5, omega=2.0)
     mat = problem.matrix()
     assert mat.format == "csr" and mat.dtype == np.complex128
-    c_block = -problem.c if problem.c is not None else None
-    if c_block is None:
-        c_block = scipy.sparse.csr_matrix((problem.m, problem.m), dtype=np.complex128)
     old = scipy.sparse.bmat(
-        [[problem.a, problem.b.conj().T], [problem.b, c_block]], format="csr"
+        [[problem.a, problem.b.conj().T], [problem.b, -problem.c]], format="csr"
     ).astype(np.complex128)
     assert (mat != old).nnz == 0
 
@@ -506,12 +503,44 @@ class TestBlockPreconditioner:
         with pytest.raises(ValueError, match="tile"):
             BlockPreconditioner(6, [(factor, [slice(0, 3), second], [1.0, 1.0])])
 
-    def test_dense_rejects_a_cut_slice(self):
-        factor = SpdFactor(scipy.sparse.identity(3, format="csc"))
-        precond = BlockPreconditioner(6, [(factor, [slice(0, 3), slice(3, 6)], [1.0, 2.0])])
-        assert np.array_equal(precond.dense(slice(3, 6)), 0.5 * np.eye(3))
-        with pytest.raises(ValueError, match="slice 3:6"):
-            precond.dense(slice(0, 4))
+    @staticmethod
+    def tridiagonal(n):
+        return SpdFactor(scipy.sparse.diags([-0.7, 2.6, -0.7], [-1, 0, 1], (n, n), format="csc"))
+
+    def test_matrix_places_scaled_blocks(self):
+        # Blocks in any order, each divided by its scale on its slices; at
+        # these values and scales a product with the reciprocal rounds
+        # differently.
+        first, second = self.tridiagonal(2), self.tridiagonal(3)
+        precond = BlockPreconditioner(
+            8, [(second, [slice(5, 8), slice(0, 3)], [0.1, 49.0]), (first, [slice(3, 5)], [7.0])]
+        )
+        pc = precond.matrix()
+        assert pc.format == "csr" and pc.dtype == np.float64
+        t2, t3 = first.matrix.toarray(), second.matrix.toarray()
+        assert np.array_equal(pc.toarray(), scipy.linalg.block_diag(t3 / 49.0, t2 / 7.0, t3 / 0.1))
+        x = np.arange(1.0, 9.0)
+        assert np.allclose(precond(pc @ x), x, rtol=1e-13)
+
+    def test_inner_product_blocks_reject_a_slice_across_n(self):
+        # One block on 3:6 with n = 4 puts entries in Pc[:4, 4:].
+        precond = BlockPreconditioner(
+            6, [(self.tridiagonal(3), [slice(0, 3), slice(3, 6)], [1.0, 2.0])]
+        )
+        a = scipy.sparse.identity(4, format="csr")
+        b = scipy.sparse.csr_matrix(np.eye(2, 4))
+        c = scipy.sparse.csr_matrix((2, 2))
+        problem = problems.ModelProblem("test", 0, 1.0, 1.0, a, b, c, np.zeros(6), precond)
+        with pytest.raises(ValueError, match="couples unknowns 0:4 to 4:6"):
+            problem.inner_product_blocks()
+        # A block that crosses n without coupling across it is block-diagonal.
+        identity = SpdFactor(scipy.sparse.identity(3, format="csc"))
+        problem.precond_solve = BlockPreconditioner(
+            6, [(identity, [slice(0, 3), slice(3, 6)], [1.0, 2.0])]
+        )
+        p, r = problem.inner_product_blocks()
+        assert np.array_equal(p.toarray(), np.diag([1.0, 1.0, 1.0, 0.5]))
+        assert np.array_equal(r.toarray(), 0.5 * np.eye(2))
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(

@@ -56,7 +56,7 @@ class TestBundle:
     def test_round_trip(self, tmp_path):
         sys = witness_general(0.5, 1.0, 1.0)
         ip = InnerProduct.identity(2, 1)
-        mmio.save_bundle(tmp_path / "bundle", sys, ip)
+        mmio.save_bundle(tmp_path / "bundle", sys.a, sys.b, sys.c, ip.p, ip.r)
         sys2, ip2 = mmio.load_bundle(tmp_path / "bundle")
         assert np.array_equal(sys2.a, sys.a)
         assert np.array_equal(sys2.b, sys.b)
@@ -66,7 +66,7 @@ class TestBundle:
 
     def test_blocks_written_as_coordinates(self, rng, tmp_path):
         sys, ip = random_coercive_system(rng, 5, 2)
-        mmio.save_bundle(tmp_path / "b", sys, ip)
+        mmio.save_bundle(tmp_path / "b", sys.a, sys.b, sys.c, ip.p, ip.r)
         for name in ("A", "B", "C", "P", "R"):
             header = (tmp_path / "b" / f"{name}.mtx").read_text().splitlines()[0]
             assert "coordinate" in header, name
@@ -81,7 +81,7 @@ class TestBundle:
     def test_array_format_bundle_still_loads(self, rng, tmp_path):
         # bundles written before the coordinate variant hold dense arrays
         sys, ip = random_coercive_system(rng, 5, 2)
-        mmio.save_bundle(tmp_path / "b", sys, ip)
+        mmio.save_bundle(tmp_path / "b", sys.a, sys.b, sys.c, ip.p, ip.r)
         blocks = {"A": sys.a, "B": sys.b, "C": sys.c, "P": ip.p, "R": ip.r}
         for name, block in blocks.items():
             path = tmp_path / "b" / f"{name}.mtx"
@@ -93,7 +93,7 @@ class TestBundle:
 
     def test_manifest_contents(self, tmp_path):
         sys = SaddleSystem(a=np.eye(3), b=np.ones((1, 3)))
-        mmio.save_bundle(tmp_path / "b", sys, InnerProduct.identity(3, 1))
+        mmio.save_bundle(tmp_path / "b", sys.a, sys.b, sys.c, np.eye(3), np.eye(1))
         manifest = (tmp_path / "b" / "manifest.json").read_text()
         assert '"n": 3' in manifest and '"m": 1' in manifest
 
@@ -103,7 +103,7 @@ class TestBundle:
 
     def test_dimension_mismatch_detected(self, tmp_path):
         sys = SaddleSystem(a=np.eye(3), b=np.ones((1, 3)))
-        mmio.save_bundle(tmp_path / "b", sys, InnerProduct.identity(3, 1))
+        mmio.save_bundle(tmp_path / "b", sys.a, sys.b, sys.c, np.eye(3), np.eye(1))
         manifest_path = tmp_path / "b" / "manifest.json"
         manifest_path.write_text(manifest_path.read_text().replace('"n": 3', '"n": 4'))
         with pytest.raises(ValueError, match="dimensions"):
@@ -120,7 +120,8 @@ class TestBundle:
     )
     def test_blocks_keep_their_field(self, tmp_path, builder, complex_block, complex_reduced):
         problem = builder(build_mesh(2), nu=1.0, omega=1.0)
-        mmio.save_bundle(tmp_path / "b", problem.saddle_system(), problem.inner_product())
+        p, r = problem.inner_product_blocks()
+        mmio.save_bundle(tmp_path / "b", problem.a, problem.b, problem.c, p, r)
         for name in "ABCPR":
             header = (tmp_path / "b" / f"{name}.mtx").read_text().splitlines()[0]
             assert header.split()[3] == ("complex" if name == complex_block else "real")
