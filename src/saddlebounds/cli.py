@@ -14,7 +14,11 @@ Subcommands
     interval, the observed iteration count, and the theoretical bound.
     ``--format json`` writes every field of every row, including the
     number of Lanczos steps of the interval estimate and whether it was
-    certified; each uncertified row also gets a line on stderr.
+    certified, the true residual of the solve, and the operator and
+    preconditioner applications of the solve and of the estimate; each
+    uncertified row also gets a line on stderr.  On two or more CPUs a row's
+    solve and its estimate, two independent Lanczos runs on the same
+    operators, overlap on two threads; the rows do not depend on it.
 ``verify SUITE``
     Run a named randomized verification suite and print a JSON summary.
 ``export``
@@ -29,8 +33,10 @@ Markdown tables print intervals with three decimals, counts as integers.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -42,7 +48,13 @@ from . import mmio, verify
 from .fem import build_mesh, parabolic_kkt, parabolic_reduced, stokes_system
 from .fem.mesh import check_level
 from .fem.problems import check_parameters
-from .krylov import estimate_intervals, minres_solve, printed_endpoint
+from .krylov import (
+    MinresReport,
+    RitzEstimate,
+    estimate_intervals,
+    minres_solve,
+    printed_endpoint,
+)
 from .saddle import BrezziConstants, babuska_constants, brezzi_constants, reduce_system
 
 _BUILDERS = {
@@ -96,7 +108,9 @@ class TableRow:
 
     ``estimate_steps`` and ``estimate_certified`` are the Lanczos steps of
     the interval estimate and its certificate (see
-    :func:`saddlebounds.krylov.estimate_intervals`).
+    :func:`saddlebounds.krylov.estimate_intervals`).  ``true_residual`` and
+    the application counts come from the MINRES report and the estimate;
+    only ``table --format json`` prints them.
     """
 
     parameter_name: str
@@ -109,6 +123,11 @@ class TableRow:
     iteration_bound: int
     estimate_steps: int
     estimate_certified: bool
+    true_residual: float
+    minres_operator_applications: int
+    minres_preconditioner_applications: int
+    estimate_operator_applications: int
+    estimate_preconditioner_applications: int
 
 
 def theoretical_interval(flavor: str) -> tuple[float, float]:
@@ -157,6 +176,32 @@ def _row_label(flavor: str, level: int, nu: float, omega: float) -> str:
     return f"{flavor} level={level} nu={nu:g} omega={omega:g}"
 
 
+def _solve_and_estimate(
+    config: ExperimentConfig, label: str, op, pc, rhs
+) -> tuple[MinresReport, RitzEstimate]:
+    """One row's MINRES solve and interval estimate, each called once.
+
+    With two or more CPUs the estimate runs on a helper thread while the
+    calling thread solves; with one, none starts and the estimate follows
+    the solve.  The two share only the operators, and the BLAS cap lets
+    their level-1 calls run side by side.  The helper is joined before this
+    returns or raises, and the errors are those of the serial order: a
+    failing solve, then an unconverged one (:class:`ConvergenceError`), then
+    a failing estimate.
+    """
+    workers = min(len(os.sched_getaffinity(0)), 2)
+    # The pool starts a thread only for a submitted task; leaving it joins.
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        helper = pool.submit(estimate_intervals, op, pc) if workers > 1 else None
+        report = minres_solve(op, pc, rhs, eps=config.eps, maxit=config.maxit)
+    if not report.converged:
+        raise ConvergenceError(
+            f"{label}: MINRES stopped unconverged after {report.iterations} "
+            f"iterations (eps={config.eps:g}, maxit={config.maxit})"
+        )
+    return report, helper.result() if helper else estimate_intervals(op, pc)
+
+
 def run_table(config: ExperimentConfig) -> list[TableRow]:
     """Compute all rows of an experiment table.
 
@@ -172,8 +217,10 @@ def run_table(config: ExperimentConfig) -> list[TableRow]:
     symmetry classes that contain the extreme eigenvalues, which would hide
     them from the solve's own Lanczos data).
 
-    Raises :class:`ConvergenceError`, naming the row, if a solve stops
-    (at ``config.maxit`` or on breakdown) without converging.
+    The solve and the estimate of a row overlap on two CPUs
+    (:func:`_solve_and_estimate`).  Raises :class:`ConvergenceError`,
+    naming the row, if a solve stops (at ``config.maxit`` or on breakdown)
+    without converging.
     """
     build = _BUILDERS[config.flavor]
     theory_lo, theory_hi = theoretical_interval(config.flavor)
@@ -182,15 +229,13 @@ def run_table(config: ExperimentConfig) -> list[TableRow]:
     rows = []
     for name, value, level, nu, omega in _sweep(config):
         problem = build(build_mesh(level), nu, omega)
-        op, pc = problem.operator(), problem.preconditioner()
-        report = minres_solve(op, pc, problem.rhs, eps=config.eps, maxit=config.maxit)
-        if not report.converged:
-            raise ConvergenceError(
-                f"{_row_label(config.flavor, level, nu, omega)}: MINRES "
-                f"stopped unconverged after {report.iterations} iterations "
-                f"(eps={config.eps:g}, maxit={config.maxit})"
-            )
-        estimate = estimate_intervals(op, pc)
+        report, estimate = _solve_and_estimate(
+            config,
+            _row_label(config.flavor, level, nu, omega),
+            problem.operator(),
+            problem.preconditioner(),
+            problem.rhs,
+        )
         rows.append(
             TableRow(
                 parameter_name=name,
@@ -203,6 +248,11 @@ def run_table(config: ExperimentConfig) -> list[TableRow]:
                 iteration_bound=k_bound,
                 estimate_steps=estimate.steps,
                 estimate_certified=estimate.certified,
+                true_residual=report.true_residual,
+                minres_operator_applications=report.operator_applications,
+                minres_preconditioner_applications=report.preconditioner_applications,
+                estimate_operator_applications=estimate.operator_applications,
+                estimate_preconditioner_applications=estimate.preconditioner_applications,
             )
         )
     return rows

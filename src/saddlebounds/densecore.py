@@ -15,6 +15,10 @@ conquer driver (``?syevd_2stage``/``?heevd_2stage``: a BLAS-3 band
 reduction, then bulge chasing) through ``ctypes`` when the library scipy's
 LAPACK is loaded from exports it, and ``scipy.linalg.eigh`` otherwise.
 
+:data:`one_blas_thread` caps the BLAS of numpy and of scipy at one thread
+while the Krylov solvers run: their level-1 calls on long vectors only wake
+a second OpenBLAS thread to spin.  The dense eigensolves keep every thread.
+
 Conventions
 -----------
 * All dense matrices are numpy arrays in C (row-major) order, except the
@@ -28,8 +32,11 @@ Conventions
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import importlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +54,7 @@ __all__ = [
     "apply_in_field",
     "triangular_congruence",
     "generalized_hermitian_eig",
+    "one_blas_thread",
 ]
 
 #: Relative threshold below which singular values count as zero when
@@ -138,6 +146,85 @@ def _two_stage_drivers() -> dict | None:
             fn.restype = ctypes.c_int
         return drivers
     return None
+
+
+#: ``(extension module, suffix)`` of the OpenBLAS builds that numpy (64-bit
+#: integers) and scipy (32-bit) each bundle, with the ``scipy_openblas_``
+#: prefix of the scipy-openblas wheels.
+_OPENBLAS = (("numpy._core._multiarray_umath", "64_"), ("scipy.linalg._flapack", ""))
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """``(get, set)`` thread-count functions of each OpenBLAS that numpy and
+    scipy load; empty where none resolves.
+
+    As in :func:`_two_stage_drivers`, the symbols are looked up, once,
+    through the extension modules, so they come from the libraries those
+    modules are linked against.
+    """
+    controls = []
+    for module, suffix in _OPENBLAS:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (ImportError, AttributeError, OSError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        controls.append((get, set_))
+    return tuple(controls)
+
+
+def _blas_thread_counts() -> tuple[int, ...]:
+    """The current thread count of each OpenBLAS that
+    :data:`one_blas_thread` controls (empty where none resolves)."""
+    return tuple(get() for get, _ in _blas_thread_controls())
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Context manager and decorator that holds BLAS at one thread.
+
+    Entries are counted under a lock, across threads and nested calls: the
+    first entry saves every thread count and sets it to 1, the last exit
+    restores the saved counts, also when the body raises.  So no entry
+    leaves the process at one thread while another is still inside, and
+    none restores the counts under a thread that still runs.  The counts
+    are the process's: BLAS calls on other threads meanwhile run on one
+    thread too.  Where the OpenBLAS symbols are missing it does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: tuple[int, ...] = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                # All counts are read before any is set, in case numpy and
+                # scipy share one library.
+                self._saved = _blas_thread_counts()
+                for _, set_ in _blas_thread_controls():
+                    set_(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                pairs = zip(_blas_thread_controls(), self._saved)
+                for (_, set_), count in reversed(list(pairs)):
+                    set_(count)
+        return False
+
+
+#: The one BLAS-thread cap of the package (see :class:`_OneBlasThread`);
+#: :func:`saddlebounds.krylov.minres_solve` and
+#: :func:`saddlebounds.krylov.estimate_intervals` run under it.
+one_blas_thread = _OneBlasThread()
 
 
 def hermitian_eigenvalues(h, overwrite: bool = False) -> np.ndarray:

@@ -214,9 +214,10 @@ class ModelProblem:
 
     Blocks are kept sparse so the largest experiments stay matrix-free, each
     in the field of its values (only blocks with an ``i omega`` term are
-    complex; a vanishing ``C`` is empty); :meth:`matrix` assembles the system
-    in complex128, and :meth:`saddle_system` and :meth:`inner_product`
-    densify for the exact eigenvalue analyses at desk scale.
+    complex, so at ``omega = 0`` none is; a vanishing ``C`` is empty);
+    :meth:`matrix` assembles the system in complex128, and
+    :meth:`saddle_system` and :meth:`inner_product` densify for the exact
+    eigenvalue analyses at desk scale.
     ``precond_solve`` applies the inverse of the block-diagonal inner-product
     matrix, whose sparse blocks :meth:`inner_product_blocks` returns.
     """
@@ -244,10 +245,19 @@ class ModelProblem:
         return self.n + self.m
 
     def matrix(self) -> scipy.sparse.csr_matrix:
-        """Sparse assembled system ``[[A, B*], [B, -C]]``."""
-        return scipy.sparse.bmat(
-            [[self.a, self.b.conj().T], [self.b, -self.c]], format="csr", dtype=np.complex128
+        """Sparse assembled system ``[[A, B*], [B, -C]]`` in complex128.
+
+        Each block row is stacked from CSR blocks, then the two rows, without
+        the coordinate-format copy that ``bmat`` makes when a block such as
+        ``B*`` is CSC; the arrays are bitwise those of ``bmat``.
+        """
+        upper, lower = (
+            scipy.sparse.hstack(
+                [block.tocsr() for block in row], format="csr", dtype=np.complex128
+            )
+            for row in ((self.a, self.b.conj().T), (self.b, -self.c))
         )
+        return scipy.sparse.vstack([upper, lower], format="csr")
 
     def operator(self) -> LinearOperator:
         mat = self.matrix()
@@ -293,6 +303,16 @@ def check_parameters(nu: float, omega: float) -> None:
         )
 
 
+def _frequency_shifted(stiffness, mass, omega: float):
+    """``K + i omega M``, in which entries that cancel are not stored; at
+    ``omega = 0`` the real ``K`` with the same entries."""
+    if omega:
+        return stiffness + 1j * omega * mass
+    stiffness = stiffness.copy()
+    stiffness.eliminate_zeros()
+    return stiffness
+
+
 def _shifted_operator(mass, stiffness, nu: float, omega: float):
     """The robust scalar building block ``M + sqrt(nu) (K + omega M)``."""
     return (mass + np.sqrt(nu) * (stiffness + omega * mass)).tocsr()
@@ -312,7 +332,7 @@ def parabolic_kkt(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     y_op = _shifted_operator(mass, stiff, nu, omega)
 
     a = scipy.sparse.block_diag([mass, nu * mass], format="csr")
-    b = scipy.sparse.hstack([(stiff + 1j * omega * mass), -mass], format="csr")
+    b = scipy.sparse.hstack([_frequency_shifted(stiff, mass, omega), -mass], format="csr")
     precond = BlockPreconditioner(
         3 * n,
         [
@@ -355,7 +375,7 @@ def parabolic_reduced(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     p_op = _shifted_operator(mass, stiff, nu, omega)
 
     a = mass
-    b = (np.sqrt(nu) * (stiff + 1j * omega * mass)).tocsr()
+    b = (np.sqrt(nu) * _frequency_shifted(stiff, mass, omega)).tocsr()
     c = mass.copy()  # (2,2) block of the matrix is -M
 
     precond = BlockPreconditioner(
@@ -454,8 +474,8 @@ def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
 
     a = scipy.sparse.bmat(
         [
-            [mv, sqrt_nu * (kv - 1j * omega * mv)],
-            [sqrt_nu * (kv + 1j * omega * mv), -mv],
+            [mv, sqrt_nu * _frequency_shifted(kv, mv, -omega)],
+            [sqrt_nu * _frequency_shifted(kv, mv, omega), -mv],
         ],
         format="csr",
     )

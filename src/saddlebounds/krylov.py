@@ -20,18 +20,23 @@ preconditioned operator serves both the solver and the interval estimator
   of spectra that are symmetric around zero (:func:`stagnation_profile`).
 
 The system operator and the preconditioner are both :class:`LinearOperator`
-objects (a dimension and an apply callable); a solve owns its workspace and
-never mutates its inputs.
+objects (a dimension and an apply callable); a solve owns its workspace,
+updates it in place and never mutates its inputs.  Each solve counts its
+operator and preconditioner applications, and runs with BLAS capped at one
+thread (:data:`saddlebounds.densecore.one_blas_thread`), so that two solves
+can share two CPUs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
+
+from .densecore import one_blas_thread
 
 __all__ = [
     "LinearOperator",
@@ -54,7 +59,12 @@ CHECK_EVERY = 10
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Matrix-free linear operator: a dimension and an apply callable."""
+    """Matrix-free linear operator: a dimension and an apply callable.
+
+    ``apply`` returns a new array or its argument itself, never an array it
+    keeps: the solvers update the results in place (a result that shares
+    memory with the argument is copied first).
+    """
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
@@ -69,7 +79,8 @@ class MinresReport:
 
     ``residual_history[k]`` is the recurrence estimate of the residual norm
     in the ``Pc^{-1}`` inner product after k iterations (entry 0 is the
-    initial residual).
+    initial residual).  The application counts include the two symmetry
+    probes and the true-residual check.
     """
 
     x: np.ndarray
@@ -77,6 +88,8 @@ class MinresReport:
     iterations: int
     converged: bool
     true_residual: float = float("nan")
+    operator_applications: int = 0
+    preconditioner_applications: int = 0
 
 
 @dataclass(frozen=True)
@@ -91,6 +104,9 @@ class RitzEstimate:
     is the order of the tridiagonal; ``certified`` says whether residual
     bounds showed that ``pos_lo`` and ``pos_hi`` print the three decimals of
     the endpoints of the positive spectrum (see :func:`estimate_intervals`).
+    The application counts are those of the run that produced the estimate,
+    0 for an estimate read off given coefficients; they take no part in
+    comparisons, which are about the spectrum.
     """
 
     neg_lo: float
@@ -99,6 +115,8 @@ class RitzEstimate:
     pos_hi: float
     steps: int
     certified: bool
+    operator_applications: int = field(default=0, compare=False)
+    preconditioner_applications: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if not (self.pos_lo > 0.0 > self.neg_hi):
@@ -142,6 +160,24 @@ def _positive_inner(z: np.ndarray, v: np.ndarray) -> float:
     return max(value, 0.0)
 
 
+class _Counted:
+    """An operator that counts its applications."""
+
+    def __init__(self, op: LinearOperator):
+        self.dim, self._apply, self.applications = op.dim, op.apply, 0
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        self.applications += 1
+        return self._apply(x)
+
+
+def _own(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """An operator's result ``y = op(x)``, copied if it shares memory with
+    ``x`` (the identity returns its argument), so that the recurrence can
+    update it in place."""
+    return y.copy() if np.may_share_memory(y, x) else y
+
+
 def _lanczos(a: LinearOperator, m_inv: LinearOperator, v: np.ndarray):
     """Preconditioned Lanczos recurrence started at the residual ``v``.
 
@@ -149,22 +185,25 @@ def _lanczos(a: LinearOperator, m_inv: LinearOperator, v: np.ndarray):
     the normalized preconditioned vector ``z_k``, the diagonal entry
     ``delta_k`` and the coupling coefficient ``gamma_{k+1}`` of the Lanczos
     tridiagonal.  It ends after a step whose coupling vanishes (breakdown):
-    the Krylov space is then invariant.  ``v`` is not mutated.
+    the Krylov space is then invariant.  ``v`` is not mutated, and each
+    yielded ``z_k`` is a new array.
     """
-    z = m_inv(v)
+    z = _own(m_inv(v), v)
     gamma = np.sqrt(_positive_inner(z, v))
     yield gamma
     v_old = gamma_prev = None
     while True:
-        z = z / gamma
-        az = a(z)
+        z /= gamma
+        az = _own(a(z), z)
         delta = _real_inner(az, z, "system operator")
         # Three-term recurrence on the unpreconditioned residuals (v is
-        # normalized lazily, hence the ratios of coupling coefficients).
-        v_new = az - (delta / gamma) * v
+        # normalized lazily, hence the ratios of coupling coefficients),
+        # written into the operator's output.
+        v_new = az
+        v_new -= (delta / gamma) * v
         if v_old is not None:
             v_new -= (gamma / gamma_prev) * v_old
-        z_new = m_inv(v_new)
+        z_new = _own(m_inv(v_new), v_new)
         gamma_new = np.sqrt(_positive_inner(z_new, v_new))
         yield z, delta, gamma_new
         if gamma_new <= 1e-14 * max(1.0, abs(delta)):
@@ -193,6 +232,7 @@ def _probe_operators(a: LinearOperator, m_inv: LinearOperator) -> None:
             )
 
 
+@one_blas_thread
 def minres_solve(
     op: LinearOperator,
     prec: LinearOperator,
@@ -223,6 +263,7 @@ def minres_solve(
     if maxit is None:
         maxit = 2 * n
 
+    op, prec = _Counted(op), _Counted(prec)
     _probe_operators(op, prec)
 
     x = np.zeros(n, dtype=np.complex128)
@@ -230,7 +271,9 @@ def minres_solve(
     res0 = res = gamma = next(lanczos)
     history = [res0]
     if res0 == 0.0:
-        return MinresReport(x, np.array(history), 0, True, 0.0)
+        return MinresReport(
+            x, np.array(history), 0, True, 0.0, op.applications, prec.applications
+        )
 
     w = w_old = np.zeros(n, dtype=np.complex128)
     eta = gamma
@@ -246,8 +289,11 @@ def minres_solve(
         c_new = alpha0 / alpha1
         s_new = gamma_new / alpha1
 
-        w_new = (z - alpha3 * w_old - alpha2 * w) / alpha1
-        x = x + (c_new * eta) * w_new
+        # (z - alpha3 w_old - alpha2 w) / alpha1, in that order, in place.
+        w_new = z - alpha3 * w_old
+        w_new -= alpha2 * w
+        w_new /= alpha1
+        x += (c_new * eta) * w_new
         eta = -s_new * eta
 
         res = abs(s_new) * res
@@ -261,12 +307,15 @@ def minres_solve(
         c_old, c = c, c_new
         s_old, s = s, s_new
 
+    true_residual = _true_residual(op, prec, rhs, x)
     return MinresReport(
         x=x,
         residual_history=np.array(history),
         iterations=k,
         converged=bool(res <= eps * res0),
-        true_residual=_true_residual(op, prec, rhs, x),
+        true_residual=true_residual,
+        operator_applications=op.applications,
+        preconditioner_applications=prec.applications,
     )
 
 
@@ -390,6 +439,7 @@ def _first_certified(steps) -> RitzEstimate:
     return _ritz_estimate(alphas, betas)
 
 
+@one_blas_thread
 def estimate_intervals(op: LinearOperator, prec: LinearOperator) -> RitzEstimate:
     """Spectral interval estimation with a generic probe vector.
 
@@ -409,12 +459,18 @@ def estimate_intervals(op: LinearOperator, prec: LinearOperator) -> RitzEstimate
     probe has reached both ends of the positive spectrum; the README
     ("Certified interval estimates") says what it does and does not prove.
     """
+    op, prec = _Counted(op), _Counted(prec)
     rng = np.random.default_rng(PROBE_SEED)
     probe = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
     lanczos = _lanczos(op, prec, probe)
     next(lanczos)
     steps = islice(lanczos, min(op.dim, ESTIMATE_STEPS))
-    return _first_certified((delta, beta) for _, delta, beta in steps)
+    estimate = _first_certified((delta, beta) for _, delta, beta in steps)
+    return replace(
+        estimate,
+        operator_applications=op.applications,
+        preconditioner_applications=prec.applications,
+    )
 
 
 def stagnation_profile(

@@ -1,6 +1,10 @@
 """Fixtures shared by the test suite: the seeded generator (the
-random-instance helpers live in :mod:`saddlebounds.verify`) and the switch
-that sends every dense Hermitian eigensolve to the fallback driver."""
+random-instance helpers live in :mod:`saddlebounds.verify`), the switch
+that sends every dense Hermitian eigensolve to the fallback driver, and a
+guard that every test leaves no thread running and the BLAS thread counts
+as the session found them."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -24,3 +28,24 @@ def lapack_fallback(monkeypatch):
     so the fallback stays tested.
     """
     monkeypatch.setattr(densecore, "_two_stage_drivers", lambda: None)
+
+
+@pytest.fixture(scope="session")
+def blas_threads_at_start():
+    """The OpenBLAS thread counts of numpy and scipy when the session starts."""
+    return densecore._blas_thread_counts()
+
+
+@pytest.fixture(autouse=True)
+def _no_thread_left_and_blas_restored(blas_threads_at_start):
+    """Fail a test that leaves a thread alive, or the BLAS thread counts
+    other than the session found them (the Krylov solvers cap them at one
+    while they run, and the table rows and the Stokes build start threads)."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads left running: {left}")
+    counts = densecore._blas_thread_counts()
+    if counts != blas_threads_at_start:
+        pytest.fail(f"BLAS thread counts {counts}, at session start {blas_threads_at_start}")

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import threading
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from saddlebounds import cli, krylov, mmio
+from saddlebounds import cli, densecore, krylov, mmio
 from saddlebounds.bounds import witness_general
 from saddlebounds.cli import (
     ConvergenceError,
@@ -220,6 +222,104 @@ class TestTableCommand:
         assert (lo, hi) == pytest.approx((1 / np.sqrt(3.0), 1.0))
 
 
+#: The 11 rows of the Stokes tables: Table 1 and the Table 2/3 spot rows.
+STOKES_TABLES = [
+    ExperimentConfig(flavor="stokes", levels=[0, 1, 2, 3, 4]),
+    ExperimentConfig(flavor="stokes", levels=[4], omega=[0.0, 1e2, 1e8]),
+    ExperimentConfig(flavor="stokes", levels=[4], nu=[1e-8, 1e-2, 1e8]),
+]
+
+
+def report_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestOverlappedRows:
+    """A row's MINRES solve and interval estimate overlap on two CPUs."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(flavor="stokes", levels=[2]),
+            ExperimentConfig(flavor="parabolic-kkt", levels=[3]),
+            ExperimentConfig(flavor="parabolic-reduced", levels=[3], omega=[100.0]),
+        ],
+        ids=["stokes-l2", "kkt-l3", "reduced-l3"],
+    )
+    def test_rows_identical_at_one_and_two_cpus(self, config, monkeypatch):
+        estimate = cli.estimate_intervals
+        rows, threads = {}, {}
+        for cpus in (1, 2):
+            report_cpus(monkeypatch, cpus)
+            seen = []
+
+            def recording(*args, **kwargs):
+                seen.append(threading.current_thread())
+                return estimate(*args, **kwargs)
+
+            monkeypatch.setattr(cli, "estimate_intervals", recording)
+            rows[cpus] = [asdict(row) for row in run_table(config)]
+            threads[cpus] = seen
+        assert rows[1] == rows[2]
+        assert threads[1] == [threading.main_thread()]
+        assert len(threads[2]) == 1 and threads[2][0] is not threading.main_thread()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_unconverged_row_joins_its_helper(self, cpus, monkeypatch, blas_threads_at_start):
+        report_cpus(monkeypatch, cpus)
+        before = set(threading.enumerate())
+        with pytest.raises(ConvergenceError, match="after 1 iterations"):
+            run_table(ExperimentConfig(flavor="parabolic-kkt", levels=[3], maxit=1))
+        assert set(threading.enumerate()) == before
+        assert densecore._blas_thread_counts() == blas_threads_at_start
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_errors_keep_the_serial_order(self, cpus, monkeypatch):
+        # A failing solve wins, then an unconverged one, then the estimate.
+        report_cpus(monkeypatch, cpus)
+
+        def failing(what):
+            def call(*args, **kwargs):
+                raise ValueError(what)
+
+            return call
+
+        monkeypatch.setattr(cli, "estimate_intervals", failing("estimate"))
+        config = ExperimentConfig(flavor="parabolic-reduced", levels=[1])
+        with pytest.raises(ValueError, match="estimate"):
+            run_table(config)
+        with pytest.raises(ConvergenceError):
+            run_table(ExperimentConfig(flavor="parabolic-reduced", levels=[1], maxit=1))
+        monkeypatch.setattr(cli, "minres_solve", failing("solve"))
+        with pytest.raises(ValueError, match="solve"):
+            run_table(config)
+
+    def test_application_counts(self):
+        # Per row the solve applies each operator once per iteration, plus
+        # the two symmetry probes and the true-residual check, and the
+        # preconditioner once more for the start vector; the estimate once
+        # per Lanczos step, and the preconditioner once more.
+        rows = [row for config in STOKES_TABLES for row in run_table(config)]
+        totals = [
+            sum(getattr(row, name) for row in rows)
+            for name in (
+                "iterations",
+                "minres_operator_applications",
+                "minres_preconditioner_applications",
+                "estimate_steps",
+                "estimate_operator_applications",
+                "estimate_preconditioner_applications",
+            )
+        ]
+        assert totals == [270, 303, 314, 940, 940, 951]
+        assert all(0.0 <= row.true_residual < 1e-6 for row in rows)
+        # Only the JSON rows carry the counts and the true residual.
+        assert format_table(rows, "csv").splitlines()[0] == (
+            "h,computed_lo,computed_hi,theory_lo,theory_hi,iterations,iteration_bound"
+        )
+        assert "applications" not in format_table(rows, "markdown")
+
+
 class TestInputErrors:
     """Bad input from outside the program exits with code 2 and one
     ``error:`` line, before any mesh is built or any file is written."""
@@ -335,6 +435,15 @@ class TestExportCommand:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 1443**2
+
+    @pytest.mark.parametrize("flavor", cli.FLAVORS)
+    def test_zero_frequency_export_writes_real_fields(self, flavor, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert main(["export", "--flavor", flavor, "--level", "1", "--omega", "0",
+                     "--out", str(out)]) == 0
+        headers = [path.read_text().splitlines()[0] for path in sorted(out.glob("*.mtx"))]
+        assert len(headers) == 5
+        assert all(header.split()[3] == "real" for header in headers), headers
 
     def test_export_bundle(self, tmp_path, capsys):
         out = tmp_path / "exported"

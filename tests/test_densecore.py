@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,9 +14,11 @@ from saddlebounds.densecore import (
     cholesky,
     generalized_hermitian_eig,
     hermitian_eigenvalues,
+    one_blas_thread,
     require_hermitian,
     triangular_congruence,
 )
+from saddlebounds.krylov import LinearOperator, estimate_intervals, minres_solve
 from saddlebounds.saddle import (
     InnerProduct,
     SaddleSystem,
@@ -296,3 +299,102 @@ class TestNullspace:
         assert v.shape == (7, 4)
         assert np.max(np.abs(red.g @ v)) <= 1e-10 * np.linalg.norm(red.g, 2)
         assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-10
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every controlled OpenBLAS at two threads, so that the cap's one
+    shows; the counts found are put back after the test."""
+    controls = densecore._blas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control resolves")
+    found = densecore._blas_thread_counts()
+    for _, set_ in controls:
+        set_(2)
+    yield (2,) * len(controls)
+    for (_, set_), count in zip(controls, found):
+        set_(count)
+
+
+class TestOneBlasThread:
+    def test_numpy_and_scipy_controls_resolve(self):
+        # One control per scipy-openblas build: numpy's (64-bit integers)
+        # and scipy's.
+        wheels = [
+            module.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+            for module in (np, scipy)
+        ]
+        if wheels != ["scipy-openblas"] * 2:
+            pytest.skip(f"BLAS builds {wheels}")
+        assert len(densecore._blas_thread_controls()) == 2
+
+    def test_caps_and_restores(self, two_blas_threads):
+        ones = (1,) * len(two_blas_threads)
+        with one_blas_thread:
+            assert densecore._blas_thread_counts() == ones
+        assert densecore._blas_thread_counts() == two_blas_threads
+
+    def test_nested_entries_restore_at_the_last_exit(self, two_blas_threads):
+        ones = (1,) * len(two_blas_threads)
+        with one_blas_thread:
+            with one_blas_thread:
+                assert densecore._blas_thread_counts() == ones
+            assert densecore._blas_thread_counts() == ones
+        assert densecore._blas_thread_counts() == two_blas_threads
+
+    def test_exception_restores(self, two_blas_threads):
+        @one_blas_thread
+        def failing():
+            raise RuntimeError("inside")
+
+        with pytest.raises(RuntimeError, match="inside"):
+            with one_blas_thread:
+                failing()
+        assert densecore._blas_thread_counts() == two_blas_threads
+
+    def test_concurrent_entries_restore_at_the_last_exit(self, two_blas_threads):
+        # The helper enters first and leaves first; the counts stay at one
+        # until this thread, which entered second, leaves.
+        ones = (1,) * len(two_blas_threads)
+        entered, release = threading.Event(), threading.Event()
+        seen = []
+
+        def helper():
+            with one_blas_thread:
+                entered.set()
+                release.wait(10)
+            seen.append(densecore._blas_thread_counts())
+
+        thread = threading.Thread(target=helper)
+        thread.start()
+        try:
+            assert entered.wait(10)
+            with one_blas_thread:
+                release.set()
+                thread.join(10)
+                assert seen == [ones]
+            assert densecore._blas_thread_counts() == two_blas_threads
+        finally:
+            release.set()
+            thread.join()
+
+    def test_missing_symbols_do_nothing(self, monkeypatch):
+        monkeypatch.setattr(densecore, "_blas_thread_controls", lambda: ())
+        with one_blas_thread:
+            assert densecore._blas_thread_counts() == ()
+
+    def test_krylov_runs_under_the_cap(self, two_blas_threads, rng):
+        ones = (1,) * len(two_blas_threads)
+        a = random_hermitian(rng, 12)
+        seen = set()
+
+        def apply(x):
+            seen.add(densecore._blas_thread_counts())
+            return a @ x
+
+        op = LinearOperator(12, apply)
+        pc = LinearOperator(12, lambda x: x)
+        minres_solve(op, pc, rng.standard_normal(12) + 0j, eps=1e-10)
+        estimate_intervals(op, pc)
+        assert seen == {ones}
+        assert densecore._blas_thread_counts() == two_blas_threads

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -11,6 +12,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saddlebounds import krylov
 from saddlebounds.bounds import inclusion_set
 from saddlebounds.fem import (
     assemble_p1,
@@ -442,15 +444,48 @@ def reference_inner_product(flavor, level, nu, omega):
 
 @pytest.mark.parametrize("flavor", sorted(BUILDERS))
 def test_system_matrix_is_complex_csr(flavor):
-    # The system is assembled straight into complex128, with no second copy;
-    # it equals assembling in the blocks' own dtype and then converting.
-    problem = BUILDERS[flavor](build_mesh(1), nu=0.5, omega=2.0)
-    mat = problem.matrix()
-    assert mat.format == "csr" and mat.dtype == np.complex128
-    old = scipy.sparse.bmat(
-        [[problem.a, problem.b.conj().T], [problem.b, -problem.c]], format="csr"
-    ).astype(np.complex128)
-    assert (mat != old).nnz == 0
+    # The system is stacked from CSR blocks straight into complex128, with
+    # no coordinate-format round trip; its arrays are bmat's, bit for bit.
+    for level, omega in itertools.product((1, 2), (0.0, 1.0, 2.0)):
+        problem = BUILDERS[flavor](build_mesh(level), nu=0.5, omega=omega)
+        mat = problem.matrix()
+        assert mat.format == "csr" and mat.dtype == np.complex128
+        want = scipy.sparse.bmat(
+            [[problem.a, problem.b.conj().T], [problem.b, -problem.c]],
+            format="csr", dtype=np.complex128,
+        )
+        for name in ("indptr", "indices", "data"):
+            got, ref = getattr(mat, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("flavor", sorted(BUILDERS))
+def test_zero_frequency_blocks_are_real(flavor):
+    # Only an i omega term makes a block complex; at omega = 0 there is none.
+    def dtypes(omega):
+        problem = BUILDERS[flavor](build_mesh(1), nu=0.5, omega=omega)
+        return [block.dtype for block in (problem.a, problem.b, problem.c)]
+
+    assert dtypes(0.0) == [np.float64] * 3
+    assert np.complex128 in dtypes(1.0)
+
+
+@pytest.mark.parametrize("flavor", sorted(BUILDERS))
+def test_zero_frequency_solve_equals_complex_blocks(flavor):
+    # The real blocks of omega = 0 give the solve and the estimate that the
+    # same blocks stored as complex128 give, bit for bit.
+    problem = BUILDERS[flavor](build_mesh(2), nu=0.5, omega=0.0)
+    promoted = dataclasses.replace(
+        problem, **{k: getattr(problem, k).astype(np.complex128) for k in "abc"}
+    )
+    pc = problem.preconditioner()
+    runs = []
+    for p in (problem, promoted):
+        op = p.operator()
+        report = krylov.minres_solve(op, pc, p.rhs, eps=1e-8)
+        runs.append((report.x.tobytes(), report.residual_history.tobytes(),
+                     krylov.estimate_intervals(op, pc)))
+    assert runs[0] == runs[1]
 
 
 class TestBlockPreconditioner:

@@ -88,6 +88,37 @@ class TestMinresBasics:
         assert report.iterations == 1
         assert np.allclose(report.x, rhs)
 
+    def test_counts_applications(self, rng):
+        # Two symmetry probes, the start vector's preconditioner, one pair
+        # per step and the true-residual check.
+        a = random_hermitian(rng, 12)
+        p_inv = np.linalg.inv(random_spd(rng, 12))
+        rhs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        report = minres_solve(dense(a), dense(p_inv), rhs, eps=1e-10)
+        assert report.operator_applications == report.iterations + 3
+        assert report.preconditioner_applications == report.iterations + 4
+        est = estimate_intervals(dense(a), dense(p_inv))
+        assert est.operator_applications == est.steps
+        assert est.preconditioner_applications == est.steps + 1
+
+    def test_operators_that_return_their_argument(self, rng):
+        # The updates run in place, so results that alias the argument are
+        # copied first: the answers equal those with fresh results, and the
+        # right-hand side is left as it was.
+        a = random_hermitian(rng, 10)
+        rhs = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        kept = rhs.copy()
+        fresh = LinearOperator(10, lambda x: x.copy())
+        report = minres_solve(dense(a), identity(10), rhs, eps=1e-10)
+        want = minres_solve(dense(a), fresh, rhs, eps=1e-10)
+        assert np.array_equal(rhs, kept)
+        assert np.array_equal(report.x, want.x)
+        assert np.array_equal(report.residual_history, want.residual_history)
+        assert estimate_intervals(dense(a), identity(10)) == estimate_intervals(dense(a), fresh)
+        report = minres_solve(identity(10), identity(10), rhs)
+        assert np.array_equal(rhs, kept)
+        assert report.iterations == 1 and np.allclose(report.x, rhs)
+
     def test_witness_finite_termination(self):
         sys = witness_general(0.5, 1.0, 1.0)
         rhs = np.array([1.0, 2.0, -1.0], dtype=complex)
