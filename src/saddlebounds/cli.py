@@ -6,7 +6,8 @@ Subcommands
     Load a system bundle (Matrix Market blocks plus manifest), print its
     exact constants, every closed-form bound, and the inclusion set.  The
     inclusion set presumes a (1,1) block positive definite on ker(B); for
-    any other system one line says it is omitted.
+    any other system one line says it is omitted.  A bundle above the dense
+    limit (order 6000) is refused before any block is densified.
 ``table``
     Reproduce the preconditioned-MINRES experiment tables for a model
     problem family: one row per swept parameter (mesh size, frequency, or
@@ -16,14 +17,15 @@ Subcommands
     number of Lanczos steps of the interval estimate and whether it was
     certified, the true residual of the solve, and the operator and
     preconditioner applications of the solve and of the estimate; each
-    uncertified row also gets a line on stderr.  On two or more CPUs a row's
-    solve and its estimate, two independent Lanczos runs on the same
-    operators, overlap on two threads; the rows do not depend on it.
+    uncertified row also gets a line on stderr.  A row's solve and its
+    estimate, two independent Lanczos runs on the same operators, overlap
+    on two threads.
 ``verify SUITE``
     Run a named randomized verification suite and print a JSON summary.
 ``export``
     Assemble a model problem and write it as a Matrix Market bundle plus a
-    plain-text mesh listing.
+    plain-text mesh listing; a problem that ``bounds`` would refuse for its
+    size is refused before any directory is made.
 
 Experiment configuration can come from a JSON file (``--config``); any
 command-line flag overrides the file.  Output is deterministic: CSV and
@@ -36,7 +38,6 @@ import argparse
 import concurrent.futures
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -44,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bnd
-from . import mmio, verify
+from . import mmio, saddle, verify
 from .fem import build_mesh, parabolic_kkt, parabolic_reduced, stokes_system
 from .fem.mesh import check_level
 from .fem.problems import check_parameters
@@ -181,25 +182,23 @@ def _solve_and_estimate(
 ) -> tuple[MinresReport, RitzEstimate]:
     """One row's MINRES solve and interval estimate, each called once.
 
-    With two or more CPUs the estimate runs on a helper thread while the
-    calling thread solves; with one, none starts and the estimate follows
-    the solve.  The two share only the operators, and the BLAS cap lets
-    their level-1 calls run side by side.  The helper is joined before this
-    returns or raises, and the errors are those of the serial order: a
-    failing solve, then an unconverged one (:class:`ConvergenceError`), then
-    a failing estimate.
+    The estimate runs on a helper thread while the calling thread solves.
+    The two share only the operators, and the BLAS cap lets their level-1
+    calls run side by side.  The helper is joined before this returns or
+    raises, and the errors are those of the serial order: a failing solve,
+    then an unconverged one (:class:`ConvergenceError`), then a failing
+    estimate.
     """
-    workers = min(len(os.sched_getaffinity(0)), 2)
-    # The pool starts a thread only for a submitted task; leaving it joins.
+    # Leaving the pool joins the helper.
     with concurrent.futures.ThreadPoolExecutor(1) as pool:
-        helper = pool.submit(estimate_intervals, op, pc) if workers > 1 else None
+        helper = pool.submit(estimate_intervals, op, pc)
         report = minres_solve(op, pc, rhs, eps=config.eps, maxit=config.maxit)
     if not report.converged:
         raise ConvergenceError(
             f"{label}: MINRES stopped unconverged after {report.iterations} "
             f"iterations (eps={config.eps:g}, maxit={config.maxit})"
         )
-    return report, helper.result() if helper else estimate_intervals(op, pc)
+    return report, helper.result()
 
 
 def run_table(config: ExperimentConfig) -> list[TableRow]:
@@ -217,7 +216,7 @@ def run_table(config: ExperimentConfig) -> list[TableRow]:
     symmetry classes that contain the extreme eigenvalues, which would hide
     them from the solve's own Lanczos data).
 
-    The solve and the estimate of a row overlap on two CPUs
+    The solve and the estimate of a row overlap on two threads
     (:func:`_solve_and_estimate`).  Raises :class:`ConvergenceError`,
     naming the row, if a solve stops (at ``config.maxit`` or on breakdown)
     without converging.
@@ -417,12 +416,10 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     try:
-        check_level(args.level)
-        check_parameters(args.nu, args.omega)
         mesh = build_mesh(args.level)
         problem = _BUILDERS[args.flavor](mesh, args.nu, args.omega)
-        # Refused above DENSE_LIMIT, before any directory is made.
-        problem.check_dense()
+        # ``bounds`` would refuse the bundle; refused before any directory is made.
+        saddle.check_dense(problem.dim)
         p, r = problem.inner_product_blocks()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -77,8 +77,7 @@ class Mesh:
 
     def refine(self) -> "Mesh":
         """Quadrisect every triangle via edge midpoints."""
-        if self.level + 1 > MAX_LEVEL:
-            raise ValueError(f"refinement beyond level {MAX_LEVEL} is not supported")
+        check_level(self.level + 1)
         nv = self.num_vertices
         new_vertices = np.vstack([self.vertices, self.edge_midpoints])
         te = self.triangle_edges + nv  # midpoint node per triangle edge

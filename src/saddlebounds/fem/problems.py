@@ -26,12 +26,15 @@ mode (minimum degree on ``A^T + A``, no pivoting), the dense Stokes Schur
 complement by Cholesky.  One application makes one real multi-column solve
 per factor: the slices of a factor are gathered into one complex array whose
 real and imaginary parts are solved as interleaved real columns.  The
-sparse inner-product matrix ``diag(P, R)`` of :meth:`ModelProblem.inner_product`
-and of exported bundles is read off the same declaration, so the analysed
-and the applied preconditioner are one object.
+sparse blocks ``P`` and ``R`` of :meth:`ModelProblem.inner_product_blocks`,
+which exported bundles hold, are read off the same declaration, so the
+analysed and the applied preconditioner are one object.  No dense matrix
+but ``S`` is built here: the exact analyses pass the sparse blocks to
+``saddle.SaddleSystem`` and ``saddle.InnerProduct``.
 
 The dense Stokes Schur complement ``S`` is formed in blocks of ``C`` columns,
-one SuperLU solve each, on one worker per available CPU.  A block's real
+one SuperLU solve each, on one worker per available CPU (the affinity mask
+where the platform has one, else ``os.cpu_count()``).  A block's real
 right-hand side of ``ns x 2C`` doubles is held near ``SCHUR_BLOCK_BYTES``
 (1.5 MiB), because the formation was fastest at 1-4 MB at every level.
 Formation time against the block's columns (and MB), two workers on 2 CPUs,
@@ -67,7 +70,6 @@ import scipy.sparse.linalg
 
 from ..densecore import real_columns
 from ..krylov import LinearOperator
-from ..saddle import InnerProduct, SaddleSystem
 from .assembly import assemble_p1, assemble_taylor_hood
 from .mesh import Mesh
 
@@ -84,9 +86,6 @@ __all__ = [
     "stream_profile",
     "stream_profile_derivative",
 ]
-
-#: Refuse dense conversion above this system dimension.
-DENSE_LIMIT = 6000
 
 #: Bytes of the real right-hand side of one Stokes Schur block (see the
 #: module docstring): a block of ``C`` columns of ``S`` solves ``ns x 2C``
@@ -215,9 +214,7 @@ class ModelProblem:
     Blocks are kept sparse so the largest experiments stay matrix-free, each
     in the field of its values (only blocks with an ``i omega`` term are
     complex, so at ``omega = 0`` none is; a vanishing ``C`` is empty);
-    :meth:`matrix` assembles the system in complex128, and
-    :meth:`saddle_system` and :meth:`inner_product` densify for the exact
-    eigenvalue analyses at desk scale.
+    :meth:`matrix` assembles the system in complex128.
     ``precond_solve`` applies the inverse of the block-diagonal inner-product
     matrix, whose sparse blocks :meth:`inner_product_blocks` returns.
     """
@@ -266,13 +263,6 @@ class ModelProblem:
     def preconditioner(self) -> LinearOperator:
         return LinearOperator(dim=self.dim, apply=self.precond_solve)
 
-    def check_dense(self) -> None:
-        if self.dim > DENSE_LIMIT:
-            raise ValueError(
-                f"dense conversion refused at dimension {self.dim} "
-                f"(> {DENSE_LIMIT}); use the operator interface"
-            )
-
     def inner_product_blocks(self) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
         """The sparse blocks ``P`` and ``R`` of the inner-product matrix
         ``Pc = diag(P, R)``; raises ``ValueError`` if ``Pc`` couples the
@@ -282,14 +272,6 @@ class ModelProblem:
         if pc[:n, n:].nnz:
             raise ValueError(f"the inner product couples unknowns 0:{n} to {n}:{self.dim}")
         return pc[:n, :n], pc[n:, n:]
-
-    def saddle_system(self) -> SaddleSystem:
-        self.check_dense()
-        return SaddleSystem(a=self.a, b=self.b, c=self.c)
-
-    def inner_product(self) -> InnerProduct:
-        self.check_dense()
-        return InnerProduct(*self.inner_product_blocks())
 
 
 def check_parameters(nu: float, omega: float) -> None:
@@ -436,7 +418,11 @@ def _schur_complement(ps_factor: SpdFactor, dx, dy) -> np.ndarray:
 
     # The pool starts a thread per submitted task only, so one worker runs
     # inline; leaving the pool joins the others.
-    workers = min(len(os.sched_getaffinity(0)), len(blocks))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows have no affinity mask
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(blocks))
     with concurrent.futures.ThreadPoolExecutor(max(workers - 1, 1)) as pool:
         helpers = [pool.submit(drain) for _ in range(workers - 1)]
         drain()

@@ -13,8 +13,10 @@ the dimensions and the file-to-block mapping.  Bundle blocks, dense or
 sparse, are written as stored in the coordinate variant: zero entries (the
 whole of a vanishing ``C``) take no space, and a sparse block is never
 densified but keeps its explicit zeros, entry order and dtype.
-:func:`load_bundle` reads every block densely in the field of its values;
-bundles written in the array variant load the same way.
+:func:`load_bundle` passes every block as :func:`scipy.io.mmread` returns
+it to ``SaddleSystem`` and ``InnerProduct``, which refuse a system above
+``DENSE_LIMIT`` before densifying any block; array-variant bundles load
+the same way.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .saddle import InnerProduct, SaddleSystem
 
 __all__ = [
     "save_matrix",
-    "load_matrix",
     "save_bundle",
     "load_bundle",
     "MANIFEST_NAME",
@@ -47,14 +48,6 @@ def save_matrix(path, matrix) -> None:
     matrix = np.asarray(matrix) if not scipy.sparse.issparse(matrix) else matrix
     field = "complex" if np.iscomplexobj(matrix) else "real"
     scipy.io.mmwrite(str(path), matrix, field=field, precision=_PRECISION)
-
-
-def load_matrix(path, dense: bool = True):
-    """Read a Matrix Market file; coordinate data is densified by default."""
-    matrix = scipy.io.mmread(str(path))
-    if dense and scipy.sparse.issparse(matrix):
-        matrix = matrix.toarray()
-    return np.asarray(matrix) if dense else matrix
 
 
 def save_bundle(directory, a, b, c, p, r) -> None:
@@ -76,7 +69,8 @@ def save_bundle(directory, a, b, c, p, r) -> None:
 
 
 def load_bundle(directory) -> tuple[SaddleSystem, InnerProduct]:
-    """Read a bundle directory back into (system, inner product)."""
+    """Read a bundle directory back into (system, inner product); a system
+    above ``DENSE_LIMIT`` raises ``ValueError`` before any block is dense."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -94,7 +88,7 @@ def load_bundle(directory) -> tuple[SaddleSystem, InnerProduct]:
             f"{manifest_path} is not a saddlebounds bundle manifest: integers 'n' "
             "and 'm', and 'files' naming the files of A, B, P and R"
         )
-    blocks = {name: load_matrix(directory / fname) for name, fname in files.items()}
+    blocks = {name: scipy.io.mmread(str(directory / fname)) for name, fname in files.items()}
     sys = SaddleSystem(a=blocks["A"], b=blocks["B"], c=blocks.get("C"))
     ip = InnerProduct(p=blocks["P"], r=blocks["R"])
     if (sys.n, sys.m) != (manifest["n"], manifest["m"]):

@@ -32,6 +32,10 @@ vanishing C this module computes, exactly at the discrete level,
   the eigenvalues of the reduced matrix ``[[At, G*], [G, -Ct]]``
   (:func:`babuska_constants`), valid for any Hermitian system including
   C != 0.
+
+:class:`SaddleSystem` and :class:`InnerProduct` are the package's one
+conversion of sparse blocks to dense ones; both refuse an order ``n + m``
+above :data:`DENSE_LIMIT` before converting any block.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ from .densecore import (
 from .densecore import generalized_hermitian_eig  # noqa: F401
 
 __all__ = [
+    "DENSE_LIMIT",
+    "check_dense",
     "SaddleSystem",
     "InnerProduct",
     "ReducedSystem",
@@ -67,6 +73,16 @@ __all__ = [
     "babuska_constants",
     "preconditioned_spectrum",
 ]
+
+
+#: Refuse dense conversion above this system order.
+DENSE_LIMIT = 6000
+
+
+def check_dense(order: int) -> None:
+    """Raise ``ValueError`` if a system of this order is above :data:`DENSE_LIMIT`."""
+    if order > DENSE_LIMIT:
+        raise ValueError(f"dense conversion refused at dimension {order} (> {DENSE_LIMIT})")
 
 
 def _dense(block) -> np.ndarray:
@@ -86,8 +102,8 @@ class SaddleSystem:
 
     ``a`` is n x n Hermitian, ``b`` is m x n, ``c`` is m x m Hermitian
     (zero by default, in the dtype of ``a`` and ``b``).  Sparse blocks are
-    accepted and densified; each block is real if its values are.
-    Instances compare by identity.
+    accepted and densified, up to the order ``n + m = DENSE_LIMIT``; each
+    block is real if its values are.  Instances compare by identity.
     """
 
     a: np.ndarray
@@ -95,6 +111,7 @@ class SaddleSystem:
     c: np.ndarray | None = None
 
     def __post_init__(self):
+        check_dense(np.shape(self.a)[0] + np.shape(self.b)[0])
         a = require_hermitian(_dense(self.a))
         b = _dense(self.b)
         if b.shape[1] != a.shape[0]:
@@ -134,8 +151,9 @@ class InnerProduct:
     """Block-diagonal inner product ``diag(P, R)`` with SPD blocks and their
     Cholesky factors ``P = Lp Lp*``, ``R = Lr Lr*`` (factoring checks SPD).
 
-    Real blocks, and their factors, stay real.  Instances compare by
-    identity.
+    Sparse blocks are accepted and densified, up to the order ``n + m =
+    DENSE_LIMIT``.  Real blocks, and their factors, stay real.  Instances
+    compare by identity.
     """
 
     p: np.ndarray
@@ -144,6 +162,7 @@ class InnerProduct:
     lr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        check_dense(np.shape(self.p)[0] + np.shape(self.r)[0])
         p = require_hermitian(_dense(self.p))
         r = require_hermitian(_dense(self.r))
         object.__setattr__(self, "p", p)

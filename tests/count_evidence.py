@@ -17,6 +17,7 @@ Run from the repository root with ``PYTHONPATH=src python tests/count_evidence.p
 import numpy as np
 import scipy.linalg
 
+from dense_pair import inner_product
 from reference_gmres import gmres_pc_norm
 from saddlebounds.fem import build_mesh, stokes_system
 from saddlebounds.krylov import minres_solve
@@ -56,7 +57,7 @@ def count_table():
 
 def level_zero():
     problem = stokes_system(build_mesh(0), 1.0, 1.0)
-    ip = problem.inner_product()
+    ip = inner_product(problem)
     lam, vecs = scipy.linalg.eigh(
         problem.matrix().toarray(), scipy.linalg.block_diag(ip.p, ip.r)
     )

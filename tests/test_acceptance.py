@@ -25,9 +25,9 @@ from saddlebounds.saddle import (
     BrezziConstants,
     brezzi_constants,
     preconditioned_spectrum,
-    reduce_system,
 )
 from saddlebounds.spectrum import pairing_check
+from dense_pair import reduce_problem
 from reference_gmres import gmres_pc_norm
 
 SQRT2 = math.sqrt(2.0)
@@ -126,7 +126,7 @@ def test_criterion_04_parabolic_inclusion_interval():
     for nu, om in PARABOLIC_GRID:
         problem = parabolic_kkt(mesh, nu, om)
         mu = preconditioned_spectrum(
-            reduce_system(problem.saddle_system(), problem.inner_product())
+            reduce_problem(problem)
         )
         if not inc.contains(mu, slack=1e-6):
             failures.append(f"spectrum escapes at nu={nu:g}, omega={om:g}")
@@ -145,7 +145,7 @@ def test_criterion_05_parabolic_theorem_constants():
     for nu, om in PARABOLIC_GRID:
         problem = parabolic_kkt(mesh, nu, om)
         bc = brezzi_constants(
-            reduce_system(problem.saddle_system(), problem.inner_product())
+            reduce_problem(problem)
         )
         checks = {
             "alpha": bc.alpha >= 2.0 - SQRT2 - 1e-10,
@@ -168,7 +168,7 @@ def test_criterion_06_symmetric_spectra():
         for nu, om in [(1.0, 1.0), (1e-4, 100.0)]:
             reduced = parabolic_reduced(mesh, nu, om)
             mu = preconditioned_spectrum(
-                reduce_system(reduced.saddle_system(), reduced.inner_product())
+                reduce_problem(reduced)
             )
             pr = pairing_check(mu, tol=1e-8)
             worst_defect = max(worst_defect, pr.defect)
@@ -179,7 +179,7 @@ def test_criterion_06_symmetric_spectra():
                 failures.append(f"reduced spectrum escapes at l={level}, nu={nu:g}")
             stokes = stokes_system(mesh, nu, om)
             mu2 = preconditioned_spectrum(
-                reduce_system(stokes.saddle_system(), stokes.inner_product())
+                reduce_problem(stokes)
             )
             pr2 = pairing_check(mu2, tol=1e-8)
             worst_defect = max(worst_defect, pr2.defect)
@@ -352,7 +352,7 @@ def test_criterion_10_iteration_bound_consistency():
         cases.append(parabolic_reduced(build_mesh(level), 1.0, 1.0))
     for problem in cases:
         mu = preconditioned_spectrum(
-            reduce_system(problem.saddle_system(), problem.inner_product())
+            reduce_problem(problem)
         )
         moduli = np.abs(mu)
         bound = bnd.minres_iteration_bound(float(moduli.min()), float(moduli.max()), 1e-8)

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.linalg
+import scipy.sparse
 
 from saddlebounds import cli, densecore, krylov, mmio
 from saddlebounds.bounds import witness_general
@@ -22,6 +24,7 @@ from saddlebounds.cli import (
 )
 from saddlebounds.fem import build_mesh, stokes_system
 from saddlebounds.saddle import SaddleSystem
+from dense_pair import inner_product, saddle_system
 
 
 def save_system(directory, sys):
@@ -87,6 +90,27 @@ class TestBoundsCommand:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot load bundle: ")
+
+    def test_bundle_above_dense_limit_refused_before_densifying(self, tmp_path, capsys):
+        # Order 6,001 in identity-like coordinate blocks (n = 4,001, m =
+        # 2,000): refused with code 2 below the memory of one dense block.
+        n, m = 4001, 2000
+        eye = scipy.sparse.eye_array
+        mmio.save_bundle(tmp_path / "big", eye(n), eye(m, n), scipy.sparse.coo_array((m, m)),
+                         eye(n), eye(m))
+        tracemalloc.start()
+        try:
+            code = main(["bounds", str(tmp_path / "big")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot load bundle: dense conversion refused at dimension 6001 (> 6000)\n"
+        )
+        assert peak < 8 * n**2
 
     def test_indefinite_kernel_omits_inclusion(self, tmp_path, capsys):
         # A is negative definite on ker(B) = span(e1); the eigenvalue -0.278
@@ -230,12 +254,9 @@ STOKES_TABLES = [
 ]
 
 
-def report_cpus(monkeypatch, cpus: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
 class TestOverlappedRows:
-    """A row's MINRES solve and interval estimate overlap on two CPUs."""
+    """A row's MINRES solve runs on the calling thread while its interval
+    estimate runs on one helper thread."""
 
     @pytest.mark.parametrize(
         "config",
@@ -246,38 +267,66 @@ class TestOverlappedRows:
         ],
         ids=["stokes-l2", "kkt-l3", "reduced-l3"],
     )
-    def test_rows_identical_at_one_and_two_cpus(self, config, monkeypatch):
+    def test_row_equals_serial_solve_and_estimate(self, config, monkeypatch):
         estimate = cli.estimate_intervals
-        rows, threads = {}, {}
-        for cpus in (1, 2):
-            report_cpus(monkeypatch, cpus)
-            seen = []
+        threads = []
 
-            def recording(*args, **kwargs):
-                seen.append(threading.current_thread())
-                return estimate(*args, **kwargs)
+        def recording(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return estimate(*args, **kwargs)
 
-            monkeypatch.setattr(cli, "estimate_intervals", recording)
-            rows[cpus] = [asdict(row) for row in run_table(config)]
-            threads[cpus] = seen
-        assert rows[1] == rows[2]
-        assert threads[1] == [threading.main_thread()]
-        assert len(threads[2]) == 1 and threads[2][0] is not threading.main_thread()
+        monkeypatch.setattr(cli, "estimate_intervals", recording)
+        (row,) = run_table(config)
+        assert len(threads) == 1 and threads[0] is not threading.main_thread()
+        problem = cli._BUILDERS[config.flavor](
+            build_mesh(config.levels[0]), config.nu[0], config.omega[0]
+        )
+        op, pc = problem.operator(), problem.preconditioner()
+        report = krylov.minres_solve(op, pc, problem.rhs, eps=config.eps, maxit=config.maxit)
+        serial = krylov.estimate_intervals(op, pc)
+        assert (
+            row.iterations,
+            row.true_residual,
+            row.minres_operator_applications,
+            row.minres_preconditioner_applications,
+        ) == (
+            report.iterations,
+            report.true_residual,
+            report.operator_applications,
+            report.preconditioner_applications,
+        )
+        assert (
+            row.computed_lo,
+            row.computed_hi,
+            row.estimate_steps,
+            row.estimate_certified,
+            row.estimate_operator_applications,
+            row.estimate_preconditioner_applications,
+        ) == (
+            serial.pos_lo,
+            serial.pos_hi,
+            serial.steps,
+            serial.certified,
+            serial.operator_applications,
+            serial.preconditioner_applications,
+        )
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_unconverged_row_joins_its_helper(self, cpus, monkeypatch, blas_threads_at_start):
-        report_cpus(monkeypatch, cpus)
+    def test_row_without_affinity_mask(self, monkeypatch):
+        # Platforms without os.sched_getaffinity build and run rows alike.
+        config = ExperimentConfig(flavor="stokes", levels=[1])
+        want = [asdict(row) for row in run_table(config)]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert [asdict(row) for row in run_table(config)] == want
+
+    def test_unconverged_row_joins_its_helper(self, blas_threads_at_start):
         before = set(threading.enumerate())
         with pytest.raises(ConvergenceError, match="after 1 iterations"):
             run_table(ExperimentConfig(flavor="parabolic-kkt", levels=[3], maxit=1))
         assert set(threading.enumerate()) == before
         assert densecore._blas_thread_counts() == blas_threads_at_start
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_errors_keep_the_serial_order(self, cpus, monkeypatch):
+    def test_errors_keep_the_serial_order(self, monkeypatch):
         # A failing solve wins, then an unconverged one, then the estimate.
-        report_cpus(monkeypatch, cpus)
-
         def failing(what):
             def call(*args, **kwargs):
                 raise ValueError(what)
@@ -322,7 +371,10 @@ class TestOverlappedRows:
 
 class TestInputErrors:
     """Bad input from outside the program exits with code 2 and one
-    ``error:`` line, before any mesh is built or any file is written."""
+    ``error:`` line, before any file is written.  ``table`` checks its
+    configuration before it builds any mesh; ``export`` leaves the level to
+    ``build_mesh`` and ``nu`` and ``omega`` to the builder, which checks
+    them before it assembles anything on the mesh."""
 
     CASES = {
         "table-config-missing": ["table", "--config", "{tmp}/missing.json"],
@@ -342,10 +394,14 @@ class TestInputErrors:
         (tmp_path / "malformed.json").write_text('{"levels": [')
         (tmp_path / "list.json").write_text('["stokes"]')
 
-        def no_mesh(level):
-            raise AssertionError("a mesh was built for bad input")
+        built = []
 
-        monkeypatch.setattr(cli, "build_mesh", no_mesh)
+        def recording(level):
+            mesh = build_mesh(level)
+            built.append(level)
+            return mesh
+
+        monkeypatch.setattr(cli, "build_mesh", recording)
         args = [arg.format(tmp=tmp_path) for arg in self.CASES[case]]
         assert main(args) == 2
         captured = capsys.readouterr()
@@ -353,6 +409,7 @@ class TestInputErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not (tmp_path / "out").exists()
+        assert built == ([2] if case == "export-nu-zero" else [])
 
 
 class TestOutputErrors:
@@ -400,6 +457,19 @@ class TestVerifyCommand:
         assert main(["verify", "nonsense"]) == 2
         assert "unknown suite" in capsys.readouterr().err
 
+    def test_lemma21_suite(self, capsys):
+        assert main(["verify", "lemma21"]) == 0
+        (result,) = json.loads(capsys.readouterr().out)
+        assert result["suite"] == "lemma21" and result["passed"] is True
+
+    def test_all_suites(self, capsys):
+        assert main(["verify", "all"]) == 0
+        results = json.loads(capsys.readouterr().out)
+        assert sorted(r["suite"] for r in results) == [
+            "appendix", "lemma21", "pairing", "sharpness"
+        ]
+        assert all(r["passed"] is True for r in results)
+
 
 class TestExportCommand:
     @pytest.mark.parametrize("flavor", cli.FLAVORS)
@@ -414,11 +484,14 @@ class TestExportCommand:
                      "--omega", str(omega), "--out", str(out)]) == 0
         loaded_sys, loaded_ip = mmio.load_bundle(out)
         problem = cli._BUILDERS[flavor](build_mesh(level), 1e-2, omega)
-        sys_, ip = problem.saddle_system(), problem.inner_product()
+        sys_, ip = saddle_system(problem), inner_product(problem)
         pairs = [(loaded_sys.a, sys_.a), (loaded_sys.b, sys_.b), (loaded_sys.c, sys_.c),
                  (loaded_ip.p, ip.p), (loaded_ip.r, ip.r)]
         for got, want in pairs:
             assert got.dtype == want.dtype and np.array_equal(got, want)
+        # The files hold the entries of the model's own sparse blocks.
+        for name, block in {"A": problem.a, "B": problem.b, "C": problem.c}.items():
+            assert (scipy.io.mmread(out / f"{name}.mtx") != block).nnz == 0, name
         # P and R are the diagonal blocks of the preconditioner's matrix,
         # symmetrized as every inner product is.
         pc = problem.precond_solve.matrix().toarray()

@@ -37,9 +37,9 @@ from saddlebounds.saddle import (
     BrezziConstants,
     brezzi_constants,
     preconditioned_spectrum,
-    reduce_system,
 )
 from saddlebounds.spectrum import detect_structure, pairing_check
+from dense_pair import inner_product, reduce_problem, saddle_system
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -89,6 +89,10 @@ class TestMesh:
             build_mesh(7)
         with pytest.raises(ValueError):
             build_mesh(-1)
+
+    def test_refining_level_six_raises(self):
+        with pytest.raises(ValueError, match="level 7 exceeds the desk-scale guard"):
+            build_mesh(6).refine()
 
     def test_text_export(self):
         text = build_mesh(0).to_text()
@@ -235,9 +239,9 @@ class TestTargets:
 class TestParabolicProblems:
     def test_kkt_hermitian_and_spd_blocks(self):
         problem = parabolic_kkt(build_mesh(1), nu=1e-2, omega=3.0)
-        full = problem.saddle_system().assemble()
+        full = saddle_system(problem).assemble()
         assert np.max(np.abs(full - full.conj().T)) < 1e-12
-        ip = problem.inner_product()  # construction Cholesky-checks both blocks
+        ip = inner_product(problem)  # construction Cholesky-checks both blocks
         assert ip.n == problem.n and ip.m == problem.m
 
     def test_kkt_omega_zero_real_coupling(self):
@@ -255,7 +259,7 @@ class TestParabolicProblems:
     def test_kkt_theorem_constants(self, nu, omega):
         problem = parabolic_kkt(build_mesh(2), nu, omega)
         bc = brezzi_constants(
-            reduce_system(problem.saddle_system(), problem.inner_product())
+            reduce_problem(problem)
         )
         assert bc.alpha >= 2.0 - SQRT2 - 1e-10
         assert bc.lambda_min_a >= -1e-12
@@ -271,20 +275,20 @@ class TestParabolicProblems:
         inc = inclusion_set(constants)
         problem = parabolic_kkt(build_mesh(2), nu=1.0, omega=1.0)
         mu = preconditioned_spectrum(
-            reduce_system(problem.saddle_system(), problem.inner_product())
+            reduce_problem(problem)
         )
         assert inc.contains(mu, slack=1e-6)
 
     def test_reduced_structure_detected(self):
         problem = parabolic_reduced(build_mesh(1), nu=0.5, omega=2.0)
-        assert detect_structure(problem.saddle_system())
+        assert detect_structure(saddle_system(problem))
 
     @pytest.mark.parametrize("nu", (1e-8, 1e-4, 1.0, 1e8))
     @pytest.mark.parametrize("omega", (0.0, 1.0, 100.0))
     def test_reduced_spectrum_and_pairing(self, nu, omega):
         problem = parabolic_reduced(build_mesh(2), nu, omega)
         mu = preconditioned_spectrum(
-            reduce_system(problem.saddle_system(), problem.inner_product())
+            reduce_problem(problem)
         )
         moduli = np.abs(mu)
         assert moduli.min() >= 1.0 / SQRT3 - 1e-6
@@ -307,7 +311,7 @@ class TestStokesProblem:
     def test_theorem_constants(self, nu, omega):
         problem = stokes_system(build_mesh(2), nu, omega)
         bc = brezzi_constants(
-            reduce_system(problem.saddle_system(), problem.inner_product())
+            reduce_problem(problem)
         )
         assert bc.beta == pytest.approx(1.0, abs=1e-8)
         assert bc.b_norm == pytest.approx(1.0, abs=1e-8)
@@ -317,7 +321,7 @@ class TestStokesProblem:
     def test_spectrum_symmetric(self):
         problem = stokes_system(build_mesh(2), nu=1.0, omega=1.0)
         mu = preconditioned_spectrum(
-            reduce_system(problem.saddle_system(), problem.inner_product())
+            reduce_problem(problem)
         )
         assert pairing_check(mu, tol=1e-8).passed
 
@@ -343,9 +347,20 @@ class TestStokesProblem:
         assert not np.any(problem.rhs[half:])
 
     def test_dense_guard(self):
+        # Order 9,028 at level 4: both dense classes refuse the sparse blocks.
         problem = stokes_system(build_mesh(4), nu=1.0, omega=1.0)
-        with pytest.raises(ValueError, match="refused"):
-            problem.saddle_system()
+        refused = rf"dense conversion refused at dimension {problem.dim} \(> 6000\)"
+        with pytest.raises(ValueError, match=refused):
+            saddle_system(problem)
+        with pytest.raises(ValueError, match=refused):
+            inner_product(problem)
+
+    def test_build_without_affinity_mask(self, monkeypatch):
+        # Platforms without os.sched_getaffinity count CPUs with os.cpu_count.
+        want = stokes_system(build_mesh(1), nu=1.0, omega=1.0).precond_solve.matrix()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        got = stokes_system(build_mesh(1), nu=1.0, omega=1.0).precond_solve.matrix()
+        assert (got != want).nnz == 0
 
 
 class BlockFailure(RuntimeError):
@@ -494,7 +509,7 @@ class TestBlockPreconditioner:
         # nu != 1 exercises the nu and 1/nu scales of the KKT blocks.
         problem = BUILDERS[flavor](build_mesh(1), nu=0.5, omega=2.0)
         p, r = reference_inner_product(flavor, 1, 0.5, 2.0)
-        ip = problem.inner_product()
+        ip = inner_product(problem)
         assert np.max(np.abs(ip.p - p)) <= 1e-12 * np.max(np.abs(p))
         assert np.max(np.abs(ip.r - r)) <= 1e-12 * np.max(np.abs(r))
         full = scipy.linalg.block_diag(p, r)

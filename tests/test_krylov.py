@@ -22,6 +22,7 @@ from saddlebounds.krylov import (
     stagnation_profile,
 )
 from saddlebounds.verify import random_hermitian, random_spd
+from dense_pair import inner_product, saddle_system
 from reference_gmres import gmres_pc_norm
 
 
@@ -303,7 +304,7 @@ class TestRitzIntervals:
         problem = stokes_system(build_mesh(1), nu=1.0, omega=1.0)
         est = estimate_intervals(problem.operator(), problem.preconditioner())
         spec = generalized_hermitian_eig(
-            problem.saddle_system().assemble(), problem.inner_product().assemble()
+            saddle_system(problem).assemble(), inner_product(problem).assemble()
         )
         pos = spec.eigenvalues[spec.eigenvalues > 0]
         assert est.pos_lo == pytest.approx(pos.min(), abs=2e-4)
@@ -403,7 +404,7 @@ class TestIntervalCertificate:
         problem = build(build_mesh(level), nu, omega)
         est, r_hi, r_lo = certified_stop(problem.operator(), problem.preconditioner())
         lam = generalized_hermitian_eig(
-            problem.saddle_system().assemble(), problem.inner_product().assemble()
+            saddle_system(problem).assemble(), inner_product(problem).assemble()
         ).eigenvalues
         lam_max, lam_min_pos = lam.max(), lam[lam > 0.0].min()
         slack = 1e-10

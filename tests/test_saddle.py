@@ -29,6 +29,7 @@ from saddlebounds.saddle import (
     reduce_system,
 )
 from saddlebounds.verify import random_coercive_system, random_hermitian
+from dense_pair import inner_product, saddle_system
 
 
 def assemble_decomposition(dec):
@@ -130,8 +131,8 @@ class TestBlockDecompose:
     def test_real_factors_stay_real(self):
         # Level-2 KKT: At, Lp and Lr are real and only G is complex.
         problem = parabolic_kkt(build_mesh(2), 1.0, 100.0)
-        ip = problem.inner_product()
-        red = reduce_system(problem.saddle_system(), ip)
+        ip = inner_product(problem)
+        red = reduce_system(saddle_system(problem), ip)
         assert not any(np.iscomplexobj(x) for x in (red.at, ip.lp, ip.lr))
         assert np.iscomplexobj(red.g)
         promoted = block_decompose(

@@ -15,6 +15,7 @@ from saddlebounds.spectrum import (
     skew_pairing_check,
 )
 from saddlebounds.verify import random_spd
+from dense_pair import reduce_problem, saddle_system
 
 
 def random_complex_symmetric(rng, n, shift=0.0):
@@ -46,7 +47,7 @@ class TestDetectStructure:
 
     def test_reduced_parabolic_detected(self):
         problem = parabolic_reduced(build_mesh(1), nu=1.0, omega=1.0)
-        sys = problem.saddle_system()
+        sys = saddle_system(problem)
         assert detect_structure(sys) is True
         # the (2,2) block of the assembled matrix is minus the (1,1) block
         full = sys.assemble()
@@ -71,7 +72,7 @@ class TestPairingCheck:
     def test_stokes_level2_spectrum_pairs(self):
         problem = stokes_system(build_mesh(2), nu=1.0, omega=1.0)
         mu = preconditioned_spectrum(
-            reduce_system(problem.saddle_system(), problem.inner_product())
+            reduce_problem(problem)
         )
         report = pairing_check(mu, tol=1e-8)
         assert report.passed
