@@ -254,9 +254,13 @@ STOKES_TABLES = [
 ]
 
 
+def report_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
 class TestOverlappedRows:
     """A row's MINRES solve runs on the calling thread while its interval
-    estimate runs on one helper thread."""
+    estimate runs on one helper thread, whatever the number of CPUs."""
 
     @pytest.mark.parametrize(
         "config",
@@ -318,15 +322,20 @@ class TestOverlappedRows:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert [asdict(row) for row in run_table(config)] == want
 
-    def test_unconverged_row_joins_its_helper(self, blas_threads_at_start):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_unconverged_row_joins_its_helper(self, cpus, monkeypatch, blas_threads_at_start):
+        report_cpus(monkeypatch, cpus)
         before = set(threading.enumerate())
         with pytest.raises(ConvergenceError, match="after 1 iterations"):
             run_table(ExperimentConfig(flavor="parabolic-kkt", levels=[3], maxit=1))
         assert set(threading.enumerate()) == before
         assert densecore._blas_thread_counts() == blas_threads_at_start
 
-    def test_errors_keep_the_serial_order(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_errors_keep_the_serial_order(self, cpus, monkeypatch):
         # A failing solve wins, then an unconverged one, then the estimate.
+        report_cpus(monkeypatch, cpus)
+
         def failing(what):
             def call(*args, **kwargs):
                 raise ValueError(what)
