@@ -8,11 +8,7 @@ preconditioned-MINRES experiments for two time-periodic optimal-control
 model problems on the unit square.
 """
 
-from .densecore import (
-    EigenDecomposition,
-    cholesky,
-    generalized_hermitian_eig,
-)
+from .densecore import cholesky
 from .saddle import (
     BabuskaConstants,
     BlockDecomposition,
@@ -61,9 +57,7 @@ from . import mmio  # noqa: F401
 __version__ = "0.1.0"
 
 __all__ = [
-    "EigenDecomposition",
     "cholesky",
-    "generalized_hermitian_eig",
     "BabuskaConstants",
     "BlockDecomposition",
     "BrezziConstants",

@@ -112,11 +112,15 @@ def _smallest_positive_root(c2: float, c1: float, c0: float, alpha: float) -> fl
             hi = mid
 
 
+def _check_beta(beta: float) -> None:
+    if beta <= 0.0:
+        raise ValueError(f"need beta > 0, got {beta}")
+
+
 def _check_brezzi_params(alpha: float, beta: float, a_norm: float) -> None:
     if not (0.0 < alpha <= a_norm * (1.0 + 1e-14)):
         raise ValueError(f"need 0 < alpha <= a_norm, got alpha={alpha}, a_norm={a_norm}")
-    if beta <= 0.0:
-        raise ValueError(f"need beta > 0, got {beta}")
+    _check_beta(beta)
 
 
 def gamma_opt_general(alpha: float, beta: float, a_norm: float) -> float:
@@ -184,9 +188,9 @@ def hermitian_outer_bounds(
     return mu1, mu2, mu4
 
 
-def _check_eigenrange_params(
-    alpha: float, beta: float, lambda_min: float, lambda_max: float
-) -> None:
+def _check_eigenrange(alpha: float, lambda_min: float, lambda_max: float) -> None:
+    """The eigenvalue-range preconditions ``lambda_min <= 0`` and
+    ``0 < alpha <= lambda_max`` of the cubic bound and its appendix."""
     if lambda_min > 0.0:
         raise ValueError(
             f"lambda_min = {lambda_min} > 0: the smallest positive eigenvalue is "
@@ -196,8 +200,6 @@ def _check_eigenrange_params(
         raise ValueError(
             f"need 0 < alpha <= lambda_max, got alpha={alpha}, lambda_max={lambda_max}"
         )
-    if beta <= 0.0:
-        raise ValueError(f"need beta > 0, got {beta}")
 
 
 def mu3_cubic(
@@ -213,7 +215,8 @@ def mu3_cubic(
     ``lambda_min = -a_norm`` and ``lambda_max = a_norm`` the cubic reduces to
     the one solved by :func:`gamma_opt_general`.
     """
-    _check_eigenrange_params(alpha, beta, lambda_min, lambda_max)
+    _check_eigenrange(alpha, lambda_min, lambda_max)
+    _check_beta(beta)
     # q(0) = alpha beta^2 > 0 and q(alpha) = alpha (alpha - lambda_min)
     # (alpha - lambda_max) <= 0, so the root lies in (0, alpha].
     return _smallest_positive_root(
@@ -232,7 +235,8 @@ def mu3_simple(
     Case split on the sign of ``lambda_min + lambda_max``; never sharper than
     :func:`mu3_cubic`.
     """
-    _check_eigenrange_params(alpha, beta, lambda_min, lambda_max)
+    _check_eigenrange(alpha, lambda_min, lambda_max)
+    _check_beta(beta)
     trace = lambda_min + lambda_max
     prod = lambda_min * lambda_max
     if trace <= 0.0:
@@ -288,7 +292,8 @@ def witness_hermitian(
     """
     from .saddle import SaddleSystem
 
-    _check_eigenrange_params(alpha, beta, lambda_min, lambda_max)
+    _check_eigenrange(alpha, lambda_min, lambda_max)
+    _check_beta(beta)
     g = math.sqrt(max((lambda_max - alpha) * (alpha - lambda_min), 0.0))
     a = np.array(
         [[alpha, -g], [-g, lambda_max + lambda_min - alpha]], dtype=np.complex128
@@ -313,12 +318,7 @@ def phi_max_appendix(
     ``value = ((lambda_max + lambda_min - alpha) mu - lambda_max lambda_min)
     / (alpha - mu)``.
     """
-    if lambda_min > 0.0:
-        raise ValueError(f"need lambda_min <= 0, got {lambda_min}")
-    if not (0.0 < alpha <= lambda_max * (1.0 + 1e-14)):
-        raise ValueError(
-            f"need 0 < alpha <= lambda_max, got alpha={alpha}, lambda_max={lambda_max}"
-        )
+    _check_eigenrange(alpha, lambda_min, lambda_max)
     if not (0.0 < mu < alpha):
         raise ValueError(f"need mu in (0, alpha), got mu={mu}, alpha={alpha}")
     coeffs = np.array(

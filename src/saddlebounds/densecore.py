@@ -2,12 +2,15 @@
 
 Everything downstream (constant extraction, inclusion-bound verification,
 FEM model problems) reduces to a handful of primitives collected here:
-eigenvalues of Hermitian matrices and Hermitian pencils, Cholesky
-factorization, and the triangular congruence ``L^{-1} X R^{-*}`` that
-carries a block into the Euclidean geometry of a factored inner product.
-The heavy lifting is delegated to LAPACK via numpy/scipy; this module adds
-the input validation and the accuracy contracts the rest of the package
-relies on.
+eigenvalues of Hermitian matrices, Cholesky factorization, and the
+triangular congruence ``L^{-1} X R^{-*}`` that carries a block into the
+Euclidean geometry of a factored inner product.  The heavy lifting is
+delegated to LAPACK via numpy/scipy; this module adds the input validation
+and the accuracy contracts the rest of the package relies on.
+
+No pencil ``(A, M)`` is solved in the package: every spectrum is that of
+one Hermitian matrix, the reduced blocks of
+:func:`saddlebounds.saddle.reduce_system`.
 
 Every dense Hermitian eigensolve goes through
 :func:`hermitian_eigenvalues`, which calls LAPACK's two-stage divide and
@@ -16,8 +19,10 @@ reduction, then bulge chasing) through ``ctypes`` when the library scipy's
 LAPACK is loaded from exports it, and ``scipy.linalg.eigh`` otherwise.
 
 :data:`one_blas_thread` caps the BLAS of numpy and of scipy at one thread
-while the Krylov solvers run: their level-1 calls on long vectors only wake
-a second OpenBLAS thread to spin.  The dense eigensolves keep every thread.
+while the Krylov solvers run, whose level-1 calls on long vectors only wake
+a second OpenBLAS thread to spin, and while the Stokes Schur complement is
+set up, which already runs one solve per CPU.  The dense eigensolves keep
+every thread.
 
 Conventions
 -----------
@@ -37,13 +42,11 @@ import ctypes
 import functools
 import importlib
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "EigenDecomposition",
     "NotHermitianError",
     "NotPositiveDefiniteError",
     "as_matrix",
@@ -53,7 +56,6 @@ __all__ = [
     "real_columns",
     "apply_in_field",
     "triangular_congruence",
-    "generalized_hermitian_eig",
     "one_blas_thread",
 ]
 
@@ -86,17 +88,6 @@ class NotPositiveDefiniteError(ValueError):
         super().__init__(
             f"matrix is not positive definite (nonpositive pivot at index {pivot})"
         )
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues of a Hermitian (pencil) problem, real and ascending.
-
-    Every constant of the theory is an extreme eigenvalue, so no
-    eigenvectors are computed.
-    """
-
-    eigenvalues: np.ndarray
 
 
 def as_matrix(a) -> np.ndarray:
@@ -222,8 +213,9 @@ class _OneBlasThread(contextlib.ContextDecorator):
 
 
 #: The one BLAS-thread cap of the package (see :class:`_OneBlasThread`);
-#: :func:`saddlebounds.krylov.minres_solve` and
-#: :func:`saddlebounds.krylov.estimate_intervals` run under it.
+#: :func:`saddlebounds.krylov.minres_solve`,
+#: :func:`saddlebounds.krylov.estimate_intervals` and the Stokes Schur
+#: complement of :mod:`saddlebounds.fem.problems` run under it.
 one_blas_thread = _OneBlasThread()
 
 
@@ -355,15 +347,17 @@ def triangular_congruence(l, x, r=None) -> np.ndarray:  # noqa: E741
     return _solve_lower(r, y.conj().T).conj().T
 
 
-def generalized_hermitian_eig(a, m, tol: float = HERMITIAN_RTOL) -> EigenDecomposition:
-    """Eigenvalues of ``A x = mu M x`` with A Hermitian, M Hermitian positive definite.
+def generalized_hermitian_eig(a, m) -> np.ndarray:
+    """Eigenvalues, real and ascending, of ``A x = mu M x`` with A Hermitian
+    and M Hermitian positive definite.
 
-    Computed by Cholesky reduction ``M = L L*`` followed by the Hermitian
-    eigenvalues of ``L^{-1} A L^{-*}``, which is checked Hermitian to 1e-10;
-    the eigenvalues are real and ascending, and each one satisfies
-    ``sigma_min(A - mu M) <= 1e-10 ||A||`` for ``M = I``.
+    The package itself never calls this: its spectra are the eigenvalues of
+    reduced blocks (:func:`saddlebounds.saddle.preconditioned_spectrum`).
+    It stays as an independent reference for the tests.  Computed by
+    Cholesky reduction ``M = L L*`` followed by the Hermitian eigenvalues
+    of ``L^{-1} A L^{-*}``, which is checked Hermitian to 1e-10; each
+    eigenvalue satisfies ``sigma_min(A - mu M) <= 1e-10 ||A||`` for ``M = I``.
     """
-    a = require_hermitian(a, tol)
-    l = cholesky(require_hermitian(m, tol))  # noqa: E741 - L as in M = L L*
-    reduced = require_hermitian(triangular_congruence(l, a), tol=1e-10)
-    return EigenDecomposition(eigenvalues=hermitian_eigenvalues(reduced))
+    a = require_hermitian(a)
+    l = cholesky(require_hermitian(m))  # noqa: E741 - L as in M = L L*
+    return hermitian_eigenvalues(require_hermitian(triangular_congruence(l, a), tol=1e-10))

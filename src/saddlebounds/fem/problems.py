@@ -68,7 +68,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from ..densecore import real_columns
+from ..densecore import one_blas_thread, real_columns
 from ..krylov import LinearOperator
 from .assembly import assemble_p1, assemble_taylor_hood
 from .mesh import Mesh
@@ -381,6 +381,7 @@ def parabolic_reduced(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     )
 
 
+@one_blas_thread
 def _schur_complement(ps_factor: SpdFactor, dx, dy) -> np.ndarray:
     """Dense exact pressure Schur complement ``S = Dx Ps^{-1} Dx^T + Dy
     Ps^{-1} Dy^T`` (mp x mp), symmetrized.
@@ -393,7 +394,9 @@ def _schur_complement(ps_factor: SpdFactor, dx, dy) -> np.ndarray:
     (SuperLU releases the GIL during the solve).  Every block writes only its
     own rows, so ``S`` does not depend on the number of workers.  A failing
     block raises here once every worker is joined; the workers take no new
-    block after it.
+    block after it.  BLAS is held at one thread throughout: the workers
+    already take every CPU, so a second BLAS thread per solve only
+    oversubscribes them.
     """
     mp, ns = dx.shape
     width = max(1, SCHUR_BLOCK_BYTES // (16 * ns))

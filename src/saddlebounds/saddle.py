@@ -182,14 +182,6 @@ class InnerProduct:
     def m(self) -> int:
         return self.r.shape[0]
 
-    def assemble(self) -> np.ndarray:
-        full = np.zeros(
-            (self.n + self.m, self.n + self.m), dtype=np.result_type(self.p, self.r)
-        )
-        full[: self.n, : self.n] = self.p
-        full[self.n:, self.n:] = self.r
-        return full
-
 
 @dataclass(frozen=True, eq=False)
 class ReducedSystem:

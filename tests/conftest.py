@@ -1,8 +1,8 @@
 """Fixtures shared by the test suite: the seeded generator (the
 random-instance helpers live in :mod:`saddlebounds.verify`), the switch
-that sends every dense Hermitian eigensolve to the fallback driver, and a
-guard that every test leaves no thread running and the BLAS thread counts
-as the session found them."""
+that sends every dense Hermitian eigensolve to the fallback driver, a
+setting of every BLAS at two threads, and a guard that every test leaves no
+thread running and the BLAS thread counts as the session found them."""
 
 import threading
 
@@ -34,6 +34,21 @@ def lapack_fallback(monkeypatch):
 def blas_threads_at_start():
     """The OpenBLAS thread counts of numpy and scipy when the session starts."""
     return densecore._blas_thread_counts()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every controlled OpenBLAS at two threads, so that the cap's one
+    shows; the counts found are put back after the test."""
+    controls = densecore._blas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control resolves")
+    found = densecore._blas_thread_counts()
+    for _, set_ in controls:
+        set_(2)
+    yield (2,) * len(controls)
+    for (_, set_), count in zip(controls, found):
+        set_(count)
 
 
 @pytest.fixture(autouse=True)

@@ -13,7 +13,10 @@ least-squares problem directly at every step.
 
 import numpy as np
 
+from saddlebounds.densecore import one_blas_thread
 
+
+@one_blas_thread
 def gmres_pc_norm(op, prec_inv, rhs, eps=1e-8, maxit=600, stop=None):
     """Preconditioned GMRES on ``op x = rhs`` with a zero initial guess.
 
@@ -23,7 +26,8 @@ def gmres_pc_norm(op, prec_inv, rhs, eps=1e-8, maxit=600, stop=None):
     Returns ``(k, x_k, history)`` with ``history[j] = |r_j|_{Pc^{-1}}`` as
     given by the least-squares residual; ``k`` is ``None`` if the stopping
     test does not hold within ``maxit`` steps or before the Krylov space
-    becomes invariant.
+    becomes invariant.  Runs with BLAS held at one thread, as the solver it
+    checks does: its products are level-1 and level-2 calls.
     """
     rhs = np.asarray(rhs, dtype=np.complex128)
     z0 = prec_inv(rhs)

@@ -12,7 +12,7 @@ import scipy.io
 import scipy.linalg
 import scipy.sparse
 
-from saddlebounds import cli, densecore, krylov, mmio
+from saddlebounds import cli, densecore, krylov, mmio, saddle, verify
 from saddlebounds.bounds import witness_general
 from saddlebounds.cli import (
     ConvergenceError,
@@ -478,6 +478,36 @@ class TestVerifyCommand:
             "appendix", "lemma21", "pairing", "sharpness"
         ]
         assert all(r["passed"] is True for r in results)
+
+
+class TestNoPencilSolve:
+    """The program reads every spectrum off ``reduce_system``: with the
+    pencil solver made to raise wherever it is bound, ``verify all`` passes
+    and ``bounds`` prints what it prints with the solver in place."""
+
+    @staticmethod
+    def refuse_pencil_solver(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generalized_hermitian_eig called")
+
+        for module in (densecore, saddle, verify):
+            monkeypatch.setattr(module, "generalized_hermitian_eig", refuse)
+
+    def test_verify_all_passes(self, capsys, monkeypatch):
+        self.refuse_pencil_solver(monkeypatch)
+        assert main(["verify", "all"]) == 0
+        assert all(r["passed"] is True for r in json.loads(capsys.readouterr().out))
+
+    @pytest.mark.parametrize("flavor", cli.FLAVORS)
+    def test_bounds_prints_the_same(self, flavor, tmp_path, capsys, monkeypatch):
+        bundle = tmp_path / "b"
+        assert main(["export", "--flavor", flavor, "--level", "2", "--out", str(bundle)]) == 0
+        capsys.readouterr()
+        assert main(["bounds", str(bundle)]) == 0
+        want = capsys.readouterr().out
+        self.refuse_pencil_solver(monkeypatch)
+        assert main(["bounds", str(bundle)]) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestExportCommand:

@@ -12,7 +12,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddlebounds import krylov
+from saddlebounds import densecore, krylov
 from saddlebounds.bounds import inclusion_set
 from saddlebounds.fem import (
     assemble_p1,
@@ -420,6 +420,28 @@ class TestStokesSchurBlocks:
         before = threading.active_count()
         self.build(monkeypatch, 4)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_one_blas_thread_leaves_schur_unchanged(self, level, two_blas_threads):
+        # The build holds BLAS at one thread; S is the one that two threads
+        # give, bit for bit.
+        fem = assemble_taylor_hood(build_mesh(level))
+        ps = SpdFactor(
+            problems._shifted_operator(fem.scalar_mass, fem.scalar_stiffness, 1.0, 1.0)
+        )
+        counts, solve = [], ps.solve
+
+        def recorded(rhs):
+            counts.append(densecore._blas_thread_counts())
+            return solve(rhs)
+
+        ps.solve = recorded
+        capped = problems._schur_complement(ps, fem.div_x, fem.div_y)
+        assert set(counts) == {(1,) * len(two_blas_threads)}
+        counts.clear()
+        uncapped = problems._schur_complement.__wrapped__(ps, fem.div_x, fem.div_y)
+        assert set(counts) == {two_blas_threads}
+        assert np.array_equal(capped, uncapped)
 
     def test_failing_block_raises_and_leaves_no_thread(self, monkeypatch):
         before = threading.active_count()

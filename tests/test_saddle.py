@@ -29,7 +29,7 @@ from saddlebounds.saddle import (
     reduce_system,
 )
 from saddlebounds.verify import random_coercive_system, random_hermitian
-from dense_pair import inner_product, saddle_system
+from dense_pair import inner_product, inner_product_matrix, saddle_system
 
 
 def assemble_decomposition(dec):
@@ -95,14 +95,14 @@ class TestSystemModel:
         assert sys == sys and sys != SaddleSystem(a=np.eye(2), b=np.ones((1, 2)))
 
     def test_blocks_keep_their_field(self):
-        # Exactly-real complex input narrows to float64; the zero C and the
-        # assembled inner product take the dtype of their blocks.
+        # Exactly-real complex input narrows to float64, and the zero C
+        # takes the dtype of its blocks; so do the inner product's factors.
         sys = SaddleSystem(a=np.eye(2, dtype=complex), b=np.ones((1, 2), dtype=complex))
         assert sys.a.dtype == sys.b.dtype == sys.c.dtype == np.float64
         mixed = SaddleSystem(a=np.eye(2), b=np.array([[1.0, 1j]]))
         assert mixed.a.dtype == np.float64 and mixed.c.dtype == np.complex128
         ip = InnerProduct(p=np.eye(2, dtype=complex), r=np.eye(1))
-        assert ip.lp.dtype == ip.assemble().dtype == np.float64
+        assert ip.p.dtype == ip.lp.dtype == ip.lr.dtype == np.float64
 
     def test_assemble_hermitian(self, rng):
         sys, _ = random_coercive_system(rng, 5, 2)
@@ -387,7 +387,7 @@ def assert_matches_pencils(sys, ip, red):
         assert abs(got - want) <= 1e-10 * scale
 
     mu = preconditioned_spectrum(red)
-    ref = scipy.linalg.eigh(sys.assemble(), ip.assemble(), eigvals_only=True)
+    ref = scipy.linalg.eigh(sys.assemble(), inner_product_matrix(ip), eigvals_only=True)
     assert np.max(np.abs(mu - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     bc = brezzi_constants(red)
@@ -427,7 +427,7 @@ class TestDensePathProperty:
         # A nonzero Hermitian (2,2) block goes through the reduced C block.
         sys_c = SaddleSystem(a=sys.a, b=sys.b, c=random_hermitian(rng, m))
         mu_c = preconditioned_spectrum(reduce_system(sys_c, ip))
-        ref_c = scipy.linalg.eigh(sys_c.assemble(), ip.assemble(), eigvals_only=True)
+        ref_c = scipy.linalg.eigh(sys_c.assemble(), inner_product_matrix(ip), eigvals_only=True)
         assert np.max(np.abs(mu_c - ref_c)) <= 1e-10 * np.max(np.abs(ref_c))
 
         gamma = babuska_constants(red).gamma

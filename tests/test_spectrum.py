@@ -14,13 +14,8 @@ from saddlebounds.spectrum import (
     pairing_check,
     skew_pairing_check,
 )
-from saddlebounds.verify import random_spd
+from saddlebounds.verify import random_complex_symmetric, random_spd
 from dense_pair import reduce_problem, saddle_system
-
-
-def random_complex_symmetric(rng, n, shift=0.0):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (g + g.T) + shift * np.eye(n)
 
 
 class TestDetectStructure:
@@ -108,7 +103,7 @@ class TestLinearizeQuadratic:
     def test_random_multiset_match(self, rng):
         for _ in range(10):
             a = random_spd(rng, 4, complex_entries=False)
-            b = random_complex_symmetric(rng, 4, shift=0.8)
+            b = random_complex_symmetric(rng, 4) + 0.8 * np.eye(4)
             sys = SaddleSystem(a=a, b=b, c=a)
             lam = np.sort(np.linalg.eigvals(linearize_quadratic(sys)).real)
             full = np.sort(np.linalg.eigvalsh(sys.assemble()))
@@ -147,7 +142,7 @@ class TestLinearizeQuadratic:
 
     def test_linearization_shape(self, rng):
         a = random_spd(rng, 3, complex_entries=False)
-        b = random_complex_symmetric(rng, 3, shift=0.8)
+        b = random_complex_symmetric(rng, 3) + 0.8 * np.eye(3)
         lin = linearize_quadratic(SaddleSystem(a=a, b=b, c=a))
         n = 3
         h = lin[n:, :n]
@@ -169,7 +164,7 @@ class TestSkewPairing:
 
     def test_random_blocks(self, rng):
         for _ in range(10):
-            h = random_complex_symmetric(rng, 3, shift=0.7)
+            h = random_complex_symmetric(rng, 3) + 0.7 * np.eye(3)
             g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             s = 0.5 * (g - g.T)
             report = skew_pairing_check(h, s)
