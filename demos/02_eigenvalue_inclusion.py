@@ -21,8 +21,7 @@ rng = np.random.default_rng(42)
 n, m = 8, 3
 
 # random Hermitian (1,1) block, shifted to be coercive on the coupling kernel
-sys, ip = random_coercive_system(rng, n, m)
-red = reduce_system(sys, ip)
+red = reduce_system(*random_coercive_system(rng, n, m))
 
 constants = brezzi_constants(red)
 print("extracted constants:")

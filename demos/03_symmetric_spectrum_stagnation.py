@@ -7,7 +7,6 @@ essentially no progress on odd steps: the residual history is a staircase.
 """
 
 from saddlebounds import (
-    InnerProduct,
     SaddleSystem,
     detect_structure,
     minres_solve,
@@ -21,11 +20,12 @@ from saddlebounds.fem import build_mesh, parabolic_reduced
 problem = parabolic_reduced(build_mesh(2), nu=1.0, omega=100.0)
 print(f"reduced parabolic system: dim={problem.dim}, nu={problem.nu}, omega={problem.omega}")
 
-# The exact analyses take the model's sparse blocks to the dense classes.
+# The exact analyses take the model's sparse blocks as they are: A, B and C
+# to SaddleSystem, P and R to reduce_system.
 system = SaddleSystem(a=problem.a, b=problem.b, c=problem.c)
 print(f"mirror block structure detected: {detect_structure(system)}")
 
-red = reduce_system(system, InnerProduct(*problem.inner_product_blocks()))
+red = reduce_system(system, *problem.inner_product_blocks())
 report = pairing_check(preconditioned_spectrum(red), tol=1e-8)
 print(f"pairing (mu, -mu) defect: {report.defect:.2e}  ({report.pairs} pairs)")
 

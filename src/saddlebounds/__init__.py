@@ -13,8 +13,6 @@ from .saddle import (
     BabuskaConstants,
     BlockDecomposition,
     BrezziConstants,
-    InnerProduct,
-    ReducedSystem,
     SaddleSystem,
     babuska_constants,
     block_decompose,
@@ -61,8 +59,6 @@ __all__ = [
     "BabuskaConstants",
     "BlockDecomposition",
     "BrezziConstants",
-    "InnerProduct",
-    "ReducedSystem",
     "SaddleSystem",
     "babuska_constants",
     "block_decompose",

@@ -309,16 +309,16 @@ def _emit(text: str, out: str | None) -> int:
 
 def cmd_bounds(args) -> int:
     try:
-        sys_, ip = mmio.load_bundle(args.bundle)
+        bundle = mmio.load_bundle(args.bundle)
+        red = reduce_system(*bundle)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot load bundle: {exc}", file=sys.stderr)
         return 2
+    # The reduced system is all the analyses read; the loaded blocks need
+    # not stay alive through the eigensolves.
+    del bundle
     lines = []
     try:
-        red = reduce_system(sys_, ip)
-        # The reduced blocks are all the analyses read; the loaded blocks
-        # and their factors need not stay alive through the eigensolves.
-        del sys_, ip
         bab = babuska_constants(red)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

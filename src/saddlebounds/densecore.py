@@ -9,8 +9,8 @@ delegated to LAPACK via numpy/scipy; this module adds the input validation
 and the accuracy contracts the rest of the package relies on.
 
 No pencil ``(A, M)`` is solved in the package: every spectrum is that of
-one Hermitian matrix, the reduced blocks of
-:func:`saddlebounds.saddle.reduce_system`.
+one Hermitian matrix, the blocks of a saddle system in the Euclidean
+geometry, which :func:`saddlebounds.saddle.reduce_system` returns.
 
 Every dense Hermitian eigensolve goes through
 :func:`hermitian_eigenvalues`, which calls LAPACK's two-stage divide and
@@ -351,9 +351,11 @@ def generalized_hermitian_eig(a, m) -> np.ndarray:
     """Eigenvalues, real and ascending, of ``A x = mu M x`` with A Hermitian
     and M Hermitian positive definite.
 
-    The package itself never calls this: its spectra are the eigenvalues of
-    reduced blocks (:func:`saddlebounds.saddle.preconditioned_spectrum`).
-    It stays as an independent reference for the tests.  Computed by
+    The package itself never calls this: each spectrum it reads is that of
+    one Hermitian system, carried into the Euclidean geometry of ``M`` by
+    :func:`saddlebounds.saddle.reduce_system` where it has an inner product
+    (:func:`saddlebounds.saddle.preconditioned_spectrum`).  It stays as an
+    independent reference for the tests.  Computed by
     Cholesky reduction ``M = L L*`` followed by the Hermitian eigenvalues
     of ``L^{-1} A L^{-*}``, which is checked Hermitian to 1e-10; each
     eigenvalue satisfies ``sigma_min(A - mu M) <= 1e-10 ||A||`` for ``M = I``.

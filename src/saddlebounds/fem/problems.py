@@ -29,8 +29,9 @@ real and imaginary parts are solved as interleaved real columns.  The
 sparse blocks ``P`` and ``R`` of :meth:`ModelProblem.inner_product_blocks`,
 which exported bundles hold, are read off the same declaration, so the
 analysed and the applied preconditioner are one object.  No dense matrix
-but ``S`` is built here: the exact analyses pass the sparse blocks to
-``saddle.SaddleSystem`` and ``saddle.InnerProduct``.
+but ``S`` is built here: the exact analyses pass the sparse blocks ``A``,
+``B`` and ``C`` to ``saddle.SaddleSystem`` and ``P`` and ``R`` to
+``saddle.reduce_system``.
 
 The dense Stokes Schur complement ``S`` is formed in blocks of ``C`` columns,
 one SuperLU solve each, on one worker per available CPU (the affinity mask

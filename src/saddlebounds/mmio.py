@@ -13,9 +13,10 @@ the dimensions and the file-to-block mapping.  Bundle blocks, dense or
 sparse, are written as stored in the coordinate variant: zero entries (the
 whole of a vanishing ``C``) take no space, and a sparse block is never
 densified but keeps its explicit zeros, entry order and dtype.
-:func:`load_bundle` passes every block as :func:`scipy.io.mmread` returns
-it to ``SaddleSystem`` and ``InnerProduct``, which refuse a system above
-``DENSE_LIMIT`` before densifying any block; array-variant bundles load
+:func:`load_bundle` passes ``A``, ``B`` and ``C`` as
+:func:`scipy.io.mmread` returns them to ``SaddleSystem``, which refuses a
+system above ``DENSE_LIMIT`` before densifying any block, and returns ``P``
+and ``R`` as read, for ``saddle.reduce_system``; array-variant bundles load
 the same way.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .saddle import InnerProduct, SaddleSystem
+from .saddle import SaddleSystem
 
 __all__ = [
     "save_matrix",
@@ -68,9 +69,11 @@ def save_bundle(directory, a, b, c, p, r) -> None:
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def load_bundle(directory) -> tuple[SaddleSystem, InnerProduct]:
-    """Read a bundle directory back into (system, inner product); a system
-    above ``DENSE_LIMIT`` raises ``ValueError`` before any block is dense."""
+def load_bundle(directory) -> tuple:
+    """Read a bundle directory back into ``(system, P, R)``, with ``P`` and
+    ``R`` as :func:`scipy.io.mmread` returns them.  A manifest that names a
+    file for any block but A, B, C, P and R is refused before any file is
+    read, and a system above ``DENSE_LIMIT`` before any block is dense."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -81,19 +84,19 @@ def load_bundle(directory) -> tuple[SaddleSystem, InnerProduct]:
         isinstance(files, dict)
         and manifest.get("format") == "saddlebounds-bundle"
         and all(type(manifest.get(key)) is int for key in ("n", "m"))
-        and {"A", "B", "P", "R"} <= files.keys()
+        and {"A", "B", "P", "R"} <= files.keys() <= set("ABCPR")
         and all(isinstance(name, str) for name in files.values())
     ):
         raise ValueError(
             f"{manifest_path} is not a saddlebounds bundle manifest: integers 'n' "
-            "and 'm', and 'files' naming the files of A, B, P and R"
+            "and 'm', and 'files' naming the files of A, B, P, R and optionally C, "
+            "and of no other block"
         )
     blocks = {name: scipy.io.mmread(str(directory / fname)) for name, fname in files.items()}
     sys = SaddleSystem(a=blocks["A"], b=blocks["B"], c=blocks.get("C"))
-    ip = InnerProduct(p=blocks["P"], r=blocks["R"])
     if (sys.n, sys.m) != (manifest["n"], manifest["m"]):
         raise ValueError(
             f"manifest dimensions ({manifest['n']}, {manifest['m']}) do not match "
             f"block dimensions ({sys.n}, {sys.m})"
         )
-    return sys, ip
+    return sys, blocks["P"], blocks["R"]

@@ -1,23 +1,24 @@
 """Saddle-point system model and exact stability-constant extraction.
 
-A system is the Hermitian block matrix ``M = [[A, B*], [B, -C]]`` together
-with a block-diagonal inner product ``diag(P, R)`` (both blocks Hermitian
-positive definite, factored once as ``P = Lp Lp*`` and ``R = Lr Lr*``).
-Every analysis runs in the reduced geometry, where the norms of
-``diag(P, R)`` become Euclidean norms: the congruence
-``diag(Lp, Lr)^{-1} M diag(Lp, Lr)^{-*} = [[At, G*], [G, -Ct]]`` has the
-blocks ``At = Lp^{-1} A Lp^{-*}``, ``G = Lr^{-1} B Lp^{-*}`` and
-``Ct = Lr^{-1} C Lr^{-*}``.  :func:`reduce_system` forms them once, as a
-:class:`ReducedSystem`, and every analysis below takes that object.  Every
-block keeps the field of its values, so a real block of a complex system
-(``A``, ``P`` and ``R`` of the parabolic KKT system) is factored, reduced
-and diagonalized in real arithmetic.  For
-vanishing C this module computes, exactly at the discrete level,
+A system is the Hermitian block matrix ``M = [[A, B*], [B, -C]]``; its
+geometry is a block-diagonal inner product ``diag(P, R)`` (both blocks
+Hermitian positive definite).  Every analysis reads a system in the
+Euclidean geometry.  :func:`reduce_system` carries a system into that
+geometry: with ``P = Lp Lp*`` and ``R = Lr Lr*``, the congruence
+``diag(Lp, Lr)^{-1} M diag(Lp, Lr)^{-*} = [[At, G*], [G, -Ct]]`` is again a
+Hermitian saddle system, with the blocks ``At = Lp^{-1} A Lp^{-*}``,
+``G = Lr^{-1} B Lp^{-*}`` and ``Ct = Lr^{-1} C Lr^{-*}``, and
+:func:`reduce_system` returns it as a :class:`SaddleSystem`.  A system
+given in the Euclidean geometry is analysed as it is.  Every block keeps
+the field of its values, so a real block of a complex system (``A``, ``P``
+and ``R`` of the parabolic KKT system) is factored, reduced and
+diagonalized in real arithmetic.  For vanishing C this module computes,
+exactly at the discrete level,
 
 * the kernel-based block decomposition of the (1,1) block: split the
-  reduced primal space into ker(G) and its orthogonal complement, which
-  ``Lp^{-*}`` maps to ker(B) and its P-orthogonal complement, and project
-  all blocks onto the two parts (:func:`block_decompose`);
+  primal space into ker(G) and its orthogonal complement, which ``Lp^{-*}``
+  maps to ker(B) and its P-orthogonal complement, and project all blocks
+  onto the two parts (:func:`block_decompose`);
 * the constants of the Brezzi-type theory (:func:`brezzi_constants`):
 
   - ``alpha``: smallest eigenvalue modulus of the (1,1) form restricted to
@@ -25,22 +26,22 @@ vanishing C this module computes, exactly at the discrete level,
   - ``lambda_min_a``, ``lambda_max_a``: extreme eigenvalues of ``At``, the
     range of (A, P),
   - ``beta``/``b_norm``: extreme singular values of ``G``; one SVD of ``G``,
-    cached on the reduced system, also gives the rank test (the discrete
-    inf-sup condition) and ker(G);
+    cached on the system, also gives the rank test (the discrete inf-sup
+    condition) and ker(G);
 
 * the Babuska constants ``gamma = |mu_min|`` and ``B_norm = |mu_max|`` from
-  the eigenvalues of the reduced matrix ``[[At, G*], [G, -Ct]]``
-  (:func:`babuska_constants`), valid for any Hermitian system including
-  C != 0.
+  the eigenvalues of ``[[At, G*], [G, -Ct]]`` (:func:`babuska_constants`),
+  valid for any Hermitian system including C != 0.
 
-:class:`SaddleSystem` and :class:`InnerProduct` are the package's one
-conversion of sparse blocks to dense ones; both refuse an order ``n + m``
-above :data:`DENSE_LIMIT` before converting any block.
+:class:`SaddleSystem` is the package's one conversion of sparse blocks to
+dense ones; it refuses an order ``n + m`` above :data:`DENSE_LIMIT` before
+converting any block, and :func:`reduce_system` checks the shapes of ``P``
+and ``R`` against such a system before converting either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -62,8 +63,6 @@ __all__ = [
     "DENSE_LIMIT",
     "check_dense",
     "SaddleSystem",
-    "InnerProduct",
-    "ReducedSystem",
     "BrezziConstants",
     "BabuskaConstants",
     "BlockDecomposition",
@@ -103,7 +102,8 @@ class SaddleSystem:
     ``a`` is n x n Hermitian, ``b`` is m x n, ``c`` is m x m Hermitian
     (zero by default, in the dtype of ``a`` and ``b``).  Sparse blocks are
     accepted and densified, up to the order ``n + m = DENSE_LIMIT``; each
-    block is real if its values are.  Instances compare by identity.
+    block is real if its values are.  Instances compare by identity, since
+    arrays have no single truth value.
     """
 
     a: np.ndarray
@@ -127,6 +127,14 @@ class SaddleSystem:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
+    @classmethod
+    def _of_checked(cls, a, b, c) -> "SaddleSystem":
+        """A system of dense blocks already checked, without checking them again."""
+        sys = object.__new__(cls)
+        for name, block in zip("abc", (a, b, c)):
+            object.__setattr__(sys, name, block)
+        return sys
+
     @property
     def n(self) -> int:
         return self.a.shape[0]
@@ -145,87 +153,21 @@ class SaddleSystem:
         bottom = np.hstack([self.b, -self.c])
         return np.vstack([top, bottom])
 
-
-@dataclass(frozen=True, eq=False)
-class InnerProduct:
-    """Block-diagonal inner product ``diag(P, R)`` with SPD blocks and their
-    Cholesky factors ``P = Lp Lp*``, ``R = Lr Lr*`` (factoring checks SPD).
-
-    Sparse blocks are accepted and densified, up to the order ``n + m =
-    DENSE_LIMIT``.  Real blocks, and their factors, stay real.  Instances
-    compare by identity.
-    """
-
-    p: np.ndarray
-    r: np.ndarray
-    lp: np.ndarray = field(init=False, repr=False)
-    lr: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        check_dense(np.shape(self.p)[0] + np.shape(self.r)[0])
-        p = require_hermitian(_dense(self.p))
-        r = require_hermitian(_dense(self.r))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "lp", cholesky(p))
-        object.__setattr__(self, "lr", cholesky(r))
-
-    @classmethod
-    def identity(cls, n: int, m: int) -> "InnerProduct":
-        return cls(p=np.eye(n), r=np.eye(m))
-
-    @property
-    def n(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.r.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedSystem:
-    """A system in the Euclidean geometry of its inner product.
-
-    ``at``, ``g`` and ``ct`` are the reduced blocks ``Lp^{-1} A Lp^{-*}``,
-    ``Lr^{-1} B Lp^{-*}`` and ``Lr^{-1} C Lr^{-*}``; every analysis reads
-    these alone, so the inner product and its factors need not outlive the
-    reduction.  Build it with :func:`reduce_system`.  Instances compare by
-    identity, since arrays have no single truth value.
-    """
-
-    at: np.ndarray
-    g: np.ndarray
-    ct: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.at.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.g.shape[0]
-
-    @property
-    def has_zero_c(self) -> bool:
-        return not np.any(self.ct)
-
     @cached_property
     def _svd(self):
-        return np.linalg.svd(self.g)
+        return np.linalg.svd(self.b)
 
     def coupling_svd(self, who: str):
-        """The full SVD ``G = U diag(s) Vh``, computed once per instance.
+        """The full SVD ``B = U diag(s) Vh``, computed once per instance.
 
-        Raises unless C vanishes and ``G`` (equivalently B) has full row
-        rank: the inf-sup condition, read off the singular values of ``G``
-        with ``RANK_RTOL``.
+        Raises unless C vanishes and B has full row rank: the inf-sup
+        condition, read off the singular values with ``RANK_RTOL``.
         """
         if not self.has_zero_c:
             raise ValueError(f"{who} requires a zero (2,2) block")
-        m, n = self.g.shape
+        m, n = self.b.shape
         if m > n:
-            raise ValueError(f"coupling block must be wide, got shape {self.g.shape}")
+            raise ValueError(f"coupling block must be wide, got shape {self.b.shape}")
         u, s, vh = self._svd
         rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
         if rank < m:
@@ -236,17 +178,30 @@ class ReducedSystem:
         return u, s, vh
 
 
-def reduce_system(sys: SaddleSystem, ip: InnerProduct) -> ReducedSystem:
-    """Carry ``sys`` into the geometry of ``ip``; any shape, any C.
+def reduce_system(sys: SaddleSystem, p, r) -> SaddleSystem:
+    """``sys`` in the Euclidean geometry of ``diag(P, R)``: the system
+    ``[[At, G*], [G, -Ct]]``; any shape, any C.
 
-    ``At`` and a nonzero ``Ct`` are checked Hermitian to 1e-10.
+    ``P`` (n x n) and ``R`` (m x m), dense or sparse, must be Hermitian
+    positive definite; a block of another shape raises ``ValueError``
+    naming it before either is densified.  Their Cholesky factors live only
+    in this call.  ``At`` and a nonzero ``Ct`` are checked Hermitian to
+    1e-10.
     """
-    at = require_hermitian(triangular_congruence(ip.lp, sys.a), tol=1e-10)
+    for name, block, order in (("P", p, sys.n), ("R", r, sys.m)):
+        if np.shape(block) != (order, order):
+            raise ValueError(
+                f"inner-product block {name} is {np.shape(block)}, "
+                f"expected ({order}, {order})"
+            )
+    lp = cholesky(require_hermitian(_dense(p)))
+    lr = cholesky(require_hermitian(_dense(r)))
+    at = require_hermitian(triangular_congruence(lp, sys.a), tol=1e-10)
     ct = np.zeros_like(sys.c) if sys.has_zero_c else require_hermitian(
-        triangular_congruence(ip.lr, sys.c), tol=1e-10
+        triangular_congruence(lr, sys.c), tol=1e-10
     )
-    g = triangular_congruence(ip.lr, sys.b, ip.lp)
-    return ReducedSystem(at=at, g=g, ct=ct)
+    g = triangular_congruence(lr, sys.b, lp)
+    return SaddleSystem._of_checked(at, g, ct)
 
 
 @dataclass(frozen=True)
@@ -289,9 +244,11 @@ class BabuskaConstants:
 class BlockDecomposition:
     """Kernel-based 3x3 view of a system with zero (2,2) block.
 
-    ``v0`` and ``v1`` are orthonormal bases of ker(G) and its complement
-    (``Lp^{-*}`` maps them to P-orthonormal bases of ker(B) and its
-    P-orthogonal complement); ``Aij = Vi* At Vj`` and ``B1 = G V1``.
+    ``v0`` and ``v1`` are orthonormal bases of ker(B) and its complement;
+    ``Aij = Vi* A Vj`` and ``B1 = B V1``.  For a system from
+    :func:`reduce_system` (blocks ``At`` and ``G``), ``Lp^{-*}`` maps them
+    to P-orthonormal bases of the original ker(B) and its P-orthogonal
+    complement.
     """
 
     v0: np.ndarray
@@ -303,21 +260,21 @@ class BlockDecomposition:
     b1: np.ndarray
 
 
-def block_decompose(red: ReducedSystem) -> BlockDecomposition:
-    """Split the reduced primal space into ker(G) and its complement.
+def block_decompose(sys: SaddleSystem) -> BlockDecomposition:
+    """Split the primal space of ``sys`` into ker(B) and its complement.
 
     Requires a zero (2,2) block and full-rank B.  With the SVD
-    ``G = U S W1*``, the remaining right singular vectors ``W0`` form
-    ``v0``; ``v1 = W1 U*`` is the orthonormal polar factor of ``G*``, which
-    does not depend on the SVD's choice of phases, and ``B1 = G v1 =
+    ``B = U S W1*``, the remaining right singular vectors ``W0`` form
+    ``v0``; ``v1 = W1 U*`` is the orthonormal polar factor of ``B*``, which
+    does not depend on the SVD's choice of phases, and ``B1 = B v1 =
     U S U*``.
     """
-    u, s, vh = red.coupling_svd("block_decompose")
-    k = red.n - red.m
-    v = np.hstack([vh[red.m:].conj().T, vh[: red.m].conj().T @ u.conj().T])
-    # The blocks V_i* At V_j of V* (At V), with the real or complex At
+    u, s, vh = sys.coupling_svd("block_decompose")
+    k = sys.n - sys.m
+    v = np.hstack([vh[sys.m:].conj().T, vh[: sys.m].conj().T @ u.conj().T])
+    # The blocks V_i* A V_j of V* (A V), with the real or complex A
     # applied in its own field.
-    w = v.conj().T @ apply_in_field(red.at, red.at.__matmul__, v)
+    w = v.conj().T @ apply_in_field(sys.a, sys.a.__matmul__, v)
     return BlockDecomposition(
         v0=v[:, :k],
         v1=v[:, k:],
@@ -329,8 +286,11 @@ def block_decompose(red: ReducedSystem) -> BlockDecomposition:
     )
 
 
-def brezzi_constants(red: ReducedSystem) -> BrezziConstants:
-    """Exact Brezzi-type constants of a reduced system.
+def brezzi_constants(sys: SaddleSystem) -> BrezziConstants:
+    """Exact Brezzi-type constants of ``sys`` in the Euclidean geometry.
+
+    For a system from :func:`reduce_system` (blocks ``At``, ``G``) these are
+    the constants in the geometry of ``diag(P, R)``:
 
     * ``alpha``: inf-sup constant of the (1,1) form on ker(B).  For a
       Hermitian form this is the smallest eigenvalue modulus of the kernel
@@ -348,19 +308,19 @@ mu3_cubic` via :func:`saddlebounds.bounds.inclusion_set`) presume the
     coercive representation of ``alpha``; ``inclusion_set`` refuses
     constants whose kernel block is not positive definite.
     """
-    _, s, vh = red.coupling_svd("brezzi_constants")
-    if red.n == red.m:
+    _, s, vh = sys.coupling_svd("brezzi_constants")
+    if sys.n == sys.m:
         raise ValueError("ker(B) is trivial; the kernel inf-sup is undefined")
-    v0 = vh[red.m:].conj().T
-    at_v0 = apply_in_field(red.at, red.at.__matmul__, v0)
-    kernel_eigs = hermitian_eigenvalues(v0.conj().T @ at_v0)
+    v0 = vh[sys.m:].conj().T
+    a_v0 = apply_in_field(sys.a, sys.a.__matmul__, v0)
+    kernel_eigs = hermitian_eigenvalues(v0.conj().T @ a_v0)
     alpha = float(np.min(np.abs(kernel_eigs)))
     if alpha <= 1e-12 * max(float(np.max(np.abs(kernel_eigs))), 1e-300):
         raise ValueError(
             f"(1,1) block is not elliptic on ker(B): inf-sup constant "
             f"{alpha:.6e} vanishes (singular kernel block)"
         )
-    lam = hermitian_eigenvalues(red.at)
+    lam = hermitian_eigenvalues(sys.a)
     lam_min, lam_max = float(lam[0]), float(lam[-1])
     return BrezziConstants(
         alpha=alpha,
@@ -373,29 +333,30 @@ mu3_cubic` via :func:`saddlebounds.bounds.inclusion_set`) presume the
     )
 
 
-def preconditioned_spectrum(red: ReducedSystem) -> np.ndarray:
-    """Eigenvalues (real, ascending) of the generalized problem ``M x = mu Pc x``.
+def preconditioned_spectrum(sys: SaddleSystem) -> np.ndarray:
+    """Eigenvalues (real, ascending) of ``M = [[A, B*], [B, -C]]``.
 
-    These are the eigenvalues of the reduced matrix ``[[At, G*], [G, -Ct]]``.
-    It is Hermitian by construction, since :func:`reduce_system` checked and
-    symmetrized ``At`` and ``Ct``, so it is not checked again.  Only its
-    lower triangle is read: ``At``, ``G`` and ``-Ct`` are written into one
-    Fortran-ordered buffer, which the eigensolver then overwrites, and the
-    ``G*`` block is never formed.
+    For a system from :func:`reduce_system`, ``[[At, G*], [G, -Ct]]``, these
+    are the eigenvalues of the generalized problem ``M x = mu Pc x`` with
+    ``Pc = diag(P, R)``.  ``M`` is Hermitian by construction, since its
+    diagonal blocks were checked and symmetrized when the system was made,
+    so it is not checked again.  Only its lower triangle is read: ``A``,
+    ``B`` and ``-C`` are written into one Fortran-ordered buffer, which the
+    eigensolver then overwrites, and the ``B*`` block is never formed.
     """
-    n = red.n
+    n = sys.n
     block = np.empty(
-        (n + red.m, n + red.m), dtype=np.result_type(red.at, red.g, red.ct), order="F"
+        (n + sys.m, n + sys.m), dtype=np.result_type(sys.a, sys.b, sys.c), order="F"
     )
-    block[:n, :n] = red.at
-    block[n:, :n] = red.g
-    np.negative(red.ct, out=block[n:, n:])
+    block[:n, :n] = sys.a
+    block[n:, :n] = sys.b
+    np.negative(sys.c, out=block[n:, n:])
     return hermitian_eigenvalues(block, overwrite=True)
 
 
-def babuska_constants(red: ReducedSystem) -> BabuskaConstants:
+def babuska_constants(sys: SaddleSystem) -> BabuskaConstants:
     """Extreme moduli ``(gamma, B_norm)`` of the preconditioned spectrum."""
-    moduli = np.abs(preconditioned_spectrum(red))
+    moduli = np.abs(preconditioned_spectrum(sys))
     gamma = float(np.min(moduli))
     b_norm = float(np.max(moduli))
     if gamma <= 1e-12 * max(b_norm, 1e-300):

@@ -3,9 +3,10 @@
 Each suite draws deterministic random instances, checks one family of
 structural claims with fixed tolerances, and returns a summary dict; the
 command-line driver serializes these as JSON.  Every spectrum a suite reads
-is that of a reduced system, ``preconditioned_spectrum(reduce_system(sys,
-ip))``, as in ``bounds``; a system without an inner product is reduced with
-:meth:`InnerProduct.identity`.  The suites:
+is ``preconditioned_spectrum`` of a system in the Euclidean geometry, as in
+``bounds``: a system with an inner product ``diag(P, R)`` is first carried
+there by ``reduce_system(sys, P, R)``, and a system without one is read as
+it is.  The suites:
 
 * ``sharpness``  -- the cubic lower bounds are attained by the witness
   systems (both the general and the eigenvalue-range variants).
@@ -27,7 +28,7 @@ from . import bounds as bnd
 from .densecore import hermitian_eigenvalues
 # Unused here; benchmarks/tracing.py looks this name up on this module.
 from .densecore import generalized_hermitian_eig  # noqa: F401
-from .saddle import InnerProduct, SaddleSystem, reduce_system
+from .saddle import SaddleSystem, reduce_system
 from .saddle import babuska_constants, block_decompose, brezzi_constants
 from .saddle import preconditioned_spectrum
 from .spectrum import linearize_quadratic, pairing_check, skew_pairing_check
@@ -62,19 +63,19 @@ def random_full_rank(rng, m: int, n: int) -> np.ndarray:
 
 def random_coercive_system(rng, n: int, m: int):
     """Random system with zero (2,2) block, full-rank coupling, and a (1,1)
-    block positive definite on the coupling kernel."""
+    block positive definite on the coupling kernel in the geometry of the
+    random inner product ``diag(P, R)``; returns ``(sys, P, R)``."""
     a = random_hermitian(rng, n)
     b = random_full_rank(rng, m, n)
     p = random_spd(rng, n)
     r = random_spd(rng, m)
-    ip = InnerProduct(p=p, r=r)
     sys = SaddleSystem(a=a, b=b)
-    dec = block_decompose(reduce_system(sys, ip))
+    dec = block_decompose(reduce_system(sys, p, r))
     lam0 = hermitian_eigenvalues(dec.a00)
     shift = max(0.0, 0.5 - float(lam0[0]))
     if shift:
         sys = SaddleSystem(a=a + shift * p, b=b)
-    return sys, ip
+    return sys, p, r
 
 
 def suite_sharpness(seed: int = 1) -> dict:
@@ -87,7 +88,7 @@ def suite_sharpness(seed: int = 1) -> dict:
         alpha = float(rng.uniform(0.05, 1.0)) * a_norm
         beta = float(rng.uniform(0.2, 2.5))
         sys = bnd.witness_general(alpha, beta, a_norm)
-        gamma = babuska_constants(reduce_system(sys, InnerProduct.identity(2, 1))).gamma
+        gamma = babuska_constants(sys).gamma
         target = bnd.gamma_opt_general(alpha, beta, a_norm)
         worst_general = max(worst_general, abs(gamma - target) / target)
 
@@ -95,7 +96,7 @@ def suite_sharpness(seed: int = 1) -> dict:
         lam_min = -float(rng.uniform(0.0, 2.0))
         alpha2 = float(rng.uniform(0.05, 1.0)) * lam_max
         sys2 = bnd.witness_hermitian(alpha2, beta, lam_min, lam_max)
-        mu = preconditioned_spectrum(reduce_system(sys2, InnerProduct.identity(2, 1)))
+        mu = preconditioned_spectrum(sys2)
         pos = mu[mu > 0.0]
         target2 = bnd.mu3_cubic(alpha2, beta, lam_min, lam_max)
         worst_range = max(worst_range, abs(float(pos.min()) - target2) / target2)
@@ -122,7 +123,7 @@ def suite_pairing(seed: int = 2) -> dict:
         b = random_complex_symmetric(rng, n)
         sys = SaddleSystem(a=a, b=b, c=a)
         p = random_spd(rng, n, complex_entries=False)
-        mu = preconditioned_spectrum(reduce_system(sys, InnerProduct(p=p, r=p)))
+        mu = preconditioned_spectrum(reduce_system(sys, p, p))
         worst_pair = max(worst_pair, pairing_check(mu, tol=1e-8).defect)
 
         if k < 20:
@@ -131,9 +132,7 @@ def suite_pairing(seed: int = 2) -> dict:
             except ValueError:
                 continue  # singular B drawn; pairing statement needs B invertible
             lam_lin = np.sort(np.linalg.eigvals(lin).real)
-            lam_sys = preconditioned_spectrum(
-                reduce_system(sys, InnerProduct.identity(n, n))
-            )
+            lam_sys = preconditioned_spectrum(sys)
             scale = max(np.max(np.abs(lam_sys)), 1.0)
             worst_multiset = max(
                 worst_multiset, float(np.max(np.abs(lam_lin - lam_sys))) / scale

@@ -17,7 +17,7 @@ Run from the repository root with ``PYTHONPATH=src python tests/count_evidence.p
 import numpy as np
 import scipy.linalg
 
-from dense_pair import inner_product
+from dense_pair import inner_product_matrix
 from reference_gmres import gmres_pc_norm
 from saddlebounds.fem import build_mesh, stokes_system
 from saddlebounds.krylov import minres_solve
@@ -57,9 +57,8 @@ def count_table():
 
 def level_zero():
     problem = stokes_system(build_mesh(0), 1.0, 1.0)
-    ip = inner_product(problem)
     lam, vecs = scipy.linalg.eigh(
-        problem.matrix().toarray(), scipy.linalg.block_diag(ip.p, ip.r)
+        problem.matrix().toarray(), inner_product_matrix(*problem.inner_product_blocks())
     )
     weights = np.abs(vecs.conj().T @ problem.rhs) ** 2  # Pc-orthonormal vecs
     weights /= weights.sum()

@@ -24,7 +24,7 @@ from saddlebounds.cli import (
 )
 from saddlebounds.fem import build_mesh, stokes_system
 from saddlebounds.saddle import SaddleSystem
-from dense_pair import inner_product, saddle_system
+from dense_pair import saddle_system
 
 
 def save_system(directory, sys):
@@ -72,6 +72,7 @@ class TestBoundsCommand:
         "files-string": {"files": "x"},
         "files-list": {"files": ["A.mtx"]},
         "files-without-P": {"files": {k: v for k, v in FILES.items() if k != "P"}},
+        "files-extra": {"files": {**FILES, "D": "A.mtx"}},
         "file-name-number": {"files": {**FILES, "A": 3}},
         "n-null": {"n": None},
         "m-string": {"m": "1"},
@@ -90,6 +91,34 @@ class TestBoundsCommand:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot load bundle: ")
+
+    INNER_PRODUCTS = {
+        "P-too-big": (
+            np.eye(3), np.eye(1), "inner-product block P is (3, 3), expected (2, 2)"
+        ),
+        "R-too-big": (
+            np.eye(2), np.eye(2), "inner-product block R is (2, 2), expected (1, 1)"
+        ),
+        "P-indefinite": (
+            np.diag([1.0, -1.0]), np.eye(1),
+            "matrix is not positive definite (nonpositive pivot at index 1)",
+        ),
+        "P-not-hermitian": (
+            np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(1),
+            "matrix is not Hermitian: max |H - H*| = 5.000e-01 exceeds tolerance 1.000e-12",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INNER_PRODUCTS))
+    def test_bad_inner_product_exit_two(self, case, tmp_path, capsys):
+        # Refused by the reduction, under the bundle's one error line.
+        p, r, message = self.INNER_PRODUCTS[case]
+        sys = witness_general(0.5, 1.0, 1.0)
+        mmio.save_bundle(tmp_path / "w", sys.a, sys.b, sys.c, p, r)
+        assert main(["bounds", str(tmp_path / "w")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot load bundle: {message}\n"
 
     def test_bundle_above_dense_limit_refused_before_densifying(self, tmp_path, capsys):
         # Order 6,001 in identity-like coordinate blocks (n = 4,001, m =
@@ -521,20 +550,23 @@ class TestExportCommand:
         out = tmp_path / "b"
         assert main(["export", "--flavor", flavor, "--level", str(level), "--nu", "1e-2",
                      "--omega", str(omega), "--out", str(out)]) == 0
-        loaded_sys, loaded_ip = mmio.load_bundle(out)
+        loaded_sys, loaded_p, loaded_r = mmio.load_bundle(out)
         problem = cli._BUILDERS[flavor](build_mesh(level), 1e-2, omega)
-        sys_, ip = saddle_system(problem), inner_product(problem)
-        pairs = [(loaded_sys.a, sys_.a), (loaded_sys.b, sys_.b), (loaded_sys.c, sys_.c),
-                 (loaded_ip.p, ip.p), (loaded_ip.r, ip.r)]
+        sys_ = saddle_system(problem)
+        pairs = [(loaded_sys.a, sys_.a), (loaded_sys.b, sys_.b), (loaded_sys.c, sys_.c)]
         for got, want in pairs:
             assert got.dtype == want.dtype and np.array_equal(got, want)
         # The files hold the entries of the model's own sparse blocks.
-        for name, block in {"A": problem.a, "B": problem.b, "C": problem.c}.items():
+        p, r = problem.inner_product_blocks()
+        blocks = {"A": problem.a, "B": problem.b, "C": problem.c, "P": p, "R": r}
+        for name, block in blocks.items():
             assert (scipy.io.mmread(out / f"{name}.mtx") != block).nnz == 0, name
-        # P and R are the diagonal blocks of the preconditioner's matrix,
-        # symmetrized as every inner product is.
+        # P and R load as read, in the dtype of the blocks, and they are
+        # the diagonal blocks of the preconditioner's matrix.
+        for got, want in ((loaded_p, p), (loaded_r, r)):
+            assert got.dtype == want.dtype and (got != want).nnz == 0
         pc = problem.precond_solve.matrix().toarray()
-        assert np.array_equal(scipy.linalg.block_diag(ip.p, ip.r), (pc + pc.T) / 2)
+        assert np.array_equal(scipy.linalg.block_diag(p.toarray(), r.toarray()), pc)
 
     def test_export_makes_no_dense_block(self, tmp_path, capsys):
         # One dense float64 array of the system's order (1,443 at level 4)
@@ -566,7 +598,7 @@ class TestExportCommand:
         assert code == 0
         assert (out / "manifest.json").is_file()
         assert (out / "mesh.txt").is_file()
-        sys, ip = mmio.load_bundle(out)
+        sys, _, _ = mmio.load_bundle(out)
         assert sys.n == sys.m  # reduced system is square-blocked
 
 

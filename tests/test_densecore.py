@@ -19,12 +19,7 @@ from saddlebounds.densecore import (
     triangular_congruence,
 )
 from saddlebounds.krylov import LinearOperator, estimate_intervals, minres_solve
-from saddlebounds.saddle import (
-    InnerProduct,
-    SaddleSystem,
-    block_decompose,
-    reduce_system,
-)
+from saddlebounds.saddle import SaddleSystem, block_decompose, reduce_system
 from saddlebounds.verify import random_hermitian, random_spd
 
 
@@ -286,7 +281,7 @@ class TestNullspace:
 
     def test_coordinate_kernel(self):
         sys = SaddleSystem(a=np.eye(2), b=np.array([[0.0, 2.0]]))
-        v = block_decompose(reduce_system(sys, InnerProduct.identity(2, 1))).v0
+        v = block_decompose(sys).v0
         assert v.shape == (2, 1)
         assert abs(abs(v[0, 0]) - 1.0) < 1e-14 and abs(v[1, 0]) < 1e-14
 
@@ -294,10 +289,10 @@ class TestNullspace:
         b = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
         p = random_spd(rng, 7)
         sys = SaddleSystem(a=np.eye(7), b=b)
-        red = reduce_system(sys, InnerProduct(p=p, r=np.eye(3)))
+        red = reduce_system(sys, p, np.eye(3))
         v = block_decompose(red).v0
         assert v.shape == (7, 4)
-        assert np.max(np.abs(red.g @ v)) <= 1e-10 * np.linalg.norm(red.g, 2)
+        assert np.max(np.abs(red.b @ v)) <= 1e-10 * np.linalg.norm(red.b, 2)
         assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-10
 
 

@@ -37,6 +37,27 @@ def test_all_names_resolve(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
+def test_public_names_are_read_by_the_program():
+    """Every name in an ``__all__`` of the package is read by a module of
+    the package or by a demo: public API that only the tests use belongs
+    in the tests.  Importing a name or listing it in ``__all__`` is not
+    reading it."""
+    read = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [
+        f"{name}.{key}"
+        for name in MODULES
+        for key in getattr(importlib.import_module(name), "__all__", ())
+        if key not in read
+    ]
+    assert not unread, f"public names read only outside the program: {unread}"
+
+
 def test_cli_import_leaves_out_scipy_optimize():
     """Every command pays its imports; scipy.optimize alone costs about
     0.25 s, and no module of the package needs it."""

@@ -37,9 +37,10 @@ from saddlebounds.saddle import (
     BrezziConstants,
     brezzi_constants,
     preconditioned_spectrum,
+    reduce_system,
 )
 from saddlebounds.spectrum import detect_structure, pairing_check
-from dense_pair import inner_product, reduce_problem, saddle_system
+from dense_pair import reduce_problem, saddle_system
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -241,8 +242,8 @@ class TestParabolicProblems:
         problem = parabolic_kkt(build_mesh(1), nu=1e-2, omega=3.0)
         full = saddle_system(problem).assemble()
         assert np.max(np.abs(full - full.conj().T)) < 1e-12
-        ip = inner_product(problem)  # construction Cholesky-checks both blocks
-        assert ip.n == problem.n and ip.m == problem.m
+        red = reduce_problem(problem)  # the reduction Cholesky-checks P and R
+        assert (red.n, red.m) == (problem.n, problem.m)
 
     def test_kkt_omega_zero_real_coupling(self):
         problem = parabolic_kkt(build_mesh(1), nu=1.0, omega=0.0)
@@ -347,13 +348,17 @@ class TestStokesProblem:
         assert not np.any(problem.rhs[half:])
 
     def test_dense_guard(self):
-        # Order 9,028 at level 4: both dense classes refuse the sparse blocks.
+        # Order 9,028 at level 4: the dense system refuses the sparse blocks,
+        # and a system that passed the guard refuses P and R of another
+        # order by their shape, before densifying them.
         problem = stokes_system(build_mesh(4), nu=1.0, omega=1.0)
         refused = rf"dense conversion refused at dimension {problem.dim} \(> 6000\)"
         with pytest.raises(ValueError, match=refused):
             saddle_system(problem)
-        with pytest.raises(ValueError, match=refused):
-            inner_product(problem)
+        small = saddle_system(stokes_system(build_mesh(1), nu=1.0, omega=1.0))
+        shape = rf"block P is \({problem.n}, {problem.n}\), expected \({small.n}, {small.n}\)"
+        with pytest.raises(ValueError, match=shape):
+            reduce_system(small, *problem.inner_product_blocks())
 
     def test_build_without_affinity_mask(self, monkeypatch):
         # Platforms without os.sched_getaffinity count CPUs with os.cpu_count.
@@ -531,9 +536,9 @@ class TestBlockPreconditioner:
         # nu != 1 exercises the nu and 1/nu scales of the KKT blocks.
         problem = BUILDERS[flavor](build_mesh(1), nu=0.5, omega=2.0)
         p, r = reference_inner_product(flavor, 1, 0.5, 2.0)
-        ip = inner_product(problem)
-        assert np.max(np.abs(ip.p - p)) <= 1e-12 * np.max(np.abs(p))
-        assert np.max(np.abs(ip.r - r)) <= 1e-12 * np.max(np.abs(r))
+        got_p, got_r = (x.toarray() for x in problem.inner_product_blocks())
+        assert np.max(np.abs(got_p - p)) <= 1e-12 * np.max(np.abs(p))
+        assert np.max(np.abs(got_r - r)) <= 1e-12 * np.max(np.abs(r))
         full = scipy.linalg.block_diag(p, r)
         x = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
         assert np.linalg.norm(full @ problem.precond_solve(x) - x) < 1e-8 * np.linalg.norm(x)

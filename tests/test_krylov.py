@@ -22,7 +22,7 @@ from saddlebounds.krylov import (
     stagnation_profile,
 )
 from saddlebounds.verify import random_hermitian, random_spd
-from dense_pair import inner_product, inner_product_matrix, saddle_system
+from dense_pair import inner_product_matrix, saddle_system
 from reference_gmres import gmres_pc_norm
 
 
@@ -304,7 +304,8 @@ class TestRitzIntervals:
         problem = stokes_system(build_mesh(1), nu=1.0, omega=1.0)
         est = estimate_intervals(problem.operator(), problem.preconditioner())
         spec = generalized_hermitian_eig(
-            saddle_system(problem).assemble(), inner_product_matrix(inner_product(problem))
+            saddle_system(problem).assemble(),
+            inner_product_matrix(*problem.inner_product_blocks()),
         )
         pos = spec[spec > 0]
         assert est.pos_lo == pytest.approx(pos.min(), abs=2e-4)
@@ -404,7 +405,8 @@ class TestIntervalCertificate:
         problem = build(build_mesh(level), nu, omega)
         est, r_hi, r_lo = certified_stop(problem.operator(), problem.preconditioner())
         lam = generalized_hermitian_eig(
-            saddle_system(problem).assemble(), inner_product_matrix(inner_product(problem))
+            saddle_system(problem).assemble(),
+            inner_product_matrix(*problem.inner_product_blocks()),
         )
         lam_max, lam_min_pos = lam.max(), lam[lam > 0.0].min()
         slack = 1e-10

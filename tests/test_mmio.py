@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.io
@@ -6,7 +8,7 @@ import scipy.sparse
 from saddlebounds import mmio
 from saddlebounds.bounds import witness_general
 from saddlebounds.fem import build_mesh, parabolic_kkt, stokes_system
-from saddlebounds.saddle import InnerProduct, SaddleSystem, reduce_system
+from saddlebounds.saddle import SaddleSystem, reduce_system
 from saddlebounds.verify import random_coercive_system
 
 
@@ -56,40 +58,41 @@ class TestMatrixRoundTrip:
 class TestBundle:
     def test_round_trip(self, tmp_path):
         sys = witness_general(0.5, 1.0, 1.0)
-        ip = InnerProduct.identity(2, 1)
-        mmio.save_bundle(tmp_path / "bundle", sys.a, sys.b, sys.c, ip.p, ip.r)
-        sys2, ip2 = mmio.load_bundle(tmp_path / "bundle")
+        mmio.save_bundle(tmp_path / "bundle", sys.a, sys.b, sys.c, np.eye(2), np.eye(1))
+        sys2, p2, r2 = mmio.load_bundle(tmp_path / "bundle")
         assert np.array_equal(sys2.a, sys.a)
         assert np.array_equal(sys2.b, sys.b)
         assert np.array_equal(sys2.c, sys.c)
-        assert np.array_equal(ip2.p, ip.p)
-        assert np.array_equal(ip2.r, ip.r)
+        # P and R come back as read: coordinate blocks stay sparse.
+        assert scipy.sparse.issparse(p2) and scipy.sparse.issparse(r2)
+        assert np.array_equal(p2.toarray(), np.eye(2))
+        assert np.array_equal(r2.toarray(), np.eye(1))
 
     def test_blocks_written_as_coordinates(self, rng, tmp_path):
-        sys, ip = random_coercive_system(rng, 5, 2)
-        mmio.save_bundle(tmp_path / "b", sys.a, sys.b, sys.c, ip.p, ip.r)
+        sys, p, r = random_coercive_system(rng, 5, 2)
+        mmio.save_bundle(tmp_path / "b", sys.a, sys.b, sys.c, p, r)
         for name in ("A", "B", "C", "P", "R"):
             header = (tmp_path / "b" / f"{name}.mtx").read_text().splitlines()[0]
             assert "coordinate" in header, name
         # the vanishing (2,2) block stores no entries
         size_line = (tmp_path / "b" / "C.mtx").read_text().splitlines()[-1]
         assert size_line.split() == ["2", "2", "0"]
-        sys2, ip2 = mmio.load_bundle(tmp_path / "b")
-        for got, want in zip((sys2.a, sys2.b, sys2.c, ip2.p, ip2.r),
-                             (sys.a, sys.b, sys.c, ip.p, ip.r)):
+        sys2, p2, r2 = mmio.load_bundle(tmp_path / "b")
+        for got, want in zip((sys2.a, sys2.b, sys2.c, p2.toarray(), r2.toarray()),
+                             (sys.a, sys.b, sys.c, p, r)):
             assert np.array_equal(got, want)
 
     def test_array_format_bundle_still_loads(self, rng, tmp_path):
         # bundles written before the coordinate variant hold dense arrays
-        sys, ip = random_coercive_system(rng, 5, 2)
-        mmio.save_bundle(tmp_path / "b", sys.a, sys.b, sys.c, ip.p, ip.r)
-        blocks = {"A": sys.a, "B": sys.b, "C": sys.c, "P": ip.p, "R": ip.r}
+        sys, p, r = random_coercive_system(rng, 5, 2)
+        mmio.save_bundle(tmp_path / "b", sys.a, sys.b, sys.c, p, r)
+        blocks = {"A": sys.a, "B": sys.b, "C": sys.c, "P": p, "R": r}
         for name, block in blocks.items():
             path = tmp_path / "b" / f"{name}.mtx"
             mmio.save_matrix(path, block)
             assert "array" in path.read_text().splitlines()[0]
-        sys2, ip2 = mmio.load_bundle(tmp_path / "b")
-        for got, want in zip((sys2.a, sys2.b, sys2.c, ip2.p, ip2.r), blocks.values()):
+        sys2, p2, r2 = mmio.load_bundle(tmp_path / "b")
+        for got, want in zip((sys2.a, sys2.b, sys2.c, p2, r2), blocks.values()):
             assert np.array_equal(got, want)
 
     def test_manifest_contents(self, tmp_path):
@@ -101,6 +104,17 @@ class TestBundle:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             mmio.load_bundle(tmp_path)
+
+    def test_unknown_block_refused_before_reading(self, tmp_path):
+        sys = SaddleSystem(a=np.eye(3), b=np.ones((1, 3)))
+        mmio.save_bundle(tmp_path / "b", sys.a, sys.b, sys.c, np.eye(3), np.eye(1))
+        manifest_path = tmp_path / "b" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        # The extra file does not exist: reading it would raise OSError.
+        manifest["files"]["D"] = "D.mtx"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="of no other block"):
+            mmio.load_bundle(tmp_path / "b")
 
     def test_dimension_mismatch_detected(self, tmp_path):
         sys = SaddleSystem(a=np.eye(3), b=np.ones((1, 3)))
@@ -126,9 +140,9 @@ class TestBundle:
         for name in "ABCPR":
             header = (tmp_path / "b" / f"{name}.mtx").read_text().splitlines()[0]
             assert header.split()[3] == ("complex" if name == complex_block else "real")
-        sys, ip = mmio.load_bundle(tmp_path / "b")
-        red = reduce_system(sys, ip)
-        blocks = {"at": red.at, "g": red.g, "lp": ip.lp, "lr": ip.lr}
+        sys, p, r = mmio.load_bundle(tmp_path / "b")
+        red = reduce_system(sys, p, r)
+        blocks = {"at": red.a, "g": red.b, "p": p, "r": r}
         for name, block in blocks.items():
             want = np.complex128 if name == complex_reduced else np.float64
             assert block.dtype == want, name

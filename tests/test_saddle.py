@@ -1,7 +1,4 @@
-import gc
 import math
-import weakref
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,10 +14,9 @@ from saddlebounds.bounds import (
     inclusion_set,
     witness_general,
 )
+from saddlebounds.densecore import cholesky
 from saddlebounds.fem import build_mesh, parabolic_kkt
 from saddlebounds.saddle import (
-    InnerProduct,
-    ReducedSystem,
     SaddleSystem,
     babuska_constants,
     block_decompose,
@@ -29,7 +25,7 @@ from saddlebounds.saddle import (
     reduce_system,
 )
 from saddlebounds.verify import random_coercive_system, random_hermitian
-from dense_pair import inner_product, inner_product_matrix, saddle_system
+from dense_pair import inner_product_matrix, saddle_system
 
 
 def assemble_decomposition(dec):
@@ -89,31 +85,34 @@ def p_unitary(rng, p):
 class TestSystemModel:
     def test_compare_by_identity(self):
         # Array fields have no single truth value; == must not raise.
-        ip = InnerProduct.identity(2, 1)
-        assert ip == ip and ip != InnerProduct.identity(2, 1)
         sys = SaddleSystem(a=np.eye(2), b=np.ones((1, 2)))
         assert sys == sys and sys != SaddleSystem(a=np.eye(2), b=np.ones((1, 2)))
 
     def test_blocks_keep_their_field(self):
         # Exactly-real complex input narrows to float64, and the zero C
-        # takes the dtype of its blocks; so do the inner product's factors.
+        # takes the dtype of its blocks; so do P and R, so the reduced
+        # blocks of a real system stay real.
         sys = SaddleSystem(a=np.eye(2, dtype=complex), b=np.ones((1, 2), dtype=complex))
         assert sys.a.dtype == sys.b.dtype == sys.c.dtype == np.float64
         mixed = SaddleSystem(a=np.eye(2), b=np.array([[1.0, 1j]]))
         assert mixed.a.dtype == np.float64 and mixed.c.dtype == np.complex128
-        ip = InnerProduct(p=np.eye(2, dtype=complex), r=np.eye(1))
-        assert ip.p.dtype == ip.lp.dtype == ip.lr.dtype == np.float64
+        red = reduce_system(sys, np.diag([2.0, 3.0 + 0j]), np.array([[4.0 + 0j]]))
+        assert red.a.dtype == red.b.dtype == red.c.dtype == np.float64
 
     def test_assemble_hermitian(self, rng):
-        sys, _ = random_coercive_system(rng, 5, 2)
+        sys, _, _ = random_coercive_system(rng, 5, 2)
         full = sys.assemble()
         assert np.max(np.abs(full - full.conj().T)) < 1e-12
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
             SaddleSystem(a=np.eye(3), b=np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            InnerProduct(p=np.eye(2), r=np.diag([1.0, -1.0]))
+        sys = SaddleSystem(a=np.eye(2), b=np.eye(2))
+        with pytest.raises(ValueError, match="not positive definite"):
+            reduce_system(sys, np.eye(2), np.diag([1.0, -1.0]))
+        for p, r, name in ((np.eye(3), np.eye(2), "P"), (np.eye(2), np.eye(1), "R")):
+            with pytest.raises(ValueError, match=f"inner-product block {name} is"):
+                reduce_system(sys, p, r)
 
 
 class RealOnly(np.ndarray):
@@ -129,16 +128,17 @@ class RealOnly(np.ndarray):
 
 class TestBlockDecompose:
     def test_real_factors_stay_real(self):
-        # Level-2 KKT: At, Lp and Lr are real and only G is complex.
+        # Level-2 KKT: At and Ct are real and only G is complex.  The
+        # reduced blocks are set as they are, without the constructor's
+        # narrowing of the promoted copy.
         problem = parabolic_kkt(build_mesh(2), 1.0, 100.0)
-        ip = inner_product(problem)
-        red = reduce_system(saddle_system(problem), ip)
-        assert not any(np.iscomplexobj(x) for x in (red.at, ip.lp, ip.lr))
-        assert np.iscomplexobj(red.g)
+        red = reduce_system(saddle_system(problem), *problem.inner_product_blocks())
+        assert not any(np.iscomplexobj(x) for x in (red.a, red.c))
+        assert np.iscomplexobj(red.b)
         promoted = block_decompose(
-            ReducedSystem(at=red.at.astype(complex), g=red.g, ct=red.ct)
+            SaddleSystem._of_checked(red.a.astype(complex), red.b, red.c)
         )
-        guarded = ReducedSystem(at=red.at.view(RealOnly), g=red.g, ct=red.ct)
+        guarded = SaddleSystem._of_checked(red.a.view(RealOnly), red.b, red.c)
         dec = block_decompose(guarded)
         for name in ("v0", "v1", "a00", "a01", "a10", "a11", "b1"):
             got, want = getattr(dec, name), getattr(promoted, name)
@@ -149,7 +149,7 @@ class TestBlockDecompose:
 
     def test_coordinate_split(self):
         sys = SaddleSystem(a=np.eye(2), b=np.array([[0.0, 1.0]]))
-        dec = block_decompose(reduce_system(sys, InnerProduct.identity(2, 1)))
+        dec = block_decompose(sys)
         assert np.allclose(np.abs(dec.v0[:, 0]), [1.0, 0.0], atol=1e-14)
         assert np.allclose(dec.a00, [[1.0]])
         assert np.allclose(dec.a01, [[0.0]])
@@ -157,86 +157,71 @@ class TestBlockDecompose:
         assert np.allclose(dec.b1, [[1.0]])
 
     def test_witness_blocks(self):
-        dec = block_decompose(
-            reduce_system(witness_general(0.5, 1.0, 1.0), InnerProduct.identity(2, 1))
-        )
+        dec = block_decompose(witness_general(0.5, 1.0, 1.0))
         assert np.allclose(dec.a00, [[0.5]])
         assert np.allclose(np.abs(dec.b1), [[1.0]])
 
     def test_reconstruction_oracle(self, rng):
         # The 3x3 view is diag(V, I)* [[At, G*], [G, 0]] diag(V, I).
-        sys, ip = random_coercive_system(rng, 6, 2)
-        red = reduce_system(sys, ip)
+        red = reduce_system(*random_coercive_system(rng, 6, 2))
         dec = block_decompose(red)
         v = np.hstack([dec.v0, dec.v1])
         big = scipy.linalg.block_diag(v, np.eye(red.m))
-        reduced = np.block([[red.at, red.g.conj().T], [red.g, np.zeros((red.m, red.m))]])
+        reduced = red.assemble()
         rebuilt = big.conj().T @ reduced @ big
         assert np.max(np.abs(rebuilt - assemble_decomposition(dec))) <= 1e-10 * np.max(
             np.abs(reduced)
         )
 
     def test_basis_contracts(self, rng):
-        sys, ip = random_coercive_system(rng, 7, 3)
-        red = reduce_system(sys, ip)
+        red = reduce_system(*random_coercive_system(rng, 7, 3))
         dec = block_decompose(red)
         v = np.hstack([dec.v0, dec.v1])
         assert np.max(np.abs(v.conj().T @ v - np.eye(7))) < 1e-10
-        assert np.max(np.abs(red.g @ dec.v0)) < 1e-10 * np.linalg.norm(red.g, 2)
+        assert np.max(np.abs(red.b @ dec.v0)) < 1e-10 * np.linalg.norm(red.b, 2)
         assert np.max(np.abs(dec.a01 - dec.a10.conj().T)) < 1e-10
         # B1 = G V1 is Hermitian, with the singular values of G as eigenvalues.
-        g_v1 = red.g @ dec.v1
+        g_v1 = red.b @ dec.v1
         assert np.max(np.abs(dec.b1 - g_v1)) <= 1e-10 * np.max(np.abs(g_v1))
         assert np.max(np.abs(dec.b1 - dec.b1.conj().T)) < 1e-10
-        sigma = np.linalg.svd(red.g, compute_uv=False)
+        sigma = np.linalg.svd(red.b, compute_uv=False)
         assert np.max(np.abs(np.linalg.eigvalsh(dec.b1) - sigma[::-1])) <= 1e-10 * sigma[0]
 
     def test_original_geometry(self, rng):
         # Lp^{-*} maps the kernel basis to a P-orthonormal basis of ker(B).
-        sys, ip = random_coercive_system(rng, 7, 3)
-        dec = block_decompose(reduce_system(sys, ip))
-        z0 = scipy.linalg.solve_triangular(ip.lp, dec.v0, lower=True, trans="C")
+        sys, p, r = random_coercive_system(rng, 7, 3)
+        dec = block_decompose(reduce_system(sys, p, r))
+        z0 = scipy.linalg.solve_triangular(cholesky(p), dec.v0, lower=True, trans="C")
         assert np.max(np.abs(sys.b @ z0)) < 1e-10 * np.linalg.norm(sys.b, 2)
-        assert np.max(np.abs(z0.conj().T @ ip.p @ z0 - np.eye(4))) < 1e-10
-
-    def test_reduced_system_drops_the_factors(self, rng):
-        sys, ip = random_coercive_system(rng, 5, 2)
-        factors = weakref.ref(ip.lp), weakref.ref(ip.lr)
-        red = reduce_system(sys, ip)
-        del ip
-        gc.collect()
-        assert [ref() for ref in factors] == [None, None]
-        assert [f.name for f in fields(red)] == ["at", "g", "ct"]
+        assert np.max(np.abs(z0.conj().T @ p @ z0 - np.eye(4))) < 1e-10
 
     def test_rank_deficient_rejected(self, rng):
         b = np.vstack([np.ones((1, 4)), np.ones((1, 4))])
         sys = SaddleSystem(a=np.eye(4), b=b)
         with pytest.raises(ValueError, match="rank deficient"):
-            block_decompose(reduce_system(sys, InnerProduct.identity(4, 2)))
+            block_decompose(sys)
 
     def test_planted_rank_rejected(self, rng):
         for rank in (1, 2, 3):
             left = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
             right = rng.standard_normal((rank, 6)) + 1j * rng.standard_normal((rank, 6))
             sys = SaddleSystem(a=np.eye(6), b=left @ right)
-            red = reduce_system(sys, InnerProduct.identity(6, 4))
             with pytest.raises(ValueError, match=f"rank deficient: rank {rank} < m = 4"):
-                block_decompose(red)
+                block_decompose(sys)
             with pytest.raises(ValueError, match=f"rank deficient: rank {rank} < m = 4"):
-                brezzi_constants(red)
+                brezzi_constants(sys)
 
     def test_square_coupling_has_empty_kernel(self):
         sys = SaddleSystem(a=np.eye(3), b=np.eye(3))
-        red = reduce_system(sys, InnerProduct.identity(3, 3))
-        dec = block_decompose(red)
+        dec = block_decompose(sys)
         assert dec.v0.shape == (3, 0)
         assert np.allclose(dec.v1.conj().T @ dec.v1, np.eye(3))
         with pytest.raises(ValueError, match="trivial"):
-            brezzi_constants(red)
+            brezzi_constants(sys)
 
     def test_hand_kernel(self):
         sys = SaddleSystem(a=np.eye(2), b=np.array([[1.0, 1.0]]))
-        dec = block_decompose(reduce_system(sys, InnerProduct.identity(2, 1)))
+        dec = block_decompose(sys)
         v = dec.v0[:, 0]
         assert abs(v[0] + v[1]) < 1e-14
         assert np.linalg.norm(v) == pytest.approx(1.0)
@@ -244,34 +229,31 @@ class TestBlockDecompose:
     def test_nonzero_c_rejected(self, rng):
         sys = SaddleSystem(a=np.eye(2), b=np.array([[0.0, 1.0]]), c=np.eye(1))
         with pytest.raises(ValueError, match="zero"):
-            block_decompose(reduce_system(sys, InnerProduct.identity(2, 1)))
+            block_decompose(sys)
 
 
 class TestThreeByThreeInverse:
     def test_coordinate_case(self):
         sys = SaddleSystem(a=np.eye(2), b=np.array([[0.0, 1.0]]))
-        dec = block_decompose(reduce_system(sys, InnerProduct.identity(2, 1)))
+        dec = block_decompose(sys)
         inv = three_by_three_inverse(dec)
         assert np.allclose(inv @ assemble_decomposition(dec), np.eye(3), atol=1e-12)
 
     def test_witness_corner_entry(self):
         # lower-right entry is a_norm^2 / (alpha beta^2) = 2 for (0.5, 1, 1)
-        dec = block_decompose(
-            reduce_system(witness_general(0.5, 1.0, 1.0), InnerProduct.identity(2, 1))
-        )
+        dec = block_decompose(witness_general(0.5, 1.0, 1.0))
         inv = three_by_three_inverse(dec)
         assert inv[-1, -1].real == pytest.approx(2.0, rel=1e-12)
 
     def test_dense_inverse_oracle(self, rng):
-        sys, ip = random_coercive_system(rng, 8, 3)
-        dec = block_decompose(reduce_system(sys, ip))
+        dec = block_decompose(reduce_system(*random_coercive_system(rng, 8, 3)))
         inv = three_by_three_inverse(dec)
         oracle = np.linalg.inv(assemble_decomposition(dec))
         assert np.max(np.abs(inv - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
     def test_identity_product(self, rng):
-        sys, ip = random_coercive_system(rng, 6, 2)
-        dec = block_decompose(reduce_system(sys, ip))
+        sys, p, r = random_coercive_system(rng, 6, 2)
+        dec = block_decompose(reduce_system(sys, p, r))
         inv = three_by_three_inverse(dec)
         assert np.max(np.abs(inv @ assemble_decomposition(dec) - np.eye(sys.n + sys.m))) < 1e-10
 
@@ -279,7 +261,7 @@ class TestThreeByThreeInverse:
 class TestBrezziConstants:
     def test_identity_system(self):
         sys = SaddleSystem(a=np.eye(2), b=np.array([[0.0, 1.0]]))
-        bc = brezzi_constants(reduce_system(sys, InnerProduct.identity(2, 1)))
+        bc = brezzi_constants(sys)
         assert bc.alpha == pytest.approx(1.0)
         assert bc.beta == pytest.approx(1.0)
         assert bc.a_norm == pytest.approx(1.0)
@@ -288,9 +270,7 @@ class TestBrezziConstants:
         assert bc.lambda_max_a == pytest.approx(1.0)
 
     def test_witness_constants(self):
-        bc = brezzi_constants(
-            reduce_system(witness_general(0.5, 1.0, 1.0), InnerProduct.identity(2, 1))
-        )
+        bc = brezzi_constants(witness_general(0.5, 1.0, 1.0))
         assert bc.alpha == pytest.approx(0.5, abs=1e-12)
         assert bc.beta == pytest.approx(1.0, abs=1e-12)
         assert bc.a_norm == pytest.approx(1.0, abs=1e-12)
@@ -298,22 +278,21 @@ class TestBrezziConstants:
         assert bc.lambda_max_a == pytest.approx(1.0, abs=1e-12)
 
     def test_type_invariants(self, rng):
-        sys, ip = random_coercive_system(rng, 6, 2)
-        bc = brezzi_constants(reduce_system(sys, ip))
+        bc = brezzi_constants(reduce_system(*random_coercive_system(rng, 6, 2)))
         assert bc.lambda_max_a >= bc.alpha > 0.0
         assert bc.kernel_coercive
         assert bc.a_norm == pytest.approx(max(abs(bc.lambda_min_a), bc.lambda_max_a))
         assert bc.beta <= bc.b_norm + 1e-12
 
     def test_unitary_congruence_invariance(self, rng):
-        sys, ip = random_coercive_system(rng, 6, 3)
-        bc = brezzi_constants(reduce_system(sys, ip))
-        u = p_unitary(rng, ip.p)
-        w = p_unitary(rng, ip.r)
+        sys, p, r = random_coercive_system(rng, 6, 3)
+        bc = brezzi_constants(reduce_system(sys, p, r))
+        u = p_unitary(rng, p)
+        w = p_unitary(rng, r)
         sys2 = SaddleSystem(
             a=u.conj().T @ sys.a @ u, b=w.conj().T @ sys.b @ u
         )
-        bc2 = brezzi_constants(reduce_system(sys2, ip))
+        bc2 = brezzi_constants(reduce_system(sys2, p, r))
         for key in ("alpha", "beta", "a_norm", "b_norm", "lambda_min_a", "lambda_max_a"):
             assert getattr(bc, key) == pytest.approx(getattr(bc2, key), abs=1e-10, rel=1e-10)
 
@@ -322,24 +301,24 @@ class TestBrezziConstants:
             a=np.diag([0.0, 1.0]), b=np.array([[0.0, 1.0]])
         )
         with pytest.raises(ValueError, match="elliptic"):
-            brezzi_constants(reduce_system(sys, InnerProduct.identity(2, 1)))
+            brezzi_constants(sys)
 
     def test_trivial_kernel_rejected(self):
         sys = SaddleSystem(a=np.eye(2), b=np.eye(2))
         with pytest.raises(ValueError, match="trivial"):
-            brezzi_constants(reduce_system(sys, InnerProduct.identity(2, 2)))
+            brezzi_constants(sys)
 
 
 class TestBabuskaConstants:
     def test_identity(self):
         sys = SaddleSystem(a=np.eye(2), b=np.zeros((1, 2)), c=-np.eye(1))
-        bab = babuska_constants(reduce_system(sys, InnerProduct.identity(2, 1)))
+        bab = babuska_constants(sys)
         assert bab.gamma == pytest.approx(1.0)
         assert bab.b_norm == pytest.approx(1.0)
 
     def test_witness_gamma_is_cubic_root(self):
         sys = witness_general(0.5, 1.0, 1.0)
-        bab = babuska_constants(reduce_system(sys, InnerProduct.identity(2, 1)))
+        bab = babuska_constants(sys)
         # cross-check against an independent bisection on the cubic
         f = lambda m: m**3 - 2.0 * m + 0.5
         lo, hi = 0.0, 0.5
@@ -355,15 +334,14 @@ class TestBabuskaConstants:
     def test_singular_detected(self):
         sys = SaddleSystem(a=np.diag([1.0, 0.0]), b=np.zeros((1, 2)), c=np.zeros((1, 1)))
         with pytest.raises(ValueError, match="singular"):
-            babuska_constants(reduce_system(sys, InnerProduct.identity(2, 1)))
+            babuska_constants(sys)
 
     def test_gamma_lower_bound_property(self, rng):
         # the cubic bound from the extracted constants never exceeds gamma
         for _ in range(25):
             n = int(rng.integers(3, 9))
             m = int(rng.integers(1, min(n, 5)))
-            sys, ip = random_coercive_system(rng, n, m)
-            red = reduce_system(sys, ip)
+            red = reduce_system(*random_coercive_system(rng, n, m))
             bc = brezzi_constants(red)
             bab = babuska_constants(red)
             assert bab.gamma >= gamma_opt_general(bc.alpha, bc.beta, bc.a_norm) - 1e-10
@@ -372,35 +350,35 @@ class TestBabuskaConstants:
         for _ in range(25):
             n = int(rng.integers(3, 9))
             m = int(rng.integers(1, min(n, 5)))
-            sys, ip = random_coercive_system(rng, n, m)
-            red = reduce_system(sys, ip)
+            red = reduce_system(*random_coercive_system(rng, n, m))
             bc = brezzi_constants(red)
             bab = babuska_constants(red)
             assert bab.b_norm <= b_norm_upper(bc.a_norm, bc.b_norm) + 1e-10
 
 
-def assert_matches_pencils(sys, ip, red):
+def assert_matches_pencils(sys, p, r, red):
     """Every dense constant of ``red`` against scipy's pencil eigenvalues of
-    the unreduced blocks, to 1e-10 relative; returns the constants."""
+    the unreduced blocks and ``diag(P, R)``, to 1e-10 relative; returns the
+    constants."""
 
     def close(got, want, scale):
         assert abs(got - want) <= 1e-10 * scale
 
     mu = preconditioned_spectrum(red)
-    ref = scipy.linalg.eigh(sys.assemble(), inner_product_matrix(ip), eigvals_only=True)
+    ref = scipy.linalg.eigh(sys.assemble(), inner_product_matrix(p, r), eigvals_only=True)
     assert np.max(np.abs(mu - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     bc = brezzi_constants(red)
-    lam = scipy.linalg.eigh(sys.a, ip.p, eigvals_only=True)
+    lam = scipy.linalg.eigh(sys.a, p, eigvals_only=True)
     close(bc.lambda_min_a, lam[0], np.max(np.abs(lam)))
     close(bc.lambda_max_a, lam[-1], np.max(np.abs(lam)))
-    schur = sys.b @ scipy.linalg.solve(ip.p, sys.b.conj().T)
-    coupling = scipy.linalg.eigh(schur, ip.r, eigvals_only=True)
+    schur = sys.b @ scipy.linalg.solve(p, sys.b.conj().T)
+    coupling = scipy.linalg.eigh(schur, r, eigvals_only=True)
     close(bc.beta**2, coupling[0], coupling[0])
     close(bc.b_norm**2, coupling[-1], coupling[-1])
     z = scipy.linalg.null_space(sys.b)
     kernel = scipy.linalg.eigh(
-        z.conj().T @ sys.a @ z, z.conj().T @ ip.p @ z, eigvals_only=True
+        z.conj().T @ sys.a @ z, z.conj().T @ p @ z, eigvals_only=True
     )
     alpha = np.min(np.abs(kernel))
     close(bc.alpha, alpha, alpha)
@@ -418,16 +396,18 @@ class TestDensePathProperty:
     def test_spectrum_and_gamma_ordering(self, n, kernel_share, seed):
         m = min(n - 1, max(1, int(round((1.0 - kernel_share) * n))))
         rng = np.random.default_rng(seed)
-        sys, ip = random_coercive_system(rng, n, m)
+        sys, p, r = random_coercive_system(rng, n, m)
         # One reduction feeds all four analyses.
-        red = reduce_system(sys, ip)
-        mu, bc = assert_matches_pencils(sys, ip, red)
+        red = reduce_system(sys, p, r)
+        mu, bc = assert_matches_pencils(sys, p, r, red)
         assert inclusion_set(bc).contains(mu, slack=1e-8)
 
         # A nonzero Hermitian (2,2) block goes through the reduced C block.
         sys_c = SaddleSystem(a=sys.a, b=sys.b, c=random_hermitian(rng, m))
-        mu_c = preconditioned_spectrum(reduce_system(sys_c, ip))
-        ref_c = scipy.linalg.eigh(sys_c.assemble(), inner_product_matrix(ip), eigvals_only=True)
+        mu_c = preconditioned_spectrum(reduce_system(sys_c, p, r))
+        ref_c = scipy.linalg.eigh(
+            sys_c.assemble(), inner_product_matrix(p, r), eigvals_only=True
+        )
         assert np.max(np.abs(mu_c - ref_c)) <= 1e-10 * np.max(np.abs(ref_c))
 
         gamma = babuska_constants(red).gamma
@@ -442,12 +422,12 @@ class TestDensePathProperty:
 
         # The shared reduction (and its cached SVD) gives what a fresh one does.
         dec = block_decompose(red)
-        fresh = reduce_system(sys, ip)
+        fresh = reduce_system(sys, p, r)
         dec_fresh = block_decompose(fresh)
         for name in ("v0", "v1", "b1"):
             assert np.array_equal(getattr(dec, name), getattr(dec_fresh, name))
         assert bc == brezzi_constants(fresh)
-        g_v1 = red.g @ dec.v1
+        g_v1 = red.b @ dec.v1
         assert np.max(np.abs(dec.b1 - g_v1)) <= 1e-10 * np.max(np.abs(g_v1))
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -462,21 +442,21 @@ class TestDensePathProperty:
         # reverse: the real blocks stay real and every constant still matches.
         m = min(n - 1, max(1, int(round((1.0 - kernel_share) * n))))
         rng = np.random.default_rng(seed)
-        sys, ip = random_coercive_system(rng, n, m)
+        sys, p, r = random_coercive_system(rng, n, m)
         if real_coupling:
             sys = SaddleSystem(a=sys.a, b=sys.b.real)
         else:
             sys = SaddleSystem(a=sys.a.real, b=sys.b)
-            ip = InnerProduct(p=ip.p.real, r=ip.r.real)
-        red = reduce_system(sys, ip)
-        real_blocks = (red.at.dtype, ip.lp.dtype, ip.lr.dtype)
+            p, r = p.real, r.real
+        red = reduce_system(sys, p, r)
         if real_coupling:
             assert sys.b.dtype == np.float64
-            assert real_blocks == (np.complex128,) * 3
+            assert red.a.dtype == np.complex128
         else:
-            assert real_blocks == (np.float64,) * 3
-        assert red.g.dtype == np.complex128
-        assert_matches_pencils(sys, ip, red)
+            # At = Lp^{-1} A Lp^{-*} is real only if the factor of P is.
+            assert red.a.dtype == np.float64
+        assert red.b.dtype == np.complex128
+        assert_matches_pencils(sys, p, r, red)
 
 
 @pytest.mark.usefixtures("lapack_fallback")
@@ -513,8 +493,7 @@ class TestLemma21Inequalities:
         for _ in range(30):
             n = int(rng.integers(3, 9))
             m = int(rng.integers(1, min(n, 5)))
-            sys, ip = random_coercive_system(rng, n, m)
-            red = reduce_system(sys, ip)
+            red = reduce_system(*random_coercive_system(rng, n, m))
             dec = block_decompose(red)
             bc = brezzi_constants(red)
             a00_inv = np.linalg.inv(dec.a00)

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from saddlebounds.fem import build_mesh, parabolic_reduced, stokes_system
-from saddlebounds.saddle import (
-    InnerProduct,
-    SaddleSystem,
-    preconditioned_spectrum,
-    reduce_system,
-)
+from saddlebounds.saddle import SaddleSystem, preconditioned_spectrum, reduce_system
 from saddlebounds.spectrum import (
     detect_structure,
     linearize_quadratic,
@@ -79,7 +74,7 @@ class TestPairingCheck:
             b = random_complex_symmetric(rng, n)
             sys = SaddleSystem(a=a, b=b, c=a)
             p = random_spd(rng, n, complex_entries=False)
-            mu = preconditioned_spectrum(reduce_system(sys, InnerProduct(p=p, r=p)))
+            mu = preconditioned_spectrum(reduce_system(sys, p, p))
             assert pairing_check(mu, tol=1e-8).passed
 
 
