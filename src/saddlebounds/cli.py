@@ -317,16 +317,14 @@ def cmd_bounds(args) -> int:
     # The reduced system is all the analyses read; the loaded blocks need
     # not stay alive through the eigensolves.
     del bundle
-    lines = []
     try:
         bab = babuska_constants(red)
+        bc = brezzi_constants(red) if red.has_zero_c and red.n > red.m else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    lines.append(f"gamma = {bab.gamma:.12g}")
-    lines.append(f"B_norm = {bab.b_norm:.12g}")
-    if red.has_zero_c and red.n > red.m:
-        bc = brezzi_constants(red)
+    lines = [f"gamma = {bab.gamma:.12g}", f"B_norm = {bab.b_norm:.12g}"]
+    if bc is not None:
         for key, value in bc.as_dict().items():
             lines.append(f"{key} = {value:.12g}")
         gamma_opt = bnd.gamma_opt_general(bc.alpha, bc.beta, bc.a_norm)

@@ -25,9 +25,12 @@ exactly at the discrete level,
     ker(B), and whether that restriction is positive definite,
   - ``lambda_min_a``, ``lambda_max_a``: extreme eigenvalues of ``At``, the
     range of (A, P),
-  - ``beta``/``b_norm``: extreme singular values of ``G``; one SVD of ``G``,
-    cached on the system, also gives the rank test (the discrete inf-sup
-    condition) and ker(G);
+  - ``beta``/``b_norm``: extreme singular values of ``G``.  One
+    Householder QR ``G* = Q [R; 0]``, cached on the system as LAPACK's
+    reflectors, gives them as the singular values of the m x m triangle
+    ``R`` (Chan's R-SVD), together with the rank test (the discrete inf-sup
+    condition); applying the reflectors to ``[0; I]`` gives an orthonormal
+    basis of ker(G) without forming the n x n Q;
 
 * the Babuska constants ``gamma = |mu_min|`` and ``B_norm = |mu_max|`` from
   the eigenvalues of ``[[At, G*], [G, -Ct]]`` (:func:`babuska_constants`),
@@ -45,6 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from .densecore import (
@@ -154,11 +158,24 @@ class SaddleSystem:
         return np.vstack([top, bottom])
 
     @cached_property
-    def _svd(self):
-        return np.linalg.svd(self.b)
+    def _coupling_qr(self):
+        """``(reflectors, tau, sigma)``: the Householder QR ``B* = Q [R; 0]``
+        of ``?geqrf`` in the field of B, which keeps Q as its reflectors, and
+        the singular values of B, read off the m x m triangle ``R``."""
+        m, n = self.b.shape
+        # One Fortran-ordered copy of B*, which ?geqrf overwrites.
+        bh = np.empty((n, m), dtype=self.b.dtype, order="F")
+        np.conjugate(self.b.T, out=bh)
+        (geqrf,) = scipy.linalg.get_lapack_funcs(("geqrf",), (bh,))
+        work = geqrf(bh, lwork=-1, overwrite_a=True)[2]
+        qr, tau, _, info = geqrf(bh, lwork=int(work[0].real), overwrite_a=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"geqrf failed (LAPACK info = {info})")
+        return qr, tau, np.linalg.svd(np.triu(qr[:m]), compute_uv=False)
 
-    def coupling_svd(self, who: str):
-        """The full SVD ``B = U diag(s) Vh``, computed once per instance.
+    def _coupling(self, who: str):
+        """The cached ``(reflectors, tau, sigma)`` of B's QR, computed once
+        per instance.
 
         Raises unless C vanishes and B has full row rank: the inf-sup
         condition, read off the singular values with ``RANK_RTOL``.
@@ -168,14 +185,36 @@ class SaddleSystem:
         m, n = self.b.shape
         if m > n:
             raise ValueError(f"coupling block must be wide, got shape {self.b.shape}")
-        u, s, vh = self._svd
+        qr, tau, s = self._coupling_qr
         rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
         if rank < m:
             raise ValueError(
                 f"coupling block is rank deficient: rank {rank} < m = {m} "
                 f"(sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
             )
-        return u, s, vh
+        return qr, tau, s
+
+
+def _apply_q(qr, tau, c) -> np.ndarray:
+    """``Q c`` for the Q of ``?geqrf``'s reflectors ``qr`` and ``tau``, applied
+    by ``?unmqr`` (``?ormqr`` for a real Q) without forming Q; ``c`` must be
+    Fortran-ordered in the dtype of ``qr`` and is overwritten."""
+    name = "unmqr" if np.iscomplexobj(qr) else "ormqr"
+    (mqr,) = scipy.linalg.get_lapack_funcs((name,), (qr,))
+    work = mqr("L", "N", qr, tau, c, -1, overwrite_c=True)[1]
+    cq, _, info = mqr("L", "N", qr, tau, c, int(work[0].real), overwrite_c=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{name} failed (LAPACK info = {info})")
+    return cq
+
+
+def _kernel_basis(qr, tau) -> np.ndarray:
+    """The last ``n - m`` columns of Q, ``Q [0; I]``: an orthonormal basis
+    of ker(B) for ``B* = Q [R; 0]``."""
+    n, m = qr.shape
+    c = np.zeros((n, n - m), dtype=qr.dtype, order="F")
+    np.fill_diagonal(c[m:], 1.0)
+    return _apply_q(qr, tau, c)
 
 
 def reduce_system(sys: SaddleSystem, p, r) -> SaddleSystem:
@@ -244,8 +283,10 @@ class BabuskaConstants:
 class BlockDecomposition:
     """Kernel-based 3x3 view of a system with zero (2,2) block.
 
-    ``v0`` and ``v1`` are orthonormal bases of ker(B) and its complement;
-    ``Aij = Vi* A Vj`` and ``B1 = B V1``.  For a system from
+    ``v0`` and ``v1`` are orthonormal bases of ker(B) and its complement,
+    ``v1`` the polar factor of ``B*``, both read off the QR of ``B*``
+    cached on the system (:func:`block_decompose`); ``Aij = Vi* A Vj`` and
+    ``B1 = B V1``, Hermitian positive definite.  For a system from
     :func:`reduce_system` (blocks ``At`` and ``G``), ``Lp^{-*}`` maps them
     to P-orthonormal bases of the original ker(B) and its P-orthogonal
     complement.
@@ -263,15 +304,24 @@ class BlockDecomposition:
 def block_decompose(sys: SaddleSystem) -> BlockDecomposition:
     """Split the primal space of ``sys`` into ker(B) and its complement.
 
-    Requires a zero (2,2) block and full-rank B.  With the SVD
-    ``B = U S W1*``, the remaining right singular vectors ``W0`` form
-    ``v0``; ``v1 = W1 U*`` is the orthonormal polar factor of ``B*``, which
-    does not depend on the SVD's choice of phases, and ``B1 = B v1 =
-    U S U*``.
+    Requires a zero (2,2) block and full-rank B.  With the Householder QR
+    ``B* = Q [R; 0]`` cached on the system, the last ``n - m`` columns of Q
+    form ``v0``.  With the SVD ``R = Ur S Wr*`` of the m x m triangle,
+    ``B = Wr S (Q1 Ur)*`` for the first m columns ``Q1`` of Q, so
+    ``v1 = Q1 Ur Wr*`` is the orthonormal polar factor of ``B*``, which does
+    not depend on the SVD's choice of phases, and ``B1 = B v1 = Wr S Wr*``.
+    Both bases come from one application of the reflectors; the n x n Q is
+    never formed.
     """
-    u, s, vh = sys.coupling_svd("block_decompose")
-    k = sys.n - sys.m
-    v = np.hstack([vh[sys.m:].conj().T, vh[: sys.m].conj().T @ u.conj().T])
+    qr, tau, _ = sys._coupling("block_decompose")
+    n, m = sys.n, sys.m
+    k = n - m
+    ur, s, wrh = np.linalg.svd(np.triu(qr[:m]))
+    # V = Q [[0, Ur Wr*], [I, 0]] = [v0, v1].
+    c = np.zeros((n, n), dtype=qr.dtype, order="F")
+    np.fill_diagonal(c[m:, :k], 1.0)
+    c[:m, k:] = ur @ wrh
+    v = _apply_q(qr, tau, c)
     # The blocks V_i* A V_j of V* (A V), with the real or complex A
     # applied in its own field.
     w = v.conj().T @ apply_in_field(sys.a, sys.a.__matmul__, v)
@@ -282,8 +332,19 @@ def block_decompose(sys: SaddleSystem) -> BlockDecomposition:
         a01=w[:k, k:],
         a10=w[k:, :k],
         a11=require_hermitian(w[k:, k:], tol=1e-8),
-        b1=(u * s) @ u.conj().T,
+        b1=(wrh.conj().T * s) @ wrh,
     )
+
+
+def _kernel_block(sys: SaddleSystem, qr, tau) -> np.ndarray:
+    """The Fortran-ordered kernel block ``V0* A V0`` of ``sys`` for the
+    kernel basis ``V0`` of its cached QR; the basis lives only in this call."""
+    v0 = _kernel_basis(qr, tau)
+    a_v0 = apply_in_field(sys.a, sys.a.__matmul__, v0)
+    # gemm reads V0* and A V0 = ((A V0)^T)^T where they are, with no
+    # conjugated or reordered copy.
+    (gemm,) = scipy.linalg.get_blas_funcs(("gemm",), (v0, a_v0))
+    return gemm(1.0, v0, a_v0.T, trans_a=2, trans_b=1)
 
 
 def brezzi_constants(sys: SaddleSystem) -> BrezziConstants:
@@ -308,12 +369,10 @@ mu3_cubic` via :func:`saddlebounds.bounds.inclusion_set`) presume the
     coercive representation of ``alpha``; ``inclusion_set`` refuses
     constants whose kernel block is not positive definite.
     """
-    _, s, vh = sys.coupling_svd("brezzi_constants")
+    qr, tau, s = sys._coupling("brezzi_constants")
     if sys.n == sys.m:
         raise ValueError("ker(B) is trivial; the kernel inf-sup is undefined")
-    v0 = vh[sys.m:].conj().T
-    a_v0 = apply_in_field(sys.a, sys.a.__matmul__, v0)
-    kernel_eigs = hermitian_eigenvalues(v0.conj().T @ a_v0)
+    kernel_eigs = hermitian_eigenvalues(_kernel_block(sys, qr, tau), overwrite=True)
     alpha = float(np.min(np.abs(kernel_eigs)))
     if alpha <= 1e-12 * max(float(np.max(np.abs(kernel_eigs))), 1e-300):
         raise ValueError(

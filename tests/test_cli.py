@@ -120,6 +120,24 @@ class TestBoundsCommand:
         assert captured.out == ""
         assert captured.err == f"error: cannot load bundle: {message}\n"
 
+    def test_brezzi_failure_exit_two(self, tmp_path, capsys):
+        # gamma = 1e-11 passes the Babuska test (1e-12 relative), so the
+        # rank test of the coupling block refuses the system.
+        mmio.save_bundle(
+            tmp_path / "w", np.diag([1.0, 0.0, 1.0]),
+            np.array([[1.0, 0.0, 0.0], [0.0, 1e-11, 0.0]]), np.zeros((2, 2)),
+            np.eye(3), np.eye(2),
+        )
+        out = tmp_path / "bounds.txt"
+        assert main(["bounds", str(tmp_path / "w"), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: coupling block is rank deficient: rank 1 < m = 2 "
+            "(sigma_min/sigma_max = 1.000e-11)\n"
+        )
+        assert not out.exists()
+
     def test_bundle_above_dense_limit_refused_before_densifying(self, tmp_path, capsys):
         # Order 6,001 in identity-like coordinate blocks (n = 4,001, m =
         # 2,000): refused with code 2 below the memory of one dense block.
@@ -606,11 +624,25 @@ REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json").read_text()
 )
 _NUMBER = re.compile(r"[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?")
+#: ``bounds`` lines of the level-2 bundles, by flavor and omega.
+RECORDED_BOUNDS = json.loads((Path(__file__).parent / "recorded_bounds.json").read_text())
 SMOKE_ROWS = [
     (key, want)
     for workload in ("stokes-tables", "parabolic-l6")
     for key, want in REFERENCE["smoke"][workload].items()
 ]
+
+
+def assert_bounds_as_recorded(text: str, want: dict[str, str]) -> None:
+    """Every ``bounds`` line of ``text`` keeps the words of its recorded
+    value, and each number agrees to 1e-10 relative."""
+    got = dict(line.split(" = ", 1) for line in text.splitlines())
+    assert got.keys() == want.keys()
+    for key, value in got.items():
+        assert _NUMBER.sub("#", value) == _NUMBER.sub("#", want[key]), key
+        pairs = zip(_NUMBER.findall(value), _NUMBER.findall(want[key]))
+        for g, w in pairs:
+            assert float(g) == pytest.approx(float(w), rel=1e-10, abs=0.0), key
 
 
 class TestRecordedRows:
@@ -644,13 +676,19 @@ class TestRecordedRows:
             for key, value in REFERENCE["smoke"]["bounds-bundle"].items()
             if key.startswith("bounds ")
         }
-        got = dict(line.split(" = ", 1) for line in out.read_text().splitlines())
-        assert got.keys() == want.keys()
-        for key, value in got.items():
-            assert _NUMBER.sub("#", value) == _NUMBER.sub("#", want[key]), key
-            pairs = zip(_NUMBER.findall(value), _NUMBER.findall(want[key]))
-            for g, w in pairs:
-                assert float(g) == pytest.approx(float(w), rel=1e-10, abs=0.0), key
+        assert_bounds_as_recorded(out.read_text(), want)
+
+    @pytest.mark.parametrize("key", sorted(RECORDED_BOUNDS))
+    def test_level_two_bounds_as_recorded(self, key, tmp_path):
+        # The level-2 bundles of every flavor at omega 0 and 1: a real and a
+        # complex coupling block, a complex At beside a real P (Stokes), and
+        # a nonzero C (reduced: the Babuska lines only).
+        flavor, level, omega = (field.partition("=")[2] or field for field in key.split())
+        bundle, out = tmp_path / "bundle", tmp_path / "bounds.txt"
+        assert main(["export", "--flavor", flavor, "--level", level, "--omega", omega,
+                     "--out", str(bundle)]) == 0
+        assert main(["bounds", str(bundle), "--out", str(out)]) == 0
+        assert_bounds_as_recorded(out.read_text(), RECORDED_BOUNDS[key])
 
 
 @pytest.mark.usefixtures("lapack_fallback")
