@@ -319,7 +319,7 @@ def cmd_bounds(args) -> int:
     del bundle
     try:
         bab = babuska_constants(red)
-        bc = brezzi_constants(red) if red.has_zero_c and red.n > red.m else None
+        bc = brezzi_constants(red) if red.c is None and red.n > red.m else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,15 +9,15 @@ complex blocks as complex fields.
 
 A *bundle* is a directory holding one file per block of a saddle-point
 system plus its inner product, tied together by a small JSON manifest with
-the dimensions and the file-to-block mapping.  Bundle blocks, dense or
-sparse, are written as stored in the coordinate variant: zero entries (the
-whole of a vanishing ``C``) take no space, and a sparse block is never
-densified but keeps its explicit zeros, entry order and dtype.
-:func:`load_bundle` passes ``A``, ``B`` and ``C`` as
+the dimensions and the file-to-block mapping; a bundle written with
+``c=None`` has no C file.  Bundle blocks, dense or sparse, are written as
+stored in the coordinate variant: zero entries take no space, and a sparse
+block is never densified but keeps its explicit zeros, entry order and
+dtype.  :func:`load_bundle` passes ``A``, ``B`` and ``C`` as
 :func:`scipy.io.mmread` returns them to ``SaddleSystem``, which refuses a
-system above ``DENSE_LIMIT`` before densifying any block, and returns ``P``
-and ``R`` as read, for ``saddle.reduce_system``; array-variant bundles load
-the same way.
+system above ``DENSE_LIMIT`` or a block of the wrong shape before densifying
+it, and returns ``P`` and ``R`` as read, for ``saddle.reduce_system``;
+array-variant bundles load the same way.
 """
 
 from __future__ import annotations
@@ -52,12 +52,13 @@ def save_matrix(path, matrix) -> None:
 
 
 def save_bundle(directory, a, b, c, p, r) -> None:
-    """Write the blocks of the system ``[[A, B*], [B, -C]]`` and of its
-    inner product ``diag(P, R)``, dense or sparse, plus the manifest."""
+    """Write the blocks of ``[[A, B*], [B, -C]]`` and of its inner product
+    ``diag(P, R)``, dense or sparse, plus the manifest; no C file for ``c=None``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files = {name: f"{name}.mtx" for name in "ABCPR"}
-    for name, block in zip(files, (a, b, c, p, r)):
+    blocks = {name: block for name, block in zip("ABCPR", (a, b, c, p, r)) if block is not None}
+    files = {name: f"{name}.mtx" for name in blocks}
+    for name, block in blocks.items():
         save_matrix(directory / files[name], scipy.sparse.coo_array(block))
     manifest = {
         "format": "saddlebounds-bundle",

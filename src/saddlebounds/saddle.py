@@ -37,9 +37,10 @@ exactly at the discrete level,
   valid for any Hermitian system including C != 0.
 
 :class:`SaddleSystem` is the package's one conversion of sparse blocks to
-dense ones; it refuses an order ``n + m`` above :data:`DENSE_LIMIT` before
-converting any block, and :func:`reduce_system` checks the shapes of ``P``
-and ``R`` against such a system before converting either.
+dense ones; it refuses an order ``n + m`` above :data:`DENSE_LIMIT`, and a
+block of the wrong shape, before converting it, and keeps a vanishing C as
+``None``; :func:`reduce_system` checks ``P`` and ``R`` the same way.
+:meth:`SaddleSystem.assemble` is the one dense assembler of ``M``.
 """
 
 from __future__ import annotations
@@ -88,6 +89,13 @@ def check_dense(order: int) -> None:
         raise ValueError(f"dense conversion refused at dimension {order} (> {DENSE_LIMIT})")
 
 
+def _shaped(block, shape: tuple[int, int], name: str):
+    """``block``, refused with a ``ValueError`` naming it unless its ``np.shape`` is ``shape``."""
+    if np.shape(block) != shape:
+        raise ValueError(f"{name} is {np.shape(block)}, expected {shape}")
+    return block
+
+
 def _dense(block) -> np.ndarray:
     """A block as a dense matrix in the field of its values: a complex block
     whose imaginary part is exactly zero becomes float64."""
@@ -103,11 +111,12 @@ def _dense(block) -> np.ndarray:
 class SaddleSystem:
     """Hermitian block system ``[[A, B*], [B, -C]]``.
 
-    ``a`` is n x n Hermitian, ``b`` is m x n, ``c`` is m x m Hermitian
-    (zero by default, in the dtype of ``a`` and ``b``).  Sparse blocks are
-    accepted and densified, up to the order ``n + m = DENSE_LIMIT``; each
-    block is real if its values are.  Instances compare by identity, since
-    arrays have no single truth value.
+    ``a`` is n x n Hermitian, ``b`` is m x n, ``c`` is m x m Hermitian or
+    ``None``: a vanishing C (``None``, all-zero dense, or sparse with no
+    nonzero entry) is stored as ``None``.  Sparse blocks are accepted and
+    densified, each once its shape is checked, up to the order
+    ``n + m = DENSE_LIMIT``; each block is real if its values are.
+    Instances compare by identity, since arrays have no single truth value.
     """
 
     a: np.ndarray
@@ -115,18 +124,15 @@ class SaddleSystem:
     c: np.ndarray | None = None
 
     def __post_init__(self):
-        check_dense(np.shape(self.a)[0] + np.shape(self.b)[0])
-        a = require_hermitian(_dense(self.a))
-        b = _dense(self.b)
-        if b.shape[1] != a.shape[0]:
-            raise ValueError(
-                f"coupling block is {b.shape}, expected (m, {a.shape[0]})"
-            )
+        n, m = np.shape(self.a)[0], np.shape(self.b)[0]
+        check_dense(n + m)
+        a = require_hermitian(_dense(_shaped(self.a, (n, n), "(1,1) block")))
+        b = _dense(_shaped(self.b, (m, n), "coupling block"))
         c = self.c
-        c = np.zeros((b.shape[0], b.shape[0]), dtype=np.result_type(a, b)) \
-            if c is None else require_hermitian(_dense(c))
-        if c.shape[0] != b.shape[0]:
-            raise ValueError(f"(2,2) block is {c.shape}, expected m = {b.shape[0]}")
+        if c is not None:
+            c = _shaped(c, (m, m), "(2,2) block")
+            nonzero = c.count_nonzero() if scipy.sparse.issparse(c) else np.any(c)
+            c = require_hermitian(_dense(c)) if nonzero else None
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -147,15 +153,18 @@ class SaddleSystem:
     def m(self) -> int:
         return self.b.shape[0]
 
-    @property
-    def has_zero_c(self) -> bool:
-        return not np.any(self.c)
-
     def assemble(self) -> np.ndarray:
-        """Dense Hermitian matrix ``[[A, B*], [B, -C]]``."""
-        top = np.hstack([self.a, self.b.conj().T])
-        bottom = np.hstack([self.b, -self.c])
-        return np.vstack([top, bottom])
+        """Dense Hermitian ``[[A, B*], [B, -C]]`` in one Fortran-ordered
+        buffer, whose (2,2) block stays zero where C vanishes."""
+        n = self.n
+        blocks = (self.a, self.b) if self.c is None else (self.a, self.b, self.c)
+        full = np.zeros((n + self.m, n + self.m), dtype=np.result_type(*blocks), order="F")
+        full[:n, :n] = self.a
+        full[n:, :n] = self.b
+        np.conjugate(self.b.T, out=full[:n, n:])
+        if self.c is not None:
+            np.negative(self.c, out=full[n:, n:])
+        return full
 
     @cached_property
     def _coupling_qr(self):
@@ -180,7 +189,7 @@ class SaddleSystem:
         Raises unless C vanishes and B has full row rank: the inf-sup
         condition, read off the singular values with ``RANK_RTOL``.
         """
-        if not self.has_zero_c:
+        if self.c is not None:
             raise ValueError(f"{who} requires a zero (2,2) block")
         m, n = self.b.shape
         if m > n:
@@ -224,19 +233,15 @@ def reduce_system(sys: SaddleSystem, p, r) -> SaddleSystem:
     ``P`` (n x n) and ``R`` (m x m), dense or sparse, must be Hermitian
     positive definite; a block of another shape raises ``ValueError``
     naming it before either is densified.  Their Cholesky factors live only
-    in this call.  ``At`` and a nonzero ``Ct`` are checked Hermitian to
-    1e-10.
+    in this call.  ``At`` and ``Ct`` are checked Hermitian to 1e-10; ``Ct``
+    is ``None`` where C vanishes.
     """
-    for name, block, order in (("P", p, sys.n), ("R", r, sys.m)):
-        if np.shape(block) != (order, order):
-            raise ValueError(
-                f"inner-product block {name} is {np.shape(block)}, "
-                f"expected ({order}, {order})"
-            )
+    p = _shaped(p, (sys.n, sys.n), "inner-product block P")
+    r = _shaped(r, (sys.m, sys.m), "inner-product block R")
     lp = cholesky(require_hermitian(_dense(p)))
     lr = cholesky(require_hermitian(_dense(r)))
     at = require_hermitian(triangular_congruence(lp, sys.a), tol=1e-10)
-    ct = np.zeros_like(sys.c) if sys.has_zero_c else require_hermitian(
+    ct = None if sys.c is None else require_hermitian(
         triangular_congruence(lr, sys.c), tol=1e-10
     )
     g = triangular_congruence(lr, sys.b, lp)
@@ -399,18 +404,11 @@ def preconditioned_spectrum(sys: SaddleSystem) -> np.ndarray:
     are the eigenvalues of the generalized problem ``M x = mu Pc x`` with
     ``Pc = diag(P, R)``.  ``M`` is Hermitian by construction, since its
     diagonal blocks were checked and symmetrized when the system was made,
-    so it is not checked again.  Only its lower triangle is read: ``A``,
-    ``B`` and ``-C`` are written into one Fortran-ordered buffer, which the
-    eigensolver then overwrites, and the ``B*`` block is never formed.
+    so it is not checked again.  :meth:`SaddleSystem.assemble` writes it
+    into one Fortran-ordered buffer, whose lower triangle the eigensolver
+    reads and which it then overwrites.
     """
-    n = sys.n
-    block = np.empty(
-        (n + sys.m, n + sys.m), dtype=np.result_type(sys.a, sys.b, sys.c), order="F"
-    )
-    block[:n, :n] = sys.a
-    block[n:, :n] = sys.b
-    np.negative(sys.c, out=block[n:, n:])
-    return hermitian_eigenvalues(block, overwrite=True)
+    return hermitian_eigenvalues(sys.assemble(), overwrite=True)
 
 
 def babuska_constants(sys: SaddleSystem) -> BabuskaConstants:

@@ -63,10 +63,10 @@ def detect_structure(sys: SaddleSystem) -> bool:
     (i.e. the stored C equals A), A real symmetric positive definite and B
     complex symmetric, all within the relative tolerance ``STRUCTURE_RTOL``.
     ``SaddleSystem`` stores A exactly Hermitian, so a real A is symmetric.
-    An empty system (n = m = 0) meets every condition.
+    An empty system (n = m = 0) meets every condition; no other system with ``c is None`` does.
     """
-    if sys.n != sys.m:
-        return False
+    if sys.n != sys.m or sys.c is None:
+        return sys.n == sys.m == 0
     a, b, c = sys.a, sys.b, sys.c
     scale_a = float(np.max(np.abs(a), initial=1e-300))
     if float(np.max(np.abs(c - a), initial=0.0)) > STRUCTURE_RTOL * scale_a:

@@ -159,6 +159,48 @@ class TestBoundsCommand:
         )
         assert peak < 8 * n**2
 
+    # Sparse blocks of the wrong shape, each of which would take at least
+    # one dense block of order N = 4,000 (128 MB) to densify.
+    N = 4000
+    WRONG_SHAPES = {
+        # a one-entry C of order N beside a 2 + 1 system
+        "C": (
+            scipy.sparse.eye_array(2), scipy.sparse.coo_array(np.ones((1, 2))),
+            scipy.sparse.coo_array(([1.0], ([0], [0])), shape=(N, N)),
+            "(2,2) block is (4000, 4000), expected (1, 1)",
+        ),
+        # a 2,000 x 12,000 coupling block beside a 2 x 2 A
+        "wide-B": (
+            scipy.sparse.eye_array(2), scipy.sparse.eye_array(N // 2, 3 * N),
+            scipy.sparse.coo_array((N // 2, N // 2)),
+            "coupling block is (2000, 12000), expected (2000, 2)",
+        ),
+        # an N x 2N A
+        "non-square-A": (
+            scipy.sparse.eye_array(N, 2 * N), scipy.sparse.eye_array(1, N),
+            scipy.sparse.coo_array((1, 1)),
+            "(1,1) block is (4000, 8000), expected (4000, 4000)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+    def test_wrong_shape_refused_before_densifying(self, case, tmp_path, capsys):
+        # Refused with code 2, naming the block, below the memory of one
+        # dense block of order N.
+        a, b, c, message = self.WRONG_SHAPES[case]
+        mmio.save_bundle(tmp_path / "w", a, b, c, np.eye(2), np.eye(1))
+        tracemalloc.start()
+        try:
+            code = main(["bounds", str(tmp_path / "w")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot load bundle: {message}\n"
+        assert peak < 8 * self.N**2
+
     def test_indefinite_kernel_omits_inclusion(self, tmp_path, capsys):
         # A is negative definite on ker(B) = span(e1); the eigenvalue -0.278
         # lies outside the cubic set [-3.30, -0.414] u [0.303, 2.41].
@@ -571,7 +613,11 @@ class TestExportCommand:
         loaded_sys, loaded_p, loaded_r = mmio.load_bundle(out)
         problem = cli._BUILDERS[flavor](build_mesh(level), 1e-2, omega)
         sys_ = saddle_system(problem)
-        pairs = [(loaded_sys.a, sys_.a), (loaded_sys.b, sys_.b), (loaded_sys.c, sys_.c)]
+        # The empty C of the KKT and Stokes models loads as absent.
+        assert (loaded_sys.c is None) == (sys_.c is None) == (flavor != "parabolic-reduced")
+        pairs = [(loaded_sys.a, sys_.a), (loaded_sys.b, sys_.b)]
+        if sys_.c is not None:
+            pairs.append((loaded_sys.c, sys_.c))
         for got, want in pairs:
             assert got.dtype == want.dtype and np.array_equal(got, want)
         # The files hold the entries of the model's own sparse blocks.
@@ -689,6 +735,23 @@ class TestRecordedRows:
                      "--out", str(bundle)]) == 0
         assert main(["bounds", str(bundle), "--out", str(out)]) == 0
         assert_bounds_as_recorded(out.read_text(), RECORDED_BOUNDS[key])
+
+    def test_bundle_without_c_file_prints_the_same(self, tmp_path):
+        # A zero C may be left out of a bundle: the level-2 KKT export with
+        # its empty C file removed prints the same lines, byte for byte.
+        bundle = tmp_path / "bundle"
+        assert main(["export", "--flavor", "parabolic-kkt", "--level", "2", "--omega", "1",
+                     "--out", str(bundle)]) == 0
+        outs = [tmp_path / "with-c.txt", tmp_path / "without-c.txt"]
+        assert main(["bounds", str(bundle), "--out", str(outs[0])]) == 0
+        manifest_path = bundle / mmio.MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        (bundle / manifest["files"].pop("C")).unlink()
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["bounds", str(bundle), "--out", str(outs[1])]) == 0
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+        want = RECORDED_BOUNDS["parabolic-kkt level=2 omega=1"]
+        assert_bounds_as_recorded(outs[1].read_text(), want)
 
 
 @pytest.mark.usefixtures("lapack_fallback")

@@ -70,7 +70,8 @@ class TestBundle:
 
     def test_blocks_written_as_coordinates(self, rng, tmp_path):
         sys, p, r = random_coercive_system(rng, 5, 2)
-        mmio.save_bundle(tmp_path / "b", sys.a, sys.b, sys.c, p, r)
+        # An explicit empty sparse C, as ``export`` writes it.
+        mmio.save_bundle(tmp_path / "b", sys.a, sys.b, scipy.sparse.coo_array((2, 2)), p, r)
         for name in ("A", "B", "C", "P", "R"):
             header = (tmp_path / "b" / f"{name}.mtx").read_text().splitlines()[0]
             assert "coordinate" in header, name
@@ -78,21 +79,34 @@ class TestBundle:
         size_line = (tmp_path / "b" / "C.mtx").read_text().splitlines()[-1]
         assert size_line.split() == ["2", "2", "0"]
         sys2, p2, r2 = mmio.load_bundle(tmp_path / "b")
-        for got, want in zip((sys2.a, sys2.b, sys2.c, p2.toarray(), r2.toarray()),
-                             (sys.a, sys.b, sys.c, p, r)):
+        assert sys2.c is None
+        for got, want in zip((sys2.a, sys2.b, p2.toarray(), r2.toarray()),
+                             (sys.a, sys.b, p, r)):
             assert np.array_equal(got, want)
+
+    def test_absent_c_writes_no_file(self, rng, tmp_path):
+        sys, p, r = random_coercive_system(rng, 5, 2)
+        assert sys.c is None
+        mmio.save_bundle(tmp_path / "b", sys.a, sys.b, sys.c, p, r)
+        assert not (tmp_path / "b" / "C.mtx").exists()
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert sorted(manifest["files"]) == ["A", "B", "P", "R"]
+        sys2, _, _ = mmio.load_bundle(tmp_path / "b")
+        assert sys2.c is None
+        assert np.array_equal(sys2.a, sys.a) and np.array_equal(sys2.b, sys.b)
 
     def test_array_format_bundle_still_loads(self, rng, tmp_path):
         # bundles written before the coordinate variant hold dense arrays
         sys, p, r = random_coercive_system(rng, 5, 2)
-        mmio.save_bundle(tmp_path / "b", sys.a, sys.b, sys.c, p, r)
-        blocks = {"A": sys.a, "B": sys.b, "C": sys.c, "P": p, "R": r}
+        blocks = {"A": sys.a, "B": sys.b, "C": np.zeros((2, 2)), "P": p, "R": r}
+        mmio.save_bundle(tmp_path / "b", *blocks.values())
         for name, block in blocks.items():
             path = tmp_path / "b" / f"{name}.mtx"
             mmio.save_matrix(path, block)
             assert "array" in path.read_text().splitlines()[0]
         sys2, p2, r2 = mmio.load_bundle(tmp_path / "b")
-        for got, want in zip((sys2.a, sys2.b, sys2.c, p2, r2), blocks.values()):
+        assert sys2.c is None
+        for got, want in zip((sys2.a, sys2.b, p2, r2), (sys.a, sys.b, p, r)):
             assert np.array_equal(got, want)
 
     def test_manifest_contents(self, tmp_path):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,23 +93,70 @@ class TestSystemModel:
 
     def test_blocks_keep_their_field(self):
         # Exactly-real complex input narrows to float64, and the zero C
-        # takes the dtype of its blocks; so do P and R, so the reduced
-        # blocks of a real system stay real.
+        # stays absent; so do P and R, so the reduced blocks of a real
+        # system stay real.
         sys = SaddleSystem(a=np.eye(2, dtype=complex), b=np.ones((1, 2), dtype=complex))
-        assert sys.a.dtype == sys.b.dtype == sys.c.dtype == np.float64
+        assert sys.a.dtype == sys.b.dtype == np.float64 and sys.c is None
         mixed = SaddleSystem(a=np.eye(2), b=np.array([[1.0, 1j]]))
-        assert mixed.a.dtype == np.float64 and mixed.c.dtype == np.complex128
+        assert mixed.a.dtype == np.float64 and mixed.c is None
         red = reduce_system(sys, np.diag([2.0, 3.0 + 0j]), np.array([[4.0 + 0j]]))
-        assert red.a.dtype == red.b.dtype == red.c.dtype == np.float64
+        assert red.a.dtype == red.b.dtype == np.float64 and red.c is None
 
     def test_assemble_hermitian(self, rng):
         sys, _, _ = random_coercive_system(rng, 5, 2)
         full = sys.assemble()
         assert np.max(np.abs(full - full.conj().T)) < 1e-12
 
+    @pytest.mark.parametrize("zero_c", [True, False])
+    def test_assemble_equals_stacked_blocks(self, rng, zero_c):
+        # The one buffer holds what stacking the blocks gave, bit for bit,
+        # except that a zero C leaves +0. where the stacked -C held -0.
+        sys, _, _ = random_coercive_system(rng, 5, 2)
+        c = None if zero_c else random_hermitian(rng, 2)
+        sys = SaddleSystem(a=sys.a, b=sys.b, c=c)
+        full = sys.assemble()
+        assert full.flags.f_contiguous
+        c = np.zeros((2, 2), dtype=np.result_type(sys.a, sys.b)) if zero_c else sys.c
+        want = np.vstack([np.hstack([sys.a, sys.b.conj().T]), np.hstack([sys.b, -c])])
+        if zero_c:
+            assert np.signbit(want[5:, 5:].real).all()
+            want[5:, 5:] = 0.0
+        assert full.dtype == want.dtype
+        assert np.ascontiguousarray(full).tobytes() == want.tobytes()
+
+    VANISHING_C = {
+        "none": None,
+        "dense-zero": np.zeros((2, 2)),
+        "sparse-empty": scipy.sparse.coo_array((2, 2)),
+        "sparse-explicit-zeros": scipy.sparse.coo_array(
+            (np.zeros(2), ([0, 1], [0, 1])), shape=(2, 2)
+        ),
+    }
+
+    def test_vanishing_c_is_absent(self, rng):
+        # Every spelling of a vanishing C is stored as None, and the dense
+        # analyses read the same bits off each.
+        sys, p, r = random_coercive_system(rng, 6, 2)
+        results = []
+        for name, c in self.VANISHING_C.items():
+            sys_c = SaddleSystem(a=sys.a, b=sys.b, c=c)
+            assert sys_c.c is None, name
+            red = reduce_system(sys_c, p, r)
+            assert red.c is None, name
+            results.append(
+                (preconditioned_spectrum(red).tobytes(), babuska_constants(red),
+                 brezzi_constants(red))
+            )
+        assert all(result == results[0] for result in results[1:])
+
     def test_dimension_checks(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"coupling block is \(1, 2\), expected \(1, 3\)"):
             SaddleSystem(a=np.eye(3), b=np.ones((1, 2)))
+        with pytest.raises(ValueError, match=r"\(1,1\) block is \(2, 3\), expected \(2, 2\)"):
+            SaddleSystem(a=np.ones((2, 3)), b=np.ones((1, 3)))
+        # A vanishing C of the wrong shape is refused, not dropped.
+        with pytest.raises(ValueError, match=r"\(2,2\) block is \(2, 2\), expected \(1, 1\)"):
+            SaddleSystem(a=np.eye(2), b=np.ones((1, 2)), c=np.zeros((2, 2)))
         sys = SaddleSystem(a=np.eye(2), b=np.eye(2))
         with pytest.raises(ValueError, match="not positive definite"):
             reduce_system(sys, np.eye(2), np.diag([1.0, -1.0]))
