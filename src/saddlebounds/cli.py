@@ -38,6 +38,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -85,6 +86,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown flavor {self.flavor!r}; choose from {FLAVORS}")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}; choose from {FORMATS}")
+        # JSON's true and false are Python bools, which are also ints.
+        ints, reals = (numbers.Integral, "an integer"), (numbers.Real, "a real number")
+        for name, values, (kind, what) in (
+            ("levels", self.levels, ints), ("maxit", [self.maxit], ints),
+            ("nu", self.nu, reals), ("omega", self.omega, reals), ("eps", [self.eps], reals),
+        ):
+            bad = [v for v in values if isinstance(v, bool) or not isinstance(v, kind)]
+            if bad:
+                raise TypeError(f"{name}: expected {what}, got {bad[0]!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise TypeError(f"out: expected a path or null, got {self.out!r}")
         if not (self.levels and self.nu and self.omega):
             raise ValueError("levels, nu and omega must be nonempty")
         if not (0.0 < self.eps < 1.0):

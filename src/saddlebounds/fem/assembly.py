@@ -94,11 +94,8 @@ def _barycentric_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _accumulate(rows, cols, vals, shape) -> scipy.sparse.csr_matrix:
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape,
-    )
-    return mat.tocsr()
+    """CSR matrix of the entries ``vals`` at ``(rows, cols)``, duplicates summed."""
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 @dataclass(frozen=True)
@@ -127,8 +124,8 @@ def _p1_matrices(mesh: Mesh) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_
 
     rows = t[:, :, None].repeat(3, axis=2).ravel()
     cols = t[:, None, :].repeat(3, axis=1).ravel()
-    mass = _accumulate([rows], [cols], [me.ravel()], (nv, nv))
-    stiffness = _accumulate([rows], [cols], [ke.ravel()], (nv, nv))
+    mass = _accumulate(rows, cols, me.ravel(), (nv, nv))
+    stiffness = _accumulate(rows, cols, ke.ravel(), (nv, nv))
     return mass, stiffness
 
 
@@ -191,13 +188,13 @@ def _taylor_hood_matrices(mesh: Mesh) -> tuple[scipy.sparse.csr_matrix, ...]:
 
     rows6 = p2_nodes[:, :, None].repeat(6, axis=2).ravel()
     cols6 = p2_nodes[:, None, :].repeat(6, axis=1).ravel()
-    mass = _accumulate([rows6], [cols6], [me.ravel()], (n_p2, n_p2))
-    stiffness = _accumulate([rows6], [cols6], [ke.ravel()], (n_p2, n_p2))
+    mass = _accumulate(rows6, cols6, me.ravel(), (n_p2, n_p2))
+    stiffness = _accumulate(rows6, cols6, ke.ravel(), (n_p2, n_p2))
 
     rows_d = t[:, :, None].repeat(6, axis=2).ravel()
     cols_d = p2_nodes[:, None, :].repeat(3, axis=1).ravel()
-    div_x = _accumulate([rows_d], [cols_d], [de_x.ravel()], (nv, n_p2))
-    div_y = _accumulate([rows_d], [cols_d], [de_y.ravel()], (nv, n_p2))
+    div_x = _accumulate(rows_d, cols_d, de_x.ravel(), (nv, n_p2))
+    div_y = _accumulate(rows_d, cols_d, de_y.ravel(), (nv, n_p2))
     return mass, stiffness, div_x, div_y
 
 

@@ -19,16 +19,18 @@ The inner products are the robust block-diagonal preconditioners built from
 Stokes); their stability constants are mesh-, ``nu``- and ``omega``-
 independent, which is what the experiments verify.
 
-Each builder declares its inner product as a :class:`BlockPreconditioner`:
-a list of real SPD blocks, each placed on one or more slices of the system
-with a scale.  Every sparse block is factored once by SuperLU in symmetric
+Each builder declares its inner product ``diag(P, R)`` as a
+:class:`BlockPreconditioner`: the real SPD blocks along the diagonal of
+``P`` and then of ``R``, each with a scale, one factor listed once per
+block it fills.  Every sparse block is factored once by SuperLU in symmetric
 mode (minimum degree on ``A^T + A``, no pivoting), the dense Stokes Schur
 complement by Cholesky.  One application makes one real multi-column solve
 per factor: the slices of a factor are gathered into one complex array whose
 real and imaginary parts are solved as interleaved real columns.  The
 sparse blocks ``P`` and ``R`` of :meth:`ModelProblem.inner_product_blocks`,
 which exported bundles hold, are read off the same declaration, so the
-analysed and the applied preconditioner are one object.  No dense matrix
+analysed and the applied preconditioner are one object.  A vanishing ``C``
+is ``None``, so bundles of such a system hold no C file.  No dense matrix
 but ``S`` is built here: the exact analyses pass the sparse blocks ``A``,
 ``B`` and ``C`` to ``saddle.SaddleSystem`` and ``P`` and ``R`` to
 ``saddle.reduce_system``.
@@ -150,32 +152,31 @@ class SpdFactor:
 
 
 class BlockPreconditioner:
-    """Inverse of a block-diagonal SPD matrix, applied to complex vectors.
+    """Inverse of a block-diagonal SPD matrix ``Pc = diag(P, R)``, applied to
+    complex vectors.
 
-    ``blocks`` lists ``(factor, slices, scales)`` with an :class:`SpdFactor`
-    of a block ``A``.  On each of its ``slices`` of the system the
-    preconditioner applies ``scale * A^{-1}``, so the inner-product matrix
-    has the diagonal block ``A / scale`` there.  The slices of all blocks
-    must tile ``range(dim)``.
+    ``p`` and ``r`` list ``(factor, scale)`` in order along the diagonals of
+    ``P`` and ``R``, with an :class:`SpdFactor` of a block ``A``: the
+    diagonal block of ``Pc`` there is ``A / scale``, and the preconditioner
+    applies ``scale * A^{-1}`` to it.  The slices of the system and ``dim``
+    follow from the orders of the factors.
 
-    An application gathers the slices of each factor into one ``(n, k)``
-    array, views a complex one as a real ``(n, 2k)`` array (real and
-    imaginary parts become interleaved columns, without a copy, by
-    :func:`~saddlebounds.densecore.real_columns`), solves once, and scatters
-    the scaled result into a preallocated output.  Inputs
+    An application gathers the slices of each distinct factor, however often
+    it is listed, into one ``(n, k)`` array, views a complex one as a real
+    ``(n, 2k)`` array (real and imaginary parts become interleaved columns,
+    without a copy, by :func:`~saddlebounds.densecore.real_columns`), solves
+    once, and scatters the scaled result into a preallocated output.  Inputs
     of shape ``(dim,)`` and ``(dim, k)`` are accepted and never mutated.
     """
 
-    def __init__(self, dim: int, blocks):
-        self.dim = dim
-        self._blocks = [(f, list(slices), list(scales)) for f, slices, scales in blocks]
-        # The output is allocated uninitialized, so a gap would go unnoticed.
-        cover = np.zeros(dim, dtype=int)
-        for _, slices, _ in self._blocks:
-            for rows in slices:
-                cover[rows] += 1
-        if not np.all(cover == 1):
-            raise ValueError(f"preconditioner slices do not tile range({dim})")
+    def __init__(self, p, r):
+        self.p, self.r = list(p), list(r)
+        self._blocks = {}  # factor -> [(rows, scale)], in order along the diagonal
+        self.dim = 0
+        for factor, scale in self.p + self.r:
+            rows = slice(self.dim, self.dim + factor.matrix.shape[0])
+            self._blocks.setdefault(factor, []).append((rows, scale))
+            self.dim = rows.stop
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -187,25 +188,12 @@ class BlockPreconditioner:
         k = cols.shape[1]
         dtype = np.result_type(x.dtype, np.float64)
         out = np.empty(cols.shape, dtype=dtype)
-        for factor, slices, scales in self._blocks:
-            rhs = np.concatenate([cols[rows] for rows in slices], axis=1, dtype=dtype)
+        for factor, parts in self._blocks.items():
+            rhs = np.concatenate([cols[rows] for rows, _ in parts], axis=1, dtype=dtype)
             sol = real_columns(factor.solve, rhs)
-            for j, (rows, scale) in enumerate(zip(slices, scales)):
+            for j, (rows, scale) in enumerate(parts):
                 np.multiply(sol[:, j * k : (j + 1) * k], scale, out=out[rows])
         return out.reshape(x.shape)
-
-    def matrix(self) -> scipy.sparse.csr_matrix:
-        """The inner-product matrix that this preconditioner inverts, as CSR:
-        each block divided by its scale on each of its slices."""
-        parts = {}
-        for factor, slices, scales in self._blocks:
-            block = scipy.sparse.coo_matrix(factor.matrix)
-            for rows, scale in zip(slices, scales):
-                # Not block / scale: scipy multiplies by 1 / scale, which rounds.
-                parts[rows.start] = scipy.sparse.coo_matrix(
-                    (block.data / scale, (block.row, block.col)), shape=block.shape
-                )
-        return scipy.sparse.block_diag([parts[k] for k in sorted(parts)], format="csr")
 
 
 @dataclass
@@ -214,10 +202,11 @@ class ModelProblem:
 
     Blocks are kept sparse so the largest experiments stay matrix-free, each
     in the field of its values (only blocks with an ``i omega`` term are
-    complex, so at ``omega = 0`` none is; a vanishing ``C`` is empty);
-    :meth:`matrix` assembles the system in complex128.
-    ``precond_solve`` applies the inverse of the block-diagonal inner-product
-    matrix, whose sparse blocks :meth:`inner_product_blocks` returns.
+    complex, so at ``omega = 0`` none is); a vanishing ``C`` is ``None``, as
+    in ``saddle.SaddleSystem``.  :meth:`matrix` assembles the system in
+    complex128.  ``precond_solve`` applies the inverse of the block-diagonal
+    inner-product matrix, whose sparse blocks :meth:`inner_product_blocks`
+    returns.
     """
 
     flavor: str
@@ -226,7 +215,7 @@ class ModelProblem:
     omega: float
     a: scipy.sparse.spmatrix
     b: scipy.sparse.spmatrix
-    c: scipy.sparse.spmatrix
+    c: scipy.sparse.spmatrix | None
     rhs: np.ndarray
     precond_solve: BlockPreconditioner
 
@@ -243,17 +232,19 @@ class ModelProblem:
         return self.n + self.m
 
     def matrix(self) -> scipy.sparse.csr_matrix:
-        """Sparse assembled system ``[[A, B*], [B, -C]]`` in complex128.
+        """Sparse assembled system ``[[A, B*], [B, -C]]`` in complex128, with
+        an empty (2,2) block where C vanishes.
 
         Each block row is stacked from CSR blocks, then the two rows, without
         the coordinate-format copy that ``bmat`` makes when a block such as
         ``B*`` is CSC; the arrays are bitwise those of ``bmat``.
         """
+        c = scipy.sparse.csr_matrix((self.m, self.m)) if self.c is None else -self.c
         upper, lower = (
             scipy.sparse.hstack(
                 [block.tocsr() for block in row], format="csr", dtype=np.complex128
             )
-            for row in ((self.a, self.b.conj().T), (self.b, -self.c))
+            for row in ((self.a, self.b.conj().T), (self.b, c))
         )
         return scipy.sparse.vstack([upper, lower], format="csr")
 
@@ -266,13 +257,21 @@ class ModelProblem:
 
     def inner_product_blocks(self) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
         """The sparse blocks ``P`` and ``R`` of the inner-product matrix
-        ``Pc = diag(P, R)``; raises ``ValueError`` if ``Pc`` couples the
-        first ``n`` unknowns to the others."""
-        pc = self.precond_solve.matrix()
-        n = self.n
-        if pc[:n, n:].nnz:
-            raise ValueError(f"the inner product couples unknowns 0:{n} to {n}:{self.dim}")
-        return pc[:n, :n], pc[n:, n:]
+        ``Pc = diag(P, R)``, as CSR: the declared blocks, each divided by its
+        scale."""
+
+        def scaled(matrix, scale):
+            block = scipy.sparse.coo_matrix(matrix)
+            # Not block / scale: scipy multiplies by 1 / scale, which rounds.
+            return scipy.sparse.coo_matrix(
+                (block.data / scale, (block.row, block.col)), shape=block.shape
+            )
+
+        pc = self.precond_solve
+        return tuple(
+            scipy.sparse.block_diag([scaled(f.matrix, s) for f, s in side], format="csr")
+            for side in (pc.p, pc.r)
+        )
 
 
 def check_parameters(nu: float, omega: float) -> None:
@@ -316,12 +315,9 @@ def parabolic_kkt(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
 
     a = scipy.sparse.block_diag([mass, nu * mass], format="csr")
     b = scipy.sparse.hstack([_frequency_shifted(stiff, mass, omega), -mass], format="csr")
+    y_factor = SpdFactor(y_op)
     precond = BlockPreconditioner(
-        3 * n,
-        [
-            (SpdFactor(y_op), [slice(0, n), slice(2 * n, 3 * n)], [1.0, nu]),
-            (SpdFactor(mass), [slice(n, 2 * n)], [1.0 / nu]),
-        ],
+        [(y_factor, 1.0), (SpdFactor(mass), 1.0 / nu)], [(y_factor, nu)]
     )
 
     coords = mesh.vertices[fem.interior]
@@ -337,7 +333,7 @@ def parabolic_kkt(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
         omega=omega,
         a=a,
         b=b,
-        c=scipy.sparse.csr_matrix((n, n), dtype=np.result_type(a.dtype, b.dtype)),
+        c=None,
         rhs=rhs,
         precond_solve=precond,
     )
@@ -361,9 +357,8 @@ def parabolic_reduced(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     b = (np.sqrt(nu) * _frequency_shifted(stiff, mass, omega)).tocsr()
     c = mass.copy()  # (2,2) block of the matrix is -M
 
-    precond = BlockPreconditioner(
-        2 * n, [(SpdFactor(p_op), [slice(0, n), slice(n, 2 * n)], [1.0, 1.0])]
-    )
+    p_factor = SpdFactor(p_op)
+    precond = BlockPreconditioner([(p_factor, 1.0)], [(p_factor, 1.0)])
 
     coords = mesh.vertices[fem.interior]
     y_d = target_state(coords[:, 0], coords[:, 1])
@@ -476,15 +471,7 @@ def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     ps_factor = SpdFactor(_shifted_operator(ms, ks, nu, omega))
     schur = _schur_complement(ps_factor, dx, dy)
 
-    velocity = [slice(j * ns, (j + 1) * ns) for j in range(4)]  # u_x, u_y, w_x, w_y
-    pressure = [slice(4 * ns + j * mp, 4 * ns + (j + 1) * mp) for j in range(2)]
-    precond = BlockPreconditioner(
-        4 * ns + 2 * mp,
-        [
-            (ps_factor, velocity, [1.0] * 4),
-            (SpdFactor(schur), pressure, [1.0 / nu] * 2),
-        ],
-    )
+    precond = BlockPreconditioner([(ps_factor, 1.0)] * 4, [(SpdFactor(schur), 1.0 / nu)] * 2)
 
     coords = fem.p2_coordinates[fem.interior]
     u_target, v_target = target_velocity(coords[:, 0], coords[:, 1])
@@ -504,7 +491,7 @@ def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
         omega=omega,
         a=a,
         b=b,
-        c=scipy.sparse.csr_matrix((2 * mp, 2 * mp), dtype=np.result_type(a.dtype, b.dtype)),
+        c=None,
         rhs=rhs,
         precond_solve=precond,
     )

@@ -22,9 +22,9 @@ from saddlebounds.cli import (
     run_table,
     theoretical_interval,
 )
-from saddlebounds.fem import build_mesh, stokes_system
+from saddlebounds.fem import build_mesh, parabolic_kkt, stokes_system
 from saddlebounds.saddle import SaddleSystem
-from dense_pair import saddle_system
+from dense_pair import reference_inner_product, saddle_system
 
 
 def save_system(directory, sys):
@@ -280,6 +280,23 @@ class TestTableCommand:
         monkeypatch.setattr(cli, "run_table", no_rows)
         assert main(["table", "--config", str(config)]) == 2
         assert "bad configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [
+        {"levels": [1.5]},
+        {"levels": [0], "maxit": 10.5},
+        {"levels": [0], "out": 5},
+        {"levels": [True]},
+    ], ids=["level-float", "maxit-float", "out-number", "level-bool"])
+    def test_rejects_wrong_types_before_any_mesh(self, values, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"flavor": "parabolic-reduced", **values}))
+        built = []
+        monkeypatch.setattr(cli, "build_mesh", built.append)
+        assert main(["table", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad configuration: ")
+        assert built == []
 
     def test_rejects_double_sweep(self, capsys):
         assert main([
@@ -613,8 +630,11 @@ class TestExportCommand:
         loaded_sys, loaded_p, loaded_r = mmio.load_bundle(out)
         problem = cli._BUILDERS[flavor](build_mesh(level), 1e-2, omega)
         sys_ = saddle_system(problem)
-        # The empty C of the KKT and Stokes models loads as absent.
+        # The KKT and Stokes models have no C, and their bundles no C file
+        # and no "C" manifest key.
+        files = json.loads((out / mmio.MANIFEST_NAME).read_text())["files"]
         assert (loaded_sys.c is None) == (sys_.c is None) == (flavor != "parabolic-reduced")
+        assert ("C" in files) == (out / "C.mtx").exists() == (flavor == "parabolic-reduced")
         pairs = [(loaded_sys.a, sys_.a), (loaded_sys.b, sys_.b)]
         if sys_.c is not None:
             pairs.append((loaded_sys.c, sys_.c))
@@ -624,13 +644,15 @@ class TestExportCommand:
         p, r = problem.inner_product_blocks()
         blocks = {"A": problem.a, "B": problem.b, "C": problem.c, "P": p, "R": r}
         for name, block in blocks.items():
-            assert (scipy.io.mmread(out / f"{name}.mtx") != block).nnz == 0, name
+            if block is not None:
+                assert (scipy.io.mmread(out / f"{name}.mtx") != block).nnz == 0, name
         # P and R load as read, in the dtype of the blocks, and they are
-        # the diagonal blocks of the preconditioner's matrix.
+        # the inner product that the builders' docstrings state.
         for got, want in ((loaded_p, p), (loaded_r, r)):
             assert got.dtype == want.dtype and (got != want).nnz == 0
-        pc = problem.precond_solve.matrix().toarray()
-        assert np.array_equal(scipy.linalg.block_diag(p.toarray(), r.toarray()), pc)
+        pc = scipy.linalg.block_diag(*reference_inner_product(flavor, level, 1e-2, omega))
+        got = scipy.linalg.block_diag(p.toarray(), r.toarray())
+        assert np.max(np.abs(got - pc)) <= 1e-12 * np.max(np.abs(pc))
 
     def test_export_makes_no_dense_block(self, tmp_path, capsys):
         # One dense float64 array of the system's order (1,443 at level 4)
@@ -650,7 +672,7 @@ class TestExportCommand:
         assert main(["export", "--flavor", flavor, "--level", "1", "--omega", "0",
                      "--out", str(out)]) == 0
         headers = [path.read_text().splitlines()[0] for path in sorted(out.glob("*.mtx"))]
-        assert len(headers) == 5
+        assert len(headers) == (5 if flavor == "parabolic-reduced" else 4)
         assert all(header.split()[3] == "real" for header in headers), headers
 
     def test_export_bundle(self, tmp_path, capsys):
@@ -737,18 +759,19 @@ class TestRecordedRows:
         assert_bounds_as_recorded(out.read_text(), RECORDED_BOUNDS[key])
 
     def test_bundle_without_c_file_prints_the_same(self, tmp_path):
-        # A zero C may be left out of a bundle: the level-2 KKT export with
-        # its empty C file removed prints the same lines, byte for byte.
+        # The level-2 KKT export has no C file; the same blocks with an empty
+        # C file added print the same lines, byte for byte.
         bundle = tmp_path / "bundle"
         assert main(["export", "--flavor", "parabolic-kkt", "--level", "2", "--omega", "1",
                      "--out", str(bundle)]) == 0
         outs = [tmp_path / "with-c.txt", tmp_path / "without-c.txt"]
-        assert main(["bounds", str(bundle), "--out", str(outs[0])]) == 0
-        manifest_path = bundle / mmio.MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        (bundle / manifest["files"].pop("C")).unlink()
-        manifest_path.write_text(json.dumps(manifest))
         assert main(["bounds", str(bundle), "--out", str(outs[1])]) == 0
+        problem = parabolic_kkt(build_mesh(2), 1.0, 1.0)
+        empty = scipy.sparse.csr_matrix((problem.m, problem.m))
+        mmio.save_bundle(tmp_path / "with-c", problem.a, problem.b, empty,
+                         *problem.inner_product_blocks())
+        assert (tmp_path / "with-c" / "C.mtx").is_file()
+        assert main(["bounds", str(tmp_path / "with-c"), "--out", str(outs[0])]) == 0
         assert outs[1].read_bytes() == outs[0].read_bytes()
         want = RECORDED_BOUNDS["parabolic-kkt level=2 omega=1"]
         assert_bounds_as_recorded(outs[1].read_text(), want)

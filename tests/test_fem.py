@@ -40,16 +40,10 @@ from saddlebounds.saddle import (
     reduce_system,
 )
 from saddlebounds.spectrum import detect_structure, pairing_check
-from dense_pair import reduce_problem, saddle_system
+from dense_pair import divergence, reduce_problem, reference_inner_product, saddle_system
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
-
-
-def divergence(fem):
-    """The pinned divergence ``D = [div_x, div_y]`` on stacked (x, y)
-    velocity components, dense."""
-    return scipy.sparse.hstack([fem.div_x, fem.div_y]).toarray()
 
 
 class TestMesh:
@@ -362,10 +356,10 @@ class TestStokesProblem:
 
     def test_build_without_affinity_mask(self, monkeypatch):
         # Platforms without os.sched_getaffinity count CPUs with os.cpu_count.
-        want = stokes_system(build_mesh(1), nu=1.0, omega=1.0).precond_solve.matrix()
+        want = stokes_system(build_mesh(1), nu=1.0, omega=1.0).inner_product_blocks()
         monkeypatch.delattr(os, "sched_getaffinity")
-        got = stokes_system(build_mesh(1), nu=1.0, omega=1.0).precond_solve.matrix()
-        assert (got != want).nnz == 0
+        got = stokes_system(build_mesh(1), nu=1.0, omega=1.0).inner_product_blocks()
+        assert all((g != w).nnz == 0 for g, w in zip(got, want, strict=True))
 
 
 class BlockFailure(RuntimeError):
@@ -462,28 +456,6 @@ BUILDERS = {
 }
 
 
-def reference_inner_product(flavor, level, nu, omega):
-    """Dense ``P`` and ``R`` of a flavor, formed here from the assembled
-    mass and stiffness matrices as the builders' docstrings state them,
-    without the builders' own preconditioner declaration."""
-    if flavor == "stokes":
-        fem = assemble_taylor_hood(build_mesh(level))
-        ms, ks = fem.scalar_mass.toarray(), fem.scalar_stiffness.toarray()
-        ps = ms + math.sqrt(nu) * (ks + omega * ms)
-        d = divergence(fem)
-        schur = d @ np.linalg.solve(scipy.linalg.block_diag(ps, ps), d.T)
-        return (
-            scipy.linalg.block_diag(ps, ps, ps, ps),
-            nu * scipy.linalg.block_diag(schur, schur),
-        )
-    fem = assemble_p1(build_mesh(level))
-    m, k = fem.mass.toarray(), fem.stiffness.toarray()
-    y = m + math.sqrt(nu) * (k + omega * m)
-    if flavor == "parabolic-kkt":
-        return scipy.linalg.block_diag(y, nu * m), y / nu
-    return y, y
-
-
 @pytest.mark.parametrize("flavor", sorted(BUILDERS))
 def test_system_matrix_is_complex_csr(flavor):
     # The system is stacked from CSR blocks straight into complex128, with
@@ -492,8 +464,9 @@ def test_system_matrix_is_complex_csr(flavor):
         problem = BUILDERS[flavor](build_mesh(level), nu=0.5, omega=omega)
         mat = problem.matrix()
         assert mat.format == "csr" and mat.dtype == np.complex128
+        c = None if problem.c is None else -problem.c
         want = scipy.sparse.bmat(
-            [[problem.a, problem.b.conj().T], [problem.b, -problem.c]],
+            [[problem.a, problem.b.conj().T], [problem.b, c]],
             format="csr", dtype=np.complex128,
         )
         for name in ("indptr", "indices", "data"):
@@ -502,13 +475,23 @@ def test_system_matrix_is_complex_csr(flavor):
 
 
 @pytest.mark.parametrize("flavor", sorted(BUILDERS))
+def test_vanishing_c_is_none(flavor):
+    # One form of a vanishing C, as in SaddleSystem: never an empty block.
+    for level, omega in itertools.product((0, 1, 2), (0.0, 1.0)):
+        problem = BUILDERS[flavor](build_mesh(level), nu=0.5, omega=omega)
+        assert problem.c is None or problem.c.count_nonzero() > 0
+        assert (problem.c is None) == (flavor != "parabolic-reduced")
+
+
+@pytest.mark.parametrize("flavor", sorted(BUILDERS))
 def test_zero_frequency_blocks_are_real(flavor):
     # Only an i omega term makes a block complex; at omega = 0 there is none.
     def dtypes(omega):
         problem = BUILDERS[flavor](build_mesh(1), nu=0.5, omega=omega)
-        return [block.dtype for block in (problem.a, problem.b, problem.c)]
+        blocks = (problem.a, problem.b, problem.c)
+        return [block.dtype for block in blocks if block is not None]
 
-    assert dtypes(0.0) == [np.float64] * 3
+    assert dtypes(0.0) == [np.float64] * (3 if flavor == "parabolic-reduced" else 2)
     assert np.complex128 in dtypes(1.0)
 
 
@@ -517,8 +500,9 @@ def test_zero_frequency_solve_equals_complex_blocks(flavor):
     # The real blocks of omega = 0 give the solve and the estimate that the
     # same blocks stored as complex128 give, bit for bit.
     problem = BUILDERS[flavor](build_mesh(2), nu=0.5, omega=0.0)
+    blocks = {k: getattr(problem, k) for k in "abc"}
     promoted = dataclasses.replace(
-        problem, **{k: getattr(problem, k).astype(np.complex128) for k in "abc"}
+        problem, **{k: x.astype(np.complex128) for k, x in blocks.items() if x is not None}
     )
     pc = problem.preconditioner()
     runs = []
@@ -574,50 +558,36 @@ class TestBlockPreconditioner:
         with pytest.raises(ValueError, match="shape"):
             problem.precond_solve(np.ones(problem.dim + 1))
 
-    @pytest.mark.parametrize("second", [slice(4, 7), slice(2, 5)])
-    def test_slices_must_tile(self, second):
-        factor = SpdFactor(scipy.sparse.identity(3, format="csc"))
-        with pytest.raises(ValueError, match="tile"):
-            BlockPreconditioner(6, [(factor, [slice(0, 3), second], [1.0, 1.0])])
-
     @staticmethod
     def tridiagonal(n):
         return SpdFactor(scipy.sparse.diags([-0.7, 2.6, -0.7], [-1, 0, 1], (n, n), format="csc"))
 
     def test_matrix_places_scaled_blocks(self):
-        # Blocks in any order, each divided by its scale on its slices; at
-        # these values and scales a product with the reciprocal rounds
+        # P = diag(T3 / 49, T2 / 7) and R = T3 / 0.1, with one factor in both;
+        # at these values and scales a product with the reciprocal rounds
         # differently.
         first, second = self.tridiagonal(2), self.tridiagonal(3)
-        precond = BlockPreconditioner(
-            8, [(second, [slice(5, 8), slice(0, 3)], [0.1, 49.0]), (first, [slice(3, 5)], [7.0])]
-        )
-        pc = precond.matrix()
-        assert pc.format == "csr" and pc.dtype == np.float64
-        t2, t3 = first.matrix.toarray(), second.matrix.toarray()
-        assert np.array_equal(pc.toarray(), scipy.linalg.block_diag(t3 / 49.0, t2 / 7.0, t3 / 0.1))
-        x = np.arange(1.0, 9.0)
-        assert np.allclose(precond(pc @ x), x, rtol=1e-13)
-
-    def test_inner_product_blocks_reject_a_slice_across_n(self):
-        # One block on 3:6 with n = 4 puts entries in Pc[:4, 4:].
-        precond = BlockPreconditioner(
-            6, [(self.tridiagonal(3), [slice(0, 3), slice(3, 6)], [1.0, 2.0])]
-        )
-        a = scipy.sparse.identity(4, format="csr")
-        b = scipy.sparse.csr_matrix(np.eye(2, 4))
-        c = scipy.sparse.csr_matrix((2, 2))
-        problem = problems.ModelProblem("test", 0, 1.0, 1.0, a, b, c, np.zeros(6), precond)
-        with pytest.raises(ValueError, match="couples unknowns 0:4 to 4:6"):
-            problem.inner_product_blocks()
-        # A block that crosses n without coupling across it is block-diagonal.
-        identity = SpdFactor(scipy.sparse.identity(3, format="csc"))
-        problem.precond_solve = BlockPreconditioner(
-            6, [(identity, [slice(0, 3), slice(3, 6)], [1.0, 2.0])]
-        )
+        precond = BlockPreconditioner([(second, 49.0), (first, 7.0)], [(second, 0.1)])
+        assert precond.dim == 8
+        a = scipy.sparse.identity(5, format="csr")
+        b = scipy.sparse.csr_matrix(np.eye(3, 5))
+        problem = problems.ModelProblem("test", 0, 1.0, 1.0, a, b, None, np.zeros(8), precond)
         p, r = problem.inner_product_blocks()
-        assert np.array_equal(p.toarray(), np.diag([1.0, 1.0, 1.0, 0.5]))
-        assert np.array_equal(r.toarray(), 0.5 * np.eye(2))
+        t2, t3 = first.matrix.toarray(), second.matrix.toarray()
+        for got, want in ((p, scipy.linalg.block_diag(t3 / 49.0, t2 / 7.0)), (r, t3 / 0.1)):
+            assert got.format == "csr" and got.dtype == np.float64
+            assert got.toarray().tobytes() == want.tobytes()
+        solves = []
+        for factor in (first, second):
+            def counted(rhs, solve=factor.solve, factor=factor):
+                solves.append(factor)
+                return solve(rhs)
+
+            factor.solve = counted
+        x = np.arange(1.0, 9.0)
+        y = precond(scipy.sparse.block_diag([p, r]) @ x)
+        assert sorted(map(id, solves)) == sorted(map(id, (first, second)))
+        assert np.allclose(y, x, rtol=1e-13)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(

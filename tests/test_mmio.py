@@ -151,7 +151,8 @@ class TestBundle:
         problem = builder(build_mesh(2), nu=1.0, omega=1.0)
         p, r = problem.inner_product_blocks()
         mmio.save_bundle(tmp_path / "b", problem.a, problem.b, problem.c, p, r)
-        for name in "ABCPR":
+        assert not (tmp_path / "b" / "C.mtx").exists()  # C vanishes in both
+        for name in "ABPR":
             header = (tmp_path / "b" / f"{name}.mtx").read_text().splitlines()[0]
             assert header.split()[3] == ("complex" if name == complex_block else "real")
         sys, p, r = mmio.load_bundle(tmp_path / "b")
