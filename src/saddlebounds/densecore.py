@@ -21,14 +21,23 @@ LAPACK is loaded from exports it, and ``scipy.linalg.eigh`` otherwise.
 :data:`one_blas_thread` caps the BLAS of numpy and of scipy at one thread
 while the Krylov solvers run, whose level-1 calls on long vectors only wake
 a second OpenBLAS thread to spin, and while the Stokes Schur complement is
-set up, which already runs one solve per CPU.  The dense eigensolves keep
-every thread.
+set up, which already runs one solve per CPU, and while ``bounds`` runs
+Babuska's eigensolve beside Brezzi's constants.  Elsewhere the dense
+eigensolves keep every thread.
+
+The kernels that carry a block into the Euclidean geometry can work in the
+caller's buffer: :func:`require_hermitian`, :func:`cholesky`,
+:func:`triangular_congruence` and :func:`hermitian_eigenvalues` take
+``overwrite=True``, which hands a buffer of the right field and order to
+LAPACK or BLAS as it is.
 
 Conventions
 -----------
-* All dense matrices are numpy arrays in C (row-major) order, except the
-  Fortran-ordered buffers handed to :func:`hermitian_eigenvalues`.  Each one
-  keeps the field of its data: real input stays ``float64`` and complex
+* Dense matrices are numpy arrays in C (row-major) order, except the
+  Fortran-ordered buffers that LAPACK and BLAS work in: the factors of
+  :func:`cholesky`, the results of :func:`triangular_congruence` and the
+  buffers handed to :func:`hermitian_eigenvalues`.  Each one keeps the
+  field of its data: real input stays ``float64`` and complex
   input becomes ``complex128``, so real blocks get real LAPACK.  A result
   is complex only where a complex operand makes it so.
 * Eigenvalues are returned as real arrays in ascending order.
@@ -262,47 +271,75 @@ def hermitian_eigenvalues(h, overwrite: bool = False) -> np.ndarray:
     return w
 
 
-def require_hermitian(h, tol: float = HERMITIAN_RTOL) -> np.ndarray:
+#: Order of the square blocks in which :func:`require_hermitian` walks a
+#: matrix: one block pair, and its temporaries, is about 1 MB (complex).
+_SYMMETRY_BLOCK = 256
+
+
+def _field(*arrays) -> type:
+    """complex128 if any of ``arrays`` is complex, float64 otherwise."""
+    return np.complex128 if any(np.iscomplexobj(x) for x in arrays) else np.float64
+
+
+def require_hermitian(h, tol: float = HERMITIAN_RTOL, overwrite: bool = False) -> np.ndarray:
     """Validate Hermitian symmetry and return the symmetrized matrix.
 
     The returned matrix is ``(h + h*)/2``, which removes round-off level
     asymmetry without hiding genuine violations: those raise
-    :class:`NotHermitianError` with the measured defect.
+    :class:`NotHermitianError` with the measured defect ``max |h - h*|``
+    against ``tol`` times ``max |h|``.  The matrix is walked one pair of
+    mirrored blocks at a time, so no full-size temporary is made.  With
+    ``overwrite=True`` a float64 or complex128 ``h`` (of either order) is
+    symmetrized in its own buffer and returned; any other input is first
+    copied, and a matrix that fails the test is left half symmetrized.
     """
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
+    h = np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"Hermitian matrix must be square, got {h.shape}")
-    scale = float(np.max(np.abs(h), initial=0.0))
-    # h* = Re(h)^T - i Im(h)^T is never formed: each part of the defect
-    # h - h*, and then of the sum h + h*, is written into one buffer.
-    out = np.empty_like(h)
-    parts = [(h.real, out.real, np.subtract, np.add)]
-    if np.iscomplexobj(h):
-        parts.append((h.imag, out.imag, np.add, np.subtract))
-    for part, dest, minus, _ in parts:
-        minus(part, part.T, out=dest)
-    defect = float(np.max(np.abs(out), initial=0.0))
+    if not (overwrite and h.dtype == _field(h)):
+        h = np.array(h, dtype=_field(h))
+    starts = range(0, h.shape[0], _SYMMETRY_BLOCK)
+    scales, defects = [0.0], [0.0]
+    for i in starts:
+        rows = slice(i, i + _SYMMETRY_BLOCK)
+        for j in starts[i // _SYMMETRY_BLOCK:]:
+            cols = slice(j, j + _SYMMETRY_BLOCK)
+            upper, lower = h[rows, cols], h[cols, rows]
+            mirror = lower.conj().T
+            scales += [np.max(np.abs(upper)), np.max(np.abs(lower))]
+            defects.append(np.max(np.abs(upper - mirror)))
+            sym = upper + mirror
+            sym *= 0.5
+            upper[...] = sym
+            if i != j:
+                lower[...] = sym.conj().T
+    # np.max, unlike max(), lets a NaN through, as a whole-matrix maximum does.
+    scale, defect = float(np.max(scales)), float(np.max(defects))
     if defect > tol * max(scale, 1e-300):
         raise NotHermitianError(defect, tol * scale)
-    for part, dest, _, plus in parts:
-        plus(part, part.T, out=dest)
-    out *= 0.5
-    return out
+    return h
 
 
-def cholesky(m) -> np.ndarray:
-    """Lower-triangular ``L`` with ``L L* = M`` for Hermitian positive definite M.
+def cholesky(m, overwrite: bool = False) -> np.ndarray:
+    """Lower-triangular ``L`` with ``L L* = M`` for Hermitian positive definite M,
+    Fortran-ordered.
 
     Reads the lower triangle only (validate with :func:`require_hermitian`)
     and zeroes the upper one; raises ``ValueError`` on non-square or
     non-finite input and :class:`NotPositiveDefiniteError` with the
-    zero-based index of the failing pivot.
+    zero-based index of the failing pivot.  With ``overwrite=True`` a
+    Fortran-ordered ``m`` in its own field is factored in its own buffer
+    (``?potrf`` with ``overwrite_a``) and returned; any other input is first
+    copied into a Fortran-ordered buffer.
     """
-    m = np.asarray_chkfinite(as_matrix(m))
+    m = np.asarray(m)
+    if not (overwrite and m.dtype == _field(m) and m.flags.f_contiguous):
+        m = np.array(as_matrix(m), order="F")
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"Cholesky factorization needs a square matrix, got {m.shape}")
+    m = np.asarray_chkfinite(m)
     (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (m,))
-    factor, info = potrf(m, lower=True, clean=True)
+    factor, info = potrf(m, lower=True, clean=True, overwrite_a=True)
     if info > 0:
         # LAPACK reports the 1-based order of the failing leading minor.
         raise NotPositiveDefiniteError(info - 1)
@@ -332,19 +369,70 @@ def apply_in_field(matrix, op, x) -> np.ndarray:
     return op(x) if np.iscomplexobj(matrix) else real_columns(op, x)
 
 
-def _solve_lower(l, x) -> np.ndarray:  # noqa: E741
-    return apply_in_field(l, lambda y: scipy.linalg.solve_triangular(l, y, lower=True), x)
+#: Bytes of one chunk of columns in the dense kernels that work a chunk at
+#: a time: :func:`triangular_congruence` with a real factor and a complex
+#: operand, and the kernel block of :func:`saddlebounds.saddle.brezzi_constants`.
+CHUNK_BYTES = 1 << 22
 
 
-def triangular_congruence(l, x, r=None) -> np.ndarray:  # noqa: E741
-    """``L^{-1} X R^{-*}`` for lower-triangular ``L`` and ``R`` (default ``R = L``).
+def _trsm(l, b, **flags) -> None:  # noqa: E741
+    """``?trsm`` with ``alpha = 1`` and the lower-triangular, Fortran-ordered
+    ``L``, overwriting the Fortran-ordered ``b`` of L's field; ``flags``
+    (``side``, ``trans_a``) pick the solve."""
+    (trsm,) = scipy.linalg.get_blas_funcs(("trsm",), dtype=b.dtype)
+    trsm(1.0, l, b, lower=1, overwrite_b=1, **flags)
 
-    A real factor meets a complex ``X`` in real arithmetic, on the real and
-    imaginary parts as separate columns.
+
+def _solve_left(l, x) -> None:  # noqa: E741
+    """``X <- L^{-1} X`` for a Fortran-ordered ``X`` in the field of the result."""
+    if np.iscomplexobj(l) or not np.iscomplexobj(x):
+        _trsm(l, x)
+        return
+    # A real L meets a complex X a chunk of columns at a time: their real
+    # and imaginary parts side by side in one real, Fortran-ordered scratch.
+    n, k = x.shape
+    width = max(1, CHUNK_BYTES // (16 * n))
+    scratch = np.empty((n, 2 * min(width, k)), order="F")
+    for start in range(0, k, width):
+        part = x[:, start:start + width]
+        c = part.shape[1]
+        both = scratch[:, :2 * c]
+        both[:, :c], both[:, c:] = part.real, part.imag
+        _trsm(l, both)
+        part.real, part.imag = both[:, :c], both[:, c:]
+
+
+def _solve_right_adjoint(r, x) -> None:
+    """``X <- X R^{-*}`` for a Fortran-ordered ``X`` in the field of the result."""
+    if np.iscomplexobj(r) or not np.iscomplexobj(x):
+        _trsm(r, x, side=1, trans_a=2)
+        return
+    # For a real R this is X^T <- R^{-1} X^T, solved in place on the real
+    # view of the C-ordered X^T, whose rows hold the real and imaginary
+    # parts side by side.
+    _trsm(r, x.T.view(np.float64).T, side=1, trans_a=1)
+
+
+def triangular_congruence(l, x, r=None, overwrite: bool = False) -> np.ndarray:  # noqa: E741
+    """``L^{-1} X R^{-*}`` for lower-triangular ``L`` and ``R`` (default ``R = L``),
+    Fortran-ordered.
+
+    Both solves are overwriting ``?trsm`` calls.  A real factor meets a
+    complex ``X`` in real arithmetic: on the real and imaginary parts of a
+    chunk of columns at a time (``L``), or on the real view of ``X^T``
+    (``R``).  With ``overwrite=True`` a Fortran-ordered ``X`` in the field
+    of the result is solved in its own buffer and returned; any other
+    ``X`` is first copied into a Fortran-ordered buffer.
     """
     r = l if r is None else r
-    y = _solve_lower(l, x)
-    return _solve_lower(r, y.conj().T).conj().T
+    dtype = _field(l, x, r)
+    l, r = (np.asfortranarray(f, dtype=_field(f)) for f in (l, r))  # noqa: E741
+    x = np.asarray(x)
+    if not (overwrite and x.dtype == dtype and x.flags.f_contiguous):
+        x = np.array(x, dtype=dtype, order="F")
+    _solve_left(l, x)
+    _solve_right_adjoint(r, x)
+    return x
 
 
 def generalized_hermitian_eig(a, m) -> np.ndarray:
@@ -362,4 +450,5 @@ def generalized_hermitian_eig(a, m) -> np.ndarray:
     """
     a = require_hermitian(a)
     l = cholesky(require_hermitian(m))  # noqa: E741 - L as in M = L L*
-    return hermitian_eigenvalues(require_hermitian(triangular_congruence(l, a), tol=1e-10))
+    at = require_hermitian(triangular_congruence(l, a), tol=1e-10, overwrite=True)
+    return hermitian_eigenvalues(at, overwrite=True)

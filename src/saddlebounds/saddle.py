@@ -37,25 +37,30 @@ exactly at the discrete level,
   valid for any Hermitian system including C != 0.
 
 :class:`SaddleSystem` is the package's one conversion of sparse blocks to
-dense ones; it refuses an order ``n + m`` above :data:`DENSE_LIMIT`, and a
-block of the wrong shape, before converting it, and keeps a vanishing C as
-``None``; :func:`reduce_system` checks ``P`` and ``R`` the same way.
-:meth:`SaddleSystem.assemble` is the one dense assembler of ``M``.
+dense ones; it refuses an order ``n + m`` above :data:`DENSE_LIMIT`, an
+empty A or B, and a block of the wrong shape, before converting it, and
+keeps a vanishing C as ``None``; :func:`reduce_system` checks ``P`` and
+``R`` the same way.  Each block is densified once, into a buffer of its
+own, and worked in place from there: ``A``, ``C``, ``P`` and ``R`` are
+checked Hermitian and symmetrized in that buffer, ``P`` and ``R`` are
+Cholesky-factored in it, and ``At``, ``Ct`` and ``G*`` are solved by
+overwriting triangular solves in one copy each of ``A``, ``C`` and
+``B*``.  :meth:`SaddleSystem.assemble` is the one dense assembler of
+``M``; the eigensolve reads its lower block triangle only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
 from .densecore import (
+    CHUNK_BYTES,
     RANK_RTOL,
     apply_in_field,
-    as_matrix,
     cholesky,
     hermitian_eigenvalues,
     require_hermitian,
@@ -96,15 +101,21 @@ def _shaped(block, shape: tuple[int, int], name: str):
     return block
 
 
-def _dense(block) -> np.ndarray:
-    """A block as a dense matrix in the field of its values: a complex block
-    whose imaginary part is exactly zero becomes float64."""
-    if scipy.sparse.issparse(block):
-        block = block.toarray()
-    block = as_matrix(block)
-    if np.iscomplexobj(block) and not np.any(block.imag):
-        block = np.ascontiguousarray(block.real)
-    return block
+def _dense(block, order: str = "C") -> np.ndarray:
+    """A block as a dense matrix of its own, never a view of ``block``, in
+    the field of its values: a complex block whose imaginary part is exactly
+    zero becomes float64.  The one copy is made in that field and order."""
+    sparse = scipy.sparse.issparse(block)
+    if not sparse:
+        block = np.asarray(block)
+    if np.iscomplexobj(block) and not (
+        block.imag.count_nonzero() if sparse else np.any(block.imag)
+    ):
+        block = block.real
+    dtype = np.complex128 if np.iscomplexobj(block) else np.float64
+    if sparse:
+        return block.toarray(order=order).astype(dtype, copy=False)
+    return np.array(block, dtype=dtype, order=order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,10 +124,13 @@ class SaddleSystem:
 
     ``a`` is n x n Hermitian, ``b`` is m x n, ``c`` is m x m Hermitian or
     ``None``: a vanishing C (``None``, all-zero dense, or sparse with no
-    nonzero entry) is stored as ``None``.  Sparse blocks are accepted and
+    nonzero entry) is stored as ``None``.  An empty A or B (n = 0 or
+    m = 0) is refused, naming the block.  Sparse blocks are accepted and
     densified, each once its shape is checked, up to the order
-    ``n + m = DENSE_LIMIT``; each block is real if its values are.
-    Instances compare by identity, since arrays have no single truth value.
+    ``n + m = DENSE_LIMIT``; each block is real if its values are, and each
+    is densified into one buffer of its own: A and C Fortran-ordered and
+    symmetrized in place, B in C order.  Instances compare by identity,
+    since arrays have no single truth value.
     """
 
     a: np.ndarray
@@ -126,13 +140,17 @@ class SaddleSystem:
     def __post_init__(self):
         n, m = np.shape(self.a)[0], np.shape(self.b)[0]
         check_dense(n + m)
-        a = require_hermitian(_dense(_shaped(self.a, (n, n), "(1,1) block")))
+        for name, block, size in (("(1,1) block", self.a, n), ("coupling block", self.b, m)):
+            if size == 0:
+                raise ValueError(f"{name} is empty: shape {np.shape(block)}")
+        a = _dense(_shaped(self.a, (n, n), "(1,1) block"), order="F")
+        a = require_hermitian(a, overwrite=True)
         b = _dense(_shaped(self.b, (m, n), "coupling block"))
         c = self.c
         if c is not None:
             c = _shaped(c, (m, m), "(2,2) block")
             nonzero = c.count_nonzero() if scipy.sparse.issparse(c) else np.any(c)
-            c = require_hermitian(_dense(c)) if nonzero else None
+            c = require_hermitian(_dense(c, order="F"), overwrite=True) if nonzero else None
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -153,48 +171,43 @@ class SaddleSystem:
     def m(self) -> int:
         return self.b.shape[0]
 
-    def assemble(self) -> np.ndarray:
+    def assemble(self, mirror: bool = True) -> np.ndarray:
         """Dense Hermitian ``[[A, B*], [B, -C]]`` in one Fortran-ordered
-        buffer, whose (2,2) block stays zero where C vanishes."""
+        buffer, whose (2,2) block stays zero where C vanishes.
+
+        The lower block triangle (A, B, -C) is written first; ``mirror``
+        then writes ``B*``.  With ``mirror=False`` that block stays zero:
+        the buffer holds all that :func:`hermitian_eigenvalues` reads, and
+        its zero blocks are never written.
+        """
         n = self.n
         blocks = (self.a, self.b) if self.c is None else (self.a, self.b, self.c)
         full = np.zeros((n + self.m, n + self.m), dtype=np.result_type(*blocks), order="F")
         full[:n, :n] = self.a
         full[n:, :n] = self.b
-        np.conjugate(self.b.T, out=full[:n, n:])
         if self.c is not None:
             np.negative(self.c, out=full[n:, n:])
+        if mirror:
+            np.conjugate(self.b.T, out=full[:n, n:])
         return full
 
-    @cached_property
-    def _coupling_qr(self):
-        """``(reflectors, tau, sigma)``: the Householder QR ``B* = Q [R; 0]``
-        of ``?geqrf`` in the field of B, which keeps Q as its reflectors, and
-        the singular values of B, read off the m x m triangle ``R``."""
-        m, n = self.b.shape
-        # One Fortran-ordered copy of B*, which ?geqrf overwrites.
-        bh = np.empty((n, m), dtype=self.b.dtype, order="F")
-        np.conjugate(self.b.T, out=bh)
-        (geqrf,) = scipy.linalg.get_lapack_funcs(("geqrf",), (bh,))
-        work = geqrf(bh, lwork=-1, overwrite_a=True)[2]
-        qr, tau, _, info = geqrf(bh, lwork=int(work[0].real), overwrite_a=True)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"geqrf failed (LAPACK info = {info})")
-        return qr, tau, np.linalg.svd(np.triu(qr[:m]), compute_uv=False)
-
-    def _coupling(self, who: str):
-        """The cached ``(reflectors, tau, sigma)`` of B's QR, computed once
-        per instance.
+    def _coupling(self, who: str, overwrite: bool = False):
+        """The ``(reflectors, tau, sigma)`` of B's QR (:func:`_coupling_qr`),
+        computed once per instance, in B's own buffer with ``overwrite=True``.
 
         Raises unless C vanishes and B has full row rank: the inf-sup
-        condition, read off the singular values with ``RANK_RTOL``.
+        condition, read off the singular values with ``RANK_RTOL``.  The
+        shape checks come before B is touched.
         """
         if self.c is not None:
             raise ValueError(f"{who} requires a zero (2,2) block")
         m, n = self.b.shape
         if m > n:
             raise ValueError(f"coupling block must be wide, got shape {self.b.shape}")
-        qr, tau, s = self._coupling_qr
+        cache = vars(self)
+        if "_qr" not in cache:
+            cache["_qr"] = _coupling_qr(self.b, overwrite)
+        qr, tau, s = cache["_qr"]
         rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
         if rank < m:
             raise ValueError(
@@ -204,26 +217,63 @@ class SaddleSystem:
         return qr, tau, s
 
 
-def _apply_q(qr, tau, c) -> np.ndarray:
-    """``Q c`` for the Q of ``?geqrf``'s reflectors ``qr`` and ``tau``, applied
-    by ``?unmqr`` (``?ormqr`` for a real Q) without forming Q; ``c`` must be
-    Fortran-ordered in the dtype of ``qr`` and is overwritten."""
-    name = "unmqr" if np.iscomplexobj(qr) else "ormqr"
+def _coupling_qr(b, overwrite: bool = False):
+    """``(reflectors, tau, sigma)``: the Householder QR ``B* = Q [R; 0]`` of
+    ``?geqrf`` in the field of B, which keeps Q as its reflectors, and the
+    singular values of B, read off the m x m triangle ``R``.
+
+    ``?geqrf`` overwrites a Fortran-ordered ``B*``: a copy, or with
+    ``overwrite=True`` a C-ordered B itself, conjugated in place, whose
+    transpose is that ``B*``.
+    """
+    m, n = b.shape
+    if overwrite and b.flags.c_contiguous:
+        if np.iscomplexobj(b):
+            np.conjugate(b, out=b)
+        bh = b.T
+    else:
+        bh = np.empty((n, m), dtype=b.dtype, order="F")
+        np.conjugate(b.T, out=bh)
+    (geqrf,) = scipy.linalg.get_lapack_funcs(("geqrf",), (bh,))
+    work = geqrf(bh, lwork=-1, overwrite_a=True)[2]
+    qr, tau, _, info = geqrf(bh, lwork=int(work[0].real), overwrite_a=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"geqrf failed (LAPACK info = {info})")
+    return qr, tau, np.linalg.svd(np.triu(qr[:m]), compute_uv=False)
+
+
+def _apply_q(qr, tau, c, adjoint: bool = False) -> np.ndarray:
+    """``Q c``, or ``Q* c``, for the Q of ``?geqrf``'s reflectors ``qr`` and
+    ``tau``, applied by ``?unmqr`` (``?ormqr`` for a real Q) without forming
+    Q; ``c`` is copied into a Fortran-ordered buffer in the dtype of ``qr``
+    unless it is one, and that buffer is overwritten."""
+    name, trans = ("unmqr", "C") if np.iscomplexobj(qr) else ("ormqr", "T")
+    trans = trans if adjoint else "N"
+    c = np.asfortranarray(c, dtype=qr.dtype)
     (mqr,) = scipy.linalg.get_lapack_funcs((name,), (qr,))
-    work = mqr("L", "N", qr, tau, c, -1, overwrite_c=True)[1]
-    cq, _, info = mqr("L", "N", qr, tau, c, int(work[0].real), overwrite_c=True)
+    work = mqr("L", trans, qr, tau, c, -1, overwrite_c=True)[1]
+    cq, _, info = mqr("L", trans, qr, tau, c, int(work[0].real), overwrite_c=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"{name} failed (LAPACK info = {info})")
     return cq
 
 
-def _kernel_basis(qr, tau) -> np.ndarray:
+def _kernel_basis(qr, tau, columns: slice = slice(None)) -> np.ndarray:
     """The last ``n - m`` columns of Q, ``Q [0; I]``: an orthonormal basis
-    of ker(B) for ``B* = Q [R; 0]``."""
+    of ker(B) for ``B* = Q [R; 0]``, or the slice ``columns`` of it."""
     n, m = qr.shape
-    c = np.zeros((n, n - m), dtype=qr.dtype, order="F")
-    np.fill_diagonal(c[m:], 1.0)
+    index = np.arange(n - m)[columns]
+    c = np.zeros((n, index.size), dtype=qr.dtype, order="F")
+    c[m + index, np.arange(index.size)] = 1.0
     return _apply_q(qr, tau, c)
+
+
+def _factor(block) -> np.ndarray:
+    """The Cholesky factor of an inner-product block, densified once into a
+    Fortran-ordered buffer, then checked Hermitian, symmetrized and
+    factored in that buffer."""
+    h = require_hermitian(_dense(block, order="F"), overwrite=True)
+    return cholesky(h, overwrite=True)
 
 
 def reduce_system(sys: SaddleSystem, p, r) -> SaddleSystem:
@@ -232,20 +282,28 @@ def reduce_system(sys: SaddleSystem, p, r) -> SaddleSystem:
 
     ``P`` (n x n) and ``R`` (m x m), dense or sparse, must be Hermitian
     positive definite; a block of another shape raises ``ValueError``
-    naming it before either is densified.  Their Cholesky factors live only
-    in this call.  ``At`` and ``Ct`` are checked Hermitian to 1e-10; ``Ct``
-    is ``None`` where C vanishes.
+    naming it before either is densified.  Each is densified once and
+    factored in that buffer; the factors live only in this call.  ``At``,
+    ``Ct`` and ``G*`` are each solved in one Fortran-ordered copy of ``A``,
+    ``C`` and ``B*`` by overwriting triangular solves; ``At`` and ``Ct``
+    are checked Hermitian to 1e-10 and symmetrized in place, and ``G`` is
+    returned in C order, the transpose of ``conj(G*)``.  ``Ct`` is ``None``
+    where C vanishes.  ``sys`` is left as it was.
     """
     p = _shaped(p, (sys.n, sys.n), "inner-product block P")
     r = _shaped(r, (sys.m, sys.m), "inner-product block R")
-    lp = cholesky(require_hermitian(_dense(p)))
-    lr = cholesky(require_hermitian(_dense(r)))
-    at = require_hermitian(triangular_congruence(lp, sys.a), tol=1e-10)
+    lp = _factor(p)
+    lr = _factor(r)
+    at = require_hermitian(triangular_congruence(lp, sys.a), tol=1e-10, overwrite=True)
     ct = None if sys.c is None else require_hermitian(
-        triangular_congruence(lr, sys.c), tol=1e-10
+        triangular_congruence(lr, sys.c), tol=1e-10, overwrite=True
     )
-    g = triangular_congruence(lr, sys.b, lp)
-    return SaddleSystem._of_checked(at, g, ct)
+    bh = np.empty((sys.n, sys.m), dtype=np.result_type(lp, lr, sys.b), order="F")
+    np.conjugate(sys.b.T, out=bh)
+    gh = triangular_congruence(lp, bh, lr, overwrite=True)
+    if np.iscomplexobj(gh):
+        np.conjugate(gh, out=gh)
+    return SaddleSystem._of_checked(at, gh.T, ct)
 
 
 @dataclass(frozen=True)
@@ -341,18 +399,29 @@ def block_decompose(sys: SaddleSystem) -> BlockDecomposition:
     )
 
 
-def _kernel_block(sys: SaddleSystem, qr, tau) -> np.ndarray:
-    """The Fortran-ordered kernel block ``V0* A V0`` of ``sys`` for the
-    kernel basis ``V0`` of its cached QR; the basis lives only in this call."""
-    v0 = _kernel_basis(qr, tau)
-    a_v0 = apply_in_field(sys.a, sys.a.__matmul__, v0)
-    # gemm reads V0* and A V0 = ((A V0)^T)^T where they are, with no
-    # conjugated or reordered copy.
-    (gemm,) = scipy.linalg.get_blas_funcs(("gemm",), (v0, a_v0))
-    return gemm(1.0, v0, a_v0.T, trans_a=2, trans_b=1)
+def _kernel_block(a, qr, tau) -> np.ndarray:
+    """The Fortran-ordered kernel block ``V0* A V0`` for the kernel basis
+    ``V0 = Q [0; I]`` of the QR ``(qr, tau)``.
+
+    The block is ``[0 I] Q* A Q [0; I]``, formed a chunk ``J`` of its
+    columns at a time as the last ``n - m`` rows of ``Q* (A (Q [0; I_J]))``,
+    so neither ``V0`` nor ``A V0`` is ever held whole.  Each product keeps
+    the field of its operands: a real Q meets a complex A (Stokes), and a
+    real A a complex Q (the parabolic KKT system), as real columns.
+    """
+    n, m = qr.shape
+    k = n - m
+    block = np.empty((k, k), dtype=np.result_type(qr, a), order="F")
+    width = max(1, CHUNK_BYTES // (16 * n))
+    for start in range(0, k, width):
+        columns = slice(start, start + width)
+        a_v = apply_in_field(a, a.__matmul__, _kernel_basis(qr, tau, columns))
+        q_a_v = apply_in_field(qr, lambda y: _apply_q(qr, tau, y, adjoint=True), a_v)
+        block[:, columns] = q_a_v[m:]
+    return block
 
 
-def brezzi_constants(sys: SaddleSystem) -> BrezziConstants:
+def brezzi_constants(sys: SaddleSystem, overwrite: bool = False) -> BrezziConstants:
     """Exact Brezzi-type constants of ``sys`` in the Euclidean geometry.
 
     For a system from :func:`reduce_system` (blocks ``At``, ``G``) these are
@@ -373,18 +442,25 @@ def brezzi_constants(sys: SaddleSystem) -> BrezziConstants:
 mu3_cubic` via :func:`saddlebounds.bounds.inclusion_set`) presume the
     coercive representation of ``alpha``; ``inclusion_set`` refuses
     constants whose kernel block is not positive definite.
+
+    With ``overwrite=True`` the constants are computed in the system's own
+    buffers, which are then destroyed: the QR of ``G*`` in G's (C-ordered
+    G, conjugated in place), and the eigenvalues of ``At`` in A's
+    (Fortran-ordered, as :func:`reduce_system` and :class:`SaddleSystem`
+    store it).  The constants are the same, bit for bit; the system must
+    not be used afterwards.
     """
-    qr, tau, s = sys._coupling("brezzi_constants")
+    qr, tau, s = sys._coupling("brezzi_constants", overwrite)
     if sys.n == sys.m:
         raise ValueError("ker(B) is trivial; the kernel inf-sup is undefined")
-    kernel_eigs = hermitian_eigenvalues(_kernel_block(sys, qr, tau), overwrite=True)
+    kernel_eigs = hermitian_eigenvalues(_kernel_block(sys.a, qr, tau), overwrite=True)
     alpha = float(np.min(np.abs(kernel_eigs)))
     if alpha <= 1e-12 * max(float(np.max(np.abs(kernel_eigs))), 1e-300):
         raise ValueError(
             f"(1,1) block is not elliptic on ker(B): inf-sup constant "
             f"{alpha:.6e} vanishes (singular kernel block)"
         )
-    lam = hermitian_eigenvalues(sys.a)
+    lam = hermitian_eigenvalues(sys.a, overwrite=overwrite)
     lam_min, lam_max = float(lam[0]), float(lam[-1])
     return BrezziConstants(
         alpha=alpha,
@@ -404,16 +480,23 @@ def preconditioned_spectrum(sys: SaddleSystem) -> np.ndarray:
     are the eigenvalues of the generalized problem ``M x = mu Pc x`` with
     ``Pc = diag(P, R)``.  ``M`` is Hermitian by construction, since its
     diagonal blocks were checked and symmetrized when the system was made,
-    so it is not checked again.  :meth:`SaddleSystem.assemble` writes it
-    into one Fortran-ordered buffer, whose lower triangle the eigensolver
-    reads and which it then overwrites.
+    so it is not checked again.  :meth:`SaddleSystem.assemble` writes its
+    lower block triangle into one Fortran-ordered buffer, which the
+    eigensolver reads and then overwrites.
     """
-    return hermitian_eigenvalues(sys.assemble(), overwrite=True)
+    return hermitian_eigenvalues(sys.assemble(mirror=False), overwrite=True)
 
 
-def babuska_constants(sys: SaddleSystem) -> BabuskaConstants:
-    """Extreme moduli ``(gamma, B_norm)`` of the preconditioned spectrum."""
-    moduli = np.abs(preconditioned_spectrum(sys))
+def babuska_constants(sys: SaddleSystem | np.ndarray) -> BabuskaConstants:
+    """Extreme moduli ``(gamma, B_norm)`` of the preconditioned spectrum of
+    ``sys``, or of ``sys`` itself where it is that spectrum (as
+    ``saddlebounds bounds`` computes it, beside Brezzi's constants).
+
+    Raises ``ValueError`` for a singular system: ``gamma`` at most 1e-12
+    ``B_norm``.
+    """
+    spectrum = preconditioned_spectrum(sys) if isinstance(sys, SaddleSystem) else sys
+    moduli = np.abs(spectrum)
     gamma = float(np.min(moduli))
     b_norm = float(np.max(moduli))
     if gamma <= 1e-12 * max(b_norm, 1e-300):

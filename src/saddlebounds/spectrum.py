@@ -63,10 +63,9 @@ def detect_structure(sys: SaddleSystem) -> bool:
     (i.e. the stored C equals A), A real symmetric positive definite and B
     complex symmetric, all within the relative tolerance ``STRUCTURE_RTOL``.
     ``SaddleSystem`` stores A exactly Hermitian, so a real A is symmetric.
-    An empty system (n = m = 0) meets every condition; no other system with ``c is None`` does.
     """
     if sys.n != sys.m or sys.c is None:
-        return sys.n == sys.m == 0
+        return False
     a, b, c = sys.a, sys.b, sys.c
     scale_a = float(np.max(np.abs(a), initial=1e-300))
     if float(np.max(np.abs(c - a), initial=0.0)) > STRUCTURE_RTOL * scale_a:
@@ -139,7 +138,7 @@ def linearize_quadratic(sys: SaddleSystem) -> np.ndarray:
     a = sys.a.real
     b = sys.b
     sv = np.linalg.svd(b, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= 1e-12 * max(sv[0], 1e-300):
+    if sv[-1] <= 1e-12 * max(sv[0], 1e-300):
         raise ValueError("coupling block B is singular; linearization undefined")
     root = _principal_sqrt(b)
     g = root @ np.linalg.solve(root.T, a.T).T  # B^{1/2} A B^{-1/2}

@@ -138,6 +138,26 @@ class TestBoundsCommand:
         )
         assert not out.exists()
 
+    EMPTY = {
+        # n = m = 0
+        "empty": (np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)),
+                  "(1,1) block is empty: shape (0, 0)"),
+        # no coupling rows: m = 0
+        "no-coupling-rows": (np.eye(3), np.zeros((0, 3)), np.eye(3),
+                             "coupling block is empty: shape (0, 3)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EMPTY))
+    def test_empty_block_exit_two(self, case, tmp_path, capsys):
+        # Refused by the system, naming the block, under the bundle's one
+        # error line.
+        a, b, p, message = self.EMPTY[case]
+        mmio.save_bundle(tmp_path / "e", a, b, None, p, np.zeros((0, 0)))
+        assert main(["bounds", str(tmp_path / "e")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot load bundle: {message}\n"
+
     def test_bundle_above_dense_limit_refused_before_densifying(self, tmp_path, capsys):
         # Order 6,001 in identity-like coordinate blocks (n = 4,001, m =
         # 2,000): refused with code 2 below the memory of one dense block.
@@ -216,6 +236,64 @@ class TestBoundsCommand:
         assert "gamma = 0.277754366237" in lines
         assert "gamma_opt = 0.200809756473" in lines
         assert lines[-1] == "sharpness = strict"
+
+
+class TestOverlappedBounds:
+    """``bounds`` runs Babuska's eigensolve on one helper thread while the
+    calling thread computes Brezzi's constants, with BLAS at one thread."""
+
+    def test_singular_system_reports_babuska_first(self, tmp_path, capsys):
+        # M has zero rows, and A vanishes on ker(B): both analyses refuse,
+        # and the message is Babuska's, as in the serial order.
+        sys = SaddleSystem(a=np.diag([1.0, 0.0, 0.0]), b=np.array([[1.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="not elliptic"):
+            saddle.brezzi_constants(sys)
+        with pytest.raises(ValueError, match="system is singular") as serial:
+            saddle.babuska_constants(sys)
+        save_system(tmp_path / "s", sys)
+        assert main(["bounds", str(tmp_path / "s")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {serial.value}\n"
+
+    def test_dense_work_at_one_blas_thread(self, tmp_path, capsys, monkeypatch, two_blas_threads):
+        # Babuska's eigensolve runs on the helper, Brezzi's two eigensolves
+        # and the coupling QR on the calling thread, every one at one BLAS
+        # thread.
+        bundle = tmp_path / "b"
+        assert main(["export", "--flavor", "parabolic-kkt", "--level", "2", "--out", str(bundle)]) == 0
+        calls = []
+
+        def recording(what, fn):
+            def call(*args, **kwargs):
+                on_main = threading.current_thread() is threading.main_thread()
+                calls.append((what, on_main, densecore._blas_thread_counts()))
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(cli, "hermitian_eigenvalues",
+                            recording("babuska", cli.hermitian_eigenvalues))
+        monkeypatch.setattr(saddle, "hermitian_eigenvalues",
+                            recording("brezzi", saddle.hermitian_eigenvalues))
+        monkeypatch.setattr(saddle, "_coupling_qr", recording("qr", saddle._coupling_qr))
+        assert main(["bounds", str(bundle)]) == 0
+        assert sorted((what, on_main) for what, on_main, _ in calls) == [
+            ("babuska", False), ("brezzi", True), ("brezzi", True), ("qr", True),
+        ]
+        one = (1,) * len(two_blas_threads)
+        assert [counts for _, _, counts in calls] == [one] * 4
+        assert densecore._blas_thread_counts() == two_blas_threads
+
+    def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path, capsys, request):
+        # The reduction runs at the count it finds: one thread, then two.
+        bundle, outs = tmp_path / "b", [tmp_path / "one.txt", tmp_path / "two.txt"]
+        assert main(["export", "--flavor", "stokes", "--level", "2", "--out", str(bundle)]) == 0
+        with densecore.one_blas_thread:
+            assert main(["bounds", str(bundle), "--out", str(outs[0])]) == 0
+        request.getfixturevalue("two_blas_threads")
+        assert main(["bounds", str(bundle), "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestTableCommand:

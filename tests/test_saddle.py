@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddlebounds import saddle
+from saddlebounds import densecore, saddle
 from saddlebounds.bounds import (
     b_norm_upper,
     gamma_classical,
@@ -102,6 +103,31 @@ class TestSystemModel:
         red = reduce_system(sys, np.diag([2.0, 3.0 + 0j]), np.array([[4.0 + 0j]]))
         assert red.a.dtype == red.b.dtype == np.float64 and red.c is None
 
+    def test_assemble_lower_block_triangle(self, rng):
+        # Without the mirror the buffer holds the same lower block triangle,
+        # bit for bit, and a zero B* block.
+        sys, _, _ = random_coercive_system(rng, 5, 2)
+        sys = SaddleSystem(a=sys.a, b=sys.b, c=random_hermitian(rng, 2))
+        full, lower = sys.assemble(), sys.assemble(mirror=False)
+        assert lower.flags.f_contiguous and lower.dtype == full.dtype
+        assert not np.any(lower[:5, 5:])
+        full[:5, 5:] = 0.0
+        assert full.tobytes(order="F") == lower.tobytes(order="F")
+
+    EMPTY = {
+        "A": (np.zeros((0, 0)), np.zeros((0, 0)), "(1,1) block is empty: shape (0, 0)"),
+        "B": (np.eye(3), np.zeros((0, 3)), "coupling block is empty: shape (0, 3)"),
+        "sparse-B": (
+            np.eye(3), scipy.sparse.coo_array((0, 3)), "coupling block is empty: shape (0, 3)"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EMPTY))
+    def test_empty_block_refused(self, case):
+        a, b, message = self.EMPTY[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SaddleSystem(a=a, b=b)
+
     def test_assemble_hermitian(self, rng):
         sys, _, _ = random_coercive_system(rng, 5, 2)
         full = sys.assemble()
@@ -163,6 +189,42 @@ class TestSystemModel:
         for p, r, name in ((np.eye(3), np.eye(2), "P"), (np.eye(2), np.eye(1), "R")):
             with pytest.raises(ValueError, match=f"inner-product block {name} is"):
                 reduce_system(sys, p, r)
+
+    def test_reduction_leaves_its_inputs(self, rng):
+        # The reduction works in buffers of its own: the system and dense
+        # P and R are left as they were.
+        sys, p, r = random_coercive_system(rng, 7, 3)
+        kept = [x.copy() for x in (sys.a, sys.b, p, r)]
+        reduce_system(sys, p, r)
+        for got, want in zip((sys.a, sys.b, p, r), kept):
+            assert np.array_equal(got, want)
+
+    def test_reduction_peak_memory(self):
+        # n = 600, m = 300: a real A, a complex B, and sparse tridiagonal P
+        # and R.  The reduction holds the factors Lp and Lr, the outputs At
+        # and G, and one chunk of scratch for the complex right-hand side
+        # against a real factor: 12.2 MB, where copying every block peaked
+        # at 18.0 MB.
+        rng = np.random.default_rng(3)
+        n, m = 600, 300
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        sys = SaddleSystem(a=a + a.T, b=b)
+        p, r = (
+            scipy.sparse.diags_array(
+                [np.full(k - 1, -1.0), 4.0 + rng.random(k), np.full(k - 1, -1.0)],
+                offsets=[-1, 0, 1],
+            ).tocsr()
+            for k in (n, m)
+        )
+        tracemalloc.start()
+        try:
+            red = reduce_system(sys, p, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        live = 8 * (n * n + m * m) + red.a.nbytes + red.b.nbytes
+        assert peak <= live + densecore.CHUNK_BYTES
 
 
 class RealOnly(np.ndarray):
@@ -405,6 +467,38 @@ class TestBrezziConstants:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+    def test_overwrite_takes_less_memory_and_gives_the_same_bits(self, rng):
+        # The same system as above: in its own buffers, Brezzi's constants
+        # peak lower by at least half of B (the copy of B* for the QR), and
+        # are the same bit for bit.
+        def traced(overwrite):
+            rng = np.random.default_rng(0)
+            b = rng.standard_normal((300, 600)) + 1j * rng.standard_normal((300, 600))
+            sys = SaddleSystem(a=random_hermitian(rng, 600), b=b)
+            tracemalloc.start()
+            try:
+                bc = brezzi_constants(sys, overwrite=overwrite)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return bc, peak, sys.b.nbytes
+
+        (copied, copy_peak, b_bytes), (kept, peak, _) = traced(False), traced(True)
+        assert peak < copy_peak - b_bytes // 2
+        assert kept == copied
+
+    @pytest.mark.parametrize("fields", ["real", "complex-b", "complex-a"])
+    def test_overwrite_on_a_reduced_system(self, fields, rng):
+        # The in-place form on a reduction, whose A is Fortran-ordered and
+        # whose B is C-ordered, gives the copying form's constants.
+        sys, p, r = random_coercive_system(rng, 9, 4)
+        if fields != "complex-a":
+            sys, p, r = SaddleSystem(a=sys.a.real, b=sys.b), p.real, r.real
+        if fields == "real":
+            sys = SaddleSystem(a=sys.a, b=sys.b.real)
+        want = brezzi_constants(reduce_system(sys, p, r))
+        assert brezzi_constants(reduce_system(sys, p, r), overwrite=True) == want
 
 
 class TestBabuskaConstants:

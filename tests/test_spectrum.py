@@ -26,11 +26,6 @@ class TestDetectStructure:
         sys = SaddleSystem(a=np.eye(2), b=np.array([[0.0, 1.0]]))
         assert detect_structure(sys) is False
 
-    def test_empty_system_detected(self):
-        # Every hypothesis holds vacuously for n = m = 0.
-        empty = np.zeros((0, 0))
-        assert detect_structure(SaddleSystem(a=empty, b=empty, c=empty)) is True
-
     def test_indefinite_block_not_detected(self):
         sys = SaddleSystem(a=np.diag([1.0, -1.0]), b=1j * np.eye(2), c=np.diag([1.0, -1.0]))
         assert detect_structure(sys) is False
@@ -109,11 +104,6 @@ class TestLinearizeQuadratic:
         sys = SaddleSystem(a=np.eye(2), b=np.zeros((2, 2), dtype=complex), c=np.eye(2))
         with pytest.raises(ValueError, match="singular"):
             linearize_quadratic(sys)
-
-    def test_empty_coupling_rejected(self):
-        empty = np.zeros((0, 0))
-        with pytest.raises(ValueError, match="coupling block B is singular"):
-            linearize_quadratic(SaddleSystem(a=empty, b=empty, c=empty))
 
     @pytest.mark.parametrize(
         "sys",
