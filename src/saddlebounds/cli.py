@@ -12,12 +12,7 @@ Subcommands
     Euclidean geometry in place (:func:`saddlebounds.saddle.reduce_system`);
     then Babuska's eigensolve runs on one helper thread while Brezzi's
     constants are computed in the reduced system's own buffers, with BLAS
-    at one thread, and a system both refuse gets Babuska's message.  At
-    one BLAS thread this took the median bounds-bundle benchmark pass
-    (``bounds`` on the level-4 parabolic KKT bundle, order 1,443, plus the
-    ``verify`` suites) from 1.98 s to 1.31 s of wall time, at a peak RSS of
-    158 MB before and 155 MB now, and a run on the level-5 bundle (order
-    5,955) from 73-81 s and 1,112 MB to 53-57 s and 993 MB.
+    at one thread, and a system both refuse gets Babuska's message.
 ``table``
     Reproduce the preconditioned-MINRES experiment tables for a model
     problem family: one row per swept parameter (mesh size, frequency, or
@@ -37,7 +32,8 @@ Subcommands
     plain-text mesh listing; a problem that ``bounds`` would refuse for its
     size is refused before any directory is made.
 
-Experiment configuration can come from a JSON file (``--config``); any
+Experiment configuration can come from a JSON file (``--config``) whose
+keys are the names of the ``table`` flags (``format``, not ``fmt``); any
 command-line flag overrides the file.  Output is deterministic: CSV and
 Markdown tables print intervals with three decimals, counts as integers.
 """
@@ -50,7 +46,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +84,11 @@ FORMATS = ("csv", "markdown", "json")
 
 @dataclass
 class ExperimentConfig:
-    """Declarative description of one experiment table."""
+    """Declarative description of one experiment table.
+
+    The fields are the keys of a ``--config`` file and the ``table`` flags
+    of the same names.
+    """
 
     flavor: str = "stokes"
     levels: list[int] = field(default_factory=lambda: [4])
@@ -96,14 +96,14 @@ class ExperimentConfig:
     omega: list[float] = field(default_factory=lambda: [1.0])
     eps: float = 1e-8
     maxit: int = 600
-    fmt: str = "csv"
+    format: str = "csv"
     out: str | None = None
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}; choose from {FLAVORS}")
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}; choose from {FORMATS}")
+        if self.format not in FORMATS:
+            raise ValueError(f"unknown format {self.format!r}; choose from {FORMATS}")
         # JSON's true and false are Python bools, which are also ints.
         ints, reals = (numbers.Integral, "an integer"), (numbers.Real, "a real number")
         for name, values, (kind, what) in (
@@ -409,40 +409,32 @@ def cmd_bounds(args) -> int:
     return _emit("\n".join(lines) + "\n", args.out)
 
 
-def _parse_list(text: str, cast) -> list:
-    return [cast(tok) for tok in text.split(",") if tok.strip()]
+def _list_of(cast):
+    """The argparse ``type`` of a comma-separated list of ``cast`` values."""
 
+    def parse(text: str) -> list:
+        return [cast(tok) for tok in text.split(",") if tok.strip()]
 
-#: ``(flag, field, parse)`` of each ``table`` flag: a flag that is given
-#: sets the configuration field to ``parse(value)``, over the config file.
-_TABLE_FLAGS = (
-    ("flavor", "flavor", str),
-    ("levels", "levels", lambda text: _parse_list(text, int)),
-    ("nu", "nu", lambda text: _parse_list(text, float)),
-    ("omega", "omega", lambda text: _parse_list(text, float)),
-    ("eps", "eps", float),
-    ("maxit", "maxit", int),
-    ("format", "fmt", str),
-    ("out", "out", str),
-)
+    parse.__name__ = f"{cast.__name__} list"  # named in argparse's error message
+    return parse
 
 
 def _read_config(path: str) -> dict:
     values = json.loads(Path(path).read_text())
     if not isinstance(values, dict):
         raise ValueError(f"{path} must hold a JSON object, not a {type(values).__name__}")
-    if "format" in values:  # config files may use the flag spelling
-        values["fmt"] = values.pop("format")
     return values
 
 
 def cmd_table(args) -> int:
     try:
         values = _read_config(args.config) if args.config else {}
-        for flag, name, parse in _TABLE_FLAGS:
-            value = getattr(args, flag)
-            if value is not None:
-                values[name] = parse(value)
+        # Each table flag but --config sets the field of its name.
+        names = {f.name for f in fields(ExperimentConfig)}
+        values.update(
+            (name, value) for name, value in vars(args).items()
+            if name in names and value is not None
+        )
         config = ExperimentConfig(**values)
     except (OSError, TypeError, ValueError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
@@ -459,7 +451,7 @@ def cmd_table(args) -> int:
                 f"not certified after {row.estimate_steps} Lanczos steps",
                 file=sys.stderr,
             )
-    return _emit(format_table(rows, config.fmt), config.out)
+    return _emit(format_table(rows, config.format), config.out)
 
 
 def cmd_verify(args) -> int:
@@ -507,9 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="run an experiment table")
     p_table.add_argument("--config", help="JSON config file")
     p_table.add_argument("--flavor", choices=FLAVORS)
-    p_table.add_argument("--levels", help="comma-separated refinement levels")
-    p_table.add_argument("--nu", help="comma-separated cost parameters")
-    p_table.add_argument("--omega", help="comma-separated frequencies")
+    p_table.add_argument("--levels", type=_list_of(int), help="comma-separated refinement levels")
+    p_table.add_argument("--nu", type=_list_of(float), help="comma-separated cost parameters")
+    p_table.add_argument("--omega", type=_list_of(float), help="comma-separated frequencies")
     p_table.add_argument("--eps", type=float)
     p_table.add_argument("--maxit", type=int)
     p_table.add_argument("--format", choices=FORMATS)

@@ -37,7 +37,8 @@ but ``S`` is built here: the exact analyses pass the sparse blocks ``A``,
 
 The dense Stokes Schur complement ``S`` is formed in blocks of ``C`` columns,
 one SuperLU solve each, on one worker per available CPU (the affinity mask
-where the platform has one, else ``os.cpu_count()``).  A block's real
+where the platform has one, else ``os.cpu_count()``), then checked symmetric
+and symmetrized in place, so no second copy of ``S`` is made.  A block's real
 right-hand side of ``ns x 2C`` doubles is held near ``SCHUR_BLOCK_BYTES``
 (1.5 MiB), because the formation was fastest at 1-4 MB at every level.
 Formation time against the block's columns (and MB), two workers on 2 CPUs,
@@ -71,7 +72,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from ..densecore import one_blas_thread, real_columns
+from ..densecore import one_blas_thread, real_columns, require_hermitian
 from ..krylov import LinearOperator
 from .assembly import assemble_p1, assemble_taylor_hood
 from .mesh import Mesh
@@ -380,7 +381,8 @@ def parabolic_reduced(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
 @one_blas_thread
 def _schur_complement(ps_factor: SpdFactor, dx, dy) -> np.ndarray:
     """Dense exact pressure Schur complement ``S = Dx Ps^{-1} Dx^T + Dy
-    Ps^{-1} Dy^T`` (mp x mp), symmetrized.
+    Ps^{-1} Dy^T`` (mp x mp), checked symmetric and symmetrized in its own
+    buffer (:func:`saddlebounds.densecore.require_hermitian`).
 
     The divergence blocks stay sparse.  Each block of ``C`` columns of ``S``
     makes one solve with the ``ns x 2C`` real right-hand side ``[Dx^T, Dy^T]``
@@ -427,7 +429,7 @@ def _schur_complement(ps_factor: SpdFactor, dx, dy) -> np.ndarray:
         drain()
         for helper in helpers:
             helper.result()
-    return 0.5 * (schur + schur.T)
+    return require_hermitian(schur, overwrite=True)
 
 
 def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:

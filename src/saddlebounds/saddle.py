@@ -26,11 +26,12 @@ exactly at the discrete level,
   - ``lambda_min_a``, ``lambda_max_a``: extreme eigenvalues of ``At``, the
     range of (A, P),
   - ``beta``/``b_norm``: extreme singular values of ``G``.  One
-    Householder QR ``G* = Q [R; 0]``, cached on the system as LAPACK's
-    reflectors, gives them as the singular values of the m x m triangle
-    ``R`` (Chan's R-SVD), together with the rank test (the discrete inf-sup
-    condition); applying the reflectors to ``[0; I]`` gives an orthonormal
-    basis of ker(G) without forming the n x n Q;
+    Householder QR ``G* = Q [R; 0]``, factored by each analysis that needs
+    it and kept as LAPACK's reflectors, gives them as the singular values of
+    the m x m triangle ``R`` (Chan's R-SVD), together with the rank test
+    (the discrete inf-sup condition); applying the reflectors to ``[0; I]``
+    gives an orthonormal basis of ker(G) without forming the n x n Q, and
+    Q itself is the basis of :func:`block_decompose`;
 
 * the Babuska constants ``gamma = |mu_min|`` and ``B_norm = |mu_max|`` from
   the eigenvalues of ``[[At, G*], [G, -Ct]]`` (:func:`babuska_constants`),
@@ -129,8 +130,9 @@ class SaddleSystem:
     densified, each once its shape is checked, up to the order
     ``n + m = DENSE_LIMIT``; each block is real if its values are, and each
     is densified into one buffer of its own: A and C Fortran-ordered and
-    symmetrized in place, B in C order.  Instances compare by identity,
-    since arrays have no single truth value.
+    symmetrized in place, B in C order.  A system holds its blocks and
+    nothing else: every analysis factors what it needs afresh.  Instances
+    compare by identity, since arrays have no single truth value.
     """
 
     a: np.ndarray
@@ -193,7 +195,8 @@ class SaddleSystem:
 
     def _coupling(self, who: str, overwrite: bool = False):
         """The ``(reflectors, tau, sigma)`` of B's QR (:func:`_coupling_qr`),
-        computed once per instance, in B's own buffer with ``overwrite=True``.
+        factored afresh on every call, in B's own buffer with
+        ``overwrite=True``; nothing is stored on the system.
 
         Raises unless C vanishes and B has full row rank: the inf-sup
         condition, read off the singular values with ``RANK_RTOL``.  The
@@ -204,10 +207,7 @@ class SaddleSystem:
         m, n = self.b.shape
         if m > n:
             raise ValueError(f"coupling block must be wide, got shape {self.b.shape}")
-        cache = vars(self)
-        if "_qr" not in cache:
-            cache["_qr"] = _coupling_qr(self.b, overwrite)
-        qr, tau, s = cache["_qr"]
+        qr, tau, s = _coupling_qr(self.b, overwrite)
         rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
         if rank < m:
             raise ValueError(
@@ -347,9 +347,10 @@ class BlockDecomposition:
     """Kernel-based 3x3 view of a system with zero (2,2) block.
 
     ``v0`` and ``v1`` are orthonormal bases of ker(B) and its complement,
-    ``v1`` the polar factor of ``B*``, both read off the QR of ``B*``
-    cached on the system (:func:`block_decompose`); ``Aij = Vi* A Vj`` and
-    ``B1 = B V1``, Hermitian positive definite.  For a system from
+    the last ``n - m`` and the first m columns of the Q of ``B* = Q [R; 0]``
+    (:func:`block_decompose`); ``Aij = Vi* A Vj`` and ``B1 = B V1 = R*``,
+    lower triangular with the singular values of B, not Hermitian in
+    general.  For a system from
     :func:`reduce_system` (blocks ``At`` and ``G``), ``Lp^{-*}`` maps them
     to P-orthonormal bases of the original ker(B) and its P-orthogonal
     complement.
@@ -368,34 +369,24 @@ def block_decompose(sys: SaddleSystem) -> BlockDecomposition:
     """Split the primal space of ``sys`` into ker(B) and its complement.
 
     Requires a zero (2,2) block and full-rank B.  With the Householder QR
-    ``B* = Q [R; 0]`` cached on the system, the last ``n - m`` columns of Q
-    form ``v0``.  With the SVD ``R = Ur S Wr*`` of the m x m triangle,
-    ``B = Wr S (Q1 Ur)*`` for the first m columns ``Q1`` of Q, so
-    ``v1 = Q1 Ur Wr*`` is the orthonormal polar factor of ``B*``, which does
-    not depend on the SVD's choice of phases, and ``B1 = B v1 = Wr S Wr*``.
-    Both bases come from one application of the reflectors; the n x n Q is
-    never formed.
+    ``B* = Q [R; 0]``, the last ``n - m`` columns of Q form ``v0`` and the
+    first m form ``v1``; since ``B = [R*, 0] Q*``, ``B1 = B v1 = R*``.
+    Q is formed by applying the reflectors once, to the identity.
     """
     qr, tau, _ = sys._coupling("block_decompose")
-    n, m = sys.n, sys.m
-    k = n - m
-    ur, s, wrh = np.linalg.svd(np.triu(qr[:m]))
-    # V = Q [[0, Ur Wr*], [I, 0]] = [v0, v1].
-    c = np.zeros((n, n), dtype=qr.dtype, order="F")
-    np.fill_diagonal(c[m:, :k], 1.0)
-    c[:m, k:] = ur @ wrh
-    v = _apply_q(qr, tau, c)
-    # The blocks V_i* A V_j of V* (A V), with the real or complex A
-    # applied in its own field.
-    w = v.conj().T @ apply_in_field(sys.a, sys.a.__matmul__, v)
+    m = sys.m
+    q = _apply_q(qr, tau, np.eye(sys.n, dtype=qr.dtype, order="F"))
+    # The blocks of Q* A Q, with the real or complex A applied in its own
+    # field; V = [v0, v1] is Q with its first m columns moved last.
+    w = q.conj().T @ apply_in_field(sys.a, sys.a.__matmul__, q)
     return BlockDecomposition(
-        v0=v[:, :k],
-        v1=v[:, k:],
-        a00=require_hermitian(w[:k, :k], tol=1e-8),
-        a01=w[:k, k:],
-        a10=w[k:, :k],
-        a11=require_hermitian(w[k:, k:], tol=1e-8),
-        b1=(wrh.conj().T * s) @ wrh,
+        v0=q[:, m:],
+        v1=q[:, :m],
+        a00=require_hermitian(w[m:, m:], tol=1e-8),
+        a01=w[m:, :m],
+        a10=w[:m, m:],
+        a11=require_hermitian(w[:m, :m], tol=1e-8),
+        b1=np.triu(qr[:m]).conj().T,
     )
 
 

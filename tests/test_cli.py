@@ -359,6 +359,25 @@ class TestTableCommand:
         assert main(["table", "--config", str(config)]) == 2
         assert "bad configuration" in capsys.readouterr().err
 
+    def test_rejects_fmt_spelling(self, tmp_path, capsys):
+        # A config file names the format as the flag does, and only so.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "flavor": "parabolic-reduced", "levels": [0], "fmt": "markdown",
+        }))
+        assert main(["table", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad configuration: ")
+
+    def test_malformed_list_flag_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table", "--flavor", "stokes", "--levels", "1.5"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --levels: invalid int list value: '1.5'" in captured.err
+
     @pytest.mark.parametrize("values", [
         {"levels": [1.5]},
         {"levels": [0], "maxit": 10.5},
@@ -415,7 +434,7 @@ class TestTableCommand:
         assert row.split(",")[5] == certified.out.splitlines()[1].split(",")[5]
 
     def test_markdown_format(self):
-        config = ExperimentConfig(flavor="parabolic-reduced", levels=[0], fmt="markdown")
+        config = ExperimentConfig(flavor="parabolic-reduced", levels=[0], format="markdown")
         text = format_table(run_table(config), "markdown")
         assert text.splitlines()[0].startswith("| h |")
 

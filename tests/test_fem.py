@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -441,6 +442,34 @@ class TestStokesSchurBlocks:
         uncapped = problems._schur_complement.__wrapped__(ps, fem.div_x, fem.div_y)
         assert set(counts) == {two_blas_threads}
         assert np.array_equal(capped, uncapped)
+
+    def test_symmetrized_in_place(self, monkeypatch):
+        # With a factor whose solve is the identity, S = Dx Dx^T + Dy Dy^T.
+        # The traced peak is S and one block's working set (the right-hand
+        # side and three mp x C products), on one worker: no second copy of
+        # S is made to symmetrize it.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        rng = np.random.default_rng(0)
+        mp, ns = 2000, 2000
+        dx, dy = (
+            scipy.sparse.random(mp, ns, density=2e-3, format="csr", random_state=rng)
+            for _ in range(2)
+        )
+
+        class Identity:
+            def solve(self, rhs):
+                return rhs
+
+        tracemalloc.start()
+        try:
+            schur = problems._schur_complement(Identity(), dx, dy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        width = problems.SCHUR_BLOCK_BYTES // (16 * ns)
+        assert peak < schur.nbytes + 16 * ns * width + 3 * 8 * mp * width + (2 << 20)
+        raw = (dx @ dx.T.toarray() + dy @ dy.T.toarray()).T
+        assert np.array_equal(schur, 0.5 * (raw + raw.T))
 
     def test_failing_block_raises_and_leaves_no_thread(self, monkeypatch):
         before = threading.active_count()

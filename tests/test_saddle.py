@@ -266,7 +266,9 @@ class TestBlockDecompose:
         assert np.allclose(dec.a00, [[1.0]])
         assert np.allclose(dec.a01, [[0.0]])
         assert np.allclose(dec.a11, [[1.0]])
-        assert np.allclose(dec.b1, [[1.0]])
+        # B1 = R* for the Householder QR B* = Q [R; 0], whose reflector maps
+        # e2 to -e1.
+        assert np.allclose(dec.b1, [[-1.0]])
 
     def test_witness_blocks(self):
         dec = block_decompose(witness_general(0.5, 1.0, 1.0))
@@ -292,12 +294,13 @@ class TestBlockDecompose:
         assert np.max(np.abs(v.conj().T @ v - np.eye(7))) < 1e-10
         assert np.max(np.abs(red.b @ dec.v0)) < 1e-10 * np.linalg.norm(red.b, 2)
         assert np.max(np.abs(dec.a01 - dec.a10.conj().T)) < 1e-10
-        # B1 = G V1 is Hermitian, with the singular values of G as eigenvalues.
+        # B1 = G V1 = R* is lower triangular, with the singular values of G.
         g_v1 = red.b @ dec.v1
         assert np.max(np.abs(dec.b1 - g_v1)) <= 1e-10 * np.max(np.abs(g_v1))
-        assert np.max(np.abs(dec.b1 - dec.b1.conj().T)) < 1e-10
+        assert np.array_equal(dec.b1, np.tril(dec.b1))
         sigma = np.linalg.svd(red.b, compute_uv=False)
-        assert np.max(np.abs(np.linalg.eigvalsh(dec.b1) - sigma[::-1])) <= 1e-10 * sigma[0]
+        b1_sigma = np.linalg.svd(dec.b1, compute_uv=False)
+        assert np.max(np.abs(b1_sigma - sigma)) <= 1e-10 * sigma[0]
 
     def test_original_geometry(self, rng):
         # Lp^{-*} maps the kernel basis to a P-orthonormal basis of ker(B).
@@ -355,24 +358,42 @@ def coupling_case(rng, case: str) -> SaddleSystem:
 
 
 class TestCouplingQR:
-    """The QR of B* against an independent full SVD ``B = U S W*``."""
+    """The QR of B* against an independent SVD of B, through checks that do
+    not depend on the basis."""
 
     @pytest.mark.parametrize("case", ["kkt-omega-0", "kkt-omega-1", "square", "wide"])
     def test_matches_svd(self, case, rng):
         sys = coupling_case(rng, case)
         g, n, m = sys.b, sys.n, sys.m
         assert np.iscomplexobj(g) == (case != "kkt-omega-0")
-        u, s, wh = np.linalg.svd(g)
+        s = np.linalg.svd(g, compute_uv=False)
         qr, tau, sigma = sys._coupling("test")
         assert np.all(np.abs(sigma - s) <= 1e-12 * s)
         dec = block_decompose(sys)
-        for v0 in (dec.v0, saddle._kernel_basis(qr, tau)):
+        kernel = saddle._kernel_basis(qr, tau)
+        for v0 in (dec.v0, kernel):
             assert v0.shape == (n, n - m)
             assert np.max(np.abs(g @ v0), initial=0.0) <= 1e-12 * s[0]
             assert np.max(np.abs(v0.conj().T @ v0 - np.eye(n - m)), initial=0.0) <= 1e-12
-        w1 = wh[:m].conj().T
-        assert np.max(np.abs(dec.v1 - w1 @ u.conj().T)) <= 1e-12
-        assert np.max(np.abs(dec.b1 - (u * s) @ u.conj().T)) <= 1e-12 * s[0]
+        assert np.max(np.abs(dec.v0 - kernel), initial=0.0) <= 1e-12
+        v = np.hstack([dec.v0, dec.v1])
+        assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12
+        assert np.max(np.abs(g.conj().T - dec.v1 @ dec.b1.conj().T)) <= 1e-12 * s[0]
+        b1_sigma = np.linalg.svd(dec.b1, compute_uv=False)
+        assert np.all(np.abs(b1_sigma - s) <= 1e-12 * s)
+
+    def test_system_holds_only_its_blocks(self, rng):
+        # Every analysis factors B afresh and leaves nothing on the system.
+        analyses = (
+            block_decompose,
+            brezzi_constants,
+            lambda sys: brezzi_constants(sys, overwrite=True),
+            babuska_constants,
+        )
+        for analysis in analyses:
+            sys = reduce_system(*random_coercive_system(rng, 7, 3))
+            analysis(sys)
+            assert set(vars(sys)) == {"a", "b", "c"}
 
 
 class TestThreeByThreeInverse:
@@ -453,7 +474,7 @@ class TestBrezziConstants:
 
     def test_peak_memory(self):
         # A fixed complex system with n = 600, m = 300 (blocks of 5.76 and
-        # 2.88 MB).  The cached QR keeps the n x m reflectors, and the kernel
+        # 2.88 MB).  The QR keeps the n x m reflectors, and the kernel
         # basis lives only while its block is formed: the traced peak was
         # 10.1 MB, against 18.7 MB for a full SVD of B, which held an n x n
         # W*, an m x m U and a copy of B.
@@ -612,7 +633,7 @@ class TestDensePathProperty:
         for lower, upper in zip(chain, chain[1:]):
             assert lower <= upper * (1.0 + 1e-10)
 
-        # The shared reduction (and its cached QR) gives what a fresh one does.
+        # The shared reduction gives what a fresh one does.
         dec = block_decompose(red)
         fresh = reduce_system(sys, p, r)
         dec_fresh = block_decompose(fresh)
