@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .saddle import SaddleSystem
+
 __all__ = [
     "SpectralInclusion",
     "gamma_opt_general",
@@ -132,9 +134,7 @@ def gamma_opt_general(alpha: float, beta: float, a_norm: float) -> float:
     :func:`witness_general`.
     """
     _check_brezzi_params(alpha, beta, a_norm)
-    return _smallest_positive_root(
-        0.0, -(a_norm * a_norm + beta * beta), alpha * beta * beta, alpha
-    )
+    return mu3_cubic(alpha, beta, -a_norm, a_norm)
 
 
 def gamma_simple(alpha: float, beta: float, a_norm: float) -> float:
@@ -290,8 +290,6 @@ def witness_hermitian(
     kernel coercivity constant ``alpha``, and the characteristic polynomial
     of the assembled system is the mu3 cubic itself.
     """
-    from .saddle import SaddleSystem
-
     _check_eigenrange(alpha, lambda_min, lambda_max)
     _check_beta(beta)
     g = math.sqrt(max((lambda_max - alpha) * (alpha - lambda_min), 0.0))

@@ -58,7 +58,6 @@ import scipy.linalg
 __all__ = [
     "NotHermitianError",
     "NotPositiveDefiniteError",
-    "as_matrix",
     "hermitian_eigenvalues",
     "require_hermitian",
     "cholesky",
@@ -99,15 +98,9 @@ class NotPositiveDefiniteError(ValueError):
         )
 
 
-def as_matrix(a) -> np.ndarray:
-    """Return ``a`` as a 2-d C-contiguous array, complex128 if ``a`` is
-    complex and float64 otherwise."""
-    a = np.asarray(a)
-    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-    m = np.ascontiguousarray(a, dtype=dtype)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
-    return m
+def _field(*arrays) -> type:
+    """complex128 if any of ``arrays`` is complex, float64 otherwise."""
+    return np.complex128 if any(np.iscomplexobj(x) for x in arrays) else np.float64
 
 
 #: LAPACKE's layout code for column-major storage.
@@ -240,7 +233,7 @@ def hermitian_eigenvalues(h, overwrite: bool = False) -> np.ndarray:
     when an eigenvalue comes out non-finite, or when the driver fails.
     """
     h = np.asarray(h)
-    dtype = np.complex128 if np.iscomplexobj(h) else np.float64
+    dtype = _field(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"Hermitian matrix must be square, got shape {h.shape}")
     n = h.shape[0]
@@ -274,11 +267,6 @@ def hermitian_eigenvalues(h, overwrite: bool = False) -> np.ndarray:
 #: Order of the square blocks in which :func:`require_hermitian` walks a
 #: matrix: one block pair, and its temporaries, is about 1 MB (complex).
 _SYMMETRY_BLOCK = 256
-
-
-def _field(*arrays) -> type:
-    """complex128 if any of ``arrays`` is complex, float64 otherwise."""
-    return np.complex128 if any(np.iscomplexobj(x) for x in arrays) else np.float64
 
 
 def require_hermitian(h, tol: float = HERMITIAN_RTOL, overwrite: bool = False) -> np.ndarray:
@@ -333,10 +321,10 @@ def cholesky(m, overwrite: bool = False) -> np.ndarray:
     copied into a Fortran-ordered buffer.
     """
     m = np.asarray(m)
-    if not (overwrite and m.dtype == _field(m) and m.flags.f_contiguous):
-        m = np.array(as_matrix(m), order="F")
-    if m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"Cholesky factorization needs a square matrix, got {m.shape}")
+    if not (overwrite and m.dtype == _field(m) and m.flags.f_contiguous):
+        m = np.array(m, dtype=_field(m), order="F")
     m = np.asarray_chkfinite(m)
     (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (m,))
     factor, info = potrf(m, lower=True, clean=True, overwrite_a=True)

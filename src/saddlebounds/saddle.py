@@ -46,13 +46,15 @@ own, and worked in place from there: ``A``, ``C``, ``P`` and ``R`` are
 checked Hermitian and symmetrized in that buffer, ``P`` and ``R`` are
 Cholesky-factored in it, and ``At``, ``Ct`` and ``G*`` are solved by
 overwriting triangular solves in one copy each of ``A``, ``C`` and
-``B*``.  :meth:`SaddleSystem.assemble` is the one dense assembler of
-``M``; the eigensolve reads its lower block triangle only.
+``B*``.  The coupling block is stored once, as ``B*``: the
+Fortran-ordered n x m layout that ``?trsm``, ``?geqrf`` and ``?unmqr``
+read.  :meth:`SaddleSystem.assemble` is the one dense assembler of ``M``;
+the eigensolve reads its lower block triangle only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -61,6 +63,7 @@ import scipy.sparse
 from .densecore import (
     CHUNK_BYTES,
     RANK_RTOL,
+    _field,
     apply_in_field,
     cholesky,
     hermitian_eigenvalues,
@@ -102,10 +105,11 @@ def _shaped(block, shape: tuple[int, int], name: str):
     return block
 
 
-def _dense(block, order: str = "C") -> np.ndarray:
-    """A block as a dense matrix of its own, never a view of ``block``, in
-    the field of its values: a complex block whose imaginary part is exactly
-    zero becomes float64.  The one copy is made in that field and order."""
+def _dense(block) -> np.ndarray:
+    """A block as a Fortran-ordered dense matrix of its own, never a view of
+    ``block``, in the field of its values: a complex block whose imaginary
+    part is exactly zero becomes float64.  The one copy is made in that
+    field and order."""
     sparse = scipy.sparse.issparse(block)
     if not sparse:
         block = np.asarray(block)
@@ -113,15 +117,15 @@ def _dense(block, order: str = "C") -> np.ndarray:
         block.imag.count_nonzero() if sparse else np.any(block.imag)
     ):
         block = block.real
-    dtype = np.complex128 if np.iscomplexobj(block) else np.float64
     if sparse:
-        return block.toarray(order=order).astype(dtype, copy=False)
-    return np.array(block, dtype=dtype, order=order)
+        return block.toarray(order="F").astype(_field(block), copy=False)
+    return np.array(block, dtype=_field(block), order="F")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SaddleSystem:
-    """Hermitian block system ``[[A, B*], [B, -C]]``.
+    """Hermitian block system ``[[A, B*], [B, -C]]``, made as
+    ``SaddleSystem(a, b, c=None)``.
 
     ``a`` is n x n Hermitian, ``b`` is m x n, ``c`` is m x m Hermitian or
     ``None``: a vanishing C (``None``, all-zero dense, or sparse with no
@@ -130,40 +134,48 @@ class SaddleSystem:
     densified, each once its shape is checked, up to the order
     ``n + m = DENSE_LIMIT``; each block is real if its values are, and each
     is densified into one buffer of its own: A and C Fortran-ordered and
-    symmetrized in place, B in C order.  A system holds its blocks and
-    nothing else: every analysis factors what it needs afresh.  Instances
-    compare by identity, since arrays have no single truth value.
+    symmetrized in place, and the coupling block stored as ``bh = B*``,
+    n x m and Fortran-ordered, densified from ``B.T`` and conjugated in
+    place.  ``b`` reads B back as ``bh.conj().T``, a view where B is real.
+    A system holds its blocks and nothing else: every analysis factors
+    what it needs afresh.  Instances compare by identity, since arrays have
+    no single truth value.
     """
 
     a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray | None = None
+    bh: np.ndarray
+    c: np.ndarray | None
 
-    def __post_init__(self):
-        n, m = np.shape(self.a)[0], np.shape(self.b)[0]
+    def __init__(self, a, b, c=None):
+        n, m = np.shape(a)[0], np.shape(b)[0]
         check_dense(n + m)
-        for name, block, size in (("(1,1) block", self.a, n), ("coupling block", self.b, m)):
+        for name, block, size in (("(1,1) block", a, n), ("coupling block", b, m)):
             if size == 0:
                 raise ValueError(f"{name} is empty: shape {np.shape(block)}")
-        a = _dense(_shaped(self.a, (n, n), "(1,1) block"), order="F")
+        a = _dense(_shaped(a, (n, n), "(1,1) block"))
         a = require_hermitian(a, overwrite=True)
-        b = _dense(_shaped(self.b, (m, n), "coupling block"))
-        c = self.c
+        bh = _dense(np.transpose(_shaped(b, (m, n), "coupling block")))
+        if np.iscomplexobj(bh):
+            np.conjugate(bh, out=bh)
         if c is not None:
             c = _shaped(c, (m, m), "(2,2) block")
             nonzero = c.count_nonzero() if scipy.sparse.issparse(c) else np.any(c)
-            c = require_hermitian(_dense(c, order="F"), overwrite=True) if nonzero else None
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+            c = require_hermitian(_dense(c), overwrite=True) if nonzero else None
+        for name, block in (("a", a), ("bh", bh), ("c", c)):
+            object.__setattr__(self, name, block)
 
     @classmethod
-    def _of_checked(cls, a, b, c) -> "SaddleSystem":
-        """A system of dense blocks already checked, without checking them again."""
+    def _of_checked(cls, a, bh, c) -> "SaddleSystem":
+        """A system of dense blocks already checked, ``B*`` given as ``bh``,
+        without checking them again."""
         sys = object.__new__(cls)
-        for name, block in zip("abc", (a, b, c)):
+        for name, block in (("a", a), ("bh", bh), ("c", c)):
             object.__setattr__(sys, name, block)
         return sys
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.bh.conj().T
 
     @property
     def n(self) -> int:
@@ -171,7 +183,7 @@ class SaddleSystem:
 
     @property
     def m(self) -> int:
-        return self.b.shape[0]
+        return self.bh.shape[1]
 
     def assemble(self, mirror: bool = True) -> np.ndarray:
         """Dense Hermitian ``[[A, B*], [B, -C]]`` in one Fortran-ordered
@@ -183,19 +195,19 @@ class SaddleSystem:
         its zero blocks are never written.
         """
         n = self.n
-        blocks = (self.a, self.b) if self.c is None else (self.a, self.b, self.c)
+        blocks = (self.a, self.bh) if self.c is None else (self.a, self.bh, self.c)
         full = np.zeros((n + self.m, n + self.m), dtype=np.result_type(*blocks), order="F")
         full[:n, :n] = self.a
-        full[n:, :n] = self.b
+        np.conjugate(self.bh.T, out=full[n:, :n])
         if self.c is not None:
             np.negative(self.c, out=full[n:, n:])
         if mirror:
-            np.conjugate(self.b.T, out=full[:n, n:])
+            full[:n, n:] = self.bh
         return full
 
     def _coupling(self, who: str, overwrite: bool = False):
         """The ``(reflectors, tau, sigma)`` of B's QR (:func:`_coupling_qr`),
-        factored afresh on every call, in B's own buffer with
+        factored afresh on every call, in ``bh``'s own buffer with
         ``overwrite=True``; nothing is stored on the system.
 
         Raises unless C vanishes and B has full row rank: the inf-sup
@@ -204,11 +216,11 @@ class SaddleSystem:
         """
         if self.c is not None:
             raise ValueError(f"{who} requires a zero (2,2) block")
-        m, n = self.b.shape
+        n, m = self.bh.shape
         if m > n:
-            raise ValueError(f"coupling block must be wide, got shape {self.b.shape}")
-        qr, tau, s = _coupling_qr(self.b, overwrite)
-        rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
+            raise ValueError(f"coupling block must be wide, got shape {(m, n)}")
+        qr, tau, s = _coupling_qr(self.bh, overwrite)
+        rank = int(np.sum(s > RANK_RTOL * s[0]))
         if rank < m:
             raise ValueError(
                 f"coupling block is rank deficient: rank {rank} < m = {m} "
@@ -217,23 +229,17 @@ class SaddleSystem:
         return qr, tau, s
 
 
-def _coupling_qr(b, overwrite: bool = False):
+def _coupling_qr(bh, overwrite: bool = False):
     """``(reflectors, tau, sigma)``: the Householder QR ``B* = Q [R; 0]`` of
     ``?geqrf`` in the field of B, which keeps Q as its reflectors, and the
     singular values of B, read off the m x m triangle ``R``.
 
-    ``?geqrf`` overwrites a Fortran-ordered ``B*``: a copy, or with
-    ``overwrite=True`` a C-ordered B itself, conjugated in place, whose
-    transpose is that ``B*``.
+    ``?geqrf`` overwrites the Fortran-ordered ``B*`` it is given as ``bh``
+    with ``overwrite=True``, and a Fortran-ordered copy of it otherwise.
     """
-    m, n = b.shape
-    if overwrite and b.flags.c_contiguous:
-        if np.iscomplexobj(b):
-            np.conjugate(b, out=b)
-        bh = b.T
-    else:
-        bh = np.empty((n, m), dtype=b.dtype, order="F")
-        np.conjugate(b.T, out=bh)
+    m = bh.shape[1]
+    if not overwrite:
+        bh = np.array(bh, order="F")
     (geqrf,) = scipy.linalg.get_lapack_funcs(("geqrf",), (bh,))
     work = geqrf(bh, lwork=-1, overwrite_a=True)[2]
     qr, tau, _, info = geqrf(bh, lwork=int(work[0].real), overwrite_a=True)
@@ -272,7 +278,7 @@ def _factor(block) -> np.ndarray:
     """The Cholesky factor of an inner-product block, densified once into a
     Fortran-ordered buffer, then checked Hermitian, symmetrized and
     factored in that buffer."""
-    h = require_hermitian(_dense(block, order="F"), overwrite=True)
+    h = require_hermitian(_dense(block), overwrite=True)
     return cholesky(h, overwrite=True)
 
 
@@ -286,9 +292,9 @@ def reduce_system(sys: SaddleSystem, p, r) -> SaddleSystem:
     factored in that buffer; the factors live only in this call.  ``At``,
     ``Ct`` and ``G*`` are each solved in one Fortran-ordered copy of ``A``,
     ``C`` and ``B*`` by overwriting triangular solves; ``At`` and ``Ct``
-    are checked Hermitian to 1e-10 and symmetrized in place, and ``G`` is
-    returned in C order, the transpose of ``conj(G*)``.  ``Ct`` is ``None``
-    where C vanishes.  ``sys`` is left as it was.
+    are checked Hermitian to 1e-10 and symmetrized in place, and ``G*`` is
+    the reduced system's ``bh`` as it comes out of the solves.  ``Ct`` is
+    ``None`` where C vanishes.  ``sys`` is left as it was.
     """
     p = _shaped(p, (sys.n, sys.n), "inner-product block P")
     r = _shaped(r, (sys.m, sys.m), "inner-product block R")
@@ -298,12 +304,7 @@ def reduce_system(sys: SaddleSystem, p, r) -> SaddleSystem:
     ct = None if sys.c is None else require_hermitian(
         triangular_congruence(lr, sys.c), tol=1e-10, overwrite=True
     )
-    bh = np.empty((sys.n, sys.m), dtype=np.result_type(lp, lr, sys.b), order="F")
-    np.conjugate(sys.b.T, out=bh)
-    gh = triangular_congruence(lp, bh, lr, overwrite=True)
-    if np.iscomplexobj(gh):
-        np.conjugate(gh, out=gh)
-    return SaddleSystem._of_checked(at, gh.T, ct)
+    return SaddleSystem._of_checked(at, triangular_congruence(lp, sys.bh, lr), ct)
 
 
 @dataclass(frozen=True)
@@ -324,14 +325,9 @@ class BrezziConstants:
     kernel_coercive: bool = True
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "a_norm": self.a_norm,
-            "b_norm": self.b_norm,
-            "lambda_min_a": self.lambda_min_a,
-            "lambda_max_a": self.lambda_max_a,
-        }
+        """The six constants by name, in field order: every field before
+        ``kernel_coercive``."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
 
 
 @dataclass(frozen=True)
@@ -435,11 +431,11 @@ mu3_cubic` via :func:`saddlebounds.bounds.inclusion_set`) presume the
     constants whose kernel block is not positive definite.
 
     With ``overwrite=True`` the constants are computed in the system's own
-    buffers, which are then destroyed: the QR of ``G*`` in G's (C-ordered
-    G, conjugated in place), and the eigenvalues of ``At`` in A's
-    (Fortran-ordered, as :func:`reduce_system` and :class:`SaddleSystem`
-    store it).  The constants are the same, bit for bit; the system must
-    not be used afterwards.
+    buffers, which are then destroyed: the QR of ``G*`` in ``bh``, and the
+    eigenvalues of ``At`` in A's (both Fortran-ordered, as
+    :func:`reduce_system` and :class:`SaddleSystem` store them).  The
+    constants are the same, bit for bit; the system must not be used
+    afterwards.
     """
     qr, tau, s = sys._coupling("brezzi_constants", overwrite)
     if sys.n == sys.m:

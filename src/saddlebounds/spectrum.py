@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .densecore import NotPositiveDefiniteError, as_matrix, cholesky
+from .densecore import NotPositiveDefiniteError, _field, cholesky
 from .saddle import SaddleSystem
 
 __all__ = [
@@ -154,11 +154,10 @@ def skew_pairing_check(h, s, tol: float = 1e-8) -> PairingReport:
     minimal-distance matching of each eigenvalue with the negative of
     another.
     """
-    h = as_matrix(h)
-    s = as_matrix(s)
-    n = h.shape[0]
-    if h.shape != (n, n) or s.shape != (n, n):
+    h, s = (np.asarray(x, dtype=_field(x)) for x in (h, s))
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or s.shape != h.shape:
         raise ValueError("H and S must be square of equal size")
+    n = h.shape[0]
     if _symmetry_defect(h) > 1e-10 * max(float(np.max(np.abs(h))), 1e-300):
         raise ValueError("H is not complex symmetric")
     if float(np.max(np.abs(s + s.T))) > 1e-10 * max(float(np.max(np.abs(s))), 1.0):

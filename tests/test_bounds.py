@@ -133,6 +133,17 @@ class TestCubicBoundsProperty:
 
 
 class TestGammaBounds:
+    def test_gamma_opt_is_mu3_cubic_on_the_symmetric_range(self):
+        # gamma_opt's cubic is mu3's on the eigenvalue range [-a_norm,
+        # a_norm], bit for bit, over the ranges of acceptance criterion 3.
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            a_norm = float(rng.uniform(0.2, 4.0))
+            alpha = float(rng.uniform(0.02, 1.0)) * a_norm
+            beta = float(rng.uniform(0.1, 3.0))
+            want = mu3_cubic(alpha, beta, -a_norm, a_norm)
+            assert gamma_opt_general(alpha, beta, a_norm) == want
+
     def test_gamma_opt_golden(self):
         assert gamma_opt_general(1.0, 1.0, 1.0) == pytest.approx(GOLDEN, rel=1e-14)
 

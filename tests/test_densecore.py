@@ -10,7 +10,6 @@ from saddlebounds import densecore
 from saddlebounds.densecore import (
     NotHermitianError,
     NotPositiveDefiniteError,
-    as_matrix,
     cholesky,
     generalized_hermitian_eig,
     hermitian_eigenvalues,
@@ -160,10 +159,11 @@ class TestEigenvalueDrivers:
 class TestFields:
     """Real input stays real; complex input stays complex."""
 
-    def test_as_matrix_dtypes(self):
-        assert as_matrix(np.eye(2, dtype=int)).dtype == np.float64
-        assert as_matrix(np.eye(2, dtype=np.complex64)).dtype == np.complex128
-        assert as_matrix(np.eye(2, dtype=complex)).dtype == np.complex128
+    def test_cholesky_factor_dtypes(self):
+        # Any input is factored in float64 or complex128, by its field.
+        assert cholesky(np.eye(2, dtype=int)).dtype == np.float64
+        assert cholesky(np.eye(2, dtype=np.complex64)).dtype == np.complex128
+        assert cholesky(np.eye(2, dtype=complex)).dtype == np.complex128
 
     def test_require_hermitian_symmetrizes_in_field(self, rng):
         for h in (random_spd(rng, 6, complex_entries=False), random_hermitian(rng, 6)):
@@ -210,6 +210,11 @@ class TestCholesky:
         l = cholesky(m)
         assert np.max(np.abs(l @ l.conj().T - m)) <= 1e-12 * np.max(np.abs(m))
         assert not np.any(np.triu(l, 1))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            cholesky(np.ones(shape))
 
     def test_not_spd_reports_pivot(self):
         with pytest.raises(NotPositiveDefiniteError) as err:

@@ -103,6 +103,35 @@ class TestSystemModel:
         red = reduce_system(sys, np.diag([2.0, 3.0 + 0j]), np.array([[4.0 + 0j]]))
         assert red.a.dtype == red.b.dtype == np.float64 and red.c is None
 
+    @pytest.mark.parametrize("kind", [np.asarray, scipy.sparse.csr_array, np.ndarray.tolist],
+                             ids=["dense", "sparse", "list"])
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_coupling_block_stored_as_its_adjoint(self, rng, kind, field):
+        # B is stored once, as the Fortran-ordered n x m B*, and read back
+        # as B bit for bit.
+        b = rng.standard_normal((3, 7)).astype(field)
+        if field is complex:
+            b.imag = rng.standard_normal((3, 7))
+        sys = SaddleSystem(a=np.eye(7), b=kind(b))
+        assert sys.bh.shape == (7, 3) and sys.bh.flags.f_contiguous
+        assert sys.bh.dtype == sys.b.dtype == b.dtype
+        assert sys.b.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_reduced_coupling_block(self, rng, field):
+        # The reduction returns G* = (Lr^{-1} B Lp^{-*})* as the reduced
+        # system's Fortran-ordered bh; here G is solved densely, by itself.
+        sys, p, r = random_coercive_system(rng, 8, 3)
+        if field is float:
+            sys, p, r = SaddleSystem(a=sys.a.real, b=sys.b.real), p.real, r.real
+        red = reduce_system(sys, p, r)
+        assert red.bh.shape == (8, 3) and red.bh.flags.f_contiguous
+        assert red.bh.dtype == np.dtype(field)
+        lp, lr = (scipy.linalg.cholesky(x, lower=True) for x in (p, r))
+        lr_b = scipy.linalg.solve_triangular(lr, sys.b, lower=True)
+        g = scipy.linalg.solve_triangular(lp, lr_b.conj().T, lower=True).conj().T
+        assert np.max(np.abs(red.bh - g.conj().T)) <= 1e-12 * np.max(np.abs(g))
+
     def test_assemble_lower_block_triangle(self, rng):
         # Without the mirror the buffer holds the same lower block triangle,
         # bit for bit, and a zero B* block.
@@ -248,9 +277,9 @@ class TestBlockDecompose:
         assert not any(np.iscomplexobj(x) for x in (red.a, red.c))
         assert np.iscomplexobj(red.b)
         promoted = block_decompose(
-            SaddleSystem._of_checked(red.a.astype(complex), red.b, red.c)
+            SaddleSystem._of_checked(red.a.astype(complex), red.bh, red.c)
         )
-        guarded = SaddleSystem._of_checked(red.a.view(RealOnly), red.b, red.c)
+        guarded = SaddleSystem._of_checked(red.a.view(RealOnly), red.bh, red.c)
         dec = block_decompose(guarded)
         for name in ("v0", "v1", "a00", "a01", "a10", "a11", "b1"):
             got, want = getattr(dec, name), getattr(promoted, name)
@@ -393,7 +422,7 @@ class TestCouplingQR:
         for analysis in analyses:
             sys = reduce_system(*random_coercive_system(rng, 7, 3))
             analysis(sys)
-            assert set(vars(sys)) == {"a", "b", "c"}
+            assert set(vars(sys)) == {"a", "bh", "c"}
 
 
 class TestThreeByThreeInverse:
@@ -511,8 +540,8 @@ class TestBrezziConstants:
 
     @pytest.mark.parametrize("fields", ["real", "complex-b", "complex-a"])
     def test_overwrite_on_a_reduced_system(self, fields, rng):
-        # The in-place form on a reduction, whose A is Fortran-ordered and
-        # whose B is C-ordered, gives the copying form's constants.
+        # The in-place form on a reduction, whose A and B* are both
+        # Fortran-ordered, gives the copying form's constants.
         sys, p, r = random_coercive_system(rng, 9, 4)
         if fields != "complex-a":
             sys, p, r = SaddleSystem(a=sys.a.real, b=sys.b), p.real, r.real
