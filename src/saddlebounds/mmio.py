@@ -73,8 +73,9 @@ def save_bundle(directory, a, b, c, p, r) -> None:
 def load_bundle(directory) -> tuple:
     """Read a bundle directory back into ``(system, P, R)``, with ``P`` and
     ``R`` as :func:`scipy.io.mmread` returns them.  A manifest that names a
-    file for any block but A, B, C, P and R is refused before any file is
-    read, and a system above ``DENSE_LIMIT`` before any block is dense."""
+    file for any block but A, B, C, P and R, or a name that is not a plain
+    file name in ``directory``, is refused before any file is read, and a
+    system above ``DENSE_LIMIT`` before any block is dense."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -86,12 +87,16 @@ def load_bundle(directory) -> tuple:
         and manifest.get("format") == "saddlebounds-bundle"
         and all(type(manifest.get(key)) is int for key in ("n", "m"))
         and {"A", "B", "P", "R"} <= files.keys() <= set("ABCPR")
-        and all(isinstance(name, str) for name in files.values())
+        and all(
+            isinstance(name, str) and name not in ("", ".", "..")
+            and Path(name).name == name
+            for name in files.values()
+        )
     ):
         raise ValueError(
             f"{manifest_path} is not a saddlebounds bundle manifest: integers 'n' "
             "and 'm', and 'files' naming the files of A, B, P, R and optionally C, "
-            "and of no other block"
+            "and of no other block, by plain file names in the bundle directory"
         )
     blocks = {name: scipy.io.mmread(str(directory / fname)) for name, fname in files.items()}
     sys = SaddleSystem(a=blocks["A"], b=blocks["B"], c=blocks.get("C"))

@@ -1,15 +1,17 @@
 """Named verification suites over randomized instances.
 
-Each suite draws deterministic random instances, checks one family of
-structural claims with fixed tolerances, and returns a summary dict; the
-command-line driver serializes these as JSON.  Every spectrum a suite reads
-is ``preconditioned_spectrum`` of a system in the Euclidean geometry, as in
+Each suite draws deterministic random instances from ``default_rng(seed)``,
+checks one family of structural claims with fixed tolerances, and returns a
+summary dict; the command-line driver serializes these as JSON.  Acceptance
+criteria 1 and 2 run ``sharpness`` at seed 101, and criterion 11 runs
+``appendix`` at seed 111.  Every spectrum a suite reads is
+``preconditioned_spectrum`` of a system in the Euclidean geometry, as in
 ``bounds``: a system with an inner product ``diag(P, R)`` is first carried
 there by ``reduce_system(sys, P, R)``, and a system without one is read as
 it is.  The suites:
 
-* ``sharpness``  -- the cubic lower bounds are attained by the witness
-  systems (both the general and the eigenvalue-range variants).
+* ``sharpness``  -- the cubic lower bounds are attained by the general and
+  the eigenvalue-range witnesses, the latter from ``default_rng(seed + 1)``.
 * ``pairing``    -- mirror-symmetric block systems have spectra symmetric
   around zero, the quadratic linearization reproduces them, and the
   skew-pairing statement holds for random companion-type blocks.
@@ -55,6 +57,8 @@ def random_complex_symmetric(rng, n: int) -> np.ndarray:
 
 
 def random_full_rank(rng, m: int, n: int) -> np.ndarray:
+    if m > n:
+        raise ValueError(f"an {m} x {n} matrix cannot have full row rank {m}")
     while True:
         b = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         if np.linalg.matrix_rank(b) == m:
@@ -79,26 +83,27 @@ def random_coercive_system(rng, n: int, m: int):
 
 
 def suite_sharpness(seed: int = 1) -> dict:
-    rng = np.random.default_rng(seed)
+    general, ranged = np.random.default_rng(seed), np.random.default_rng(seed + 1)
     trials = 25
     worst_general = 0.0
     worst_range = 0.0
     for _ in range(trials):
-        a_norm = float(rng.uniform(0.5, 3.0))
-        alpha = float(rng.uniform(0.05, 1.0)) * a_norm
-        beta = float(rng.uniform(0.2, 2.5))
+        a_norm = float(general.uniform(0.3, 3.0))
+        alpha = float(general.uniform(0.05, 1.0)) * a_norm
+        beta = float(general.uniform(0.2, 2.5))
         sys = bnd.witness_general(alpha, beta, a_norm)
         gamma = babuska_constants(sys).gamma
         target = bnd.gamma_opt_general(alpha, beta, a_norm)
         worst_general = max(worst_general, abs(gamma - target) / target)
 
-        lam_max = float(rng.uniform(0.3, 3.0))
-        lam_min = -float(rng.uniform(0.0, 2.0))
-        alpha2 = float(rng.uniform(0.05, 1.0)) * lam_max
-        sys2 = bnd.witness_hermitian(alpha2, beta, lam_min, lam_max)
+        lam_max = float(ranged.uniform(0.3, 3.0))
+        lam_min = -float(ranged.uniform(0.0, 2.0))
+        alpha2 = float(ranged.uniform(0.05, 1.0)) * lam_max
+        beta2 = float(ranged.uniform(0.2, 2.5))
+        sys2 = bnd.witness_hermitian(alpha2, beta2, lam_min, lam_max)
         mu = preconditioned_spectrum(sys2)
         pos = mu[mu > 0.0]
-        target2 = bnd.mu3_cubic(alpha2, beta, lam_min, lam_max)
+        target2 = bnd.mu3_cubic(alpha2, beta2, lam_min, lam_max)
         worst_range = max(worst_range, abs(float(pos.min()) - target2) / target2)
     passed = worst_general <= 1e-10 and worst_range <= 1e-10
     return {

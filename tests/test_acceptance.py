@@ -10,9 +10,8 @@ import time
 import numpy as np
 
 from saddlebounds import bounds as bnd
-from saddlebounds import cli
+from saddlebounds import cli, verify
 from saddlebounds.cli import ExperimentConfig, run_table
-from saddlebounds.densecore import generalized_hermitian_eig
 from saddlebounds.fem import (
     assemble_taylor_hood,
     build_mesh,
@@ -41,17 +40,7 @@ def report(num: int, ok: bool, detail: str = ""):
 
 def test_criterion_01_sharpness_general():
     start = time.perf_counter()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(25):
-        a_norm = float(rng.uniform(0.3, 3.0))
-        alpha = float(rng.uniform(0.05, 1.0)) * a_norm
-        beta = float(rng.uniform(0.2, 2.5))
-        sys = bnd.witness_general(alpha, beta, a_norm)
-        spec = generalized_hermitian_eig(sys.assemble(), np.eye(3))
-        gamma = float(np.min(np.abs(spec)))
-        target = bnd.gamma_opt_general(alpha, beta, a_norm)
-        worst = max(worst, abs(gamma - target) / target)
+    worst = verify.suite_sharpness(seed=101)["max_rel_defect_general"]
     elapsed = time.perf_counter() - start
     report(
         1,
@@ -62,18 +51,7 @@ def test_criterion_01_sharpness_general():
 
 def test_criterion_02_sharpness_eigenvalue_range():
     start = time.perf_counter()
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(25):
-        lam_max = float(rng.uniform(0.3, 3.0))
-        lam_min = -float(rng.uniform(0.0, 2.0))
-        alpha = float(rng.uniform(0.05, 1.0)) * lam_max
-        beta = float(rng.uniform(0.2, 2.5))
-        sys = bnd.witness_hermitian(alpha, beta, lam_min, lam_max)
-        spec = generalized_hermitian_eig(sys.assemble(), np.eye(3))
-        pos = spec[spec > 0]
-        target = bnd.mu3_cubic(alpha, beta, lam_min, lam_max)
-        worst = max(worst, abs(float(pos.min()) - target) / target)
+    worst = verify.suite_sharpness(seed=101)["max_rel_defect_range"]
     elapsed = time.perf_counter() - start
     report(
         2,
@@ -367,23 +345,7 @@ def test_criterion_10_iteration_bound_consistency():
 
 
 def test_criterion_11_appendix_domination():
-    rng = np.random.default_rng(111)
-    worst = -math.inf
-    for _ in range(20):
-        lam_max = float(rng.uniform(0.3, 3.0))
-        lam_min = -float(rng.uniform(0.0, 2.0))
-        alpha = float(rng.uniform(0.05, 0.999)) * lam_max
-        mu = float(rng.uniform(0.01, 0.99)) * alpha
-        value, (r1s, r2s) = bnd.phi_max_appendix(alpha, lam_min, lam_max, mu)
-        r1 = rng.uniform(r1s - abs(r1s) - 1.0, r1s + abs(r1s) + 1.0, size=10_000)
-        spread = abs(r2s) + abs(lam_min) + lam_max + 1.0
-        r2 = rng.uniform(r2s - spread, r2s + spread, size=10_000)
-        feasible = (
-            alpha * r1 + (lam_max - alpha) * r2 <= lam_max * (lam_max - alpha)
-        ) & (-alpha * r1 + (alpha - lam_min) * r2 >= lam_min * (alpha - lam_min))
-        phi = alpha / (alpha - mu) * r1[feasible] - r2[feasible]
-        if phi.size:
-            worst = max(worst, float(phi.max() - value))
+    worst = verify.suite_appendix(seed=111)["max_violation"]
     report(
         11,
         worst <= 1e-12,

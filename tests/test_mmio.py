@@ -130,6 +130,18 @@ class TestBundle:
         with pytest.raises(ValueError, match="of no other block"):
             mmio.load_bundle(tmp_path / "b")
 
+    @pytest.mark.parametrize("name", ["{bundle}/A.mtx", "./A.mtx", "", ".", ".."])
+    def test_name_outside_the_directory_refused(self, tmp_path, name):
+        # The first names the bundle's own, readable A.mtx by its absolute path.
+        sys = SaddleSystem(a=np.eye(3), b=np.ones((1, 3)))
+        mmio.save_bundle(tmp_path / "b", sys.a, sys.b, sys.c, np.eye(3), np.eye(1))
+        manifest_path = tmp_path / "b" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"]["A"] = name.format(bundle=tmp_path / "b")
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="plain file names"):
+            mmio.load_bundle(tmp_path / "b")
+
     def test_dimension_mismatch_detected(self, tmp_path):
         sys = SaddleSystem(a=np.eye(3), b=np.ones((1, 3)))
         mmio.save_bundle(tmp_path / "b", sys.a, sys.b, sys.c, np.eye(3), np.eye(1))
