@@ -17,8 +17,9 @@ from saddlebounds import (
 )
 from saddlebounds.fem import build_mesh, parabolic_reduced
 
-problem = parabolic_reduced(build_mesh(2), nu=1.0, omega=100.0)
-print(f"reduced parabolic system: dim={problem.dim}, nu={problem.nu}, omega={problem.omega}")
+nu, omega = 1.0, 100.0
+problem = parabolic_reduced(build_mesh(2), nu=nu, omega=omega)
+print(f"reduced parabolic system: dim={problem.dim}, nu={nu}, omega={omega}")
 
 # The exact analyses take the model's sparse blocks as they are: A, B and C
 # to SaddleSystem, P and R to reduce_system.

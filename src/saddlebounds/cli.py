@@ -104,6 +104,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown flavor {self.flavor!r}; choose from {FLAVORS}")
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}; choose from {FORMATS}")
+        for name in ("levels", "nu", "omega"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise TypeError(f"{name}: expected a list, got {getattr(self, name)!r}")
         # JSON's true and false are Python bools, which are also ints.
         ints, reals = (numbers.Integral, "an integer"), (numbers.Real, "a real number")
         for name, values, (kind, what) in (

@@ -26,10 +26,10 @@ Babuska's eigensolve beside Brezzi's constants.  Elsewhere the dense
 eigensolves keep every thread.
 
 The kernels that carry a block into the Euclidean geometry can work in the
-caller's buffer: :func:`require_hermitian`, :func:`cholesky`,
-:func:`triangular_congruence` and :func:`hermitian_eigenvalues` take
-``overwrite=True``, which hands a buffer of the right field and order to
-LAPACK or BLAS as it is.
+caller's buffer: :func:`require_hermitian`, :func:`cholesky` and
+:func:`hermitian_eigenvalues` take ``overwrite=True``, which hands a buffer
+of the right field and order to LAPACK or BLAS as it is.
+:func:`triangular_congruence` always solves in a copy of its ``X``.
 
 Conventions
 -----------
@@ -401,23 +401,20 @@ def _solve_right_adjoint(r, x) -> None:
     _trsm(r, x.T.view(np.float64).T, side=1, trans_a=1)
 
 
-def triangular_congruence(l, x, r=None, overwrite: bool = False) -> np.ndarray:  # noqa: E741
+def triangular_congruence(l, x, r=None) -> np.ndarray:  # noqa: E741
     """``L^{-1} X R^{-*}`` for lower-triangular ``L`` and ``R`` (default ``R = L``),
     Fortran-ordered.
 
-    Both solves are overwriting ``?trsm`` calls.  A real factor meets a
-    complex ``X`` in real arithmetic: on the real and imaginary parts of a
+    ``X`` is copied into a Fortran-ordered buffer in the field of the
+    result, which both solves overwrite with ``?trsm``.  A real factor meets
+    a complex ``X`` in real arithmetic: on the real and imaginary parts of a
     chunk of columns at a time (``L``), or on the real view of ``X^T``
-    (``R``).  With ``overwrite=True`` a Fortran-ordered ``X`` in the field
-    of the result is solved in its own buffer and returned; any other
-    ``X`` is first copied into a Fortran-ordered buffer.
+    (``R``).
     """
     r = l if r is None else r
     dtype = _field(l, x, r)
     l, r = (np.asfortranarray(f, dtype=_field(f)) for f in (l, r))  # noqa: E741
-    x = np.asarray(x)
-    if not (overwrite and x.dtype == dtype and x.flags.f_contiguous):
-        x = np.array(x, dtype=dtype, order="F")
+    x = np.array(x, dtype=dtype, order="F")
     _solve_left(l, x)
     _solve_right_adjoint(r, x)
     return x

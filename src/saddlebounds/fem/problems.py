@@ -19,21 +19,22 @@ The inner products are the robust block-diagonal preconditioners built from
 Stokes); their stability constants are mesh-, ``nu``- and ``omega``-
 independent, which is what the experiments verify.
 
-Each builder declares its inner product ``diag(P, R)`` as a
-:class:`BlockPreconditioner`: the real SPD blocks along the diagonal of
-``P`` and then of ``R``, each with a scale, one factor listed once per
-block it fills.  Every sparse block is factored once by SuperLU in symmetric
-mode (minimum degree on ``A^T + A``, no pivoting), the dense Stokes Schur
-complement by Cholesky.  One application makes one real multi-column solve
-per factor: the slices of a factor are gathered into one complex array whose
-real and imaginary parts are solved as interleaved real columns.  The
-sparse blocks ``P`` and ``R`` of :meth:`ModelProblem.inner_product_blocks`,
-which exported bundles hold, are read off the same declaration, so the
-analysed and the applied preconditioner are one object.  A vanishing ``C``
-is ``None``, so bundles of such a system hold no C file.  No dense matrix
-but ``S`` is built here: the exact analyses pass the sparse blocks ``A``,
-``B`` and ``C`` to ``saddle.SaddleSystem`` and ``P`` and ``R`` to
-``saddle.reduce_system``.
+A model problem is its blocks ``A``, ``B`` and ``C``, its right-hand side
+and its preconditioner declaration.  Each builder declares its inner product
+``diag(P, R)`` as a :class:`BlockPreconditioner`: the real SPD blocks along
+the diagonal of ``P`` and then of ``R``, each with a scale, one factor
+listed once per block it fills.  Every sparse block is factored once by
+SuperLU in symmetric mode (minimum degree on ``A^T + A``, no pivoting), the
+dense Stokes Schur complement by Cholesky.  One application makes one real
+multi-column solve per factor: the slices of a factor are gathered into one
+complex array whose real and imaginary parts are solved as interleaved real
+columns.  The sparse blocks ``P`` and ``R`` of
+:meth:`ModelProblem.inner_product_blocks`, which exported bundles hold, are
+read off the same declaration, so the analysed and the applied
+preconditioner are one object.  A vanishing ``C`` is ``None``, so bundles of
+such a system hold no C file.  No dense matrix but ``S`` is built here: the
+exact analyses pass the sparse blocks ``A``, ``B`` and ``C`` to
+``saddle.SaddleSystem`` and ``P`` and ``R`` to ``saddle.reduce_system``.
 
 The dense Stokes Schur complement ``S`` is formed in blocks of ``C`` columns,
 one SuperLU solve each, on one worker per available CPU (the affinity mask
@@ -199,7 +200,8 @@ class BlockPreconditioner:
 
 @dataclass
 class ModelProblem:
-    """Assembled optimality system, inner product, right-hand side, metadata.
+    """A model problem: its blocks ``A``, ``B`` and ``C``, its right-hand
+    side and its preconditioner declaration.
 
     Blocks are kept sparse so the largest experiments stay matrix-free, each
     in the field of its values (only blocks with an ``i omega`` term are
@@ -210,10 +212,6 @@ class ModelProblem:
     returns.
     """
 
-    flavor: str
-    level: int
-    nu: float
-    omega: float
     a: scipy.sparse.spmatrix
     b: scipy.sparse.spmatrix
     c: scipy.sparse.spmatrix | None
@@ -301,6 +299,29 @@ def _shifted_operator(mass, stiffness, nu: float, omega: float):
     return (mass + np.sqrt(nu) * (stiffness + omega * mass)).tocsr()
 
 
+def _parabolic(mesh: Mesh, nu: float, omega: float):
+    """What both parabolic builders share: the checked parameters, the P1
+    mass ``M``, the coupling ``K + i omega M``, the robust block ``Y = M +
+    sqrt(nu) (K + omega M)`` and the state rows ``M y_d`` of the right-hand
+    side.
+
+    ``Y`` is returned unfactored: each builder factors it after forming its
+    own blocks, since a factor made first leaves the blocks' temporaries
+    above it on the heap, which raised the peak RSS of the level-6 rows by
+    4-5 MB.
+    """
+    check_parameters(nu, omega)
+    fem = assemble_p1(mesh)
+    mass, stiff = fem.mass, fem.stiffness
+    coords = mesh.vertices[fem.interior]
+    return (
+        mass,
+        _frequency_shifted(stiff, mass, omega),
+        _shifted_operator(mass, stiff, nu, omega),
+        mass @ target_state(coords[:, 0], coords[:, 1]),
+    )
+
+
 def parabolic_kkt(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     """Full 3n x 3n optimality system of the parabolic tracking problem.
 
@@ -308,35 +329,18 @@ def parabolic_kkt(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     inner product uses ``P = diag(Y, nu M)`` and ``R = Y / nu`` with
     ``Y = M + sqrt(nu) (K + omega M)``.
     """
-    check_parameters(nu, omega)
-    fem = assemble_p1(mesh)
-    mass, stiff = fem.mass, fem.stiffness
-    n = fem.dim
-    y_op = _shifted_operator(mass, stiff, nu, omega)
-
+    mass, shifted, y_op, state_rows = _parabolic(mesh, nu, omega)
     a = scipy.sparse.block_diag([mass, nu * mass], format="csr")
-    b = scipy.sparse.hstack([_frequency_shifted(stiff, mass, omega), -mass], format="csr")
+    b = scipy.sparse.hstack([shifted, -mass], format="csr")
     y_factor = SpdFactor(y_op)
-    precond = BlockPreconditioner(
-        [(y_factor, 1.0), (SpdFactor(mass), 1.0 / nu)], [(y_factor, nu)]
-    )
-
-    coords = mesh.vertices[fem.interior]
-    y_d = target_state(coords[:, 0], coords[:, 1])
-    rhs = np.concatenate(
-        [mass @ y_d, np.zeros(n), np.zeros(n)]
-    ).astype(np.complex128)
-
     return ModelProblem(
-        flavor="parabolic-kkt",
-        level=mesh.level,
-        nu=nu,
-        omega=omega,
         a=a,
         b=b,
         c=None,
-        rhs=rhs,
-        precond_solve=precond,
+        rhs=np.concatenate([state_rows, np.zeros(2 * len(state_rows))]).astype(np.complex128),
+        precond_solve=BlockPreconditioner(
+            [(y_factor, 1.0), (SpdFactor(mass), 1.0 / nu)], [(y_factor, nu)]
+        ),
     )
 
 
@@ -348,33 +352,15 @@ def parabolic_reduced(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     (2,2) block equals minus the (1,1) block, so the preconditioned spectrum
     is symmetric around zero.
     """
-    check_parameters(nu, omega)
-    fem = assemble_p1(mesh)
-    mass, stiff = fem.mass, fem.stiffness
-    n = fem.dim
-    p_op = _shifted_operator(mass, stiff, nu, omega)
-
-    a = mass
-    b = (np.sqrt(nu) * _frequency_shifted(stiff, mass, omega)).tocsr()
-    c = mass.copy()  # (2,2) block of the matrix is -M
-
+    mass, shifted, p_op, state_rows = _parabolic(mesh, nu, omega)
+    b = (np.sqrt(nu) * shifted).tocsr()
     p_factor = SpdFactor(p_op)
-    precond = BlockPreconditioner([(p_factor, 1.0)], [(p_factor, 1.0)])
-
-    coords = mesh.vertices[fem.interior]
-    y_d = target_state(coords[:, 0], coords[:, 1])
-    rhs = np.concatenate([mass @ y_d, np.zeros(n)]).astype(np.complex128)
-
     return ModelProblem(
-        flavor="parabolic-reduced",
-        level=mesh.level,
-        nu=nu,
-        omega=omega,
-        a=a,
+        a=mass,
         b=b,
-        c=c,
-        rhs=rhs,
-        precond_solve=precond,
+        c=mass.copy(),  # (2,2) block of the matrix is -M
+        rhs=np.concatenate([state_rows, np.zeros(len(state_rows))]).astype(np.complex128),
+        precond_solve=BlockPreconditioner([(p_factor, 1.0)], [(p_factor, 1.0)]),
     )
 
 
@@ -487,10 +473,6 @@ def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     ).astype(np.complex128)
 
     return ModelProblem(
-        flavor="stokes",
-        level=mesh.level,
-        nu=nu,
-        omega=omega,
         a=a,
         b=b,
         c=None,

@@ -190,12 +190,13 @@ TABLE1_VERIFIED = {0: 10, 1: 22, 2: 24, 3: 26, 4: 26}
 
 def record_stokes_builds(monkeypatch) -> list:
     """Route ``run_table``'s Stokes builds through a recorder; the returned
-    list receives each built problem, in row order."""
+    list receives ``((level, nu, omega), problem)`` for each build, in row
+    order."""
     built = []
 
     def build(mesh, nu, omega):
-        built.append(stokes_system(mesh, nu, omega))
-        return built[-1]
+        built.append(((mesh.level, nu, omega), stokes_system(mesh, nu, omega)))
+        return built[-1][1]
 
     monkeypatch.setitem(cli._BUILDERS, "stokes", build)
     return built
@@ -225,10 +226,10 @@ def test_criterion_07_table1_reproduction(monkeypatch):
     )
     built = record_stokes_builds(monkeypatch)
     rows = run_table(config)
-    assert [problem.level for problem in built] == config.levels
+    assert [level for (level, _, _), _ in built] == config.levels
     failures = []
     counts = []
-    for row, level, problem in zip(rows, config.levels, built):
+    for row, level, (_, problem) in zip(rows, config.levels, built):
         lo, hi, khat = TABLE1_PRINTED[level]
         if abs(row.computed_lo - lo) > 0.005 or abs(row.computed_hi - hi) > 0.005:
             failures.append(
@@ -285,7 +286,7 @@ def test_criterion_08_table23_spot_rows(monkeypatch):
     for config, kind in ((config_omega, "omega"), (config_nu, "nu")):
         built = record_stokes_builds(monkeypatch)
         rows = run_table(config)
-        for row, problem in zip(rows, built, strict=True):
+        for row, (called, problem) in zip(rows, built, strict=True):
             key = (kind, row.parameter_value)
             lo, hi, khat = TABLE23_PRINTED[key]
             if abs(row.computed_lo - lo) > 0.005 or abs(row.computed_hi - hi) > 0.005:
@@ -295,7 +296,7 @@ def test_criterion_08_table23_spot_rows(monkeypatch):
                 )
             nu = row.parameter_value if kind == "nu" else config.nu[0]
             omega = row.parameter_value if kind == "omega" else config.omega[0]
-            assert (problem.level, problem.nu, problem.omega) == (4, nu, omega)
+            assert called == (4, nu, omega)
             reference = reference_iterations(problem, config.eps)
             check_iterations(
                 f"{kind}={row.parameter_value:g}", row.iterations, reference,
@@ -323,12 +324,12 @@ def test_criterion_09_unknown_count():
 
 def test_criterion_10_iteration_bound_consistency():
     failures = []
-    cases = []
-    for level in (0, 1, 2):
-        cases.append(stokes_system(build_mesh(level), 1.0, 1.0))
-        cases.append(parabolic_kkt(build_mesh(level), 1.0, 1.0))
-        cases.append(parabolic_reduced(build_mesh(level), 1.0, 1.0))
-    for problem in cases:
+    cases = [
+        (flavor, level, build(build_mesh(level), 1.0, 1.0))
+        for level in (0, 1, 2)
+        for flavor, build in cli._BUILDERS.items()
+    ]
+    for flavor, level, problem in cases:
         mu = preconditioned_spectrum(
             reduce_problem(problem)
         )
@@ -339,7 +340,7 @@ def test_criterion_10_iteration_bound_consistency():
         )
         if run.iterations > bound:
             failures.append(
-                f"{problem.flavor} l={problem.level}: {run.iterations} > bound {bound}"
+                f"{flavor} l={level}: {run.iterations} > bound {bound}"
             )
     report(10, not failures, "; ".join(failures) or f"{len(cases)} systems within bound")
 

@@ -65,18 +65,22 @@ class TestBoundsCommand:
         assert main(["bounds", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
 
-    FILES = {name: f"{name}.mtx" for name in "ABCPR"}
+    # The witness bundle's own files: its C vanishes, so it holds no C file,
+    # and a case that only the manifest check refuses names no missing file.
+    FILES = {name: f"{name}.mtx" for name in "ABPR"}
     MANIFESTS = {
         "list": [],
         "string": "saddlebounds-bundle",
+        "format-other": {"format": "other"},
         "files-string": {"files": "x"},
         "files-list": {"files": ["A.mtx"]},
         "files-without-P": {"files": {k: v for k, v in FILES.items() if k != "P"}},
         "files-extra": {"files": {**FILES, "D": "A.mtx"}},
         "file-name-number": {"files": {**FILES, "A": 3}},
+        "file-name-empty": {"files": {**FILES, "A": ""}},
+        "file-name-dotdot": {"files": {**FILES, "A": ".."}},
         "file-name-absolute": {"files": {**FILES, "A": "/A.mtx"}},
-        # names the bundle's own files, so only the name check refuses it
-        "file-name-parent": {"files": {k: f"../w/{k}.mtx" for k in "ABPR"}},
+        "file-name-parent": {"files": {k: f"../w/{v}" for k, v in FILES.items()}},
         "n-null": {"n": None},
         "m-string": {"m": "1"},
     }
@@ -94,6 +98,7 @@ class TestBoundsCommand:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot load bundle: ")
+        assert "is not a saddlebounds bundle manifest" in lines[0]
 
     INNER_PRODUCTS = {
         "P-too-big": (
@@ -381,13 +386,21 @@ class TestTableCommand:
         assert captured.out == ""
         assert "error: argument --levels: invalid int list value: '1.5'" in captured.err
 
-    @pytest.mark.parametrize("values", [
-        {"levels": [1.5]},
-        {"levels": [0], "maxit": 10.5},
-        {"levels": [0], "out": 5},
-        {"levels": [True]},
-    ], ids=["level-float", "maxit-float", "out-number", "level-bool"])
-    def test_rejects_wrong_types_before_any_mesh(self, values, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("values, message", [
+        ({"levels": [1.5]}, "levels: expected an integer, got 1.5"),
+        ({"levels": [0], "maxit": 10.5}, "maxit: expected an integer, got 10.5"),
+        ({"levels": [0], "out": 5}, "out: expected a path or null, got 5"),
+        ({"levels": [True]}, "levels: expected an integer, got True"),
+        ({"levels": 2}, "levels: expected a list, got 2"),
+        ({"levels": [0], "nu": 1.0}, "nu: expected a list, got 1.0"),
+        ({"levels": [0], "omega": None}, "omega: expected a list, got None"),
+    ], ids=[
+        "level-float", "maxit-float", "out-number", "level-bool",
+        "levels-scalar", "nu-scalar", "omega-null",
+    ])
+    def test_rejects_wrong_types_before_any_mesh(
+        self, values, message, tmp_path, capsys, monkeypatch
+    ):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"flavor": "parabolic-reduced", **values}))
         built = []
@@ -395,7 +408,7 @@ class TestTableCommand:
         assert main(["table", "--config", str(config)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: bad configuration: ")
+        assert captured.err == f"error: bad configuration: {message}\n"
         assert built == []
 
     def test_rejects_double_sweep(self, capsys):

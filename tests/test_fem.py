@@ -600,7 +600,9 @@ class TestBlockPreconditioner:
         assert precond.dim == 8
         a = scipy.sparse.identity(5, format="csr")
         b = scipy.sparse.csr_matrix(np.eye(3, 5))
-        problem = problems.ModelProblem("test", 0, 1.0, 1.0, a, b, None, np.zeros(8), precond)
+        problem = problems.ModelProblem(
+            a=a, b=b, c=None, rhs=np.zeros(8), precond_solve=precond
+        )
         p, r = problem.inner_product_blocks()
         t2, t3 = first.matrix.toarray(), second.matrix.toarray()
         for got, want in ((p, scipy.linalg.block_diag(t3 / 49.0, t2 / 7.0)), (r, t3 / 0.1)):
