@@ -33,9 +33,9 @@ Subcommands
     size is refused before any directory is made.
 
 Experiment configuration can come from a JSON file (``--config``) whose
-keys are the names of the ``table`` flags (``format``, not ``fmt``); any
-command-line flag overrides the file.  Output is deterministic: CSV and
-Markdown tables print intervals with three decimals, counts as integers.
+keys are the names of the ``table`` flags; any command-line flag overrides
+the file.  Output is deterministic: CSV and Markdown tables print intervals
+with three decimals, counts as integers.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ LAPACK is loaded from exports it, and ``scipy.linalg.eigh`` otherwise.
 
 :data:`one_blas_thread` caps the BLAS of numpy and of scipy at one thread
 while the Krylov solvers run, whose level-1 calls on long vectors only wake
-a second OpenBLAS thread to spin, and while the Stokes Schur complement is
-set up, which already runs one solve per CPU, and while ``bounds`` runs
+a second OpenBLAS thread to spin, while the Stokes Schur complement is
+formed, one solve per CPU, and factored, and while ``bounds`` runs
 Babuska's eigensolve beside Brezzi's constants.  Elsewhere the dense
 eigensolves keep every thread.
 
@@ -217,7 +217,7 @@ class _OneBlasThread(contextlib.ContextDecorator):
 #: The one BLAS-thread cap of the package (see :class:`_OneBlasThread`);
 #: :func:`saddlebounds.krylov.minres_solve`,
 #: :func:`saddlebounds.krylov.estimate_intervals` and the Stokes Schur
-#: complement of :mod:`saddlebounds.fem.problems` run under it.
+#: complement of :mod:`saddlebounds.fem.problems` and its factor run under it.
 one_blas_thread = _OneBlasThread()
 
 

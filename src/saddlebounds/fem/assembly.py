@@ -106,10 +106,6 @@ class ScalarFem:
     stiffness: scipy.sparse.csr_matrix
     interior: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.interior.size
-
 
 def _p1_matrices(mesh: Mesh) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
     """Exact P1 mass and stiffness over all vertices, boundary included."""

@@ -25,10 +25,11 @@ and its preconditioner declaration.  Each builder declares its inner product
 the diagonal of ``P`` and then of ``R``, each with a scale, one factor
 listed once per block it fills.  Every sparse block is factored once by
 SuperLU in symmetric mode (minimum degree on ``A^T + A``, no pivoting), the
-dense Stokes Schur complement by Cholesky.  One application makes one real
-multi-column solve per factor: the slices of a factor are gathered into one
-complex array whose real and imaginary parts are solved as interleaved real
-columns.  The sparse blocks ``P`` and ``R`` of
+dense Stokes Schur complement by ``densecore.cholesky`` at one BLAS thread,
+so that its factor has the same bits at any thread count.  One application
+makes one real multi-column solve per factor: the slices of a factor are
+gathered into one complex array whose real and imaginary parts are solved
+as interleaved real columns.  The sparse blocks ``P`` and ``R`` of
 :meth:`ModelProblem.inner_product_blocks`, which exported bundles hold, are
 read off the same declaration, so the analysed and the applied
 preconditioner are one object.  A vanishing ``C`` is ``None``, so bundles of
@@ -73,7 +74,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from ..densecore import one_blas_thread, real_columns, require_hermitian
+from ..densecore import cholesky, one_blas_thread, real_columns, require_hermitian
 from ..krylov import LinearOperator
 from .assembly import assemble_p1, assemble_taylor_hood
 from .mesh import Mesh
@@ -132,9 +133,10 @@ class SpdFactor:
 
     Sparse blocks go to SuperLU in symmetric mode: an SPD matrix needs no
     pivoting, and minimum degree on ``A^T + A`` fills far less than the
-    default column ordering.  Dense blocks are Cholesky factored; the
-    factorization checks the matrix once, so solves skip the finiteness scan
-    of the factor.
+    default column ordering.  Dense blocks are factored by
+    :func:`~saddlebounds.densecore.cholesky` at one BLAS thread, which
+    raises ``NotPositiveDefiniteError`` on an indefinite block; it checks
+    the matrix once, so solves skip the finiteness scan of the factor.
     """
 
     def __init__(self, matrix):
@@ -147,9 +149,10 @@ class SpdFactor:
                 options={"SymmetricMode": True},
             ).solve
         else:
-            cho = scipy.linalg.cho_factor(matrix)
+            with one_blas_thread:
+                lower = cholesky(matrix)
             self.solve = functools.partial(
-                scipy.linalg.cho_solve, cho, check_finite=False
+                scipy.linalg.cho_solve, (lower, True), check_finite=False
             )
 
 

@@ -233,6 +233,8 @@ class TestOuterBounds:
             hermitian_outer_bounds(0.0, -1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             hermitian_outer_bounds(0.0, 1.0, 2.0, 1.0)  # beta > b_norm
+        with pytest.raises(ValueError, match="norms must be nonnegative"):
+            b_norm_upper(1.0, -1.0)
 
 
 class TestMu3:
@@ -291,6 +293,10 @@ class TestMu3:
     def test_rejects_positive_lambda_min(self):
         with pytest.raises(ValueError):
             mu3_cubic(0.5, 1.0, 0.1, 1.0)
+
+    def test_rejects_alpha_above_lambda_max(self):
+        with pytest.raises(ValueError, match="need 0 < alpha <= lambda_max"):
+            mu3_cubic(2.0, 1.0, -1.0, 1.0)
 
 
 class TestInclusionSet:

@@ -411,6 +411,31 @@ class TestTableCommand:
         assert captured.err == f"error: bad configuration: {message}\n"
         assert built == []
 
+    def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path, request):
+        # The Stokes set-up factors S at one thread, whatever count it finds.
+        args = ["table", "--flavor", "stokes", "--levels", "3", "--format", "json"]
+        outs = [tmp_path / "one.json", tmp_path / "two.json"]
+        with densecore.one_blas_thread:
+            assert main(args + ["--out", str(outs[0])]) == 0
+        request.getfixturevalue("two_blas_threads")
+        assert main(args + ["--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("values, flags, message", [
+        ({"flavor": "heat"}, [], "unknown flavor 'heat'; choose from "
+         "('parabolic-kkt', 'parabolic-reduced', 'stokes')"),
+        ({}, ["--levels", ""], "levels, nu and omega must be nonempty"),
+        ({}, ["--eps", "1.5"], "eps must be in (0, 1), got 1.5"),
+    ], ids=["config-flavor", "levels-empty", "eps-above-one"])
+    def test_rejects_bad_values(self, values, flags, message, tmp_path, capsys):
+        # argparse's choices never see a flavor that a config file names.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"flavor": "parabolic-reduced", "levels": [0], **values}))
+        assert main(["table", "--config", str(config), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad configuration: {message}\n"
+
     def test_rejects_double_sweep(self, capsys):
         assert main([
             "table", "--flavor", "stokes", "--levels", "0,1", "--nu", "1,2",

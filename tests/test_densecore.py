@@ -172,6 +172,10 @@ class TestFields:
             assert sym.dtype == h.dtype
             assert np.array_equal(sym, 0.5 * (noisy + noisy.conj().T))
 
+    def test_require_hermitian_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"Hermitian matrix must be square, got \(2, 3\)"):
+            require_hermitian(np.ones((2, 3)))
+
     def test_real_cholesky(self, rng):
         assert cholesky(random_spd(rng, 5, complex_entries=False)).dtype == np.float64
 

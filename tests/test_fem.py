@@ -582,6 +582,14 @@ class TestBlockPreconditioner:
         assert np.array_equal(x, x_copy)
         assert np.array_equal(z, z_copy)
 
+    def test_dense_indefinite_block_names_its_pivot(self):
+        # Pivots 4, 1 and 1 - 9: the third leading minor is negative.
+        block = np.array([[4.0, 2.0, 0.0], [2.0, 2.0, 3.0], [0.0, 3.0, 1.0]])
+        with pytest.raises(
+            densecore.NotPositiveDefiniteError, match=r"nonpositive pivot at index 2\)"
+        ):
+            SpdFactor(block)
+
     def test_rejects_wrong_shape(self):
         problem = parabolic_reduced(build_mesh(0), nu=1.0, omega=1.0)
         with pytest.raises(ValueError, match="shape"):

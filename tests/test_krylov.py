@@ -208,6 +208,17 @@ class TestMinresBasics:
         with pytest.raises(ValueError, match="positive"):
             minres_solve(dense(a), dense(np.diag([1.0, -1.0, 1.0, 1.0, 1.0])), rhs)
 
+    def test_zero_rhs_returns_zero_without_iterating(self, rng):
+        report = minres_solve(dense(random_hermitian(rng, 4)), identity(4), np.zeros(4))
+        assert report.iterations == 0 and report.converged
+        assert not np.any(report.x) and report.true_residual == 0.0
+        with pytest.raises(ValueError, match="need at least one iteration"):
+            stagnation_profile(report)
+
+    def test_rhs_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"rhs has shape \(5,\), expected \(4,\)"):
+            minres_solve(identity(4), identity(4), np.ones(5))
+
     def test_missing_rhs_rejected_before_work(self):
         calls = []
         op = LinearOperator(dim=3, apply=lambda x: calls.append(x) or x)
@@ -285,6 +296,12 @@ class TestRitzIntervals:
             assert est.neg_lo >= -2.0 - 1e-8
             assert est.pos_lo >= 0.4 - 1e-8
             assert est.neg_hi <= -0.5 + 1e-8
+
+    def test_non_hermitian_operator_rejected(self):
+        # The estimate makes no probes: the Lanczos diagonal is its guard.
+        op = dense(np.diag([1.0, 2.0, 3.0, 4.0]) + 1j * np.eye(4))
+        with pytest.raises(ValueError, match="system operator inner product has imaginary part"):
+            estimate_intervals(op, identity(4))
 
     def test_needs_two_steps(self):
         # The recurrence breaks down after one step: one Ritz value cannot

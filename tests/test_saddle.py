@@ -501,6 +501,11 @@ class TestBrezziConstants:
         with pytest.raises(ValueError, match="trivial"):
             brezzi_constants(sys)
 
+    def test_tall_coupling_rejected(self):
+        sys = SaddleSystem(a=np.eye(2), b=np.ones((3, 2)))
+        with pytest.raises(ValueError, match=r"coupling block must be wide, got shape \(3, 2\)"):
+            brezzi_constants(sys)
+
     def test_peak_memory(self):
         # A fixed complex system with n = 600, m = 300 (blocks of 5.76 and
         # 2.88 MB).  The QR keeps the n x m reflectors, and the kernel

@@ -30,6 +30,12 @@ class TestDetectStructure:
         sys = SaddleSystem(a=np.diag([1.0, -1.0]), b=1j * np.eye(2), c=np.diag([1.0, -1.0]))
         assert detect_structure(sys) is False
 
+    def test_complex_block_not_detected(self):
+        # Its real part is SPD; A itself is Hermitian, not real symmetric.
+        a = np.array([[2.0, 1j], [-1j, 2.0]])
+        sys = SaddleSystem(a=a, b=1j * np.eye(2), c=a)
+        assert detect_structure(sys) is False
+
     def test_reduced_parabolic_detected(self):
         problem = parabolic_reduced(build_mesh(1), nu=1.0, omega=1.0)
         sys = saddle_system(problem)
@@ -158,6 +164,14 @@ class TestSkewPairing:
     def test_singular_h_flagged(self):
         with pytest.raises(ValueError, match="singular"):
             skew_pairing_check(np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_requires_equal_shapes(self):
+        with pytest.raises(ValueError, match="H and S must be square of equal size"):
+            skew_pairing_check(np.eye(2), np.zeros((3, 3)))
+
+    def test_requires_skew_s(self):
+        with pytest.raises(ValueError, match="S is not skew-symmetric"):
+            skew_pairing_check(np.eye(2), np.eye(2))
 
     def test_requires_symmetry(self, rng):
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
