@@ -21,9 +21,11 @@ LAPACK is loaded from exports it, and ``scipy.linalg.eigh`` otherwise.
 :data:`one_blas_thread` caps the BLAS of numpy and of scipy at one thread
 while the Krylov solvers run, whose level-1 calls on long vectors only wake
 a second OpenBLAS thread to spin, while the Stokes Schur complement is
-formed, one solve per CPU, and factored, and while ``bounds`` runs
-Babuska's eigensolve beside Brezzi's constants.  Elsewhere the dense
-eigensolves keep every thread.
+formed, one solve per CPU, and factored, while ``bounds`` runs Babuska's
+eigensolve beside Brezzi's constants, and while
+:func:`saddlebounds.saddle.preconditioned_spectrum` runs, so its eigenvalues
+have the same bits at any thread count.  Elsewhere the dense kernels keep
+every thread.
 
 The kernels that carry a block into the Euclidean geometry can work in the
 caller's buffer: :func:`require_hermitian`, :func:`cholesky` and
@@ -108,36 +110,32 @@ _COL_MAJOR = 102
 
 
 @functools.cache
-def _two_stage_drivers() -> dict | None:
-    """LAPACKE's ``dsyevd_2stage`` and ``zheevd_2stage`` by dtype, or None.
-
-    The symbols are looked up, once, through scipy's own LAPACK extension
-    module, so they come from the library that module is linked against
-    (scipy-openblas prefixes its exports with ``scipy_``).  That extension
-    uses 32-bit LAPACK integers.
-    """
+def _symbol(module: str, name: str, restype, *argtypes):
+    """The C function ``name``, declared with ``restype`` and ``argtypes``,
+    of the shared library that the extension ``module`` is; None where the
+    module does not import, its file does not load or the name does not
+    resolve.  Looked up once, through the module, so the function comes from
+    the library that module is linked against."""
     try:
-        from scipy.linalg import _flapack
-
-        lib = ctypes.CDLL(_flapack.__file__)
+        fn = getattr(ctypes.CDLL(importlib.import_module(module).__file__), name)
     except (ImportError, AttributeError, OSError):
         return None
+    fn.argtypes, fn.restype = argtypes, restype
+    return fn
+
+
+def _two_stage_drivers() -> dict | None:
+    """LAPACKE's ``dsyevd_2stage`` and ``zheevd_2stage`` by dtype, or None,
+    from scipy's LAPACK extension module (32-bit LAPACK integers), whose
+    scipy-openblas build prefixes its exports with ``scipy_``."""
+    # (layout, jobz, uplo, n, a, lda, w) -> info
+    argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int,
+                ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p)
     for prefix in ("scipy_", ""):
-        try:
-            drivers = {
-                np.dtype(np.float64): getattr(lib, prefix + "LAPACKE_dsyevd_2stage"),
-                np.dtype(np.complex128): getattr(lib, prefix + "LAPACKE_zheevd_2stage"),
-            }
-        except AttributeError:
-            continue
-        for fn in drivers.values():
-            # (layout, jobz, uplo, n, a, lda, w) -> info
-            fn.argtypes = [
-                ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int,
-                ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p,
-            ]
-            fn.restype = ctypes.c_int
-        return drivers
+        names = (f"{prefix}LAPACKE_dsyevd_2stage", f"{prefix}LAPACKE_zheevd_2stage")
+        fns = [_symbol("scipy.linalg._flapack", name, ctypes.c_int, *argtypes) for name in names]
+        if all(fns):
+            return dict(zip((np.dtype(np.float64), np.dtype(np.complex128)), fns))
     return None
 
 
@@ -147,27 +145,17 @@ def _two_stage_drivers() -> dict | None:
 _OPENBLAS = (("numpy._core._multiarray_umath", "64_"), ("scipy.linalg._flapack", ""))
 
 
-@functools.cache
 def _blas_thread_controls() -> tuple:
     """``(get, set)`` thread-count functions of each OpenBLAS that numpy and
-    scipy load; empty where none resolves.
-
-    As in :func:`_two_stage_drivers`, the symbols are looked up, once,
-    through the extension modules, so they come from the libraries those
-    modules are linked against.
-    """
-    controls = []
-    for module, suffix in _OPENBLAS:
-        try:
-            lib = ctypes.CDLL(importlib.import_module(module).__file__)
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-        except (ImportError, AttributeError, OSError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        controls.append((get, set_))
-    return tuple(controls)
+    scipy load; empty where none resolves."""
+    controls = [
+        (
+            _symbol(module, f"scipy_openblas_get_num_threads{suffix}", ctypes.c_int),
+            _symbol(module, f"scipy_openblas_set_num_threads{suffix}", None, ctypes.c_int),
+        )
+        for module, suffix in _OPENBLAS
+    ]
+    return tuple(pair for pair in controls if all(pair))
 
 
 def _blas_thread_counts() -> tuple[int, ...]:
@@ -216,7 +204,8 @@ class _OneBlasThread(contextlib.ContextDecorator):
 
 #: The one BLAS-thread cap of the package (see :class:`_OneBlasThread`);
 #: :func:`saddlebounds.krylov.minres_solve`,
-#: :func:`saddlebounds.krylov.estimate_intervals` and the Stokes Schur
+#: :func:`saddlebounds.krylov.estimate_intervals`,
+#: :func:`saddlebounds.saddle.preconditioned_spectrum` and the Stokes Schur
 #: complement of :mod:`saddlebounds.fem.problems` and its factor run under it.
 one_blas_thread = _OneBlasThread()
 

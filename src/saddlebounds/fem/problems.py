@@ -31,18 +31,19 @@ makes one real multi-column solve per factor: the slices of a factor are
 gathered into one complex array whose real and imaginary parts are solved
 as interleaved real columns.  The sparse blocks ``P`` and ``R`` of
 :meth:`ModelProblem.inner_product_blocks`, which exported bundles hold, are
-read off the same declaration, so the analysed and the applied
-preconditioner are one object.  A vanishing ``C`` is ``None``, so bundles of
-such a system hold no C file.  No dense matrix but ``S`` is built here: the
+read off the same declaration (a dense block as ``L L^T`` from its factor),
+so the analysed and the applied preconditioner are one object.  A vanishing
+``C`` is ``None``, so bundles of such a system hold no C file.  No dense matrix but ``S`` is built here: the
 exact analyses pass the sparse blocks ``A``, ``B`` and ``C`` to
 ``saddle.SaddleSystem`` and ``P`` and ``R`` to ``saddle.reduce_system``.
 
 The dense Stokes Schur complement ``S`` is formed in blocks of ``C`` columns,
 one SuperLU solve each, on one worker per available CPU (the affinity mask
-where the platform has one, else ``os.cpu_count()``), then checked symmetric
-and symmetrized in place, so no second copy of ``S`` is made.  A block's real
-right-hand side of ``ns x 2C`` doubles is held near ``SCHUR_BLOCK_BYTES``
-(1.5 MiB), because the formation was fastest at 1-4 MB at every level.
+where the platform has one, else ``os.cpu_count()``), then checked symmetric,
+symmetrized and factored in place, so ``S`` is held once, as its factor.  A
+block's real right-hand side of ``ns x 2C`` doubles is held near
+``SCHUR_BLOCK_BYTES`` (1.5 MiB), because the formation was fastest at 1-4 MB
+at every level.
 Formation time against the block's columns (and MB), two workers on 2 CPUs,
 one BLAS thread, against 128 columns on one thread:
 
@@ -129,19 +130,23 @@ def target_state(x, y):
 
 class SpdFactor:
     """A real SPD block, factored once; ``solve`` takes real ``(n, k)``
-    right-hand sides.
+    right-hand sides and ``order`` is ``n``.
 
     Sparse blocks go to SuperLU in symmetric mode: an SPD matrix needs no
     pivoting, and minimum degree on ``A^T + A`` fills far less than the
     default column ordering.  Dense blocks are factored by
     :func:`~saddlebounds.densecore.cholesky` at one BLAS thread, which
     raises ``NotPositiveDefiniteError`` on an indefinite block; it checks
-    the matrix once, so solves skip the finiteness scan of the factor.
+    the matrix once, so solves skip the finiteness scan of the factor.  Only
+    the factor ``lower`` of a dense block is kept (``matrix`` is ``None``):
+    a Fortran-ordered float64 block is consumed as its buffer, any other
+    copied.
     """
 
     def __init__(self, matrix):
-        self.matrix = matrix
+        self.order = matrix.shape[0]
         if scipy.sparse.issparse(matrix):
+            self.matrix = matrix
             self.solve = scipy.sparse.linalg.splu(
                 scipy.sparse.csc_matrix(matrix),
                 permc_spec="MMD_AT_PLUS_A",
@@ -149,11 +154,20 @@ class SpdFactor:
                 options={"SymmetricMode": True},
             ).solve
         else:
+            self.matrix = None
             with one_blas_thread:
-                lower = cholesky(matrix)
+                self.lower = cholesky(matrix, overwrite=True)
             self.solve = functools.partial(
-                scipy.linalg.cho_solve, (lower, True), check_finite=False
+                scipy.linalg.cho_solve, (self.lower, True), check_finite=False
             )
+
+    def block(self):
+        """The block this factor inverts: the sparse ``matrix``, or ``L L^T``
+        of a dense one, formed at one BLAS thread."""
+        if self.matrix is not None:
+            return self.matrix
+        with one_blas_thread:
+            return self.lower @ self.lower.T
 
 
 class BlockPreconditioner:
@@ -179,7 +193,7 @@ class BlockPreconditioner:
         self._blocks = {}  # factor -> [(rows, scale)], in order along the diagonal
         self.dim = 0
         for factor, scale in self.p + self.r:
-            rows = slice(self.dim, self.dim + factor.matrix.shape[0])
+            rows = slice(self.dim, self.dim + factor.order)
             self._blocks.setdefault(factor, []).append((rows, scale))
             self.dim = rows.stop
 
@@ -259,11 +273,11 @@ class ModelProblem:
 
     def inner_product_blocks(self) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
         """The sparse blocks ``P`` and ``R`` of the inner-product matrix
-        ``Pc = diag(P, R)``, as CSR: the declared blocks, each divided by its
-        scale."""
+        ``Pc = diag(P, R)``, as CSR: the declared blocks
+        (:meth:`SpdFactor.block`), each divided by its scale."""
 
-        def scaled(matrix, scale):
-            block = scipy.sparse.coo_matrix(matrix)
+        def scaled(factor, scale):
+            block = scipy.sparse.coo_matrix(factor.block())
             # Not block / scale: scipy multiplies by 1 / scale, which rounds.
             return scipy.sparse.coo_matrix(
                 (block.data / scale, (block.row, block.col)), shape=block.shape
@@ -271,7 +285,7 @@ class ModelProblem:
 
         pc = self.precond_solve
         return tuple(
-            scipy.sparse.block_diag([scaled(f.matrix, s) for f, s in side], format="csr")
+            scipy.sparse.block_diag([scaled(f, s) for f, s in side], format="csr")
             for side in (pc.p, pc.r)
         )
 
@@ -370,8 +384,9 @@ def parabolic_reduced(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
 @one_blas_thread
 def _schur_complement(ps_factor: SpdFactor, dx, dy) -> np.ndarray:
     """Dense exact pressure Schur complement ``S = Dx Ps^{-1} Dx^T + Dy
-    Ps^{-1} Dy^T`` (mp x mp), checked symmetric and symmetrized in its own
-    buffer (:func:`saddlebounds.densecore.require_hermitian`).
+    Ps^{-1} Dy^T`` (mp x mp, Fortran-ordered for its factor), checked
+    symmetric and symmetrized in its own buffer
+    (:func:`saddlebounds.densecore.require_hermitian`).
 
     The divergence blocks stay sparse.  Each block of ``C`` columns of ``S``
     makes one solve with the ``ns x 2C`` real right-hand side ``[Dx^T, Dy^T]``
@@ -379,7 +394,7 @@ def _schur_complement(ps_factor: SpdFactor, dx, dy) -> np.ndarray:
     blocks run on one worker per available CPU, at most one per block: the
     calling thread and a pool of the others, which share the one factor
     (SuperLU releases the GIL during the solve).  Every block writes only its
-    own rows, so ``S`` does not depend on the number of workers.  A failing
+    own columns, so ``S`` does not depend on the number of workers.  A failing
     block raises here once every worker is joined; the workers take no new
     block after it.  BLAS is held at one thread throughout: the workers
     already take every CPU, so a second BLAS thread per solve only
@@ -388,7 +403,7 @@ def _schur_complement(ps_factor: SpdFactor, dx, dy) -> np.ndarray:
     mp, ns = dx.shape
     width = max(1, SCHUR_BLOCK_BYTES // (16 * ns))
     dxt, dyt = dx.T.tocsc(), dy.T.tocsc()
-    schur = np.empty((mp, mp))
+    schur = np.empty((mp, mp), order="F")
     blocks = range(0, mp, width)
     starts = iter(blocks)
 
@@ -399,8 +414,7 @@ def _schur_complement(ps_factor: SpdFactor, dx, dy) -> np.ndarray:
                 rhs = scipy.sparse.hstack([dxt[:, cols], dyt[:, cols]]).toarray()
                 sol = ps_factor.solve(rhs)
                 half = sol.shape[1] // 2
-                # Stored as rows, which are contiguous; S is symmetric.
-                schur[cols] = (dx @ sol[:, :half] + dy @ sol[:, half:]).T
+                schur[:, cols] = dx @ sol[:, :half] + dy @ sol[:, half:]
         except BaseException:
             for _ in starts:  # the other workers stop after their block
                 pass

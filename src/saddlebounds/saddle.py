@@ -67,6 +67,7 @@ from .densecore import (
     apply_in_field,
     cholesky,
     hermitian_eigenvalues,
+    one_blas_thread,
     require_hermitian,
     triangular_congruence,
 )
@@ -460,6 +461,7 @@ mu3_cubic` via :func:`saddlebounds.bounds.inclusion_set`) presume the
     )
 
 
+@one_blas_thread
 def preconditioned_spectrum(sys: SaddleSystem) -> np.ndarray:
     """Eigenvalues (real, ascending) of ``M = [[A, B*], [B, -C]]``.
 
@@ -469,7 +471,8 @@ def preconditioned_spectrum(sys: SaddleSystem) -> np.ndarray:
     diagonal blocks were checked and symmetrized when the system was made,
     so it is not checked again.  :meth:`SaddleSystem.assemble` writes its
     lower block triangle into one Fortran-ordered buffer, which the
-    eigensolver reads and then overwrites.
+    eigensolver reads and then overwrites, at one BLAS thread, so the
+    eigenvalues have the same bits at any thread count.
     """
     return hermitian_eigenvalues(sys.assemble(mirror=False), overwrite=True)
 

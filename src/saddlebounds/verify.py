@@ -35,7 +35,7 @@ from .saddle import babuska_constants, block_decompose, brezzi_constants
 from .saddle import preconditioned_spectrum
 from .spectrum import linearize_quadratic, pairing_check, skew_pairing_check
 
-__all__ = ["SUITES", "run_suite", "run_all"]
+__all__ = ["SUITES"]
 
 
 def random_spd(rng, n: int, complex_entries: bool = True) -> np.ndarray:
@@ -234,14 +234,3 @@ SUITES = {
     "lemma21": suite_lemma21,
 }
 
-
-def run_suite(name: str) -> dict:
-    if name not in SUITES:
-        raise KeyError(
-            f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
-        )
-    return SUITES[name]()
-
-
-def run_all() -> list[dict]:
-    return [SUITES[name]() for name in sorted(SUITES)]

@@ -1,5 +1,8 @@
+import _ctypes
+import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -154,6 +157,44 @@ class TestEigenvalueDrivers:
         drivers = densecore._two_stage_drivers()
         if lapack["name"] == "scipy-openblas":
             assert set(drivers) == {np.dtype(np.float64), np.dtype(np.complex128)}
+
+
+class TestUnresolvedLibraries:
+    """Where numpy's and scipy's extension modules do not import, or their
+    files lack the symbols, nothing resolves: the eigensolve falls back to
+    ``scipy.linalg.eigh`` and the cap does nothing."""
+
+    @pytest.fixture(params=["module does not import", "library lacks the symbols"])
+    def unresolved(self, request, monkeypatch):
+        if request.param == "module does not import":
+            stand_in = None  # a None entry in sys.modules fails the import
+        else:
+            stand_in = types.SimpleNamespace(__file__=_ctypes.__file__)  # links no BLAS
+        found = densecore._blas_thread_controls()
+        for module, _ in densecore._OPENBLAS:
+            monkeypatch.setitem(sys.modules, module, stand_in)
+        densecore._symbol.cache_clear()
+        yield found  # the controls that resolve in this process
+        densecore._symbol.cache_clear()
+
+    def test_eigensolve_falls_back_to_eigh(self, unresolved, monkeypatch, rng):
+        assert densecore._two_stage_drivers() is None
+        calls, eigh = [], scipy.linalg.eigh
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs["driver"])
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", recorded)
+        h = random_hermitian(rng, 6)
+        lam = hermitian_eigenvalues(h)
+        assert calls == ["evd"]
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(h))) <= 1e-12 * np.linalg.norm(h, 2)
+
+    def test_cap_does_nothing(self, two_blas_threads, unresolved):
+        assert densecore._blas_thread_controls() == ()
+        with one_blas_thread:
+            assert tuple(get() for get, _ in unresolved) == two_blas_threads
 
 
 class TestFields:

@@ -373,17 +373,19 @@ class TestStokesSchurBlocks:
     thread and a pool of the others."""
 
     def build(self, monkeypatch, cpus, fail_at=None):
-        """Level-4 build on ``cpus`` reported CPUs.  Returns the dense
-        matrices it factors and, per sparse solve (one Schur block each), the
-        number of live threads.  With ``fail_at``, that solve raises."""
+        """Level-4 build on ``cpus`` reported CPUs.  Returns copies of the
+        dense matrices it factors (a factor consumes its matrix) and, per
+        sparse solve (one Schur block each), the number of live threads.
+        With ``fail_at``, that solve raises."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         dense, live, calls = [], [], itertools.count()
 
         class Recording(SpdFactor):
             def __init__(self, matrix):
+                if not scipy.sparse.issparse(matrix):
+                    dense.append(matrix.copy())
                 super().__init__(matrix)
                 if not scipy.sparse.issparse(matrix):
-                    dense.append(matrix)
                     return
                 solve = self.solve
 
@@ -470,6 +472,18 @@ class TestStokesSchurBlocks:
         assert peak < schur.nbytes + 16 * ns * width + 3 * 8 * mp * width + (2 << 20)
         raw = (dx @ dx.T.toarray() + dy @ dy.T.toarray()).T
         assert np.array_equal(schur, 0.5 * (raw + raw.T))
+
+    def test_schur_complement_is_held_once(self):
+        # S is factored in its own buffer, so after the build its factor is
+        # the one mp x mp array alive.
+        tracemalloc.start()
+        try:
+            problem = stokes_system(build_mesh(3), nu=1.0, omega=1.0)
+            traces = tracemalloc.take_snapshot().traces
+        finally:
+            tracemalloc.stop()
+        mp = problem.m // 2
+        assert sum(trace.size == 8 * mp * mp for trace in traces) == 1
 
     def test_failing_block_raises_and_leaves_no_thread(self, monkeypatch):
         before = threading.active_count()

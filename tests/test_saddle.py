@@ -19,7 +19,7 @@ from saddlebounds.bounds import (
     witness_general,
 )
 from saddlebounds.densecore import cholesky
-from saddlebounds.fem import build_mesh, parabolic_kkt
+from saddlebounds.fem import build_mesh, parabolic_kkt, parabolic_reduced
 from saddlebounds.saddle import (
     SaddleSystem,
     babuska_constants,
@@ -601,6 +601,18 @@ class TestBabuskaConstants:
             bc = brezzi_constants(red)
             bab = babuska_constants(red)
             assert bab.b_norm <= b_norm_upper(bc.a_norm, bc.b_norm) + 1e-10
+
+
+def test_spectrum_has_the_same_bits_at_any_blas_thread_count(two_blas_threads):
+    # Demo 03's reduced system: its printed pairing defect read 1.22e-15 at
+    # one BLAS thread and 1.44e-15 at two while the eigensolve ran uncapped.
+    problem = parabolic_reduced(build_mesh(2), nu=1.0, omega=100.0)
+    red = reduce_system(
+        SaddleSystem(a=problem.a, b=problem.b, c=problem.c), *problem.inner_product_blocks()
+    )
+    with densecore.one_blas_thread:
+        want = preconditioned_spectrum(red)
+    assert preconditioned_spectrum(red).tobytes() == want.tobytes()
 
 
 def assert_matches_pencils(sys, p, r, red):
