@@ -16,8 +16,8 @@ and on the eigenvalue inclusion intervals of the preconditioned matrix:
 * witness generators on which the cubic bounds are attained with equality,
 * the auxiliary constrained maximization behind the cubic bound
   (:func:`phi_max_appendix`),
-* the textbook MINRES iteration bound for a two-interval spectrum
-  symmetrized to ``[-mu4,-mu3] u [mu3,mu4]`` (:func:`minres_iteration_bound`).
+* the textbook MINRES iteration bound over the symmetric hull of a whole
+  inclusion set, both of its intervals (:func:`minres_iteration_bound`).
 
 Both cubic bounds are the smallest positive root of a monic cubic ``q``
 with ``q(0) = alpha beta^2 > 0`` and linear coefficient
@@ -336,18 +336,18 @@ def phi_max_appendix(
     return float(value), (float(r1), float(r2))
 
 
-def minres_iteration_bound(mu3: float, mu4: float, eps: float) -> int:
+def minres_iteration_bound(inclusion: SpectralInclusion, eps: float) -> int:
     """Smallest even ``k = 2l`` with ``2 q^l / (1 + q^{2l}) <= eps`` where
-    ``q = (kappa - 1)/(kappa + 1)`` and ``kappa = mu4/mu3``.
+    ``q = (kappa - 1)/(kappa + 1)`` and ``kappa = d/c``.
 
-    This is the classical MINRES residual bound for a spectrum contained in
-    ``[-mu4, -mu3] u [mu3, mu4]``.
+    This is the classical MINRES residual bound, from the polynomial
+    ``T_l((d^2 + c^2 - 2 mu^2)/(d^2 - c^2))`` normalized at ``mu = 0``, for a
+    spectrum in ``[-d, -c] u [c, d]``: the symmetric hull of both intervals
+    of ``inclusion``, ``c = min(-mu2, mu3)`` and ``d = max(-mu1, mu4)``.
     """
-    if not (0.0 < mu3 <= mu4):
-        raise ValueError(f"need 0 < mu3 <= mu4, got mu3={mu3}, mu4={mu4}")
     if not (0.0 < eps < 1.0):
         raise ValueError(f"need eps in (0, 1), got {eps}")
-    kappa = mu4 / mu3
+    kappa = max(-inclusion.mu1, inclusion.mu4) / min(-inclusion.mu2, inclusion.mu3)
     q = (kappa - 1.0) / (kappa + 1.0)
     if q == 0.0:
         return 2

@@ -16,8 +16,10 @@ Subcommands
 ``table``
     Reproduce the preconditioned-MINRES experiment tables for a model
     problem family: one row per swept parameter (mesh size, frequency, or
-    cost parameter) with the measured spectral interval, the theoretical
-    interval, the observed iteration count, and the theoretical bound.
+    cost parameter) with the measured positive spectral interval, the
+    positive interval of the family's theory set (:data:`THEORY`), the
+    observed iteration count, and the MINRES bound over the symmetric hull
+    of the whole theory set, both of its intervals.
     ``--format json`` writes every field of every row, including the
     number of Lanczos steps of the interval estimate and whether it was
     certified, the true residual of the solve, and the operator and
@@ -80,6 +82,27 @@ _BUILDERS = {
 }
 FLAVORS = tuple(_BUILDERS)
 FORMATS = ("csv", "markdown", "json")
+
+
+def _mirror(lo: float, hi: float) -> bnd.SpectralInclusion:
+    return bnd.SpectralInclusion(-hi, -lo, lo, hi)
+
+
+#: Each family's parameter-free inclusion set, from the robust-preconditioner
+#: theorems.  Stokes: +-[cubic bound at (alpha, beta, a_norm) = (1/sqrt(3),
+#: 1, 1), sharp norm bound (1 + sqrt(5))/2]; the full parabolic optimality
+#: system: the two intervals of the eigenvalue-range constants
+#: (2 - sqrt(2), sqrt(2)/2, 0, 1); the reduced parabolic system:
+#: +-[1/sqrt(3), 1].
+THEORY = {
+    "parabolic-kkt": bnd.inclusion_set(
+        BrezziConstants(2.0 - math.sqrt(2.0), math.sqrt(2.0) / 2.0, 1.0, 1.0, 0.0, 1.0)
+    ),
+    "parabolic-reduced": _mirror(1.0 / math.sqrt(3.0), 1.0),
+    "stokes": _mirror(
+        bnd.gamma_opt_general(1.0 / math.sqrt(3.0), 1.0, 1.0), bnd.b_norm_upper(1.0, 1.0)
+    ),
+}
 
 
 @dataclass
@@ -164,36 +187,6 @@ class TableRow:
     estimate_preconditioner_applications: int
 
 
-def theoretical_interval(flavor: str) -> tuple[float, float]:
-    """Parameter-independent positive spectral interval of a model family.
-
-    The endpoints come from the robust-preconditioner theorems: the Stokes
-    family uses the cubic bound with (alpha, beta, a_norm) = (1/sqrt(3), 1, 1)
-    and the sharp norm bound (1 + sqrt(5))/2; the full parabolic optimality
-    system uses the eigenvalue-range constants (2 - sqrt(2), sqrt(2)/2, 0, 1);
-    the reduced parabolic system has the symmetric interval [1/sqrt(3), 1].
-    """
-    if flavor == "stokes":
-        return (
-            bnd.gamma_opt_general(1.0 / math.sqrt(3.0), 1.0, 1.0),
-            bnd.b_norm_upper(1.0, 1.0),
-        )
-    if flavor == "parabolic-kkt":
-        constants = BrezziConstants(
-            alpha=2.0 - math.sqrt(2.0),
-            beta=math.sqrt(2.0) / 2.0,
-            a_norm=1.0,
-            b_norm=1.0,
-            lambda_min_a=0.0,
-            lambda_max_a=1.0,
-        )
-        inc = bnd.inclusion_set(constants)
-        return (inc.mu3, inc.mu4)
-    if flavor == "parabolic-reduced":
-        return (1.0 / math.sqrt(3.0), 1.0)
-    raise ValueError(f"unknown flavor {flavor!r}")
-
-
 def _sweep(config: ExperimentConfig) -> list[tuple]:
     """``(parameter_name, parameter_value, level, nu, omega)`` of each row."""
     if len(config.nu) > 1:
@@ -247,7 +240,9 @@ def run_table(config: ExperimentConfig) -> list[TableRow]:
     interval comes from a separate spectral-estimation run with a generic
     probe vector (the model right-hand side can have exactly zero weight on
     symmetry classes that contain the extreme eigenvalues, which would hide
-    them from the solve's own Lanczos data).
+    them from the solve's own Lanczos data).  The theory columns are the
+    positive interval of the family's set in :data:`THEORY`, and
+    ``iteration_bound`` is the MINRES bound of the whole set.
 
     The solve and the estimate of a row overlap on two threads
     (:func:`_solve_and_estimate`).  Raises :class:`ConvergenceError`,
@@ -255,8 +250,8 @@ def run_table(config: ExperimentConfig) -> list[TableRow]:
     without converging.
     """
     build = _BUILDERS[config.flavor]
-    theory_lo, theory_hi = theoretical_interval(config.flavor)
-    k_bound = bnd.minres_iteration_bound(theory_lo, theory_hi, config.eps)
+    theory = THEORY[config.flavor]
+    k_bound = bnd.minres_iteration_bound(theory, config.eps)
 
     rows = []
     for name, value, level, nu, omega in _sweep(config):
@@ -274,8 +269,8 @@ def run_table(config: ExperimentConfig) -> list[TableRow]:
                 parameter_value=value,
                 computed_lo=estimate.pos_lo,
                 computed_hi=estimate.pos_hi,
-                theory_lo=theory_lo,
-                theory_hi=theory_hi,
+                theory_lo=theory.mu3,
+                theory_hi=theory.mu4,
                 iterations=report.iterations,
                 iteration_bound=k_bound,
                 estimate_steps=estimate.steps,

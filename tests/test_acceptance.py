@@ -333,8 +333,9 @@ def test_criterion_10_iteration_bound_consistency():
         mu = preconditioned_spectrum(
             reduce_problem(problem)
         )
-        moduli = np.abs(mu)
-        bound = bnd.minres_iteration_bound(float(moduli.min()), float(moduli.max()), 1e-8)
+        neg, pos = mu[mu < 0.0], mu[mu > 0.0]
+        spectrum = bnd.SpectralInclusion(neg.min(), neg.max(), pos.min(), pos.max())
+        bound = bnd.minres_iteration_bound(spectrum, 1e-8)
         run = minres_solve(
             problem.operator(), problem.preconditioner(), problem.rhs, eps=1e-8
         )

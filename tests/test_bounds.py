@@ -435,14 +435,37 @@ class TestAppendixMax:
             phi_max_appendix(0.5, -1.0, 1.0, 0.6)
 
 
+def mirror(lo, hi):
+    return SpectralInclusion(-hi, -lo, lo, hi)
+
+
+def chebyshev_residual_max(inclusion, k):
+    """Largest modulus, on a grid of both intervals of ``inclusion``, of the
+    degree-``k`` residual polynomial behind :func:`minres_iteration_bound`:
+    ``T_l`` in ``(d^2 + c^2 - 2 mu^2)/(d^2 - c^2)``, ``k = 2l``, normalized
+    at ``mu = 0``, on the symmetric hull ``[-d, -c] u [c, d]``.  Evaluated
+    by Clenshaw's recurrence, not by the closed form of its maximum."""
+    c = min(-inclusion.mu2, inclusion.mu3)
+    d = max(-inclusion.mu1, inclusion.mu4)
+    mu = np.concatenate([
+        np.linspace(inclusion.mu1, inclusion.mu2, 20001),
+        np.linspace(inclusion.mu3, inclusion.mu4, 20001),
+    ])
+    t_l = np.zeros(k // 2 + 1)
+    t_l[-1] = 1.0
+    x = (d * d + c * c - 2.0 * mu * mu) / (d * d - c * c)
+    at_zero = np.polynomial.chebyshev.chebval((d * d + c * c) / (d * d - c * c), t_l)
+    return float(np.max(np.abs(np.polynomial.chebyshev.chebval(x, t_l))) / abs(at_zero))
+
+
 class TestIterationBound:
     def test_paper_value_102(self):
         mu3 = gamma_opt_general(1.0 / math.sqrt(3.0), 1.0, 1.0)
         mu4 = b_norm_upper(1.0, 1.0)
-        assert minres_iteration_bound(mu3, mu4, 1e-8) == 102
+        assert minres_iteration_bound(mirror(mu3, mu4), 1e-8) == 102
 
     def test_equal_endpoints(self):
-        assert minres_iteration_bound(1.0, 1.0, 1e-8) == 2
+        assert minres_iteration_bound(mirror(1.0, 1.0), 1e-8) == 2
 
     def test_direct_loop_crosscheck(self):
         mu3, mu4, eps = 0.5, 1.0, 1e-8
@@ -451,14 +474,43 @@ class TestIterationBound:
         level = 1
         while 2.0 * q**level / (1.0 + q ** (2 * level)) > eps:
             level += 1
-        assert minres_iteration_bound(mu3, mu4, eps) == 2 * level
+        assert minres_iteration_bound(mirror(mu3, mu4), eps) == 2 * level
 
     def test_monotone_in_eps(self):
-        ks = [minres_iteration_bound(0.5, 1.0, eps) for eps in (1e-2, 1e-4, 1e-8, 1e-12)]
+        ks = [minres_iteration_bound(mirror(0.5, 1.0), eps) for eps in (1e-2, 1e-4, 1e-8, 1e-12)]
         assert ks == sorted(ks)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            minres_iteration_bound(0.0, 1.0, 1e-8)
+            minres_iteration_bound(SpectralInclusion(-1.0, 0.0, 0.0, 1.0), 1e-8)
         with pytest.raises(ValueError):
-            minres_iteration_bound(0.5, 1.0, 2.0)
+            minres_iteration_bound(mirror(0.5, 1.0), 2.0)
+
+    def test_kkt_set(self):
+        # The KKT theory set [-1, (1-sqrt(3))/2] u [mu3, (1+sqrt(5))/2]: its
+        # negative interval reaches closer to zero than mu3, so the hull is
+        # +-[(sqrt(3)-1)/2, (1+sqrt(5))/2]; the positive interval alone
+        # would give 78.
+        inc = inclusion_set(
+            BrezziConstants(2.0 - math.sqrt(2.0), math.sqrt(2.0) / 2.0, 1.0, 1.0, 0.0, 1.0)
+        )
+        assert -inc.mu2 < inc.mu3
+        assert minres_iteration_bound(inc, 1e-8) == 84
+        assert minres_iteration_bound(mirror(inc.mu3, inc.mu4), 1e-8) == 78
+        assert chebyshev_residual_max(inc, 84) <= 1e-8
+        assert chebyshev_residual_max(inc, 82) > 1e-8
+
+    def test_chebyshev_polynomial_on_random_sets(self, rng):
+        nearer_negative = 0
+        for _ in range(40):
+            mu2, mu3 = -rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)
+            inc = SpectralInclusion(
+                mu2 - rng.uniform(0.0, 3.0), mu2, mu3, mu3 + rng.uniform(0.0, 3.0)
+            )
+            nearer_negative += -mu2 < mu3
+            for eps in (1e-2, 1e-8):
+                k = minres_iteration_bound(inc, eps)
+                assert chebyshev_residual_max(inc, k) <= eps
+                if k > 2:
+                    assert chebyshev_residual_max(inc, k - 2) > eps
+        assert 10 <= nearer_negative <= 30

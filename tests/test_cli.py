@@ -13,14 +13,13 @@ import scipy.linalg
 import scipy.sparse
 
 from saddlebounds import cli, densecore, krylov, mmio, saddle, verify
-from saddlebounds.bounds import witness_general
+from saddlebounds.bounds import minres_iteration_bound, witness_general
 from saddlebounds.cli import (
     ConvergenceError,
     ExperimentConfig,
     format_table,
     main,
     run_table,
-    theoretical_interval,
 )
 from saddlebounds.fem import build_mesh, parabolic_kkt, stokes_system
 from saddlebounds.saddle import SaddleSystem
@@ -324,14 +323,19 @@ class TestTableCommand:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_emitted_bound_consistency(self):
-        config = ExperimentConfig(flavor="parabolic-reduced", levels=[0, 1])
+    @pytest.mark.parametrize("flavor, bound", [
+        ("parabolic-kkt", 84), ("parabolic-reduced", 30), ("stokes", 102),
+    ])
+    def test_emitted_bound_consistency(self, flavor, bound):
+        # The bound reads the family's whole theory set, the theory columns
+        # its positive interval.
+        config = ExperimentConfig(flavor=flavor, levels=[0, 1])
         rows = run_table(config)
-        from saddlebounds.bounds import minres_iteration_bound
+        theory = cli.THEORY[flavor]
+        assert minres_iteration_bound(theory, config.eps) == bound
         for row in rows:
-            assert row.iteration_bound == minres_iteration_bound(
-                row.theory_lo, row.theory_hi, config.eps
-            )
+            assert row.iteration_bound == bound
+            assert (row.theory_lo, row.theory_hi) == (theory.mu3, theory.mu4)
             assert row.computed_lo >= row.theory_lo - 0.01
 
     def test_config_file_with_overrides(self, tmp_path):
@@ -491,14 +495,17 @@ class TestTableCommand:
         assert text.splitlines()[0].startswith("| h |")
 
     def test_theoretical_intervals(self):
-        lo, hi = theoretical_interval("stokes")
-        assert lo == pytest.approx(0.3025, abs=5e-4)
-        assert hi == pytest.approx(1.618, abs=5e-4)
-        lo, hi = theoretical_interval("parabolic-kkt")
-        assert lo == pytest.approx(0.396, abs=5e-4)
-        assert hi == pytest.approx(1.618, abs=5e-4)
-        lo, hi = theoretical_interval("parabolic-reduced")
-        assert (lo, hi) == pytest.approx((1 / np.sqrt(3.0), 1.0))
+        stokes, kkt, reduced = (
+            cli.THEORY[flavor] for flavor in ("stokes", "parabolic-kkt", "parabolic-reduced")
+        )
+        for mirror in (stokes, reduced):
+            assert (mirror.mu1, mirror.mu2) == (-mirror.mu4, -mirror.mu3)
+        assert stokes.mu3 == pytest.approx(0.3025, abs=5e-4)
+        assert stokes.mu4 == pytest.approx(1.618, abs=5e-4)
+        assert (reduced.mu3, reduced.mu4) == pytest.approx((1 / np.sqrt(3.0), 1.0))
+        assert (kkt.mu1, kkt.mu2, kkt.mu3, kkt.mu4) == pytest.approx(
+            (-1.0, (1.0 - np.sqrt(3.0)) / 2.0, 0.39621, (1.0 + np.sqrt(5.0)) / 2.0), abs=5e-6
+        )
 
 
 #: The 11 rows of the Stokes tables: Table 1 and the Table 2/3 spot rows.

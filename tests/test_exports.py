@@ -19,6 +19,7 @@ MODULES = ["saddlebounds"] + [
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "benchmarks" / "tracing.py"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 #: The files the lint tests read: the package and the demos.
 SOURCES = sorted(Path(saddlebounds.__file__).resolve().parent.rglob("*.py")) + sorted(
@@ -98,6 +99,36 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
         assert old.keys() == new.keys()
         changed = [key for key in old if old[key] is not new[key]]
         assert not changed, f"not restored: {changed}"
+
+
+def test_acceptance_reports_criteria_1_to_12():
+    """``tests/test_acceptance.py`` prints the twelve ``ACCEPTANCE n:`` lines
+    when it passes: its tests are exactly ``test_criterion_01`` to ``_12``,
+    in order, none decorated, skipped or left by a ``return``, and each ends
+    with ``report(n, ...)`` with its own ``n``."""
+    tree = ast.parse(ACCEPTANCE.read_text())
+    tests = [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.lower().startswith("test")
+    ]
+    names = [test.name for test in tests]
+    assert len(names) == 12 and all(
+        name.startswith(f"test_criterion_{n:02d}_") for n, name in enumerate(names, 1)
+    ), names
+    for n, test in enumerate(tests, 1):
+        assert not test.decorator_list, f"{test.name} is decorated"
+        assert not any(isinstance(node, ast.Return) for node in _own_scope(test)), test.name
+        last = test.body[-1]
+        assert (
+            isinstance(last, ast.Expr) and isinstance(last.value, ast.Call)
+            and isinstance(last.value.func, ast.Name) and last.value.func.id == "report"
+            and isinstance(last.value.args[0], ast.Constant) and last.value.args[0].value == n
+        ), f"{test.name} does not end with report({n}, ...)"
+    skips = _names(ast.walk(tree), ast.Store) | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+    assert not skips & {"pytestmark", "skip", "xfail", "importorskip"}
 
 
 def _own_scope(func):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saddlebounds import krylov
-from saddlebounds.bounds import minres_iteration_bound, witness_general
+from saddlebounds.bounds import SpectralInclusion, minres_iteration_bound, witness_general
 from saddlebounds.densecore import generalized_hermitian_eig
 from saddlebounds.fem import build_mesh, parabolic_kkt, parabolic_reduced, stokes_system
 from saddlebounds.krylov import (
@@ -527,17 +527,18 @@ class TestIterationBoundConsistency:
             a = hermitian_with_spectrum(rng, np.concatenate([neg, pos]))
             rhs = rng.standard_normal(14) + 1j * rng.standard_normal(14)
             report = minres_solve(dense(a), identity(14), rhs, eps=1e-8, maxit=200)
-            mu3 = min(0.5, 0.6)
-            mu4 = max(2.1, 1.9)
-            assert report.iterations <= minres_iteration_bound(mu3, mu4, 1e-8)
+            spectrum = SpectralInclusion(-1.9, -0.6, 0.5, 2.1)
+            assert report.iterations <= minres_iteration_bound(spectrum, 1e-8)
 
     def test_witness_within_bound(self):
         sys = witness_general(0.4, 1.2, 1.0)
         rhs = np.array([0.3, -1.0, 0.8], dtype=complex)
         report = minres_solve(dense(sys.assemble()), identity(3), rhs, eps=1e-8)
         spec = generalized_hermitian_eig(sys.assemble(), np.eye(3))
-        pos = np.abs(spec)
-        bound = minres_iteration_bound(pos.min(), pos.max(), 1e-8)
+        neg, pos = spec[spec < 0.0], spec[spec > 0.0]
+        bound = minres_iteration_bound(
+            SpectralInclusion(neg.min(), neg.max(), pos.min(), pos.max()), 1e-8
+        )
         assert report.iterations <= bound
 
 
