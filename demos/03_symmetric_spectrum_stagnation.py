@@ -27,7 +27,7 @@ system = SaddleSystem(a=problem.a, b=problem.b, c=problem.c)
 print(f"mirror block structure detected: {detect_structure(system)}")
 
 red = reduce_system(system, *problem.inner_product_blocks())
-report = pairing_check(preconditioned_spectrum(red), tol=1e-8)
+report = pairing_check(preconditioned_spectrum(red))
 print(f"pairing (mu, -mu) defect: {report.defect:.2e}  ({report.pairs} pairs)")
 
 run = minres_solve(problem.operator(), problem.preconditioner(), problem.rhs, eps=1e-8)

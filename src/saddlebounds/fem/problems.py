@@ -6,36 +6,33 @@ discretized on criss-cross meshes:
 
 * distributed parabolic control (P1 state/control/adjoint): the full
   optimality system couples state, control and adjoint through the complex
-  operator ``K + i omega M``; eliminating the control and rescaling gives a
-  2x2 system whose (2,2) block is the negative of its (1,1) block, hence a
-  mirror-symmetric preconditioned spectrum;
+  operator ``K + i omega M``; eliminating the control and rescaling gives
+  the mirror system ``[[M, L*], [L, -M]]``, ``L = sqrt(nu) (K + i omega M)``,
+  whose preconditioned spectrum is symmetric around zero;
 * distributed Stokes (velocity tracking) control with Taylor-Hood elements:
-  after reordering and rescaling, a saddle-point system whose (1,1) block
-  has the same mirror structure and whose coupling stacks two divergence
-  operators.
+  after reordering and rescaling, a saddle-point system whose (1,1) block is
+  that mirror system on the P2 velocity pencil, stacked by the
+  :func:`_stack` of every system matrix, and whose coupling stacks two
+  divergence operators.
 
 The inner products are the robust block-diagonal preconditioners built from
 ``M + sqrt(nu) (K + omega M)`` (and its exact pressure Schur complement for
 Stokes); their stability constants are mesh-, ``nu``- and ``omega``-
 independent, which is what the experiments verify.
 
-A model problem is its blocks ``A``, ``B`` and ``C``, its right-hand side
-and its preconditioner declaration.  Each builder declares its inner product
-``diag(P, R)`` as a :class:`BlockPreconditioner`: the real SPD blocks along
-the diagonal of ``P`` and then of ``R``, each with a scale, one factor
-listed once per block it fills.  Every sparse block is factored once by
-SuperLU in symmetric mode (minimum degree on ``A^T + A``, no pivoting), the
-dense Stokes Schur complement by ``densecore.cholesky`` at one BLAS thread,
-so that its factor has the same bits at any thread count.  One application
-makes one real multi-column solve per factor: the slices of a factor are
-gathered into one complex array whose real and imaginary parts are solved
-as interleaved real columns.  The sparse blocks ``P`` and ``R`` of
-:meth:`ModelProblem.inner_product_blocks`, which exported bundles hold, are
-read off the same declaration (a dense block as ``L L^T`` from its factor),
-so the analysed and the applied preconditioner are one object.  A vanishing
-``C`` is ``None``, so bundles of such a system hold no C file.  No dense matrix but ``S`` is built here: the
-exact analyses pass the sparse blocks ``A``, ``B`` and ``C`` to
-``saddle.SaddleSystem`` and ``P`` and ``R`` to ``saddle.reduce_system``.
+A model problem is its sparse blocks ``A``, ``B`` and ``C`` (a vanishing
+``C`` is ``None``, so bundles of such a system hold no C file), its
+right-hand side and its inner product ``diag(P, R)``, declared as a
+:class:`BlockPreconditioner`: the factored SPD blocks along the diagonal of
+``P`` and then of ``R``, each with a scale, one factor listed once per block
+it fills.  Every sparse block is an :class:`SpdFactor`; the Stokes Schur
+complement ``S``, the one dense matrix built here, has its own Cholesky
+factor.  One application makes one real multi-column solve per factor.  The
+blocks ``P`` and ``R`` of :meth:`ModelProblem.inner_product_blocks`, which
+exported bundles hold, are read off the same declaration, so the analysed
+and the applied preconditioner are one object; the exact analyses pass
+``A``, ``B`` and ``C`` to ``saddle.SaddleSystem`` and ``P`` and ``R`` to
+``saddle.reduce_system``.
 
 The dense Stokes Schur complement ``S`` is formed in blocks of ``C`` columns,
 one SuperLU solve each, on one worker per available CPU (the affinity mask
@@ -129,45 +126,38 @@ def target_state(x, y):
 
 
 class SpdFactor:
-    """A real SPD block, factored once; ``solve`` takes real ``(n, k)``
-    right-hand sides and ``order`` is ``n``.
+    """A sparse real SPD block ``matrix``, factored once by SuperLU in
+    symmetric mode (an SPD matrix needs no pivoting, and minimum degree on
+    ``A^T + A`` fills far less than the default column ordering); ``solve``
+    takes real ``(n, k)`` right-hand sides and ``order`` is ``n``.
 
-    Sparse blocks go to SuperLU in symmetric mode: an SPD matrix needs no
-    pivoting, and minimum degree on ``A^T + A`` fills far less than the
-    default column ordering.  Dense blocks are factored by
-    :func:`~saddlebounds.densecore.cholesky` at one BLAS thread, which
-    raises ``NotPositiveDefiniteError`` on an indefinite block; it checks
-    the matrix once, so solves skip the finiteness scan of the factor.  Only
-    the factor ``lower`` of a dense block is kept (``matrix`` is ``None``):
-    a Fortran-ordered float64 block is consumed as its buffer, any other
-    copied.
+    A factor that moved a pivot off the diagonal (at a zero pivot, which no
+    SPD block has) raises ``ValueError`` naming the pivot's index in the
+    block.  The other pivots' signs are not read: ``lu.U`` makes SuperLU
+    build and keep CSC copies of ``L`` and ``U`` as long as the factor lives.
     """
 
     def __init__(self, matrix):
+        self.matrix = matrix
         self.order = matrix.shape[0]
-        if scipy.sparse.issparse(matrix):
-            self.matrix = matrix
-            self.solve = scipy.sparse.linalg.splu(
-                scipy.sparse.csc_matrix(matrix),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            ).solve
-        else:
-            self.matrix = None
-            with one_blas_thread:
-                self.lower = cholesky(matrix, overwrite=True)
-            self.solve = functools.partial(
-                scipy.linalg.cho_solve, (self.lower, True), check_finite=False
+        lu = scipy.sparse.linalg.splu(
+            scipy.sparse.csc_matrix(matrix),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        pivots = np.argsort(lu.perm_c)  # the block's index of each pivot
+        bad = lu.perm_r[pivots] != np.arange(self.order)
+        if bad.any():
+            raise ValueError(
+                f"block of order {self.order} is not SPD "
+                f"(pivot at index {pivots[bad.argmax()]})"
             )
+        self.solve = lu.solve
 
     def block(self):
-        """The block this factor inverts: the sparse ``matrix``, or ``L L^T``
-        of a dense one, formed at one BLAS thread."""
-        if self.matrix is not None:
-            return self.matrix
-        with one_blas_thread:
-            return self.lower @ self.lower.T
+        """The block this factor inverts."""
+        return self.matrix
 
 
 class BlockPreconditioner:
@@ -175,10 +165,11 @@ class BlockPreconditioner:
     complex vectors.
 
     ``p`` and ``r`` list ``(factor, scale)`` in order along the diagonals of
-    ``P`` and ``R``, with an :class:`SpdFactor` of a block ``A``: the
-    diagonal block of ``Pc`` there is ``A / scale``, and the preconditioner
-    applies ``scale * A^{-1}`` to it.  The slices of the system and ``dim``
-    follow from the orders of the factors.
+    ``P`` and ``R``, with a factor of a block ``A`` (an :class:`SpdFactor`
+    or the Stokes Schur factor): the diagonal block of ``Pc`` there is
+    ``A / scale``, and the preconditioner applies ``scale * A^{-1}`` to it.
+    The slices of the system and ``dim`` follow from the orders of the
+    factors.
 
     An application gathers the slices of each distinct factor, however often
     it is listed, into one ``(n, k)`` array, views a complex one as a real
@@ -215,6 +206,22 @@ class BlockPreconditioner:
         return out.reshape(x.shape)
 
 
+def _stack(a, b, c, dtype=None) -> scipy.sparse.csr_matrix:
+    """``[[A, B*], [B, -C]]`` as CSR in ``dtype`` (else the blocks' common
+    type), with an empty (2,2) block where ``C`` is ``None``.  ``B*`` is read
+    off ``B``, so the off-diagonal blocks are exactly adjoint.  The block
+    rows are stacked from CSR blocks, without the coordinate-format copy
+    that ``bmat`` makes of a CSC block such as ``B*``.
+    """
+    m = b.shape[0]
+    c = scipy.sparse.csr_matrix((m, m)) if c is None else -c
+    upper, lower = (
+        scipy.sparse.hstack([block.tocsr() for block in row], format="csr", dtype=dtype)
+        for row in ((a, b.conj().T), (b, c))
+    )
+    return scipy.sparse.vstack([upper, lower], format="csr")
+
+
 @dataclass
 class ModelProblem:
     """A model problem: its blocks ``A``, ``B`` and ``C``, its right-hand
@@ -248,21 +255,9 @@ class ModelProblem:
         return self.n + self.m
 
     def matrix(self) -> scipy.sparse.csr_matrix:
-        """Sparse assembled system ``[[A, B*], [B, -C]]`` in complex128, with
-        an empty (2,2) block where C vanishes.
-
-        Each block row is stacked from CSR blocks, then the two rows, without
-        the coordinate-format copy that ``bmat`` makes when a block such as
-        ``B*`` is CSC; the arrays are bitwise those of ``bmat``.
-        """
-        c = scipy.sparse.csr_matrix((self.m, self.m)) if self.c is None else -self.c
-        upper, lower = (
-            scipy.sparse.hstack(
-                [block.tocsr() for block in row], format="csr", dtype=np.complex128
-            )
-            for row in ((self.a, self.b.conj().T), (self.b, c))
-        )
-        return scipy.sparse.vstack([upper, lower], format="csr")
+        """Sparse assembled system ``[[A, B*], [B, -C]]`` in complex128
+        (:func:`_stack`)."""
+        return _stack(self.a, self.b, self.c, np.complex128)
 
     def operator(self) -> LinearOperator:
         mat = self.matrix()
@@ -388,17 +383,14 @@ def _schur_complement(ps_factor: SpdFactor, dx, dy) -> np.ndarray:
     symmetric and symmetrized in its own buffer
     (:func:`saddlebounds.densecore.require_hermitian`).
 
-    The divergence blocks stay sparse.  Each block of ``C`` columns of ``S``
-    makes one solve with the ``ns x 2C`` real right-hand side ``[Dx^T, Dy^T]``
-    restricted to those columns, sized by :data:`SCHUR_BLOCK_BYTES`.  The
-    blocks run on one worker per available CPU, at most one per block: the
-    calling thread and a pool of the others, which share the one factor
-    (SuperLU releases the GIL during the solve).  Every block writes only its
-    own columns, so ``S`` does not depend on the number of workers.  A failing
+    Each block of ``C`` columns makes one solve with the ``ns x 2C`` real
+    right-hand side ``[Dx^T, Dy^T]`` restricted to those columns.  The
+    calling thread and a pool of the others share the one factor (SuperLU
+    releases the GIL during the solve), and every block writes only its own
+    columns, so ``S`` does not depend on the number of workers.  A failing
     block raises here once every worker is joined; the workers take no new
-    block after it.  BLAS is held at one thread throughout: the workers
-    already take every CPU, so a second BLAS thread per solve only
-    oversubscribes them.
+    block after it.  BLAS is held at one thread, since the workers already
+    take every CPU.
     """
     mp, ns = dx.shape
     width = max(1, SCHUR_BLOCK_BYTES // (16 * ns))
@@ -435,13 +427,36 @@ def _schur_complement(ps_factor: SpdFactor, dx, dy) -> np.ndarray:
     return require_hermitian(schur, overwrite=True)
 
 
+class _SchurFactor:
+    """The Stokes pressure block ``S`` of :func:`_schur_complement`, factored
+    in its own buffer by :func:`~saddlebounds.densecore.cholesky` at one BLAS
+    thread, so its factor has the same bits at any thread count and is the
+    one copy of ``S``.  It has the ``order``, ``solve`` and :meth:`block` of
+    :class:`SpdFactor`; a singular or indefinite ``S`` raises
+    ``NotPositiveDefiniteError`` naming its pivot.
+    """
+
+    @one_blas_thread
+    def __init__(self, ps_factor: SpdFactor, dx, dy):
+        self.lower = cholesky(_schur_complement(ps_factor, dx, dy), overwrite=True)
+        self.order = self.lower.shape[0]
+        self.solve = functools.partial(  # the factor is checked finite
+            scipy.linalg.cho_solve, (self.lower, True), check_finite=False
+        )
+
+    @one_blas_thread
+    def block(self) -> np.ndarray:
+        """``S``, read back as ``L L^T`` at one BLAS thread."""
+        return self.lower @ self.lower.T
+
+
 def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     """Reordered and rescaled Stokes velocity-tracking optimality system.
 
     Unknowns are ``(u, w, p, r)`` with velocity-like ``u, w`` (two P2
     components each) and pressure-like ``p, r`` (P1, one dof pinned each):
 
-    * ``A = [[Mv, sqrt(nu)(Kv - i omega Mv)], [sqrt(nu)(Kv + i omega Mv), -Mv]]``
+    * ``A = [[Mv, L*], [L, -Mv]]`` with ``L = sqrt(nu)(Kv + i omega Mv)``
     * ``B = -sqrt(nu) [[0, D], [D, 0]]`` with ``D = [Dx, Dy]`` the pinned
       divergence
     * ``P = diag(Pv, Pv)`` with ``Pv = Mv + sqrt(nu)(Kv + omega Mv)``
@@ -454,45 +469,25 @@ def stokes_system(mesh: Mesh, nu: float, omega: float) -> ModelProblem:
     check_parameters(nu, omega)
     fem = assemble_taylor_hood(mesh)
     ms, ks = fem.scalar_mass, fem.scalar_stiffness
-    ns = fem.velocity_component_dim
-    mp = fem.pressure_dim
+    ns, mp = fem.velocity_component_dim, fem.pressure_dim
     sqrt_nu = np.sqrt(nu)
 
     mv = scipy.sparse.block_diag([ms, ms], format="csr")
     kv = scipy.sparse.block_diag([ks, ks], format="csr")
-    dx, dy = fem.div_x, fem.div_y  # D = [Dx, Dy], (mp, 2 ns)
+    dx, dy = fem.div_x, fem.div_y
+    d = scipy.sparse.hstack([dx, dy], format="csr")  # (mp, 2 ns)
 
-    a = scipy.sparse.bmat(
-        [
-            [mv, sqrt_nu * _frequency_shifted(kv, mv, -omega)],
-            [sqrt_nu * _frequency_shifted(kv, mv, omega), -mv],
-        ],
-        format="csr",
-    )
-    b = (-sqrt_nu) * scipy.sparse.bmat(
-        [[None, None, dx, dy], [dx, dy, None, None]], format="csr"
-    )
+    a = _stack(mv, sqrt_nu * _frequency_shifted(kv, mv, omega), mv)
+    b = (-sqrt_nu) * scipy.sparse.kron([[0, 1], [1, 0]], d, format="csr")
 
     ps_factor = SpdFactor(_shifted_operator(ms, ks, nu, omega))
-    schur = _schur_complement(ps_factor, dx, dy)
-
-    precond = BlockPreconditioner([(ps_factor, 1.0)] * 4, [(SpdFactor(schur), 1.0 / nu)] * 2)
+    precond = BlockPreconditioner(
+        [(ps_factor, 1.0)] * 4, [(_SchurFactor(ps_factor, dx, dy), 1.0 / nu)] * 2
+    )
 
     coords = fem.p2_coordinates[fem.interior]
     u_target, v_target = target_velocity(coords[:, 0], coords[:, 1])
-    rhs = np.concatenate(
-        [
-            ms @ u_target,
-            ms @ v_target,
-            np.zeros(2 * ns),
-            np.zeros(2 * mp),
-        ]
-    ).astype(np.complex128)
-
+    rhs = np.concatenate([ms @ u_target, ms @ v_target, np.zeros(2 * (ns + mp))])
     return ModelProblem(
-        a=a,
-        b=b,
-        c=None,
-        rhs=rhs,
-        precond_solve=precond,
+        a=a, b=b, c=None, rhs=rhs.astype(np.complex128), precond_solve=precond
     )

@@ -55,6 +55,8 @@ PROBE_SEED = 20240915
 #: then every ``CHECK_EVERY`` steps, and at its last step.
 CHECK_FIRST = 20
 CHECK_EVERY = 10
+#: Reduction factor from which :func:`stagnation_profile` flags a step.
+STAGNATION_THRESHOLD = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
@@ -473,15 +475,14 @@ def estimate_intervals(op: LinearOperator, prec: LinearOperator) -> RitzEstimate
     )
 
 
-def stagnation_profile(
-    report: MinresReport, threshold: float = 1.0 - 1e-6
-) -> tuple[np.ndarray, bool]:
+def stagnation_profile(report: MinresReport) -> tuple[np.ndarray, bool]:
     """Per-step reduction factors ``rho_k = |r_k| / |r_{k-1}|`` and the
     symmetric-spectrum stagnation flag.
 
     The flag is raised when every odd step strictly before the final one
-    stagnates (``rho >= threshold``); the final step is excluded because it
-    may terminate mid-cycle.  At least one such odd step must exist.
+    stagnates (``rho >= STAGNATION_THRESHOLD``); the final step is excluded
+    because it may terminate mid-cycle.  At least one such odd step must
+    exist.
     """
     h = report.residual_history
     if h.size < 2:
@@ -489,5 +490,5 @@ def stagnation_profile(
     factors = h[1:] / np.maximum(h[:-1], 1e-300)
     last = factors.size
     odd = factors[0:last - 1:2]
-    flag = odd.size > 0 and bool(np.all(odd >= threshold))
+    flag = odd.size > 0 and bool(np.all(odd >= STAGNATION_THRESHOLD))
     return factors, flag

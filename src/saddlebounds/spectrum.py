@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 STRUCTURE_RTOL = 1e-12
+#: Largest mirror defect that :func:`pairing_check` passes.
+PAIRING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -80,18 +82,19 @@ def detect_structure(sys: SaddleSystem) -> bool:
     return _symmetry_defect(b) <= STRUCTURE_RTOL * scale_b
 
 
-def pairing_check(eigenvalues, tol: float = 1e-8) -> PairingReport:
+def pairing_check(eigenvalues) -> PairingReport:
     """Verify that a sorted real spectrum satisfies ``lam_k = -lam_{N+1-k}``.
 
     The eigenvalue count must be even; the defect is the largest violation
-    ``|lam_k + lam_{N+1-k}|`` over all mirror pairs.
+    ``|lam_k + lam_{N+1-k}|`` over all mirror pairs, and it passes up to
+    :data:`PAIRING_TOL`.
     """
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     if lam.size % 2:
         raise ValueError(f"pairing needs an even eigenvalue count, got {lam.size}")
     defect = float(np.max(np.abs(lam + lam[::-1]))) if lam.size else 0.0
     return PairingReport(
-        passed=defect <= tol, defect=defect, tol=tol, pairs=lam.size // 2
+        passed=defect <= PAIRING_TOL, defect=defect, tol=PAIRING_TOL, pairs=lam.size // 2
     )
 
 

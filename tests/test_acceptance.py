@@ -148,7 +148,7 @@ def test_criterion_06_symmetric_spectra():
             mu = preconditioned_spectrum(
                 reduce_problem(reduced)
             )
-            pr = pairing_check(mu, tol=1e-8)
+            pr = pairing_check(mu)
             worst_defect = max(worst_defect, pr.defect)
             if not pr.passed:
                 failures.append(f"reduced pairing at l={level}, nu={nu:g}, om={om:g}")
@@ -159,7 +159,7 @@ def test_criterion_06_symmetric_spectra():
             mu2 = preconditioned_spectrum(
                 reduce_problem(stokes)
             )
-            pr2 = pairing_check(mu2, tol=1e-8)
+            pr2 = pairing_check(mu2)
             worst_defect = max(worst_defect, pr2.defect)
             if not pr2.passed:
                 failures.append(f"stokes pairing at l={level}, nu={nu:g}, om={om:g}")
@@ -361,7 +361,7 @@ def test_criterion_12_stagnation():
     # grid where the mirror symmetry dominates the rhs weights).
     problem = parabolic_reduced(build_mesh(2), nu=1.0, omega=100.0)
     run = minres_solve(problem.operator(), problem.preconditioner(), problem.rhs, eps=1e-8)
-    factors, _ = stagnation_profile(run, threshold=0.999)
+    factors, _ = stagnation_profile(run)
     odd = factors[0 : len(factors) - 1 : 2]
     ok = odd.size > 0 and bool(np.all(odd >= 0.999))
     context = parabolic_reduced(build_mesh(2), nu=1.0, omega=1.0)

@@ -415,9 +415,11 @@ class TestTableCommand:
         assert captured.err == f"error: bad configuration: {message}\n"
         assert built == []
 
-    def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path, request):
-        # The Stokes set-up factors S at one thread, whatever count it finds.
-        args = ["table", "--flavor", "stokes", "--levels", "3", "--format", "json"]
+    @pytest.mark.parametrize("flavor", cli.FLAVORS)
+    def test_same_bytes_at_one_and_two_blas_threads(self, flavor, tmp_path, request):
+        # MINRES and the estimate run at one thread, and the Stokes set-up
+        # factors S at one thread, whatever count they find.
+        args = ["table", "--flavor", flavor, "--levels", "3", "--format", "json"]
         outs = [tmp_path / "one.json", tmp_path / "two.json"]
         with densecore.one_blas_thread:
             assert main(args + ["--out", str(outs[0])]) == 0
@@ -749,6 +751,14 @@ class TestVerifyCommand:
             "appendix", "lemma21", "pairing", "sharpness"
         ]
         assert all(r["passed"] is True for r in results)
+
+    def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path, request):
+        outs = [tmp_path / "one.json", tmp_path / "two.json"]
+        with densecore.one_blas_thread:
+            assert main(["verify", "all", "--out", str(outs[0])]) == 0
+        request.getfixturevalue("two_blas_threads")
+        assert main(["verify", "all", "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestNoPencilSolve:

@@ -289,7 +289,7 @@ class TestParabolicProblems:
         moduli = np.abs(mu)
         assert moduli.min() >= 1.0 / SQRT3 - 1e-6
         assert moduli.max() <= 1.0 + 1e-6
-        assert pairing_check(mu, tol=1e-8).passed
+        assert pairing_check(mu).passed
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -319,7 +319,7 @@ class TestStokesProblem:
         mu = preconditioned_spectrum(
             reduce_problem(problem)
         )
-        assert pairing_check(mu, tol=1e-8).passed
+        assert pairing_check(mu).passed
 
     def test_hermitian_assembly(self):
         problem = stokes_system(build_mesh(1), nu=1e-2, omega=10.0)
@@ -355,6 +355,28 @@ class TestStokesProblem:
         with pytest.raises(ValueError, match=shape):
             reduce_system(small, *problem.inner_product_blocks())
 
+    @pytest.mark.parametrize("omega", [0.0, 1.0, 1e2])
+    def test_velocity_block_is_the_mirror_stack(self, omega):
+        # A = [[Mv, L*], [L, -Mv]] with L = sqrt(nu) (Kv + i omega Mv), the
+        # stack of the system matrix: L* is read off L, so the off-diagonal
+        # blocks are exactly adjoint.
+        nu = 1e-2
+        fem = assemble_taylor_hood(build_mesh(2))
+        mv, kv = (
+            scipy.sparse.block_diag([block] * 2, format="csr")
+            for block in (fem.scalar_mass, fem.scalar_stiffness)
+        )
+        a = stokes_system(build_mesh(2), nu, omega).a
+        shifted = math.sqrt(nu) * problems._frequency_shifted(kv, mv, omega)
+        want = problems._stack(mv, shifted, mv)
+        for name in ("indptr", "indices", "data"):
+            got, ref = getattr(a, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+        half = mv.shape[0]
+        upper, lower = a[:half], a[half:]
+        assert (upper[:, half:] != lower[:, :half].conj().T).nnz == 0
+        assert (lower[:, half:] != -mv).nnz == 0
+
     def test_build_without_affinity_mask(self, monkeypatch):
         # Platforms without os.sched_getaffinity count CPUs with os.cpu_count.
         want = stokes_system(build_mesh(1), nu=1.0, omega=1.0).inner_product_blocks()
@@ -372,32 +394,33 @@ class TestStokesSchurBlocks:
     blocks (12 at level 4) on one worker per available CPU: the calling
     thread and a pool of the others."""
 
+    # The builder itself: a second build in one test wraps it, not the first
+    # build's wrapper.
+    schur_complement = staticmethod(problems._schur_complement)
+
     def build(self, monkeypatch, cpus, fail_at=None):
         """Level-4 build on ``cpus`` reported CPUs.  Returns copies of the
-        dense matrices it factors (a factor consumes its matrix) and, per
+        Schur complements it forms (its factor consumes each) and, per
         sparse solve (one Schur block each), the number of live threads.
         With ``fail_at``, that solve raises."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         dense, live, calls = [], [], itertools.count()
 
-        class Recording(SpdFactor):
-            def __init__(self, matrix):
-                if not scipy.sparse.issparse(matrix):
-                    dense.append(matrix.copy())
-                super().__init__(matrix)
-                if not scipy.sparse.issparse(matrix):
-                    return
-                solve = self.solve
+        def recording(ps_factor, dx, dy):
+            solve = ps_factor.solve
 
-                def recorded(rhs):
-                    live.append(threading.active_count())
-                    if next(calls) == fail_at:
-                        raise BlockFailure("block solve failed")
-                    return solve(rhs)
+            def recorded(rhs):
+                live.append(threading.active_count())
+                if next(calls) == fail_at:
+                    raise BlockFailure("block solve failed")
+                return solve(rhs)
 
-                self.solve = recorded
+            ps_factor.solve = recorded
+            schur = self.schur_complement(ps_factor, dx, dy)
+            dense.append(schur.copy())
+            return schur
 
-        monkeypatch.setattr(problems, "SpdFactor", Recording)
+        monkeypatch.setattr(problems, "_schur_complement", recording)
         stokes_system(build_mesh(4), 1e-2, 1.0)
         return dense, live
 
@@ -490,6 +513,19 @@ class TestStokesSchurBlocks:
         with pytest.raises(BlockFailure, match="block solve failed"):
             self.build(monkeypatch, 4, fail_at=2)
         assert threading.active_count() == before
+
+    def test_singular_schur_complement_names_its_pivot(self):
+        # A divergence whose row 2 is zero makes row 2 of S zero: the first
+        # two pivots are positive, the third is 0.
+        fem = assemble_taylor_hood(build_mesh(1))
+        ps = SpdFactor(
+            problems._shifted_operator(fem.scalar_mass, fem.scalar_stiffness, 1.0, 1.0)
+        )
+        keep = scipy.sparse.diags((np.arange(fem.pressure_dim) != 2).astype(float))
+        with pytest.raises(
+            densecore.NotPositiveDefiniteError, match=r"nonpositive pivot at index 2\)"
+        ):
+            problems._SchurFactor(ps, keep @ fem.div_x, keep @ fem.div_y)
 
 
 BUILDERS = {
@@ -596,13 +632,19 @@ class TestBlockPreconditioner:
         assert np.array_equal(x, x_copy)
         assert np.array_equal(z, z_copy)
 
-    def test_dense_indefinite_block_names_its_pivot(self):
-        # Pivots 4, 1 and 1 - 9: the third leading minor is negative.
-        block = np.array([[4.0, 2.0, 0.0], [2.0, 2.0, 3.0], [0.0, 3.0, 1.0]])
+    @pytest.mark.parametrize("block, pivot", [
+        ([[0.0, 1.0], [1.0, 0.0]], 1),
+        # Minimum degree eliminates 3 and 2 first; the zero pivot of 1 then
+        # moves at the third step.
+        ([[4.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 3.0, 0.0],
+          [1.0, 0.0, 0.0, 3.0]], 1),
+    ], ids=["first", "third-step"])
+    def test_moved_pivot_is_refused_by_its_index(self, block, pivot):
+        order = len(block)
         with pytest.raises(
-            densecore.NotPositiveDefiniteError, match=r"nonpositive pivot at index 2\)"
+            ValueError, match=rf"block of order {order} is not SPD \(pivot at index {pivot}\)"
         ):
-            SpdFactor(block)
+            SpdFactor(scipy.sparse.csc_matrix(block))
 
     def test_rejects_wrong_shape(self):
         problem = parabolic_reduced(build_mesh(0), nu=1.0, omega=1.0)

@@ -559,12 +559,15 @@ class TestStagnation:
         factors, flag = stagnation_profile(report)
         assert not flag
 
-    def test_reduced_parabolic_staircase(self):
+    def test_reduced_parabolic_staircase(self, monkeypatch):
+        # The odd factors reach 0.999, not STAGNATION_THRESHOLD: the flag is
+        # checked at 0.999.
+        monkeypatch.setattr(krylov, "STAGNATION_THRESHOLD", 0.999)
         problem = parabolic_reduced(build_mesh(2), nu=1.0, omega=100.0)
         report = minres_solve(
             problem.operator(), problem.preconditioner(), problem.rhs, eps=1e-8
         )
-        factors, flag = stagnation_profile(report, threshold=0.999)
+        factors, flag = stagnation_profile(report)
         odd = factors[0 : len(factors) - 1 : 2]
         assert odd.size > 0
         assert np.all(odd >= 0.999)

@@ -65,7 +65,7 @@ class TestPairingCheck:
         mu = preconditioned_spectrum(
             reduce_problem(problem)
         )
-        report = pairing_check(mu, tol=1e-8)
+        report = pairing_check(mu)
         assert report.passed
 
     def test_random_structured_systems_pair(self, rng):
@@ -76,7 +76,7 @@ class TestPairingCheck:
             sys = SaddleSystem(a=a, b=b, c=a)
             p = random_spd(rng, n, complex_entries=False)
             mu = preconditioned_spectrum(reduce_system(sys, p, p))
-            assert pairing_check(mu, tol=1e-8).passed
+            assert pairing_check(mu).passed
 
 
 class TestLinearizeQuadratic:
